@@ -291,10 +291,15 @@ def born_probabilities(state_or_density: np.ndarray) -> np.ndarray:
     if a.ndim == 1 or (a.ndim == 2 and 1 in a.shape):
         p = np.abs(a.reshape(-1)) ** 2
     else:
-        p = np.real(np.diag(a)).copy()
+        p = np.real(np.diag(a))
+    return normalize_probabilities(p)
+
+
+def normalize_probabilities(p: np.ndarray) -> np.ndarray:
+    """Clip at zero and normalize along the last axis (one distribution per row)."""
     p = np.clip(p, 0.0, None)
-    s = p.sum()
-    if s <= 0:
+    s = p.sum(axis=-1, keepdims=True)
+    if np.any(s <= 0):
         raise ValueError("state has no probability weight")
     return p / s
 
@@ -305,46 +310,56 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed) & (2 ** 63 - 1)))
 
 
+def counts_from_probabilities(p: np.ndarray, shots: int, seed: int,
+                              readout_flip: float = 0.0) -> Counts:
+    """Counts from a normalized outcome distribution p over 2^n bitstrings.
+
+    shots >= 1 draws i.i.d. outcomes from substream ``seed``, then splits
+    each outcome's count over the 2^n bit-flip patterns with one multinomial
+    call.  shots = 0 is exact mode: p itself is stored, with readout error
+    applied exactly as a per-bit binary symmetric channel.
+    """
+    n = int(round(math.log2(p.size)))
+    if shots == 0:
+        if readout_flip > 0.0:
+            m = np.array([[1 - readout_flip, readout_flip],
+                          [readout_flip, 1 - readout_flip]])
+            t = p.reshape((2,) * n)
+            for q in range(n):
+                t = np.tensordot(m, t, axes=([1], [q]))
+                t = np.moveaxis(t, 0, q)
+            p = t.reshape(-1)
+        counts = {format(b, f"0{n}b"): float(p[b]) for b in range(p.size) if p[b] > 0}
+        return Counts(counts, 0, int(seed))
+    rng = _rng(seed)
+    raw = rng.multinomial(shots, p)
+    if readout_flip > 0.0:
+        # probability of flip pattern m depends only on its popcount
+        by_pop = [readout_flip ** k * (1 - readout_flip) ** (n - k) for k in range(n + 1)]
+        pat_probs = [by_pop[bin(m).count("1")] for m in range(p.size)]
+        # split[b, m]: shots of outcome b read out with flip pattern m; rows
+        # with raw[b] = 0 draw nothing from the stream
+        split = rng.multinomial(raw, pat_probs)
+        b_xor_m = np.arange(p.size)[:, None] ^ np.arange(p.size)
+        raw = np.take_along_axis(split, b_xor_m, axis=1).sum(axis=0)
+    counts = {format(b, f"0{n}b"): int(raw[b]) for b in np.nonzero(raw)[0]}
+    return Counts(counts, shots, int(seed))
+
+
 def sample_counts(state_or_density, shots: int, seed: int, readout_flip: float = 0.0) -> Counts:
     """Draw i.i.d. Born-rule outcomes, then flip each outcome bit independently
     with probability readout_flip.  Deterministic given the seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = born_probabilities(state_or_density)
-    n = int(round(math.log2(p.size)))
-    rng = _rng(seed)
-    raw = rng.multinomial(shots, p)
-    if readout_flip > 0.0:
-        flipped = np.zeros_like(raw)
-        # distribute each outcome's counts over flip patterns
-        pat_probs = np.array(
-            [readout_flip ** bin(m).count("1") * (1 - readout_flip) ** (n - bin(m).count("1"))
-             for m in range(p.size)]
-        )
-        for b in np.nonzero(raw)[0]:
-            split = rng.multinomial(raw[b], pat_probs)
-            for m in np.nonzero(split)[0]:
-                flipped[b ^ m] += split[m]
-        raw = flipped
-    counts = {format(b, f"0{n}b"): int(raw[b]) for b in np.nonzero(raw)[0]}
-    return Counts(counts, shots, int(seed))
+    return counts_from_probabilities(born_probabilities(state_or_density),
+                                     shots, seed, readout_flip)
 
 
 def exact_counts(state_or_density, seed: int = 0, readout_flip: float = 0.0) -> Counts:
     """Exact-mode pseudo-counts: Born probabilities stored directly, shots=0.
     Readout error is applied exactly as a per-bit binary symmetric channel."""
-    p = born_probabilities(state_or_density)
-    n = int(round(math.log2(p.size)))
-    if readout_flip > 0.0:
-        m = np.array([[1 - readout_flip, readout_flip],
-                      [readout_flip, 1 - readout_flip]])
-        t = p.reshape((2,) * n)
-        for q in range(n):
-            t = np.tensordot(m, t, axes=([1], [q]))
-            t = np.moveaxis(t, 0, q)
-        p = t.reshape(-1)
-    counts = {format(b, f"0{n}b"): float(p[b]) for b in range(p.size) if p[b] > 0}
-    return Counts(counts, 0, int(seed))
+    return counts_from_probabilities(born_probabilities(state_or_density),
+                                     0, seed, readout_flip)
 
 
 # --- circuit JSON ------------------------------------------------------------
@@ -366,11 +381,6 @@ def circuit_from_json(obj: dict) -> Circuit:
     for g in obj["gates"]:
         c.add(g["name"], tuple(g.get("params", ())), tuple(g["qubits"]))
     return c
-
-
-def save_circuit(path, c: Circuit) -> None:
-    with open(path, "w") as f:
-        json.dump(circuit_to_json(c), f, sort_keys=True, indent=1)
 
 
 def load_circuit(path) -> Circuit:

@@ -70,20 +70,41 @@ def _load_coupling(spec):
         raise ConfigError(f"bad coupling spec {spec!r}: {exc}") from exc
 
 
+_DEFAULTS = {
+    "channel": "ls", "method": "analytic", "choi_method": "analytic",
+    "shots": 8192, "seed": 0, "noise": "zero", "coupling": None,
+    "out": ".", "grid": 101, "choi_file": None,
+}
+
+
+def _int_option(cfg, key, minimum=None) -> None:
+    v = cfg[key]
+    try:
+        iv = int(v)
+        if isinstance(v, bool) or (isinstance(v, float) and v != iv):
+            raise ValueError("not an integer")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {v!r}") from exc
+    if minimum is not None and iv < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}")
+    cfg[key] = iv
+
+
 def _merge_config(args) -> dict:
-    cfg = {
-        "channel": "ls", "method": "analytic", "choi_method": "analytic",
-        "shots": 8192, "seed": 0, "noise": "zero", "coupling": None,
-        "out": ".", "grid": 101, "choi_file": None,
-    }
+    cfg = dict(_DEFAULTS)
     if args.config:
         try:
             with open(args.config) as f:
-                cfg.update(json.load(f))
+                loaded = json.load(f)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad config file: {exc}") from exc
-    for key in ("channel", "method", "choi_method", "shots", "seed", "noise",
-                "coupling", "out", "grid", "choi_file"):
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        cfg.update(loaded)
+    for key in _DEFAULTS:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
@@ -93,8 +114,9 @@ def _merge_config(args) -> dict:
         raise ConfigError(f"unknown method {cfg['method']!r}")
     if cfg["choi_method"] not in ("analytic", "linear", "direct"):
         raise ConfigError(f"unknown choi method {cfg['choi_method']!r}")
-    if int(cfg["shots"]) < 0:
-        raise ConfigError("shots must be >= 0")
+    _int_option(cfg, "shots", 0)
+    _int_option(cfg, "seed")
+    _int_option(cfg, "grid", 2)
     return cfg
 
 
@@ -108,8 +130,8 @@ def cmd_apply(cfg) -> str:
     name = cfg["channel"]
     noise = _load_noise(cfg["noise"])
     layout = _load_coupling(cfg["coupling"])
-    shots = int(cfg["shots"])
-    seed = int(cfg["seed"])
+    shots = cfg["shots"]
+    seed = cfg["seed"]
     outputs = []
     if cfg["method"] == "analytic":
         for i in range(1, 10):
@@ -147,8 +169,8 @@ def cmd_choi(cfg) -> str:
     name = cfg["channel"]
     noise = _load_noise(cfg["noise"])
     layout = _load_coupling(cfg["coupling"])
-    shots = int(cfg["shots"])
-    seed = int(cfg["seed"])
+    shots = cfg["shots"]
+    seed = cfg["seed"]
     method = cfg["choi_method"]
     analytic = cj.analytic_choi(ch.ChannelRep.analytic(name))
     if method == "analytic":
@@ -196,11 +218,14 @@ def cmd_sweep(cfg) -> str:
         raise ConfigError("sweep needs --choi-file (output of the choi command)")
     try:
         with open(cfg["choi_file"]) as f:
-            omega = cj.choi_from_json(json.load(f))
-    except (OSError, ValueError, KeyError) as exc:
+            obj = json.load(f)
+        omega = cj.choi_from_json(obj)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad choi file: {exc}") from exc
+    if obj.get("channel", name) != name:
+        raise ConfigError(f"choi file is for channel {obj['channel']!r}, not {name!r}")
     reference = _ANALYTIC[name]
-    grid = int(cfg["grid"])
+    grid = cfg["grid"]
     analytic = cj.analytic_choi(ch.ChannelRep.analytic(name))
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], f"sweep_{name}.csv")

@@ -1,10 +1,16 @@
 """Shot-based measurement settings, state reconstruction, and fidelity.
 
-Reconstruction is Pauli-basis linear inversion followed by projection onto
-the nearest density matrix (eigenvalue simplex projection).  A complete
-record holds one counts histogram per setting, 3^n settings for n measured
-qubits, with per-qubit bases Z, X, Y and pre-rotations Z: none, X: h,
-Y: u1(-pi/2) then h.
+A complete record holds one counts histogram per setting, 3^k settings for
+k measured qubits, with per-qubit bases Z, X, Y and pre-rotations Z: none,
+X: h, Y: u1(-pi/2) then h.  Every pre-rotation gate is a one-qubit gate and
+gate noise acts only on the qubits a gate touches, so a setting's noisy
+pre-rotation is a tensor product of three possible one-qubit channels.
+``collect`` therefore simulates the circuit once and reads all 3^k
+distributions off the reduced state with one per-qubit contraction.
+
+Reconstruction is Pauli-basis linear inversion, itself a per-qubit
+contraction, followed by projection onto the nearest density matrix
+(eigenvalue simplex projection).
 """
 
 from __future__ import annotations
@@ -17,18 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .circuits import (Circuit, Counts, NoiseConfig, exact_counts,
-                       sample_counts, simulate_density, simulate_state)
+from .circuits import (Circuit, Counts, NoiseConfig, counts_from_probabilities,
+                       normalize_probabilities, simulate_density, simulate_state)
 from .encoding import project_qutrit
 
 BASES = ("Z", "X", "Y")
+_BASE_DIGIT = str.maketrans("ZXY", "012")
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
+# _ESTIMATOR[2 s + o] = (I/3 + (-1)^o sigma_s) / 2, flattened row-major
+_SIGMA = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+_ESTIMATOR = np.array([(np.eye(2) / 3 + (-1) ** o * sig) / 2
+                       for sig in _SIGMA for o in (0, 1)]).reshape(6, 4)
 
 
 def settings_for(n_qubits: int) -> list:
@@ -81,12 +86,53 @@ class TomographyRecord:
         return cls(list(obj["settings"]), counts, shots, seed)
 
 
+def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
+    """Apply one linear map to every qubit's axis pair of a k-qubit tensor.
+
+    t has axes (x_0..x_{k-1}, y_0..y_{k-1}); m maps a flattened (x_q, y_q)
+    pair to a flattened pair of shape ``out``.  Returns axes
+    (u_0..u_{k-1}, v_0..v_{k-1}) with (u_q, v_q) of shape ``out``.
+    """
+    pairs = [a for q in range(k) for a in (q, k + q)]
+    t = t.transpose(pairs).reshape((m.shape[0],) * k)
+    for _ in range(k):
+        # contract the leading qubit, append its image at the end
+        t = np.tensordot(t, m, axes=([0], [0]))
+    return t.reshape(out * k).transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
+
+
+def _effect_tensor(noise: NoiseConfig | None) -> np.ndarray:
+    """E[b, o, i, j] = <o| L_b(|i><j|) |o>, where L_b is the (noisy) one-qubit
+    pre-rotation of basis BASES[b].
+
+    L_b runs through simulate_density on qubit 0 of a two-qubit register;
+    the idle qubit 1 keeps a reference copy, so the unnormalized input
+    sum_ij |i><j| (x) |i><j| comes out as sum_ij L_b(|i><j|) (x) |i><j|.
+    """
+    pair = np.zeros((4, 4), dtype=complex)
+    pair[np.ix_([0, 3], [0, 3])] = 1.0
+    e = np.empty((3, 2, 2, 2), dtype=complex)
+    for b, basis in enumerate(BASES):
+        out = simulate_density(Circuit(2, prerotation_gates(basis)), pair, noise)
+        e[b] = np.einsum("oioj->oij", out.reshape(2, 2, 2, 2))
+    return e
+
+
 def collect(c: Circuit, shots: int, seed: int, noise: NoiseConfig | None = None,
             measure_qubits=None) -> TomographyRecord:
     """Run the circuit once, then sample every measurement setting.
 
+    The circuit runs once on |0...0>.  The (3^k, 2^k) table of outcome
+    distributions of all settings then comes from contracting the measured
+    qubits' reduced state, one qubit at a time, with the effect tensor of
+    the three noisy one-qubit pre-rotations.  This is exact, not an
+    approximation: every pre-rotation gate is a one-qubit gate and
+    NoiseConfig acts only on the qubits a gate touches, so each setting's
+    noisy pre-rotation is a tensor product of one-qubit channels.  Each
+    row is clipped and normalized like born_probabilities.
+
     shots = 0 is exact mode: Born probabilities are stored in place of
-    sampled counts.  Sampling for setting index i uses substream seed + i,
+    sampled counts, with readout error applied exactly.  Sampling for setting index i uses substream seed + i,
     so settings may be evaluated in any order (or in parallel) without
     changing results.
     """
@@ -104,17 +150,13 @@ def collect(c: Circuit, shots: int, seed: int, noise: NoiseConfig | None = None,
     rho_meas = la.partial_trace(rho_full, [2] * n, list(measure))
 
     k = len(measure)
+    effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
+    t = _per_qubit(rho_meas.reshape((2,) * (2 * k)), k, effect, (3, 2))
+    table = normalize_probabilities(t.real.reshape(3 ** k, 2 ** k))
     flip = noise.readout_flip if noise is not None else 0.0
-    settings = settings_for(k)
-    all_counts = []
-    for i, s in enumerate(settings):
-        frag = Circuit(k, prerotation_gates(s))
-        rho = simulate_density(frag, rho_meas, noise)
-        if shots == 0:
-            all_counts.append(exact_counts(rho, seed=seed + i, readout_flip=flip))
-        else:
-            all_counts.append(sample_counts(rho, shots, seed + i, flip))
-    return TomographyRecord(settings, all_counts, shots, seed)
+    counts = [counts_from_probabilities(p, shots, seed + i, flip)
+              for i, p in enumerate(table)]
+    return TomographyRecord(settings_for(k), counts, shots, seed)
 
 
 def _probability_vector(counts: Counts, n: int) -> np.ndarray:
@@ -126,33 +168,20 @@ def _probability_vector(counts: Counts, n: int) -> np.ndarray:
 
 
 def _linear_inversion(rec: TomographyRecord) -> np.ndarray:
-    """Averaged Pauli expectation values assembled into a matrix estimate."""
+    """Averaged Pauli expectation values assembled into a matrix estimate.
+
+    Averaging each Pauli string's expectation over every setting that
+    measures it factorizes per qubit: outcome o of basis s contributes
+    R[s, o] = (I/3 + (-1)^o sigma_s) / 2 on that qubit.
+    """
     n = rec.n_qubits
     if sorted(rec.settings) != sorted(settings_for(n)):
         raise ValueError("incomplete tomography record")
-    d = 2 ** n
-    # parity sign table: signs[mask, b] = (-1)^(popcount(mask & b))
-    masks = np.arange(d)
-    pop = np.zeros((d, d))
-    for m in range(d):
-        pop[m] = np.array([(-1) ** bin(m & b).count("1") for b in range(d)])
-    est_sum = {}
-    est_cnt = {}
+    table = np.zeros((3 ** n, 2 ** n))
     for s, cnt in zip(rec.settings, rec.counts):
-        p = _probability_vector(cnt, n)
-        for mask in masks:
-            pauli = tuple(s[q] if (mask >> (n - 1 - q)) & 1 else "I" for q in range(n))
-            val = float(pop[mask] @ p)
-            est_sum[pauli] = est_sum.get(pauli, 0.0) + val
-            est_cnt[pauli] = est_cnt.get(pauli, 0) + 1
-    rho = np.zeros((d, d), dtype=complex)
-    for pauli, total in est_sum.items():
-        mean = total / est_cnt[pauli]
-        op = _PAULI[pauli[0]]
-        for q in range(1, n):
-            op = np.kron(op, _PAULI[pauli[q]])
-        rho += mean * op
-    return rho / d
+        table[int(s.translate(_BASE_DIGIT), 3)] = _probability_vector(cnt, n)
+    t = _per_qubit(table.reshape((3,) * n + (2,) * n), n, _ESTIMATOR, (2, 2))
+    return t.reshape(2 ** n, 2 ** n)
 
 
 def reconstruct_state(rec: TomographyRecord) -> np.ndarray:

@@ -151,3 +151,57 @@ def test_consolidated_config(tmp_path):
         "channel": "wh", "method": "analytic", "out": str(tmp_path)}))
     assert run(["apply", "--config", str(cfgfile)]) == 0
     assert (tmp_path / "apply_wh_analytic.json").exists()
+
+
+def _run_config(tmp_path, capsys, obj, *extra):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(obj))
+    code = run(["choi", "--config", str(cfgfile), "--out", str(tmp_path), *extra])
+    return code, capsys.readouterr().err
+
+
+def test_config_shots_not_integer_is_config_error(tmp_path, capsys):
+    code, err = _run_config(tmp_path, capsys, {"shots": "x"})
+    assert code == cli.EXIT_CONFIG and "config error:" in err
+
+
+def test_config_seed_not_integer_is_config_error(tmp_path, capsys):
+    code, err = _run_config(tmp_path, capsys, {"seed": "x"})
+    assert code == cli.EXIT_CONFIG and "config error:" in err
+
+
+def test_sweep_grid_below_two_is_config_error(tmp_path, capsys):
+    assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
+    code = run(["sweep", "--channel", "ls", "--grid", "1",
+                "--choi-file", str(tmp_path / "choi_ls_analytic.json"),
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_config_grid_not_integer_is_config_error(tmp_path, capsys):
+    assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": "x"}))
+    code = run(["sweep", "--config", str(cfgfile), "--channel", "ls",
+                "--choi-file", str(tmp_path / "choi_ls_analytic.json"),
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_config_unknown_key_is_config_error(tmp_path, capsys):
+    code, err = _run_config(tmp_path, capsys, {"chanel": "wh"})
+    assert code == cli.EXIT_CONFIG and "chanel" in err
+    assert not (tmp_path / "choi_ls_analytic.json").exists()
+
+
+def test_sweep_rejects_choi_file_of_other_channel(tmp_path, capsys):
+    assert run(["choi", "--channel", "wh", "--out", str(tmp_path)]) == 0
+    code = run(["sweep", "--channel", "ls",
+                "--choi-file", str(tmp_path / "choi_wh_analytic.json"),
+                "--grid", "3", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_ls.csv").exists()

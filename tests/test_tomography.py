@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutritsim import channels as ch
 from qutritsim import circuits as cc
@@ -184,3 +188,162 @@ def test_record_json_roundtrip(tmp_path):
     assert back.settings == rec.settings
     assert all(a.counts == b.counts for a, b in zip(back.counts, rec.counts))
     assert np.abs(tg.reconstruct_2q(back) - tg.reconstruct_2q(rec)).max() < 1e-12
+
+
+# --- equivalence with the per-setting reference implementation ---------------
+# _ref_collect runs one noisy pre-rotation fragment per setting, _ref_sample
+# splits readout flips with one multinomial per outcome, and
+# _ref_linear_inversion sums Pauli-string estimates in a dict and builds each
+# operator with kron.  The batched code in tomography and circuits must agree.
+
+_REF_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def _ref_sample(state, shots, seed, readout_flip=0.0):
+    p = cc.born_probabilities(state)
+    n = int(round(math.log2(p.size)))
+    rng = cc._rng(seed)
+    raw = rng.multinomial(shots, p)
+    if readout_flip > 0.0:
+        flipped = np.zeros_like(raw)
+        pat_probs = np.array(
+            [readout_flip ** bin(m).count("1") * (1 - readout_flip) ** (n - bin(m).count("1"))
+             for m in range(p.size)])
+        for b in np.nonzero(raw)[0]:
+            split = rng.multinomial(raw[b], pat_probs)
+            for m in np.nonzero(split)[0]:
+                flipped[b ^ m] += split[m]
+        raw = flipped
+    counts = {format(b, f"0{n}b"): int(raw[b]) for b in np.nonzero(raw)[0]}
+    return cc.Counts(counts, shots, int(seed))
+
+
+def _ref_collect(c, shots, seed, noise=None, measure_qubits=None):
+    n = c.n_qubits
+    measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
+    psi0 = np.zeros(2 ** n, dtype=complex)
+    psi0[0] = 1.0
+    if noise is None or noise.is_zero():
+        psi = cc.simulate_state(c, psi0)
+        rho_full = np.outer(psi, psi.conj())
+    else:
+        rho_full = cc.simulate_density(c, np.outer(psi0, psi0.conj()), noise)
+    rho_meas = la.partial_trace(rho_full, [2] * n, list(measure))
+    k = len(measure)
+    flip = noise.readout_flip if noise is not None else 0.0
+    settings_k = tg.settings_for(k)
+    all_counts = []
+    for i, s in enumerate(settings_k):
+        frag = cc.Circuit(k, tg.prerotation_gates(s))
+        rho = cc.simulate_density(frag, rho_meas, noise)
+        if shots == 0:
+            all_counts.append(cc.exact_counts(rho, seed=seed + i, readout_flip=flip))
+        else:
+            all_counts.append(_ref_sample(rho, shots, seed + i, flip))
+    return tg.TomographyRecord(settings_k, all_counts, shots, seed)
+
+
+def _vec(counts, n):
+    p = np.zeros(2 ** n)
+    for b, v in counts.counts.items():
+        p[int(b, 2)] += v
+    return p / p.sum()
+
+
+def _ref_linear_inversion(rec):
+    n = rec.n_qubits
+    d = 2 ** n
+    pop = np.array([[(-1) ** bin(m & b).count("1") for b in range(d)] for m in range(d)])
+    est_sum, est_cnt = {}, {}
+    for s, cnt in zip(rec.settings, rec.counts):
+        p = _vec(cnt, n)
+        for mask in range(d):
+            pauli = tuple(s[q] if (mask >> (n - 1 - q)) & 1 else "I" for q in range(n))
+            est_sum[pauli] = est_sum.get(pauli, 0.0) + float(pop[mask] @ p)
+            est_cnt[pauli] = est_cnt.get(pauli, 0) + 1
+    rho = np.zeros((d, d), dtype=complex)
+    for pauli, total in est_sum.items():
+        op = _REF_PAULI[pauli[0]]
+        for q in range(1, n):
+            op = np.kron(op, _REF_PAULI[pauli[q]])
+        rho += total / est_cnt[pauli] * op
+    return rho / d
+
+
+def _random_register(k, seed):
+    """A random circuit on k + 1 qubits and k of its qubits to measure, so
+    the measured state is generic and mixed."""
+    rng = np.random.default_rng(seed)
+    n = k + 1
+    c = cc.Circuit(n)
+    for layer in range(2):
+        for q in range(n):
+            c.add("u3", tuple(rng.uniform(0, 2 * np.pi, 3)), (q,))
+        for q in range(n - 1):
+            c.add("cnot", (), (q, q + 1) if layer == 0 else (q + 1, q))
+    return c, tuple(int(q) for q in rng.permutation(n)[:k])
+
+
+_noise = st.builds(cc.NoiseConfig, p1=st.floats(0, 0.2), p2=st.floats(0, 0.2),
+                   gamma=st.floats(0, 0.2), readout_flip=st.floats(0, 0.2))
+_flip_noise = st.builds(cc.NoiseConfig, p1=st.floats(0, 0.2), p2=st.floats(0, 0.2),
+                        gamma=st.floats(0, 0.2), readout_flip=st.floats(1e-3, 0.2))
+_property = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@_property
+@given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), noise=_noise)
+def test_collect_exact_matches_per_setting_reference(k, seed, noise):
+    c, measure = _random_register(k, seed)
+    got = tg.collect(c, 0, seed, noise, measure_qubits=measure)
+    want = _ref_collect(c, 0, seed, noise, measure_qubits=measure)
+    assert got.settings == want.settings
+    for a, b in zip(got.counts, want.counts):
+        assert a.seed == b.seed and a.shots == 0
+        assert np.abs(_vec(a, k) - _vec(b, k)).max() < 1e-12
+
+
+@_property
+@given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), noise=_flip_noise,
+       shots=st.sampled_from([1, 100, 4096]))
+def test_collect_noisy_counts_bit_identical_to_reference(k, seed, noise, shots):
+    c, measure = _random_register(k, seed)
+    got = tg.collect(c, shots, seed, noise, measure_qubits=measure)
+    want = _ref_collect(c, shots, seed, noise, measure_qubits=measure)
+    assert [x.counts for x in got.counts] == [x.counts for x in want.counts]
+    assert [x.seed for x in got.counts] == [x.seed for x in want.counts]
+
+
+def test_readout_flip_split_matches_loop():
+    rng = np.random.default_rng(8)
+    for seed in range(40):
+        n = 1 + seed % 4
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        amps[rng.random(2 ** n) < 0.4] = 0.0  # zero-count outcomes too
+        if not amps.any():
+            amps[0] = 1.0
+        psi = amps / np.linalg.norm(amps)
+        for flip in (0.001, 0.05, 0.5):
+            for shots in (1, 37, 100000):
+                got = cc.sample_counts(psi, shots, seed, flip)
+                assert got.counts == _ref_sample(psi, shots, seed, flip).counts
+
+
+@_property
+@given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), noise=_noise,
+       shots=st.sampled_from([0, 64, 8192]))
+def test_linear_inversion_matches_reference_any_setting_order(k, seed, noise, shots):
+    c, measure = _random_register(k, seed)
+    rec = tg.collect(c, shots, seed, noise, measure_qubits=measure)
+    order = np.random.default_rng(seed).permutation(len(rec.settings))
+    shuffled = tg.TomographyRecord([rec.settings[i] for i in order],
+                                   [rec.counts[i] for i in order], shots, seed)
+    want = _ref_linear_inversion(rec)
+    assert np.abs(tg._linear_inversion(rec) - want).max() < 1e-12
+    assert np.abs(tg._linear_inversion(shuffled) - want).max() < 1e-12
+    assert np.abs(_ref_linear_inversion(shuffled) - want).max() < 1e-12
