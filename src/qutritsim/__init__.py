@@ -29,8 +29,7 @@ from .decompositions import (SConfig, QuasiToffoliVariant, basis_density,
 from .tomography import (TomographyRecord, channel_fidelity_sweep, collect,
                          fidelity, reconstruct_2q, reconstruct_qutrit,
                          reconstruct_state, settings_for)
-from .choi import (analytic_choi, basis_decomposition, channel_from_choi,
-                   choi_direct, choi_fidelity, choi_linear,
-                   rederive_coefficients)
+from .choi import (analytic_choi, channel_from_choi, choi_direct,
+                   choi_fidelity, choi_linear, rederive_coefficients)
 
 __version__ = "0.1.0"

@@ -8,8 +8,6 @@ Phi(rho) = 3 Tr_in((rho^T (x) I) Omega).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg as la
@@ -49,19 +47,9 @@ COEFFICIENTS = np.array([
 ], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BasisDecomposition:
-    coeffs: np.ndarray        # 9x9, rows indexed by (i, j) row-major
-    basis_states: tuple       # the nine physical matrices R_k
-
-
 def physical_basis() -> tuple:
     """The nine rank-1 physical states R_1..R_9 (same as the prep inputs)."""
     return tuple(basis_density(i) for i in range(1, 10))
-
-
-def basis_decomposition() -> BasisDecomposition:
-    return BasisDecomposition(COEFFICIENTS.copy(), physical_basis())
 
 
 def rederive_coefficients() -> np.ndarray:
@@ -147,9 +135,13 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
                 placement=None) -> np.ndarray:
     """Direct Choi-state estimate: build the 6-qubit circuit, tomograph the
     (ancilla, system) register over 81 settings, post-select both qutrit
-    factors, and return the 9x9 estimate (input (x) output ordering)."""
+    factors, and return the 9x9 estimate (input (x) output ordering).
+    With a layout and placement, the measured wires are the physical wires
+    the placement gives the ancilla and system pairs."""
     circuit = choi_direct_circuit(channel_circuit, layout, placement)
     measure = (0, 1, 2, 3)
+    if layout is not None and placement is not None:
+        measure = tuple(placement[q] for q in measure)
     rec = collect(circuit, shots, seed, noise, measure_qubits=measure)
     rho16 = reconstruct_state(rec)
     omega, _leak = project_two_qutrits(rho16)

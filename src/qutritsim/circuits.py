@@ -9,6 +9,20 @@ Conventions, used everywhere in this package:
                          [e^{i phi} sin(t/2), e^{i(phi+lam)} cos(t/2)]],
   u2(phi, lam) = u3(pi/2, phi, lam), u1(lam) = diag(1, e^{i lam});
   ry(theta) == u3(theta, 0, 0).
+
+Every simulation path goes through one kernel, ``_apply(t, m, axes)``: a
+tensordot of the 2^k x 2^k matrix m into k size-2 axes of t, then a moveaxis
+that puts the image back on those axes.
+
+* States and unitaries: t has axes (q_0..q_{n-1}, batch).  simulate_state
+  runs one column; unitary_of runs the identity as a batch of 2^n columns.
+* Noiseless densities: U rho U+, U built as in unitary_of.
+* Noisy densities: t has axes (row q_0..q_{n-1}, col q_0..q_{n-1}).  A gate
+  on qubits (a, b) is one 4^k x 4^k superoperator on axes (a, b, n+a, n+b),
+  row-major over those axes: N (u (x) conj(u)), where N applies the 4x4
+  per-qubit noise (depolarizing, then amplitude damping) to each touched
+  qubit's (row, col) pair.
+* Exact readout: the 2x2 bit-flip matrix on each outcome axis.
 """
 
 from __future__ import annotations
@@ -136,42 +150,32 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return {"x": _X, "y": _Y, "z": _Z, "h": _H, "cnot": _CNOT}[g.name]
 
 
-def _apply_gate_state(psi: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    u = gate_matrix(g)
-    k = len(g.qubits)
-    t = psi.reshape((2,) * n)
-    t = np.tensordot(u.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(g.qubits)))
-    t = np.moveaxis(t, range(k), g.qubits)
-    return t.reshape(-1)
+def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+    """Contract the 2^k x 2^k matrix m into the k listed (size-2) axes of t;
+    the image of the listed axes keeps their positions."""
+    k = len(axes)
+    t = np.tensordot(m.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(t, range(k), axes)
 
 
-def _apply_gate_density(rho: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    u = gate_matrix(g)
-    k = len(g.qubits)
-    uk = u.reshape((2,) * (2 * k))
-    t = rho.reshape((2,) * (2 * n))
-    row_axes = list(g.qubits)
-    col_axes = [n + q for q in g.qubits]
-    t = np.tensordot(uk, t, axes=(list(range(k, 2 * k)), row_axes))
-    t = np.moveaxis(t, range(k), row_axes)
-    t = np.tensordot(np.conj(uk), t, axes=(list(range(k, 2 * k)), col_axes))
-    t = np.moveaxis(t, range(k), col_axes)
-    return t.reshape(2 ** n, 2 ** n)
+def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
+    """Apply every gate of c to a (2,)*n + (batch,) tensor of state columns."""
+    for g in c.gates:
+        t = _apply(t, gate_matrix(g), g.qubits)
+    return t
+
+
+def _unitary(c: Circuit) -> np.ndarray:
+    d = 2 ** c.n_qubits
+    return _run(c, np.eye(d, dtype=complex).reshape((2,) * c.n_qubits + (d,))).reshape(d, d)
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary of a circuit (n <= 6)."""
+    """Full 2^n x 2^n unitary of a circuit (n <= 6): the circuit run once on
+    the batch of all 2^n basis columns."""
     if c.n_qubits > 6:
         raise ResourceError("unitary_of supports at most 6 qubits")
-    d = 2 ** c.n_qubits
-    u = np.eye(d, dtype=complex)
-    for col in range(d):
-        psi = np.zeros(d, dtype=complex)
-        psi[col] = 1.0
-        for g in c.gates:
-            psi = _apply_gate_state(psi, g, c.n_qubits)
-        u[:, col] = psi
-    return u
+    return _unitary(c)
 
 
 def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:
@@ -181,9 +185,7 @@ def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:
         raise ValueError(f"state has dim {psi.size}, circuit needs {2 ** c.n_qubits}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("input state must be normalized")
-    for g in c.gates:
-        psi = _apply_gate_state(psi, g, c.n_qubits)
-    return psi
+    return _run(c, psi.reshape((2,) * c.n_qubits + (1,))).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -211,54 +213,48 @@ class NoiseConfig:
         return self.p1 == self.p2 == self.gamma == self.readout_flip == 0.0
 
 
-def _depolarize(rho: np.ndarray, q: int, n: int, p: float) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    t = rho.reshape((2,) * (2 * n))
-    red = np.trace(t, axis1=q, axis2=n + q)  # 2^(n-1) dims tensor
-    mixed = np.tensordot(np.eye(2) / 2, red, axes=0)  # qubit axes first
-    mixed = np.moveaxis(mixed, (0, 1), (q, n + q))
-    return (1 - p) * rho + p * mixed.reshape(rho.shape)
-
-
-def _amp_damp(rho: np.ndarray, q: int, n: int, gamma: float) -> np.ndarray:
-    if gamma == 0.0:
-        return rho
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    out = np.zeros_like(rho)
-    for k in (k0, k1):
-        t = rho.reshape((2,) * (2 * n))
-        t = np.tensordot(k, t, axes=([1], [q]))
-        t = np.moveaxis(t, 0, q)
-        t = np.tensordot(np.conj(k), t, axes=([1], [n + q]))
-        t = np.moveaxis(t, 0, n + q)
-        out += t.reshape(rho.shape)
-    return out
+def _qubit_noise(p: float, gamma: float) -> np.ndarray:
+    """4x4 superoperator on one qubit's (row, col) index pair: depolarizing p,
+    then amplitude damping gamma."""
+    vec_i = np.eye(2).reshape(4)
+    depolarize = (1 - p) * np.eye(4) + p / 2 * np.outer(vec_i, vec_i)
+    k0 = np.diag([1.0, math.sqrt(1 - gamma)])
+    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
+    return (np.kron(k0, k0) + np.kron(k1, k1)) @ depolarize
 
 
 def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig | None = None) -> np.ndarray:
     """Evolve a density matrix through a circuit.
 
-    Noiseless path is exact conjugation; with noise, each gate is followed by
-    per-touched-qubit depolarizing (p1 for one-qubit gates, p2 for CNOT) and
-    then amplitude damping gamma on the same qubits.  Readout error is not
-    applied here; it belongs to sampling.
+    Without gate noise this is U rho U+, with U built as in unitary_of but
+    without its 6-qubit limit (U is no larger than rho).  With noise, each
+    gate on qubits Q is one superoperator on the axes (q.., n + q..), q in
+    Q, of the (2,)*2n density tensor: u (x) conj(u), then per-touched-qubit
+    depolarizing (p1 for one-qubit gates, p2 for CNOT), then amplitude
+    damping gamma.  Readout error is not applied here; it belongs to
+    sampling.
     """
     rho = as_matrix(input_density)
     d = 2 ** c.n_qubits
     if rho.shape != (d, d):
         raise ValueError(f"density has shape {rho.shape}, circuit needs ({d},{d})")
+    if noise is None or noise.p1 == noise.p2 == noise.gamma == 0.0:
+        u = _unitary(c)
+        return u @ rho @ u.conj().T
     n = c.n_qubits
+    # noise on a gate's axes (q.., n + q..): the one-qubit 4x4 for a one-qubit
+    # gate; for a CNOT, two p2 copies reordered from (q0, n + q0, q1, n + q1)
+    # to (q0, q1, n + q0, n + q1)
+    cnot_qubit = _qubit_noise(noise.p2, noise.gamma)
+    cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)
+    gate_noise = {1: _qubit_noise(noise.p1, noise.gamma),
+                  2: cnot_noise.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)}
+    t = rho.reshape((2,) * (2 * n))
     for g in c.gates:
-        rho = _apply_gate_density(rho, g, n)
-        if noise is not None and not noise.is_zero():
-            p = noise.p2 if g.name == "cnot" else noise.p1
-            for q in g.qubits:
-                rho = _depolarize(rho, q, n, p)
-            for q in g.qubits:
-                rho = _amp_damp(rho, q, n, noise.gamma)
-    return rho
+        u = gate_matrix(g)
+        superop = gate_noise[len(g.qubits)] @ np.kron(u, u.conj())
+        t = _apply(t, superop, g.qubits + tuple(n + q for q in g.qubits))
+    return t.reshape(d, d)
 
 
 @dataclass
@@ -326,8 +322,7 @@ def counts_from_probabilities(p: np.ndarray, shots: int, seed: int,
                           [readout_flip, 1 - readout_flip]])
             t = p.reshape((2,) * n)
             for q in range(n):
-                t = np.tensordot(m, t, axes=([1], [q]))
-                t = np.moveaxis(t, 0, q)
+                t = _apply(t, m, [q])
             p = t.reshape(-1)
         counts = {format(b, f"0{n}b"): float(p[b]) for b in range(p.size) if p[b] > 0}
         return Counts(counts, 0, int(seed))

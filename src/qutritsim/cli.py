@@ -117,12 +117,40 @@ def _merge_config(args) -> dict:
     _int_option(cfg, "shots", 0)
     _int_option(cfg, "seed")
     _int_option(cfg, "grid", 2)
+    for key in ("noise", "coupling", "choi_file", "out"):
+        v = cfg[key]
+        # open() takes an int as a file descriptor: only strings are paths
+        if not isinstance(v, str) and (v is not None or key == "out"):
+            raise ConfigError(f"{key} must be a string, got {v!r}")
     return cfg
 
 
 def _write_json(path, obj):
     with open(path, "w") as f:
         json.dump(obj, f, sort_keys=True, indent=1)
+
+
+def _circuit_outputs(circuit, shots, seed, noise) -> list:
+    """(rho3, leakage) for the nine basis inputs: prepare input i on wires
+    (2, 3), run the channel circuit, read out the system qutrit.  shots = 0
+    is exact; otherwise input i is tomographed with seed + 100 * i."""
+    n = circuit.n_qubits
+    results = []
+    for i in range(1, 10):
+        full = cc.Circuit(n)
+        full.extend(dc.prep_basis_circuit(i).remapped([2, 3], n).gates)
+        full.extend(circuit.gates)
+        if shots == 0:
+            rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+            rho0[0, 0] = 1.0
+            red = la.partial_trace(cc.simulate_density(full, rho0, noise),
+                                   [2] * n, [2, 3])
+            results.append(enc.project_qutrit(red))
+        else:
+            rec = tg.collect(full, shots, seed + 100 * i, noise,
+                             measure_qubits=(2, 3))
+            results.append(tg.reconstruct_qutrit(rec))
+    return results
 
 
 def cmd_apply(cfg) -> str:
@@ -132,30 +160,12 @@ def cmd_apply(cfg) -> str:
     layout = _load_coupling(cfg["coupling"])
     shots = cfg["shots"]
     seed = cfg["seed"]
-    outputs = []
     if cfg["method"] == "analytic":
-        for i in range(1, 10):
-            out = _ANALYTIC[name](dc.basis_density(i))
-            outputs.append({"input": i, "matrix": la.matrix_to_json(out), "leakage": 0.0})
+        results = [(_ANALYTIC[name](dc.basis_density(i)), 0.0) for i in range(1, 10)]
     else:
-        circuit = _channel_circuit(name, layout)
-        n = circuit.n_qubits
-        for i in range(1, 10):
-            full = cc.Circuit(n)
-            full.extend(dc.prep_basis_circuit(i).remapped([2, 3], n).gates)
-            full.extend(circuit.gates)
-            if shots == 0:
-                rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
-                rho0[0, 0] = 1.0
-                rho_full = cc.simulate_density(full, rho0, noise)
-                red = la.partial_trace(rho_full, [2] * n, [2, 3])
-                rho3, leak = enc.project_qutrit(red)
-            else:
-                rec = tg.collect(full, shots, seed + 100 * i, noise,
-                                 measure_qubits=(2, 3))
-                rho3, leak = tg.reconstruct_qutrit(rec)
-            outputs.append({"input": i, "matrix": la.matrix_to_json(rho3),
-                            "leakage": leak})
+        results = _circuit_outputs(_channel_circuit(name, layout), shots, seed, noise)
+    outputs = [{"input": i, "matrix": la.matrix_to_json(rho3), "leakage": leak}
+               for i, (rho3, leak) in enumerate(results, start=1)]
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], f"apply_{name}_{cfg['method']}.json")
     _write_json(path, {"channel": name, "method": cfg["method"],
@@ -176,25 +186,8 @@ def cmd_choi(cfg) -> str:
     if method == "analytic":
         omega = analytic
     elif method == "linear":
-        circuit = _channel_circuit(name, layout)
-        n = circuit.n_qubits
-        outs = []
-        for i in range(1, 10):
-            full = cc.Circuit(n)
-            full.extend(dc.prep_basis_circuit(i).remapped([2, 3], n).gates)
-            full.extend(circuit.gates)
-            if shots == 0:
-                rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
-                rho0[0, 0] = 1.0
-                red = la.partial_trace(cc.simulate_density(full, rho0, noise),
-                                       [2] * n, [2, 3])
-                rho3, _ = enc.project_qutrit(red)
-            else:
-                rec = tg.collect(full, shots, seed + 100 * i, noise,
-                                 measure_qubits=(2, 3))
-                rho3, _ = tg.reconstruct_qutrit(rec)
-            outs.append(rho3)
-        omega = la.project_to_density(cj.choi_linear(outs))
+        results = _circuit_outputs(_channel_circuit(name, layout), shots, seed, noise)
+        omega = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
     else:  # direct
         circuit = _channel_circuit(name, None)
         omega = cj.choi_direct(circuit, shots, seed, noise, layout)

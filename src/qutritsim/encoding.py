@@ -125,16 +125,7 @@ def induced_channel(c: Circuit, noise: NoiseConfig | None = None,
 
 def _place_pairs(rho_a, rho_b, wires_a, wires_b):
     """kron the two 2-qubit factors onto the stated wires of a 4-qubit register."""
-    if tuple(wires_a) == (2, 3) and tuple(wires_b) == (0, 1):
-        full = np.kron(rho_b, rho_a)
-    elif tuple(wires_a) == (0, 1) and tuple(wires_b) == (2, 3):
-        full = np.kron(rho_a, rho_b)
-    else:
-        # general wire interleavings: build by tensor reordering
-        full = np.kron(rho_a, rho_b)
-        perm = list(wires_a) + list(wires_b)
-        t = full.reshape((2,) * 8)
-        inv = np.argsort(perm)
-        t = t.transpose(list(inv) + [4 + p for p in inv])
-        full = t.reshape(16, 16)
-    return full
+    # factor axes (a0, a1, b0, b1) move to wires (wires_a + wires_b)
+    t = np.kron(rho_a, rho_b).reshape((2,) * 8)
+    inv = np.argsort(list(wires_a) + list(wires_b))
+    return t.transpose(list(inv) + [4 + p for p in inv]).reshape(16, 16)

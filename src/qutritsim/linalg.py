@@ -7,7 +7,6 @@ exact to double precision.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -197,13 +196,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if not np.all(np.isfinite(np.array(re))) or not np.all(np.isfinite(np.array(im))):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def save_matrix(path, m: np.ndarray) -> None:
-    with open(path, "w") as f:
-        json.dump(matrix_to_json(m), f, sort_keys=True)
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as f:
-        return matrix_from_json(json.load(f))

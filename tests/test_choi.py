@@ -64,18 +64,19 @@ def test_ls_choi_two_routes_and_covariance():
 
 
 def test_basis_decomposition_reconstructs_exactly():
-    bd = cj.basis_decomposition()
-    assert np.array_equal(bd.coeffs[0], np.eye(9)[0])
+    coeffs, basis_states = cj.COEFFICIENTS, cj.physical_basis()
+    assert len(basis_states) == 9
+    assert np.array_equal(coeffs[0], np.eye(9)[0])
     for i in range(3):
         for j in range(3):
             e = np.zeros((3, 3), dtype=complex)
             e[i, j] = 1
-            rebuilt = sum(bd.coeffs[3 * i + j, k] * bd.basis_states[k] for k in range(9))
+            rebuilt = sum(coeffs[3 * i + j, k] * basis_states[k] for k in range(9))
             assert np.abs(rebuilt - e).max() < 1e-12, (i, j)
-    row01 = bd.coeffs[1]
+    row01 = coeffs[1]
     want = np.array([-(1 + 1j) / 2, -(1 + 1j) / 2, 0, 1, 0, 0, 1j, 0, 0])
     assert np.abs(row01 - want).max() == 0
-    for r in bd.basis_states:
+    for r in basis_states:
         assert abs(np.trace(r) - 1) < 1e-12
         assert la.is_psd(r, 1e-12)
         w, _ = la.hermitian_eig(r)
@@ -206,6 +207,16 @@ def test_choi_direct_routes_on_six_qubit_map():
     omega = cj.choi_direct(dc.wh_channel_circuit(), shots=0, seed=0, layout=m)
     want = cj.analytic_choi(ch.ChannelRep.analytic("wh"))
     assert np.abs(omega - want).max() < 1e-9
+
+
+def test_choi_direct_measures_placed_wires():
+    # the ancilla and system pairs sit on placement[0..3], not wires 0..3
+    tokyo6 = cp.preset_map("tokyo-6q")
+    placement = dict(enumerate([5, 0, 3, 1, 4, 2]))
+    omega = cj.choi_direct(dc.wh_channel_circuit(), 0, 0, layout=tokyo6,
+                           placement=placement)
+    analytic = cj.analytic_choi(ch.ChannelRep.analytic("wh"))
+    assert cj.choi_fidelity(analytic, omega) >= 1 - 1e-9
 
 
 def test_choi_physicality_from_pipelines():

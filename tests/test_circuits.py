@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qutritsim import choi as cj
 from qutritsim import circuits as cc
+from qutritsim import coupling as cp
+from qutritsim import decompositions as dc
 from qutritsim import linalg as la
 
 
@@ -224,3 +231,182 @@ def test_circuit_remap_and_json_roundtrip():
 def test_resource_error():
     with pytest.raises(cc.ResourceError):
         cc.unitary_of(cc.Circuit(7))
+
+
+# --- equivalence with the per-gate reference implementation ------------------
+# The _ref_* functions apply each gate with its own tensordot: one state
+# column at a time for unitary_of, rows then columns for densities, then
+# per-qubit depolarizing (trace formula) and amplitude damping (Kraus sum).
+# circuits.py runs all of these through one kernel and must agree.
+
+
+def _ref_apply_gate_state(psi, g, n):
+    u = cc.gate_matrix(g)
+    k = len(g.qubits)
+    t = psi.reshape((2,) * n)
+    t = np.tensordot(u.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(g.qubits)))
+    t = np.moveaxis(t, range(k), g.qubits)
+    return t.reshape(-1)
+
+
+def _ref_apply_gate_density(rho, g, n):
+    u = cc.gate_matrix(g)
+    k = len(g.qubits)
+    uk = u.reshape((2,) * (2 * k))
+    t = rho.reshape((2,) * (2 * n))
+    row_axes = list(g.qubits)
+    col_axes = [n + q for q in g.qubits]
+    t = np.tensordot(uk, t, axes=(list(range(k, 2 * k)), row_axes))
+    t = np.moveaxis(t, range(k), row_axes)
+    t = np.tensordot(np.conj(uk), t, axes=(list(range(k, 2 * k)), col_axes))
+    t = np.moveaxis(t, range(k), col_axes)
+    return t.reshape(2 ** n, 2 ** n)
+
+
+def _ref_unitary_of(c):
+    d = 2 ** c.n_qubits
+    u = np.eye(d, dtype=complex)
+    for col in range(d):
+        psi = np.zeros(d, dtype=complex)
+        psi[col] = 1.0
+        for g in c.gates:
+            psi = _ref_apply_gate_state(psi, g, c.n_qubits)
+        u[:, col] = psi
+    return u
+
+
+def _ref_depolarize(rho, q, n, p):
+    if p == 0.0:
+        return rho
+    t = rho.reshape((2,) * (2 * n))
+    red = np.trace(t, axis1=q, axis2=n + q)
+    mixed = np.tensordot(np.eye(2) / 2, red, axes=0)
+    mixed = np.moveaxis(mixed, (0, 1), (q, n + q))
+    return (1 - p) * rho + p * mixed.reshape(rho.shape)
+
+
+def _ref_amp_damp(rho, q, n, gamma):
+    if gamma == 0.0:
+        return rho
+    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
+    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
+    out = np.zeros_like(rho)
+    for k in (k0, k1):
+        t = rho.reshape((2,) * (2 * n))
+        t = np.tensordot(k, t, axes=([1], [q]))
+        t = np.moveaxis(t, 0, q)
+        t = np.tensordot(np.conj(k), t, axes=([1], [n + q]))
+        t = np.moveaxis(t, 0, n + q)
+        out += t.reshape(rho.shape)
+    return out
+
+
+def _ref_simulate_density(c, rho, noise=None):
+    n = c.n_qubits
+    for g in c.gates:
+        rho = _ref_apply_gate_density(rho, g, n)
+        if noise is not None and not noise.is_zero():
+            p = noise.p2 if g.name == "cnot" else noise.p1
+            for q in g.qubits:
+                rho = _ref_depolarize(rho, q, n, p)
+            for q in g.qubits:
+                rho = _ref_amp_damp(rho, q, n, noise.gamma)
+    return rho
+
+
+def _ref_exact_readout(p, readout_flip):
+    n = int(round(math.log2(p.size)))
+    m = np.array([[1 - readout_flip, readout_flip], [readout_flip, 1 - readout_flip]])
+    t = p.reshape((2,) * n)
+    for q in range(n):
+        t = np.tensordot(m, t, axes=([1], [q]))
+        t = np.moveaxis(t, 0, q)
+    p = t.reshape(-1)
+    return {format(b, f"0{n}b"): float(p[b]) for b in range(p.size) if p[b] > 0}
+
+
+def _routed_channel_circuits():
+    ibm = cp.preset_map("ibmqx4")
+    yield dc.ls_channel_circuit(layout=ibm, placement={0: 2, 1: 1, 2: 3, 3: 0})
+    yield dc.wh_channel_circuit(dc.SConfig(2), layout=ibm)
+    tokyo6 = cp.preset_map("tokyo-6q")
+    yield cj.choi_direct_circuit(dc.wh_channel_circuit(), tokyo6,
+                                 dict(enumerate([5, 0, 3, 1, 4, 2])))
+    yield cj.choi_direct_circuit(dc.ls_channel_circuit(), tokyo6)
+
+
+def test_unitary_of_matches_per_column_reference():
+    # From 3 qubits on, every per-column product has at least 4 columns, so
+    # the batched product runs the same BLAS arithmetic and must be exact.
+    # At 1-2 qubits the reference multiplies 1- or 2-column blocks, which
+    # BLAS rounds through other kernels: there it may differ in the last bit.
+    rng = np.random.default_rng(23)
+    circuits = [random_circuit(rng, n, int(rng.integers(0, 40)))
+                for n in range(1, 7) for _ in range(8)]
+    for c in circuits + list(_routed_channel_circuits()):
+        diff = np.abs(cc.unitary_of(c) - _ref_unitary_of(c)).max()
+        assert diff <= (0.0 if c.n_qubits >= 3 else 1e-15), (c.n_qubits, diff)
+
+
+def test_simulate_state_matches_per_gate_reference_exactly():
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        for _ in range(4):
+            c = random_circuit(rng, n, 30)
+            psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            psi /= np.linalg.norm(psi)
+            want = psi
+            for g in c.gates:
+                want = _ref_apply_gate_state(want, g, n)
+            assert np.array_equal(cc.simulate_state(c, psi), want)
+
+
+_noise = st.builds(cc.NoiseConfig, p1=st.floats(0, 1), p2=st.floats(0, 1),
+                   gamma=st.floats(0, 1), readout_flip=st.floats(0, 0.2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.one_of(st.none(), _noise))
+def test_simulate_density_matches_gate_by_gate_reference(n, seed, noise):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, 20)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    got = cc.simulate_density(c, rho, noise)
+    assert np.abs(got - _ref_simulate_density(c, rho, noise)).max() < 1e-12
+
+
+def test_noisy_routed_density_matches_gate_by_gate_reference():
+    noise = cc.NoiseConfig(p1=0.01, p2=0.1, gamma=0.02, readout_flip=0.01)
+    for c in _routed_channel_circuits():
+        d = 2 ** c.n_qubits
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        for nz in (None, noise):
+            got = cc.simulate_density(c, rho, nz)
+            assert np.abs(got - _ref_simulate_density(c, rho, nz)).max() < 1e-12
+
+
+def test_noiseless_density_beyond_unitary_of_limit():
+    # U rho U+ needs no more memory than rho, so unitary_of's 6-qubit limit
+    # does not apply to densities
+    rng = np.random.default_rng(37)
+    c = random_circuit(rng, 7, 12)
+    rho = np.zeros((128, 128), dtype=complex)
+    rho[0, 0] = 1.0
+    got = cc.simulate_density(c, rho)
+    assert np.abs(got - _ref_simulate_density(c, rho)).max() < 1e-12
+
+
+def test_exact_readout_matches_reference():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for flip in (1e-3, 0.05, 0.5):
+            p = rng.uniform(size=2 ** n) * (rng.uniform(size=2 ** n) < 0.7)
+            p[0] += 0.1
+            p /= p.sum()
+            got = cc.counts_from_probabilities(p, 0, 5, flip)
+            assert got.shots == 0 and got.seed == 5
+            assert got.counts == _ref_exact_readout(p, flip)

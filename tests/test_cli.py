@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from qutritsim import channels as ch
 from qutritsim import cli
@@ -205,3 +209,49 @@ def test_sweep_rejects_choi_file_of_other_channel(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "sweep_ls.csv").exists()
+
+
+def _run_process(args, stdin="", pass_fds=()):
+    """Run the CLI in a child process, whose file descriptors a test may
+    feed or close without touching the test runner's."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "qutritsim.cli", *args],
+                          input=stdin, capture_output=True, text=True,
+                          env=env, pass_fds=pass_fds, timeout=120)
+
+
+@pytest.mark.parametrize("key, stdin", [
+    ("noise", json.dumps({"p1": 0.01})),
+    ("coupling", json.dumps(cp.preset_map("ibmqx4").to_json())),
+])
+def test_config_integer_path_does_not_read_stdin(tmp_path, key, stdin):
+    # open(0) would read a valid spec from stdin, then close descriptor 0
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: 0}))
+    proc = _run_process(["choi", "--config", str(cfgfile), "--out", str(tmp_path)],
+                        stdin=stdin)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "config error:" in proc.stderr
+    assert not (tmp_path / "choi_ls_analytic.json").exists()
+
+
+def test_config_integer_choi_file_is_config_error(tmp_path):
+    assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
+    cfgfile = tmp_path / "cfg.json"
+    with open(tmp_path / "choi_ls_analytic.json") as f:
+        cfgfile.write_text(json.dumps({"choi_file": f.fileno()}))
+        proc = _run_process(["sweep", "--channel", "ls", "--grid", "3", "--config",
+                             str(cfgfile), "--out", str(tmp_path)],
+                            pass_fds=(f.fileno(),))
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "config error:" in proc.stderr
+    assert not (tmp_path / "sweep_ls.csv").exists()
+
+
+@pytest.mark.parametrize("out", [0, None])
+def test_config_out_not_a_string_is_config_error(tmp_path, capsys, out):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"out": out}))
+    assert run(["choi", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
