@@ -114,10 +114,13 @@ def choi_direct_circuit(channel_circuit: Circuit,
     (4, 5) environment pair.  Prepares the uniform qutrit superposition on
     the system pair, copies it onto the ancilla pair in the computational
     basis (control = system, target = ancilla), then runs the channel
-    circuit with its environment wires moved to (4, 5).
+    circuit with its environment wires moved to (4, 5).  A placement needs
+    a layout to place on.
     """
     if channel_circuit.n_qubits != 4:
         raise ValueError("channel circuit must act on 4 qubits")
+    if placement is not None and layout is None:
+        raise ValueError("a placement needs a layout")
     c = Circuit(6)
     c.extend(prep_superposition_circuit().remapped([2, 3], 6).gates)
     c.add("cnot", (), (2, 0))
@@ -140,7 +143,7 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
     the placement gives the ancilla and system pairs."""
     circuit = choi_direct_circuit(channel_circuit, layout, placement)
     measure = (0, 1, 2, 3)
-    if layout is not None and placement is not None:
+    if placement is not None:
         measure = tuple(placement[q] for q in measure)
     rec = collect(circuit, shots, seed, noise, measure_qubits=measure)
     rho16 = reconstruct_state(rec)

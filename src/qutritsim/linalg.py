@@ -2,7 +2,10 @@
 
 All matrices are plain ``numpy.ndarray`` of dtype complex128, row-major.
 Dimensions in this package never exceed 64x64, so everything is dense and
-exact to double precision.
+exact to double precision.  ``dagger``, ``is_hermitian``, ``is_psd``,
+``hermitian_eig``, ``sqrtm_psd`` and ``project_to_density`` also take a
+stack ``(..., d, d)`` and work on each matrix of it; a 2-D input is the
+stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -22,14 +25,23 @@ class NotPSDError(ValueError):
     """Matrix is not positive semidefinite within tolerance."""
 
 
+def as_stack(m) -> np.ndarray:
+    """Coerce to a complex ndarray (..., rows, cols): one matrix, or a stack
+    of them over the leading axes.  Rejects malformed input."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex ndarray, rejecting malformed input."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix entries must be finite")
-    return a
+    return as_stack(a)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,12 +88,14 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
-    m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= atol
+    """True iff m (every matrix of a stack) is square and Hermitian within atol."""
+    m = as_stack(m)
+    return m.shape[-2] == m.shape[-1] and np.abs(m - dagger(m)).max() <= atol
 
 
 def is_unitary(m: np.ndarray, atol: float = ATOL) -> bool:
@@ -93,40 +107,44 @@ def is_unitary(m: np.ndarray, atol: float = ATOL) -> bool:
 
 
 def hermitian_eig(m: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix (or of each matrix of a
+    stack), eigenvalues descending.
 
-    Returns (w, v) with m = v @ diag(w) @ v+ and v unitary.
+    Returns (w, v) with m = v @ diag(w) @ v+ and v unitary; for a stack,
+    w is (..., d) and v is (..., d, d).
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = as_stack(m)
+    if m.shape[-2] != m.shape[-1]:
         raise ShapeError("hermitian_eig needs a square matrix")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
-    order = np.argsort(w)[::-1]
-    return w[order].real, v[:, order]
+    w, v = np.linalg.eigh((m + dagger(m)) / 2)  # ascending
+    return w[..., ::-1], v[..., ::-1]
 
 
 def is_psd(m: np.ndarray, atol: float = ATOL) -> bool:
-    """True iff Hermitian within atol and min eigenvalue >= -atol."""
+    """True iff Hermitian within atol and min eigenvalue >= -atol (for a
+    stack, every matrix)."""
     if not is_hermitian(m, atol):
         return False
     w, _ = hermitian_eig(m)
-    return w[-1] >= -atol
+    return np.all(w[..., -1] >= -atol)
 
 
 def sqrtm_psd(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+    """Hermitian PSD square root via eigendecomposition, of a matrix or of
+    each matrix of a stack.
 
     Eigenvalues in [-atol, 0) are clamped to zero; anything below -atol is
     an error rather than silently fixed.
     """
-    m = as_matrix(m)
-    if not is_hermitian(m, max(atol, ATOL) * m.shape[0]):
+    m = as_stack(m)
+    if not is_hermitian(m, max(atol, ATOL) * m.shape[-1]):
         raise ShapeError("sqrtm_psd needs a Hermitian matrix")
     w, v = hermitian_eig(m)
-    if w[-1] < -atol:
-        raise NotPSDError(f"eigenvalue {w[-1]:.3e} below -{atol:.1e}")
+    lowest = w[..., -1].min()
+    if lowest < -atol:
+        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{atol:.1e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def is_density_matrix(m: np.ndarray, atol: float = 1e-8) -> bool:
@@ -139,20 +157,21 @@ def is_density_matrix(m: np.ndarray, atol: float = 1e-8) -> bool:
 
 def project_to_density(m: np.ndarray) -> np.ndarray:
     """Nearest density matrix: hermitize, then project the spectrum onto the
-    probability simplex (Euclidean projection), then reconstruct.
+    probability simplex (Euclidean projection), then reconstruct.  Works on
+    a matrix or on each matrix of a stack.
 
     Idempotent on valid density matrices.
     """
-    m = as_matrix(m)
     w, v = hermitian_eig(m)
-    # simplex projection of the eigenvalue vector (sorted descending already)
-    cum = np.cumsum(w)
-    ks = np.arange(1, len(w) + 1)
-    cond = w - (cum - 1.0) / ks > 0
-    k = int(np.nonzero(cond)[0][-1]) + 1
-    theta = (cum[k - 1] - 1.0) / k
+    # simplex projection of each eigenvalue vector (sorted descending already)
+    d = w.shape[-1]
+    cum = np.cumsum(w, axis=-1)
+    cond = w - (cum - 1.0) / np.arange(1, d + 1) > 0
+    # k = 1 + the last index where cond holds; cond[..., 0] is always true
+    k = d - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    theta = (np.take_along_axis(cum, k - 1, axis=-1) - 1.0) / k
     w = np.clip(w - theta, 0.0, None)
-    return (v * w) @ dagger(v)
+    return (v * w[..., None, :]) @ dagger(v)
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:

@@ -200,20 +200,21 @@ def reconstruct_qutrit(rec: TomographyRecord):
     return project_qutrit(reconstruct_2q(rec))
 
 
-def fidelity(s1: np.ndarray, s2: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, clamped to [0, 1]."""
-    s1, s2 = la.as_matrix(s1), la.as_matrix(s2)
-    if s1.shape != s2.shape or s1.shape[0] != s1.shape[1]:
+def fidelity(s1: np.ndarray, s2: np.ndarray):
+    """Uhlmann fidelity (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, clamped to [0, 1].
+
+    A float for two matrices; for two stacks (..., d, d) of equal shape, the
+    array (...) of fidelities of matching matrices.
+    """
+    s1, s2 = la.as_stack(s1), la.as_stack(s2)
+    if s1.shape != s2.shape or s1.shape[-2] != s1.shape[-1]:
         raise la.ShapeError("fidelity needs equal-dimension square matrices")
     r = la.sqrtm_psd((s1 + la.dagger(s1)) / 2, atol=1e-7)
-    mid = r @ s2 @ r
-    w, _ = la.hermitian_eig(mid)
+    w = np.clip(np.linalg.eigvalsh(r @ s2 @ r), 0.0, None)  # ascending
     # zero out eigenvalue dust: sqrt turns O(eps) noise into O(sqrt(eps))
-    w = np.clip(w, 0.0, None)
-    if w.size and w[0] > 0:
-        w[w < w[0] * 1e-13] = 0.0
-    val = float(np.sum(np.sqrt(w)) ** 2)
-    return min(max(val, 0.0), 1.0)
+    w[w < w[..., -1:] * 1e-13] = 0.0
+    val = np.clip(np.sum(np.sqrt(w), axis=-1) ** 2, 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
@@ -221,8 +222,12 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     """Fidelity statistics of a reconstructed channel along the segment
     lam * rho_a + (1 - lam) * rho_b, lam on a uniform grid over [0, 1].
 
-    ``reference`` is the exact channel (a callable rho -> rho).  Returns
-    (min, max, mean) of fidelity(channel_from_choi(omega, rho), reference(rho)).
+    ``reference`` is the exact channel, a callable rho -> rho that must be
+    linear: it is evaluated (and validates its input) at the two endpoints
+    only.  Both channels are linear, so every output along the segment is
+    the same affine combination of the two endpoint outputs, and the whole
+    grid is scored as one stack.  Returns (min, max, mean) of
+    fidelity(project_to_density(channel_from_choi(omega, rho)), reference(rho)).
     """
     from .choi import channel_from_choi
     from .decompositions import basis_density
@@ -230,12 +235,11 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     if grid < 2:
         raise ValueError("grid must be >= 2")
     rho_a, rho_b = basis_density(a), basis_density(b)
-    vals = []
-    for lam in np.linspace(0.0, 1.0, grid):
-        rho = lam * rho_a + (1 - lam) * rho_b
-        got = la.project_to_density(channel_from_choi(omega, rho))
-        want = reference(rho)
-        vals.append(fidelity(got, want))
+    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
+    got_a, got_b = channel_from_choi(omega, rho_a), channel_from_choi(omega, rho_b)
+    want_a, want_b = reference(rho_a), reference(rho_b)
+    got = la.project_to_density(lam * got_a + (1 - lam) * got_b)
+    vals = fidelity(got, lam * want_a + (1 - lam) * want_b)
     return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
 
 

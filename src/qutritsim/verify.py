@@ -159,19 +159,27 @@ def check_routing(coupling: cp.CouplingMap | None = None):
             routed = cp.route_circuit(c, cmap)
             if cp.validate(routed, cmap):
                 return "routing_preserves_semantics", False, "illegal output"
+            # the routed unitary first: it raises ResourceError before the
+            # padded reference of a too-large register is allocated
+            got = cc.unitary_of(routed)
             pad = cmap.n_qubits - c.n_qubits
             want = np.kron(cc.unitary_of(c), np.eye(2 ** pad))
-            if not la.equal_up_to_global_phase(cc.unitary_of(routed), want, 1e-9):
+            if not la.equal_up_to_global_phase(got, want, 1e-9):
                 return "routing_preserves_semantics", False, "unitary changed"
     except cp.RoutingError as exc:
         return "routing_preserves_semantics", False, f"routing error: {exc}"
+    except cc.ResourceError as exc:
+        return ("routing_preserves_semantics", False,
+                f"{cmap.n_qubits}-qubit routed register: {exc}")
     return "routing_preserves_semantics", True, "50 random circuits"
 
 
 def _random_circuit(rng, n, depth):
+    """``depth`` random gates on n qubits: a CNOT with probability 0.4 (when
+    n >= 2), else a one-qubit gate with uniform angles."""
     c = cc.Circuit(n)
     for _ in range(depth):
-        if rng.uniform() < 0.4:
+        if n >= 2 and rng.uniform() < 0.4:
             q = rng.choice(n, size=2, replace=False)
             c.add("cnot", (), tuple(int(x) for x in q))
         else:

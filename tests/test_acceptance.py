@@ -15,9 +15,9 @@ from qutritsim import decompositions as dc
 from qutritsim import encoding as enc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
+from qutritsim.verify import _random_circuit as random_circuit
 
 from test_channels import rand_density
-from test_circuits import random_circuit
 
 
 def report(n, text):

@@ -219,6 +219,14 @@ def test_choi_direct_measures_placed_wires():
     assert cj.choi_fidelity(analytic, omega) >= 1 - 1e-9
 
 
+def test_choi_direct_rejects_placement_without_layout():
+    placement = dict(enumerate([5, 0, 3, 1, 4, 2]))
+    with pytest.raises(ValueError, match="layout"):
+        cj.choi_direct_circuit(dc.wh_channel_circuit(), placement=placement)
+    with pytest.raises(ValueError, match="layout"):
+        cj.choi_direct(dc.wh_channel_circuit(), 0, 0, placement=placement)
+
+
 def test_choi_physicality_from_pipelines():
     omega = cj.choi_direct(dc.ls_channel_circuit(), shots=0, seed=0)
     assert la.is_hermitian(omega, 1e-8)

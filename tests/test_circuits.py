@@ -10,6 +10,7 @@ from qutritsim import circuits as cc
 from qutritsim import coupling as cp
 from qutritsim import decompositions as dc
 from qutritsim import linalg as la
+from qutritsim.verify import _random_circuit as random_circuit
 
 
 def test_gate_validation():
@@ -83,20 +84,6 @@ def test_unitary_of_random_circuit_is_unitary():
     for n in (2, 3, 4):
         c = random_circuit(rng, n, depth=15)
         assert la.is_unitary(cc.unitary_of(c), 1e-10)
-
-
-def random_circuit(rng, n, depth):
-    c = cc.Circuit(n)
-    for _ in range(depth):
-        if n >= 2 and rng.uniform() < 0.4:
-            q = rng.choice(n, size=2, replace=False)
-            c.add("cnot", (), tuple(int(x) for x in q))
-        else:
-            name = rng.choice(["u1", "u2", "u3", "x", "y", "z", "h"])
-            n_par = cc.GATE_ARITY[name][0]
-            c.add(name, tuple(rng.uniform(-np.pi, np.pi, n_par)),
-                  (int(rng.integers(n)),))
-    return c
 
 
 def test_simulate_state_basics():

@@ -119,6 +119,14 @@ def test_verify_fault_injection(tmp_path, capsys):
     assert "[FAIL] routing_preserves_semantics" in out
 
 
+def test_verify_large_coupling_fails_without_allocating(capsys):
+    # tokyo routes onto 20 qubits: the routing check must report the register
+    # size instead of building a 2^20-dimensional reference unitary
+    assert run(["verify", "--coupling", "tokyo"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "[FAIL] routing_preserves_semantics: 20-qubit routed register" in out
+
+
 def test_outputs_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -4,8 +4,7 @@ import pytest
 from qutritsim import coupling as cp
 from qutritsim import circuits as cc
 from qutritsim import linalg as la
-
-from test_circuits import random_circuit
+from qutritsim.verify import _random_circuit as random_circuit
 
 
 def test_coupling_map_validation():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutritsim import linalg as la
 
@@ -215,3 +217,123 @@ def test_matrix_json_rejects_bad():
         )
     with pytest.raises(Exception):
         la.as_matrix([1, 2, 3])
+
+
+# --- stacks (..., d, d) against the per-matrix reference ---------------------
+# _ref_hermitian_eig, _ref_sqrtm_psd and _ref_project_to_density are the 2-D
+# implementations (argsort ordering, per-matrix simplex projection) that the
+# stack-aware functions in linalg replace; each matrix of a stack must agree.
+
+
+def _ref_hermitian_eig(m):
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    order = np.argsort(w)[::-1]
+    return w[order].real, v[:, order]
+
+
+def _ref_sqrtm_psd(m, atol=la.ATOL):
+    w, v = _ref_hermitian_eig(m)
+    assert w[-1] >= -atol
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _ref_project_to_density(m):
+    w, v = _ref_hermitian_eig(m)
+    cum = np.cumsum(w)
+    ks = np.arange(1, len(w) + 1)
+    cond = w - (cum - 1.0) / ks > 0
+    k = int(np.nonzero(cond)[0][-1]) + 1
+    theta = (cum[k - 1] - 1.0) / k
+    w = np.clip(w - theta, 0.0, None)
+    return (v * w) @ v.conj().T
+
+
+@st.composite
+def hermitian_stacks(draw, psd=False):
+    """(n, d, d) stacks of Hermitian matrices of random rank 0..d; with
+    psd=False the nonzero eigenvalues take both signs."""
+    d = draw(st.integers(1, 9))
+    ranks = draw(st.lists(st.integers(0, d), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    for r in ranks:
+        g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        out.append((g * rng.uniform(0.0 if psd else -1.0, 1.0, r)) @ g.conj().T)
+    return np.array(out)
+
+
+_stack_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@_stack_property
+@given(stack=hermitian_stacks())
+def test_hermitian_eig_stack_matches_per_matrix(stack):
+    w, v = la.hermitian_eig(stack)
+    assert w.shape == stack.shape[:-1] and v.shape == stack.shape
+    for m, wi, vi in zip(stack, w, v):
+        w2, v2 = la.hermitian_eig(m)
+        assert np.abs(wi - w2).max() < 1e-12
+        assert np.abs(wi - _ref_hermitian_eig(m)[0]).max() < 1e-12
+        assert np.all(np.diff(wi) <= 0)
+        assert np.abs((vi * wi) @ vi.conj().T - m).max() < 1e-12 * max(1.0, np.abs(m).max())
+        assert np.abs(vi.conj().T @ vi - np.eye(len(m))).max() < 1e-12
+
+
+@_stack_property
+@given(stack=hermitian_stacks())
+def test_project_to_density_stack_matches_per_matrix(stack):
+    got = la.project_to_density(stack)
+    for m, g in zip(stack, got):
+        assert np.abs(g - la.project_to_density(m)).max() < 1e-12
+        assert np.abs(g - _ref_project_to_density(m)).max() < 1e-12
+
+
+@_stack_property
+@given(stack=hermitian_stacks(psd=True))
+def test_sqrtm_psd_stack_matches_per_matrix(stack):
+    got = la.sqrtm_psd(stack)
+    for m, g in zip(stack, got):
+        assert np.abs(g - la.sqrtm_psd(m)).max() < 1e-12
+        assert np.abs(g - _ref_sqrtm_psd(m)).max() < 1e-12
+
+
+def test_stack_functions_keep_leading_axes():
+    rng = np.random.default_rng(19)
+    stack = np.array([rand_density(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    for f in (la.sqrtm_psd, la.project_to_density):
+        got = f(stack)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.abs(got[idx] - f(stack[idx])).max() < 1e-12
+    w, v = la.hermitian_eig(stack)
+    assert w.shape == (2, 3, 3) and v.shape == stack.shape
+
+
+@pytest.mark.parametrize("f", [la.hermitian_eig, la.sqrtm_psd, la.project_to_density])
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+def test_stack_errors_match_2d(f, batch):
+    good = np.broadcast_to(I2 / 2, batch + (2, 2)).astype(complex)
+    f(good)
+    for bad_entry in (np.nan, np.inf, complex(0, np.inf)):
+        bad = good.copy()
+        bad[(0,) * len(batch) + (0, 1)] = bad_entry
+        with pytest.raises(ValueError, match="finite"):
+            f(bad)
+    with pytest.raises(la.ShapeError):
+        f(np.zeros(batch + (2, 3)))
+    with pytest.raises(la.ShapeError):
+        f(np.zeros(batch + (0, 0)))
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+def test_sqrtm_psd_stack_rejects_like_2d(batch):
+    stack = np.broadcast_to(I2 / 2, batch + (2, 2)).astype(complex)
+    for where in ((0,) * len(batch), (-1,) * len(batch)):
+        neg = stack.copy()
+        neg[where] = SZ
+        with pytest.raises(la.NotPSDError):
+            la.sqrtm_psd(neg)
+        skew = stack.copy()
+        skew[where] = np.array([[0, 1], [0, 0]])
+        with pytest.raises(la.ShapeError):
+            la.sqrtm_psd(skew)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutritsim import channels as ch
+from qutritsim import choi as cj
 from qutritsim import circuits as cc
 from qutritsim import decompositions as dc
 from qutritsim import encoding as enc
@@ -13,6 +15,8 @@ from qutritsim import linalg as la
 from qutritsim import tomography as tg
 
 from test_channels import rand_density
+from test_linalg import (_ref_hermitian_eig, _ref_project_to_density, _ref_sqrtm_psd,
+                         _stack_property, hermitian_stacks)
 
 
 def test_settings_enumeration():
@@ -347,3 +351,82 @@ def test_linear_inversion_matches_reference_any_setting_order(k, seed, noise, sh
     assert np.abs(tg._linear_inversion(rec) - want).max() < 1e-12
     assert np.abs(tg._linear_inversion(shuffled) - want).max() < 1e-12
     assert np.abs(_ref_linear_inversion(shuffled) - want).max() < 1e-12
+
+
+# --- the batched sweep against the per-lambda loop ----------------------------
+# _ref_fidelity is the 2-D fidelity and _ref_sweep the loop that
+# channel_fidelity_sweep replaces: one channel_from_choi, projection,
+# reference call and fidelity per grid point.
+
+
+def _ref_fidelity(s1, s2):
+    r = _ref_sqrtm_psd((s1 + s1.conj().T) / 2, atol=1e-7)
+    w, _ = _ref_hermitian_eig(r @ s2 @ r)
+    w = np.clip(w, 0.0, None)
+    if w[0] > 0:
+        w[w < w[0] * 1e-13] = 0.0
+    return min(max(float(np.sum(np.sqrt(w)) ** 2), 0.0), 1.0)
+
+
+def _ref_sweep(omega, reference, a, b, grid):
+    rho_a, rho_b = dc.basis_density(a), dc.basis_density(b)
+    vals = []
+    for lam in np.linspace(0.0, 1.0, grid):
+        rho = lam * rho_a + (1 - lam) * rho_b
+        got = _ref_project_to_density(cj.channel_from_choi(omega, rho))
+        vals.append(_ref_fidelity(got, reference(rho)))
+    return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
+
+
+def _sweep_chois():
+    noise = cc.NoiseConfig(p1=0.005, p2=0.05, gamma=0.005, readout_flip=0.01)
+    return {
+        "analytic ls": (cj.analytic_choi(ch.ChannelRep.analytic("ls")), ch.ls_apply),
+        "analytic wh": (cj.analytic_choi(ch.ChannelRep.analytic("wh")), ch.wh_apply),
+        "noisy direct ls": (cj.choi_direct(dc.ls_channel_circuit(), 100000, 21, noise),
+                            ch.ls_apply),
+    }
+
+
+@pytest.mark.parametrize("grid", [101, 2])
+def test_channel_fidelity_sweep_matches_per_lambda_loop(grid):
+    for name, (omega, reference) in _sweep_chois().items():
+        for a, b in itertools.combinations(range(1, 10), 2):
+            got = tg.channel_fidelity_sweep(omega, reference, a, b, grid)
+            want = _ref_sweep(omega, reference, a, b, grid)
+            assert np.abs(np.subtract(got, want)).max() < 1e-12, (name, a, b)
+
+
+@_stack_property
+@given(s1=hermitian_stacks(psd=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_fidelity_stack_matches_per_matrix(s1, seed):
+    s1 = s1 / np.maximum(np.trace(s1, axis1=1, axis2=2).real, 1e-300)[:, None, None]
+    rng = np.random.default_rng(seed)
+    d = s1.shape[-1]
+    s2 = np.array([rand_density(rng, d) for _ in s1])
+    s2[::2] = s1[::-1][::2]  # equal, swapped and rank-deficient pairs too
+    got = tg.fidelity(s1, s2)
+    assert isinstance(got, np.ndarray) and got.shape == s1.shape[:1]
+    for a, b, f in zip(s1, s2, got):
+        one = tg.fidelity(a, b)
+        assert isinstance(one, float)
+        assert abs(f - one) < 1e-12
+        assert abs(f - _ref_fidelity(a, b)) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+def test_fidelity_stack_errors_match_2d(batch):
+    good = np.broadcast_to(np.eye(3) / 3, batch + (3, 3)).astype(complex)
+    assert np.all(np.abs(tg.fidelity(good, good) - 1) < 1e-12)
+    bad = good.copy()
+    bad[(0,) * len(batch) + (0, 1)] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        tg.fidelity(bad, good)
+    with pytest.raises(ValueError, match="finite"):
+        tg.fidelity(good, bad)
+    with pytest.raises(la.ShapeError):
+        tg.fidelity(np.zeros(batch + (2, 3)), np.zeros(batch + (2, 3)))
+    with pytest.raises(la.ShapeError):
+        tg.fidelity(good, good[..., :2, :2])
+    with pytest.raises(la.ShapeError):
+        tg.fidelity(good, np.broadcast_to(good, (5,) + good.shape))
