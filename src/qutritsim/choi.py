@@ -68,7 +68,8 @@ def rederive_coefficients() -> np.ndarray:
 
 def choi_linear(channel_on_basis) -> np.ndarray:
     """Assemble the Choi matrix from the channel's action on the nine
-    physical basis states: Omega = (1/3) sum_ij E_ij (x) sum_k a_ij^k Phi(R_k)."""
+    physical basis states: Omega = (1/3) sum_ij E_ij (x) sum_k a_ij^k Phi(R_k),
+    one contraction of COEFFICIENTS with the stack of the nine outputs."""
     outs = [as_matrix(m) for m in channel_on_basis]
     if len(outs) != 9:
         raise ValueError("choi_linear needs exactly nine output matrices")
@@ -77,14 +78,9 @@ def choi_linear(channel_on_basis) -> np.ndarray:
             raise la.ShapeError("each output must be 3x3")
         if abs(np.trace(m) - 1) > 1e-6:
             raise ValueError("outputs must have unit trace within 1e-6")
-    omega = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = 1.0
-            block = sum(COEFFICIENTS[3 * i + j, k] * outs[k] for k in range(9))
-            omega += kron(e, block)
-    return omega / 3.0
+    # blocks[3 i + j] = sum_k a_ij^k Phi(R_k), the (i, j) block of 3 Omega
+    blocks = np.tensordot(COEFFICIENTS, np.stack(outs), axes=1)
+    return blocks.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9) / 3.0
 
 
 def channel_from_choi(omega: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -15,13 +15,14 @@ tensordot of the 2^k x 2^k matrix m into k size-2 axes of t, then a moveaxis
 that puts the image back on those axes.
 
 * States and unitaries: t has axes (q_0..q_{n-1}, batch).  simulate_state
-  runs one column; unitary_of runs the identity as a batch of 2^n columns.
+  runs a stack of states as the batch; unitary_of runs the identity as a
+  batch of 2^n columns.
 * Noiseless densities: U rho U+, U built as in unitary_of.
-* Noisy densities: t has axes (row q_0..q_{n-1}, col q_0..q_{n-1}).  A gate
-  on qubits (a, b) is one 4^k x 4^k superoperator on axes (a, b, n+a, n+b),
-  row-major over those axes: N (u (x) conj(u)), where N applies the 4x4
-  per-qubit noise (depolarizing, then amplitude damping) to each touched
-  qubit's (row, col) pair.
+* Noisy densities: t has axes (row q_0..q_{n-1}, col q_0..q_{n-1}, batch).
+  A gate on qubits (a, b) is one 4^k x 4^k superoperator on axes
+  (a, b, n+a, n+b), row-major over those axes: N (u (x) conj(u)), where N
+  applies the 4x4 per-qubit noise (depolarizing, then amplitude damping) to
+  each touched qubit's (row, col) pair.
 * Exact readout: the 2x2 bit-flip matrix on each outcome axis.
 """
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_stack
 
 GATE_ARITY = {
     "u1": (1, 1), "u2": (2, 1), "u3": (3, 1),
@@ -52,6 +53,19 @@ _CNOT = np.array(
 
 class ResourceError(ValueError):
     """Register too large for the requested dense operation."""
+
+
+# Largest register a dense density path may simulate: a 10-qubit density is
+# 1024 x 1024 complex128, 16 MiB.
+MAX_DENSE_QUBITS = 10
+
+
+def check_dense_register(n_qubits: int) -> None:
+    """Raise ResourceError for a register above MAX_DENSE_QUBITS, before
+    any 2^n x 2^n array is allocated."""
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ResourceError(f"{n_qubits}-qubit register is above the dense simulation "
+                            f"budget of {MAX_DENSE_QUBITS} qubits")
 
 
 @dataclass(frozen=True)
@@ -179,13 +193,16 @@ def unitary_of(c: Circuit) -> np.ndarray:
 
 
 def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:
-    """Run a circuit on a normalized state vector, gate by gate."""
-    psi = np.asarray(input_state, dtype=complex).reshape(-1)
-    if psi.size != 2 ** c.n_qubits:
-        raise ValueError(f"state has dim {psi.size}, circuit needs {2 ** c.n_qubits}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    """Run a circuit on a normalized state vector, or on every state of a
+    stack (..., 2^n) at once as one batch of columns, gate by gate."""
+    psi = np.asarray(input_state, dtype=complex)
+    d = 2 ** c.n_qubits
+    if psi.ndim == 0 or psi.shape[-1] != d:
+        raise ValueError(f"state has shape {psi.shape}, circuit needs (..., {d})")
+    if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-10):
         raise ValueError("input state must be normalized")
-    return _run(c, psi.reshape((2,) * c.n_qubits + (1,))).reshape(-1)
+    cols = psi.reshape(-1, d).T.reshape((2,) * c.n_qubits + (-1,))
+    return _run(c, cols).reshape(d, -1).T.reshape(psi.shape)
 
 
 @dataclass(frozen=True)
@@ -224,20 +241,25 @@ def _qubit_noise(p: float, gamma: float) -> np.ndarray:
 
 
 def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig | None = None) -> np.ndarray:
-    """Evolve a density matrix through a circuit.
+    """Evolve a density matrix, or every matrix of a stack (..., 2^n, 2^n),
+    through a circuit.
 
     Without gate noise this is U rho U+, with U built as in unitary_of but
     without its 6-qubit limit (U is no larger than rho).  With noise, each
     gate on qubits Q is one superoperator on the axes (q.., n + q..), q in
     Q, of the (2,)*2n density tensor: u (x) conj(u), then per-touched-qubit
     depolarizing (p1 for one-qubit gates, p2 for CNOT), then amplitude
-    damping gamma.  Readout error is not applied here; it belongs to
-    sampling.
+    damping gamma; a stack rides along as a trailing batch axis.  Readout
+    error is not applied here; it belongs to sampling.
+
+    Registers above MAX_DENSE_QUBITS (10) qubits raise ResourceError before
+    anything is allocated.
     """
-    rho = as_matrix(input_density)
+    check_dense_register(c.n_qubits)
+    rho = as_stack(input_density)
     d = 2 ** c.n_qubits
-    if rho.shape != (d, d):
-        raise ValueError(f"density has shape {rho.shape}, circuit needs ({d},{d})")
+    if rho.shape[-2:] != (d, d):
+        raise ValueError(f"density has shape {rho.shape}, circuit needs (..., {d}, {d})")
     if noise is None or noise.p1 == noise.p2 == noise.gamma == 0.0:
         u = _unitary(c)
         return u @ rho @ u.conj().T
@@ -249,12 +271,12 @@ def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig |
     cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)
     gate_noise = {1: _qubit_noise(noise.p1, noise.gamma),
                   2: cnot_noise.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)}
-    t = rho.reshape((2,) * (2 * n))
+    t = np.moveaxis(rho.reshape(-1, d, d), 0, -1).reshape((2,) * (2 * n) + (-1,))
     for g in c.gates:
         u = gate_matrix(g)
         superop = gate_noise[len(g.qubits)] @ np.kron(u, u.conj())
         t = _apply(t, superop, g.qubits + tuple(n + q for q in g.qubits))
-    return t.reshape(d, d)
+    return np.moveaxis(t.reshape(d, d, -1), -1, 0).reshape(rho.shape)
 
 
 @dataclass

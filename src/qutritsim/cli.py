@@ -2,8 +2,8 @@
 matrices, sweep pairwise fidelities, and run the invariant suite.
 
 All outputs are JSON or CSV, deterministic given (config, seed).  Exit
-codes: 0 success, 1 verification failure, 2 configuration error, 3 routing
-error.
+codes: 0 success, 1 verification failure, 2 configuration error or a
+register above the dense simulation budget, 3 routing error.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import csv
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import channels as ch
 from . import choi as cj
@@ -131,26 +129,26 @@ def _write_json(path, obj):
 
 
 def _circuit_outputs(circuit, shots, seed, noise) -> list:
-    """(rho3, leakage) for the nine basis inputs: prepare input i on wires
-    (2, 3), run the channel circuit, read out the system qutrit.  shots = 0
-    is exact; otherwise input i is tomographed with seed + 100 * i."""
+    """(rho3, leakage) for the nine basis inputs, as one batch.
+
+    Input i is prep_basis_circuit(i) on wires (2, 3) of the channel
+    circuit's register, run from |0...0> with the same noise as the
+    channel.  The nine inputs then run through the channel circuit once, as
+    a stack of states (no gate noise) or densities, and the system qutrit is
+    read out of wires (2, 3).  shots = 0 is exact: the nine reduced states
+    themselves.  Otherwise the nine are tomographed with one shared effect
+    tensor, setting j of input i sampled with substream seed + 100 * i + j,
+    then inverted and projected as one stack.
+    """
     n = circuit.n_qubits
-    results = []
-    for i in range(1, 10):
-        full = cc.Circuit(n)
-        full.extend(dc.prep_basis_circuit(i).remapped([2, 3], n).gates)
-        full.extend(circuit.gates)
-        if shots == 0:
-            rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
-            rho0[0, 0] = 1.0
-            red = la.partial_trace(cc.simulate_density(full, rho0, noise),
-                                   [2] * n, [2, 3])
-            results.append(enc.project_qutrit(red))
-        else:
-            rec = tg.collect(full, shots, seed + 100 * i, noise,
-                             measure_qubits=(2, 3))
-            results.append(tg.reconstruct_qutrit(rec))
-    return results
+    preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
+    if shots == 0:
+        reduced = tg.measured_states(circuit, preps, noise, (2, 3))
+    else:
+        recs = tg.collect_batch(circuit, preps, shots, [seed + 100 * i for i in range(1, 10)],
+                                noise, (2, 3))
+        reduced = tg.reconstruct_state(recs)
+    return [enc.project_qutrit(red) for red in reduced]
 
 
 def cmd_apply(cfg) -> str:
@@ -299,6 +297,9 @@ def main(argv=None) -> int:
     except cp.RoutingError as exc:
         print(f"routing error: {exc}", file=sys.stderr)
         return EXIT_ROUTING
+    except cc.ResourceError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

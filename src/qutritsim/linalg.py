@@ -2,10 +2,10 @@
 
 All matrices are plain ``numpy.ndarray`` of dtype complex128, row-major.
 Dimensions in this package never exceed 64x64, so everything is dense and
-exact to double precision.  ``dagger``, ``is_hermitian``, ``is_psd``,
-``hermitian_eig``, ``sqrtm_psd`` and ``project_to_density`` also take a
-stack ``(..., d, d)`` and work on each matrix of it; a 2-D input is the
-stack with no leading axes.
+exact to double precision.  ``partial_trace``, ``dagger``, ``is_hermitian``,
+``is_psd``, ``hermitian_eig``, ``sqrtm_psd`` and ``project_to_density`` also
+take a stack ``(..., d, d)`` and work on each matrix of it; a 2-D input is
+the stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -58,33 +58,36 @@ def kron_all(*ops) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not in ``keep``.
+    """Trace out all subsystems not in ``keep``, of a matrix or of each
+    matrix of a stack.
 
     ``dims`` lists the subsystem dimensions (product must match m); ``keep``
     is an ordered collection of subsystem indices.  The result's factors
     appear in ``keep`` order, so this doubles as a subsystem reordering.
     """
-    m = as_matrix(m)
+    m = as_stack(m)
     dims = [int(d) for d in dims]
     n = len(dims)
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ShapeError("partial_trace needs a square matrix")
-    if math.prod(dims) != m.shape[0]:
-        raise ShapeError(f"dims {dims} do not multiply to {m.shape[0]}")
+    if math.prod(dims) != m.shape[-1]:
+        raise ShapeError(f"dims {dims} do not multiply to {m.shape[-1]}")
     keep = [int(k) for k in keep]
     if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
         raise ShapeError(f"bad keep set {keep} for {n} subsystems")
-    t = m.reshape(dims + dims)
+    batch = m.shape[:-2]
+    nb = len(batch)
+    t = m.reshape(batch + tuple(dims + dims))
     traced = [k for k in range(n) if k not in keep]
     for k in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=k, axis2=k + (t.ndim // 2))
+        t = np.trace(t, axis1=nb + k, axis2=nb + k + (t.ndim - nb) // 2)
     # axes now correspond to kept subsystems in ascending order
     asc = sorted(keep)
-    perm = [asc.index(k) for k in keep]
+    perm = [nb + asc.index(k) for k in keep]
     half = len(keep)
-    t = t.transpose(perm + [p + half for p in perm])
+    t = t.transpose(list(range(nb)) + perm + [p + half for p in perm])
     d = math.prod(dims[k] for k in keep) if keep else 1
-    return t.reshape(d, d)
+    return t.reshape(batch + (d, d))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -7,10 +7,14 @@ gate noise acts only on the qubits a gate touches, so a setting's noisy
 pre-rotation is a tensor product of three possible one-qubit channels.
 ``collect`` therefore simulates the circuit once and reads all 3^k
 distributions off the reduced state with one per-qubit contraction.
+``collect_batch`` does the same for a stack of prepared inputs: one
+simulation of the circuit over the stack, one effect tensor, one
+contraction.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
-(eigenvalue simplex projection).
+(eigenvalue simplex projection); a sequence of records is inverted and
+projected as one stack.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .circuits import (Circuit, Counts, NoiseConfig, counts_from_probabilities,
-                       normalize_probabilities, simulate_density, simulate_state)
+from .circuits import (Circuit, Counts, NoiseConfig, check_dense_register,
+                       counts_from_probabilities, normalize_probabilities,
+                       simulate_density, simulate_state)
 from .encoding import project_qutrit
 
 BASES = ("Z", "X", "Y")
@@ -87,18 +92,22 @@ class TomographyRecord:
 
 
 def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
-    """Apply one linear map to every qubit's axis pair of a k-qubit tensor.
+    """Apply one linear map to every qubit's axis pair of a k-qubit tensor,
+    or of each tensor of a stack.
 
-    t has axes (x_0..x_{k-1}, y_0..y_{k-1}); m maps a flattened (x_q, y_q)
-    pair to a flattened pair of shape ``out``.  Returns axes
-    (u_0..u_{k-1}, v_0..v_{k-1}) with (u_q, v_q) of shape ``out``.
+    t has axes (batch.., x_0..x_{k-1}, y_0..y_{k-1}); m maps a flattened
+    (x_q, y_q) pair to a flattened pair of shape ``out``.  Returns axes
+    (batch.., u_0..u_{k-1}, v_0..v_{k-1}) with (u_q, v_q) of shape ``out``.
     """
-    pairs = [a for q in range(k) for a in (q, k + q)]
-    t = t.transpose(pairs).reshape((m.shape[0],) * k)
+    nb = t.ndim - 2 * k
+    batch, lead = t.shape[:nb], list(range(nb))
+    pairs = [nb + a for q in range(k) for a in (q, k + q)]
+    t = t.transpose(lead + pairs).reshape(batch + (m.shape[0],) * k)
     for _ in range(k):
         # contract the leading qubit, append its image at the end
-        t = np.tensordot(t, m, axes=([0], [0]))
-    return t.reshape(out * k).transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
+        t = np.tensordot(t, m, axes=([nb], [0]))
+    return t.reshape(batch + out * k).transpose(
+        lead + [nb + a for a in range(0, 2 * k, 2)] + [nb + a for a in range(1, 2 * k, 2)])
 
 
 def _effect_tensor(noise: NoiseConfig | None) -> np.ndarray:
@@ -118,45 +127,99 @@ def _effect_tensor(noise: NoiseConfig | None) -> np.ndarray:
     return e
 
 
-def collect(c: Circuit, shots: int, seed: int, noise: NoiseConfig | None = None,
-            measure_qubits=None) -> TomographyRecord:
-    """Run the circuit once, then sample every measurement setting.
+def _reduced_states(psi: np.ndarray, measure: tuple) -> np.ndarray:
+    """Reduced density matrices of the measured qubits of a stack of states
+    (B, 2^n), without a 2^n x 2^n matrix: the outer products of the measured
+    amplitudes, one per setting of the unmeasured qubits, summed over those
+    settings in the order partial_trace uses (last qubit first).  Equal bit
+    for bit to partial_trace of the full density."""
+    n = int(round(math.log2(psi.shape[-1])))
+    traced = [q for q in range(n) if q not in measure]
+    amps = psi.reshape((-1,) + (2,) * n).transpose(
+        [0] + [1 + q for q in traced] + [1 + q for q in measure])
+    amps = amps.reshape(amps.shape[:1 + len(traced)] + (2 ** len(measure),))
+    t = amps[..., :, None] * amps.conj()[..., None, :]
+    for _ in traced:
+        t = t[..., 0, :, :] + t[..., 1, :, :]
+    return t
 
-    The circuit runs once on |0...0>.  The (3^k, 2^k) table of outcome
-    distributions of all settings then comes from contracting the measured
-    qubits' reduced state, one qubit at a time, with the effect tensor of
-    the three noisy one-qubit pre-rotations.  This is exact, not an
-    approximation: every pre-rotation gate is a one-qubit gate and
-    NoiseConfig acts only on the qubits a gate touches, so each setting's
-    noisy pre-rotation is a tensor product of one-qubit channels.  Each
-    row is clipped and normalized like born_probabilities.
 
-    shots = 0 is exact mode: Born probabilities are stored in place of
-    sampled counts, with readout error applied exactly.  Sampling for setting index i uses substream seed + i,
-    so settings may be evaluated in any order (or in parallel) without
-    changing results.
+def measured_states(c: Circuit, preps, noise: NoiseConfig | None = None,
+                    measure_qubits=None) -> np.ndarray:
+    """Reduced density matrices (B, 2^k, 2^k) of the measured qubits after
+    one run of c over a stack of B inputs.
+
+    Input b is |0...0> on c's register run through the prep circuit
+    preps[b] (None: no prep), with the same noise as c.  Without any noise
+    the stack runs as state vectors and the reduced states are read
+    straight from the amplitudes; with any noise, readout flips alone
+    included, it runs as densities.  A register above
+    circuits.MAX_DENSE_QUBITS raises ResourceError on both paths, before
+    anything is allocated.
     """
+    n = c.n_qubits
+    check_dense_register(n)
+    measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
+    zero = np.zeros(2 ** n, dtype=complex)
+    zero[0] = 1.0
+    if noise is None or noise.is_zero():
+        inputs = [zero if p is None else simulate_state(p, zero) for p in preps]
+        return _reduced_states(simulate_state(c, np.stack(inputs)), measure)
+    rho0 = np.outer(zero, zero)
+    inputs = [rho0 if p is None else simulate_density(p, rho0, noise) for p in preps]
+    return la.partial_trace(simulate_density(c, np.stack(inputs), noise), [2] * n, measure)
+
+
+def _readout(rho_meas: np.ndarray, shots: int, seeds, noise: NoiseConfig | None) -> list:
+    """One TomographyRecord per reduced state of the stack (B, 2^k, 2^k).
+
+    The (B, 3^k, 2^k) table of outcome distributions of all settings comes
+    from contracting the reduced states, one qubit at a time, with the
+    effect tensor of the three noisy one-qubit pre-rotations, built once.
+    This is exact, not an approximation: every pre-rotation gate is a
+    one-qubit gate and NoiseConfig acts only on the qubits a gate touches,
+    so each setting's noisy pre-rotation is a tensor product of one-qubit
+    channels.  Each row is clipped and normalized like born_probabilities.
+    Setting i of state b is sampled from substream seeds[b] + i.
+    """
+    k = int(round(math.log2(rho_meas.shape[-1])))
+    effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
+    t = _per_qubit(rho_meas.reshape((-1,) + (2,) * (2 * k)), k, effect, (3, 2))
+    tables = normalize_probabilities(t.real.reshape(-1, 3 ** k, 2 ** k))
+    flip = noise.readout_flip if noise is not None else 0.0
+    return [TomographyRecord(settings_for(k),
+                             [counts_from_probabilities(p, shots, seed + i, flip)
+                              for i, p in enumerate(table)], shots, seed)
+            for table, seed in zip(tables, seeds)]
+
+
+def collect_batch(c: Circuit, preps, shots: int, seeds, noise: NoiseConfig | None = None,
+                  measure_qubits=None) -> list:
+    """Tomograph a stack of prepared inputs with one run of the circuit: one
+    TomographyRecord per prep circuit (see measured_states), the one of
+    preps[b] sampled with seed seeds[b] as collect does."""
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    n = c.n_qubits
-    measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
-    psi0 = np.zeros(2 ** n, dtype=complex)
-    psi0[0] = 1.0
-    if noise is None or noise.is_zero():
-        psi = simulate_state(c, psi0)
-        rho_full = np.outer(psi, psi.conj())
-    else:
-        rho_full = simulate_density(c, np.outer(psi0, psi0.conj()), noise)
-    rho_meas = la.partial_trace(rho_full, [2] * n, list(measure))
+    if len(seeds) != len(preps):
+        raise ValueError("one seed per prep circuit required")
+    return _readout(measured_states(c, preps, noise, measure_qubits), shots, seeds, noise)
 
-    k = len(measure)
-    effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
-    t = _per_qubit(rho_meas.reshape((2,) * (2 * k)), k, effect, (3, 2))
-    table = normalize_probabilities(t.real.reshape(3 ** k, 2 ** k))
-    flip = noise.readout_flip if noise is not None else 0.0
-    counts = [counts_from_probabilities(p, shots, seed + i, flip)
-              for i, p in enumerate(table)]
-    return TomographyRecord(settings_for(k), counts, shots, seed)
+
+def collect(c: Circuit, shots: int, seed: int, noise: NoiseConfig | None = None,
+            measure_qubits=None) -> TomographyRecord:
+    """Run the circuit once on |0...0>, then sample every measurement
+    setting of the measured qubits: collect_batch on a stack of one.
+
+    The 3^k outcome distributions are read off the measured qubits'
+    reduced state with one per-qubit contraction (see _readout).
+
+    shots = 0 is exact mode: Born probabilities are stored in place of
+    sampled counts, with readout error applied exactly.
+
+    Sampling for setting index i uses substream seed + i, so settings may
+    be evaluated in any order (or in parallel) without changing results.
+    """
+    return collect_batch(c, [None], shots, [seed], noise, measure_qubits)[0]
 
 
 def _probability_vector(counts: Counts, n: int) -> np.ndarray:
@@ -167,26 +230,37 @@ def _probability_vector(counts: Counts, n: int) -> np.ndarray:
     return p / s
 
 
-def _linear_inversion(rec: TomographyRecord) -> np.ndarray:
-    """Averaged Pauli expectation values assembled into a matrix estimate.
+def _linear_inversion(records) -> np.ndarray:
+    """Averaged Pauli expectation values assembled into a matrix estimate,
+    for one record, or a stack (B, 2^n, 2^n) for a sequence of records on
+    the same n qubits.
 
     Averaging each Pauli string's expectation over every setting that
     measures it factorizes per qubit: outcome o of basis s contributes
-    R[s, o] = (I/3 + (-1)^o sigma_s) / 2 on that qubit.
+    R[s, o] = (I/3 + (-1)^o sigma_s) / 2 on that qubit.  The whole stack is
+    one per-qubit contraction.
     """
-    n = rec.n_qubits
-    if sorted(rec.settings) != sorted(settings_for(n)):
-        raise ValueError("incomplete tomography record")
-    table = np.zeros((3 ** n, 2 ** n))
-    for s, cnt in zip(rec.settings, rec.counts):
-        table[int(s.translate(_BASE_DIGIT), 3)] = _probability_vector(cnt, n)
-    t = _per_qubit(table.reshape((3,) * n + (2,) * n), n, _ESTIMATOR, (2, 2))
-    return t.reshape(2 ** n, 2 ** n)
+    one = isinstance(records, TomographyRecord)
+    recs = [records] if one else list(records)
+    if not recs:
+        raise ValueError("no tomography records")
+    n = recs[0].n_qubits
+    tables = np.zeros((len(recs), 3 ** n, 2 ** n))
+    for table, rec in zip(tables, recs):
+        if sorted(rec.settings) != sorted(settings_for(n)):
+            raise ValueError("incomplete tomography record")
+        for s, cnt in zip(rec.settings, rec.counts):
+            table[int(s.translate(_BASE_DIGIT), 3)] = _probability_vector(cnt, n)
+    t = _per_qubit(tables.reshape((len(recs),) + (3,) * n + (2,) * n), n, _ESTIMATOR, (2, 2))
+    t = t.reshape(len(recs), 2 ** n, 2 ** n)
+    return t[0] if one else t
 
 
-def reconstruct_state(rec: TomographyRecord) -> np.ndarray:
-    """Linear inversion then nearest-density projection; always a valid state."""
-    return la.project_to_density(_linear_inversion(rec))
+def reconstruct_state(records) -> np.ndarray:
+    """Linear inversion then nearest-density projection; always a valid
+    state.  A sequence of records gives the stack (B, 2^n, 2^n), inverted
+    and projected as one."""
+    return la.project_to_density(_linear_inversion(records))
 
 
 def reconstruct_2q(rec: TomographyRecord) -> np.ndarray:

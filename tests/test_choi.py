@@ -135,11 +135,38 @@ def test_choi_linear_exact_inputs():
         assert np.abs(cj.choi_linear(outs) - cj.analytic_choi(rep)).max() < 1e-10
 
 
+def _ref_choi_linear(outs):
+    """The kron-and-sum loop that choi_linear's single contraction replaces."""
+    omega = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            e = np.zeros((3, 3), dtype=complex)
+            e[i, j] = 1.0
+            block = sum(cj.COEFFICIENTS[3 * i + j, k] * outs[k] for k in range(9))
+            omega += np.kron(e, block)
+    return omega / 3.0
+
+
+def test_choi_linear_matches_kron_loop():
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        outs = [rand_density(rng) for _ in range(9)]
+        assert np.abs(cj.choi_linear(outs) - _ref_choi_linear(outs)).max() < 1e-15
+    for name in ("ls", "wh", "id"):
+        rep = ch.ChannelRep.analytic(name)
+        outs = [ch.apply_channel(rep, r) for r in cj.physical_basis()]
+        assert np.abs(cj.choi_linear(outs) - _ref_choi_linear(outs)).max() < 1e-15
+        # a stack of the nine outputs is accepted like the list
+        assert np.array_equal(cj.choi_linear(np.stack(outs)), cj.choi_linear(outs))
+
+
 def test_choi_linear_validation():
     with pytest.raises(ValueError):
         cj.choi_linear([np.eye(3) / 3] * 8)
     with pytest.raises(ValueError):
         cj.choi_linear([np.eye(3)] * 9)  # trace 3
+    with pytest.raises(la.ShapeError):
+        cj.choi_linear([np.eye(3) / 3] * 8 + [np.eye(4) / 4])
 
 
 def test_channel_from_choi_roundtrip():

@@ -397,3 +397,71 @@ def test_exact_readout_matches_reference():
             got = cc.counts_from_probabilities(p, 0, 5, flip)
             assert got.shots == 0 and got.seed == 5
             assert got.counts == _ref_exact_readout(p, flip)
+
+
+# --- stacks: one batched call against per-input calls ------------------------
+
+
+def _random_states(rng, shape, d):
+    psi = rng.normal(size=shape + (d,)) + 1j * rng.normal(size=shape + (d,))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+def _random_densities(rng, shape, d):
+    a = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    rho = a @ la.dagger(a)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+def test_simulate_state_stack_matches_per_state_calls():
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        c = random_circuit(rng, n, 25)
+        for shape in ((1,), (9,), (2, 3)):
+            psi = _random_states(rng, shape, 2 ** n)
+            got = cc.simulate_state(c, psi)
+            assert got.shape == psi.shape
+            for idx in np.ndindex(shape):
+                assert np.abs(got[idx] - cc.simulate_state(c, psi[idx])).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.one_of(st.none(), _noise), shape=st.sampled_from([(1,), (9,), (2, 3)]))
+def test_simulate_density_stack_matches_per_matrix_calls(n, seed, noise, shape):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, 15)
+    rho = _random_densities(rng, shape, 2 ** n)
+    got = cc.simulate_density(c, rho, noise)
+    assert got.shape == rho.shape
+    for idx in np.ndindex(shape):
+        assert np.abs(got[idx] - cc.simulate_density(c, rho[idx], noise)).max() < 1e-12
+        assert np.abs(got[idx] - _ref_simulate_density(c, rho[idx], noise)).max() < 1e-12
+
+
+def test_simulate_stack_shape_and_normalization_errors():
+    rng = np.random.default_rng(43)
+    c = random_circuit(rng, 3, 10)
+    with pytest.raises(ValueError):
+        cc.simulate_state(c, _random_states(rng, (4,), 4))          # 2 qubits, not 3
+    with pytest.raises(ValueError):
+        cc.simulate_state(c, np.array(1.0))
+    with pytest.raises(ValueError):
+        cc.simulate_density(c, _random_densities(rng, (4,), 4))
+    with pytest.raises(ValueError):
+        cc.simulate_density(c, np.ones((3, 8, 4)) / 8)               # not square
+    for noise in (None, cc.NoiseConfig(p1=0.1)):
+        with pytest.raises(ValueError):
+            cc.simulate_density(c, np.ones((2, 8)), noise)           # a state, not a density
+    psi = _random_states(rng, (5,), 8)
+    psi[3] *= 1.01  # one non-normalized state anywhere in the stack
+    with pytest.raises(ValueError, match="normalized"):
+        cc.simulate_state(c, psi)
+
+
+def test_density_register_above_budget_raises_before_allocating():
+    # the guard runs before the input is looked at, so a tiny input suffices
+    c = cc.Circuit(cc.MAX_DENSE_QUBITS + 1)
+    for noise in (None, cc.NoiseConfig(p1=0.1)):
+        with pytest.raises(cc.ResourceError, match=f"{cc.MAX_DENSE_QUBITS + 1}-qubit"):
+            cc.simulate_density(c, np.eye(2), noise)

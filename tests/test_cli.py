@@ -2,14 +2,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qutritsim import channels as ch
+from qutritsim import circuits as cc
 from qutritsim import cli
 from qutritsim import coupling as cp
+from qutritsim import decompositions as dc
+from qutritsim import encoding as enc
 from qutritsim import linalg as la
+from qutritsim import tomography as tg
+
+from test_tomography import _noise, _property
 
 
 def run(args):
@@ -263,3 +272,100 @@ def test_config_out_not_a_string_is_config_error(tmp_path, capsys, out):
     cfgfile.write_text(json.dumps({"out": out}))
     assert run(["choi", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+# --- the nine basis inputs as one batch against the per-input loop ----------
+# _ref_circuit_outputs is the loop that cli._circuit_outputs replaces: for
+# each input, prep_i + channel as one circuit, then collect and
+# reconstruct_qutrit (or, at shots = 0, the exact reduced density).
+
+
+def _full_circuit(circuit, i):
+    n = circuit.n_qubits
+    full = cc.Circuit(n)
+    full.extend(dc.prep_basis_circuit(i).remapped([2, 3], n).gates)
+    full.extend(circuit.gates)
+    return full
+
+
+def _ref_circuit_outputs(circuit, shots, seed, noise):
+    n = circuit.n_qubits
+    results = []
+    for i in range(1, 10):
+        full = _full_circuit(circuit, i)
+        if shots == 0:
+            rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+            rho0[0, 0] = 1.0
+            red = la.partial_trace(cc.simulate_density(full, rho0, noise), [2] * n, [2, 3])
+            results.append(enc.project_qutrit(red))
+        else:
+            rec = tg.collect(full, shots, seed + 100 * i, noise, measure_qubits=(2, 3))
+            results.append(tg.reconstruct_qutrit(rec))
+    return results
+
+
+def _check_batched_outputs(name, layout, shots, seed, noise):
+    circuit = cli._channel_circuit(name, cp.preset_map(layout) if layout else None)
+    got = cli._circuit_outputs(circuit, shots, seed, noise)
+    want = _ref_circuit_outputs(circuit, shots, seed, noise)
+    assert len(got) == len(want) == 9
+    for (rho_g, leak_g), (rho_w, leak_w) in zip(got, want):
+        if shots == 0:
+            assert np.abs(rho_g - rho_w).max() < 1e-12
+            assert abs(leak_g - leak_w) < 1e-12
+        else:
+            assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
+    if shots > 0:
+        # the records behind them: same counts from the same substreams
+        n = circuit.n_qubits
+        preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
+        seeds = [seed + 100 * i for i in range(1, 10)]
+        recs = tg.collect_batch(circuit, preps, shots, seeds, noise, (2, 3))
+        for i, rec in enumerate(recs, start=1):
+            ref = tg.collect(_full_circuit(circuit, i), shots, seed + 100 * i, noise, (2, 3))
+            assert rec.settings == ref.settings and rec.seed == ref.seed
+            assert [c.counts for c in rec.counts] == [c.counts for c in ref.counts]
+            assert [c.seed for c in rec.counts] == [c.seed for c in ref.counts]
+
+
+@pytest.mark.parametrize("layout", [None, "ibmqx4"])
+@pytest.mark.parametrize("name", ["ls", "wh", "id"])
+def test_circuit_outputs_match_per_input_loop(name, layout):
+    noisy = cc.NoiseConfig(p1=0.01, p2=0.05, gamma=0.02, readout_flip=0.02)
+    for noise in (cc.NoiseConfig.zero(), noisy):
+        for shots in (0, 2048):
+            _check_batched_outputs(name, layout, shots, 17, noise)
+
+
+@_property
+@given(name=st.sampled_from(["ls", "wh", "id"]), layout=st.sampled_from([None, "ibmqx4"]),
+       seed=st.integers(0, 2 ** 31 - 1), noise=st.one_of(st.just(cc.NoiseConfig.zero()), _noise),
+       shots=st.sampled_from([0, 1, 512, 8192]))
+def test_circuit_outputs_match_per_input_loop_property(name, layout, seed, noise, shots):
+    _check_batched_outputs(name, layout, shots, seed, noise)
+
+
+# 20 qubits, all-to-all on wires 0-5: every channel routes without a SWAP,
+# but route_circuit widens the register to the whole device
+_WIDE_MAP = {"n_qubits": 20, "edges": [[a, b] for a in range(6) for b in range(6) if a != b]}
+
+
+@pytest.mark.parametrize("args", [
+    ["choi", "--choi-method", "direct", "--shots", "100"],
+    ["choi", "--choi-method", "linear", "--shots", "100"],
+    ["apply", "--method", "circuit", "--shots", "0"],
+])
+def test_register_above_dense_budget_is_resource_error(tmp_path, capsys, args):
+    cmap = tmp_path / "wide.json"
+    cmap.write_text(json.dumps(_WIDE_MAP))
+    tracemalloc.start()
+    try:
+        code = run(args + ["--channel", "ls", "--coupling", str(cmap), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("resource error: 20-qubit register") and err.count("\n") == 1
+    assert peak < 2 ** 24  # a single 20-qubit state vector would be 16 MiB
+    assert not any(tmp_path.glob("apply_*")) and not any(tmp_path.glob("choi_*"))

@@ -114,6 +114,20 @@ def test_partial_trace_matches_loop_oracle():
         assert np.abs(got - want).max() < 1e-12, keep
 
 
+def test_partial_trace_stack_matches_per_matrix():
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(2, 3, 12, 12)) + 1j * rng.normal(size=(2, 3, 12, 12))
+    for keep in ([0], [2, 0], [1, 2], []):
+        got = la.partial_trace(m, [2, 3, 2], keep)
+        d = int(np.prod([[2, 3, 2][k] for k in keep]))
+        assert got.shape == (2, 3, d, d)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], la.partial_trace(m[idx], [2, 3, 2], keep)), keep
+            assert np.abs(got[idx] - partial_trace_oracle(m[idx], [2, 3, 2], keep)).max() < 1e-12
+    with pytest.raises(la.ShapeError):
+        la.partial_trace(np.zeros((3, 12, 8)), [2, 3, 2], [0])
+
+
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(5)
     m = rand_psd(rng, 8)

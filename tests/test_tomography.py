@@ -14,6 +14,8 @@ from qutritsim import encoding as enc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
 
+from qutritsim.verify import _random_circuit as random_circuit
+
 from test_channels import rand_density
 from test_linalg import (_ref_hermitian_eig, _ref_project_to_density, _ref_sqrtm_psd,
                          _stack_property, hermitian_stacks)
@@ -351,6 +353,52 @@ def test_linear_inversion_matches_reference_any_setting_order(k, seed, noise, sh
     assert np.abs(tg._linear_inversion(rec) - want).max() < 1e-12
     assert np.abs(tg._linear_inversion(shuffled) - want).max() < 1e-12
     assert np.abs(_ref_linear_inversion(shuffled) - want).max() < 1e-12
+
+
+def test_measured_states_equal_partial_trace_of_outer_product():
+    # the noiseless path reads reduced states off the amplitudes; it must
+    # equal partial_trace(|psi><psi|) bit for bit, so sampled counts do too
+    rng = np.random.default_rng(59)
+    for n in range(1, 7):
+        for _ in range(6):
+            c = random_circuit(rng, n, 30)
+            measure = tuple(int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))])
+            psi0 = np.zeros(2 ** n, dtype=complex)
+            psi0[0] = 1.0
+            psi = cc.simulate_state(c, psi0)
+            want = la.partial_trace(np.outer(psi, psi.conj()), [2] * n, list(measure))
+            got = tg.measured_states(c, [None], None, measure)
+            assert got.shape == (1,) + want.shape
+            assert np.array_equal(got[0], want), (n, measure)
+
+
+def test_reconstruct_state_stack_matches_per_record():
+    recs = []
+    for seed in range(6):
+        c, measure = _random_register(2, seed)
+        noise = cc.NoiseConfig(p2=0.05, readout_flip=0.01) if seed % 2 else None
+        recs.append(tg.collect(c, (0, 64, 8192)[seed % 3], seed, noise, measure_qubits=measure))
+    got = tg.reconstruct_state(recs)
+    assert got.shape == (6, 4, 4)
+    for rho, rec in zip(got, recs):
+        assert np.abs(rho - tg.reconstruct_state(rec)).max() < 1e-12
+        assert np.abs(tg._linear_inversion([rec])[0] - _ref_linear_inversion(rec)).max() < 1e-12
+    with pytest.raises(ValueError):
+        tg.reconstruct_state([])
+    with pytest.raises(ValueError):  # records on different numbers of qubits
+        tg.reconstruct_state([recs[0], tg.collect(cc.Circuit(3), 0, 0)])
+
+
+def test_collect_batch_checks_before_simulating():
+    c = cc.Circuit(4)
+    with pytest.raises(ValueError):
+        tg.collect_batch(c, [None, None], 10, [1])
+    with pytest.raises(ValueError):
+        tg.collect_batch(c, [None], -1, [1])
+    big = cc.Circuit(cc.MAX_DENSE_QUBITS + 1)
+    for noise in (None, cc.NoiseConfig(p1=0.1)):
+        with pytest.raises(cc.ResourceError):
+            tg.measured_states(big, [None], noise)
 
 
 # --- the batched sweep against the per-lambda loop ----------------------------
