@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,18 +291,6 @@ class Counts:
         if self.shots >= 1 and sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to shots")
 
-    def probabilities(self) -> dict:
-        total = sum(self.counts.values())
-        return {b: v / total for b, v in self.counts.items()}
-
-    def to_json(self) -> dict:
-        return {"shots": self.shots, "seed": self.seed,
-                "counts": {k: v for k, v in sorted(self.counts.items())}}
-
-    @classmethod
-    def from_json(cls, obj) -> "Counts":
-        return cls(dict(obj["counts"]), int(obj["shots"]), int(obj["seed"]))
-
 
 def born_probabilities(state_or_density: np.ndarray) -> np.ndarray:
     """Computational-basis probabilities of a state vector or density matrix."""
@@ -323,44 +312,62 @@ def normalize_probabilities(p: np.ndarray) -> np.ndarray:
 
 
 def _rng(seed) -> np.random.Generator:
-    # PCG64 seeded through SeedSequence; substreams are derived by callers as
-    # seed + setting index (documented in tomography.collect)
-    return np.random.default_rng(np.random.SeedSequence(int(seed) & (2 ** 63 - 1)))
+    """PCG64 seeded through SeedSequence.  ``seed`` is a non-negative int,
+    used unmasked as SeedSequence(seed), or a SeedSequence such as a
+    spawned child; distinct seeds or spawn keys give independent streams.
+    A negative seed raises ValueError."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        seed = np.random.SeedSequence(seed)
+    return np.random.default_rng(seed)
 
 
-def counts_from_probabilities(p: np.ndarray, shots: int, seed: int,
-                              readout_flip: float = 0.0) -> Counts:
-    """Counts from a normalized outcome distribution p over 2^n bitstrings.
+def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None,
+                 readout_flip: float = 0.0) -> np.ndarray:
+    """Outcome table (m, 2^n) from m normalized distributions p over 2^n
+    bitstrings, one per row.
 
-    shots >= 1 draws i.i.d. outcomes from substream ``seed``, then splits
-    each outcome's count over the 2^n bit-flip patterns with one multinomial
-    call.  shots = 0 is exact mode: p itself is stored, with readout error
-    applied exactly as a per-bit binary symmetric channel.
+    shots >= 1 gives int counts drawn from the one generator rng: every
+    row's multinomial in row order, then one binomial thinning per bit
+    (qubit 0 first) over the whole table, moving the shots whose readout
+    flips that bit.  Flips are independent per bit, so this is the per-bit
+    binary symmetric channel applied to every shot.  shots = 0 is exact
+    mode: p with that channel applied exactly, as floats; rng is unused.
     """
-    n = int(round(math.log2(p.size)))
+    m, d = p.shape
+    n = int(round(math.log2(d)))
     if shots == 0:
+        t = p.reshape((m,) + (2,) * n)
         if readout_flip > 0.0:
-            m = np.array([[1 - readout_flip, readout_flip],
-                          [readout_flip, 1 - readout_flip]])
-            t = p.reshape((2,) * n)
+            flip = np.array([[1 - readout_flip, readout_flip],
+                             [readout_flip, 1 - readout_flip]])
             for q in range(n):
-                t = _apply(t, m, [q])
-            p = t.reshape(-1)
-        counts = {format(b, f"0{n}b"): float(p[b]) for b in range(p.size) if p[b] > 0}
-        return Counts(counts, 0, int(seed))
-    rng = _rng(seed)
-    raw = rng.multinomial(shots, p)
+                t = _apply(t, flip, [1 + q])
+        return t.reshape(m, d).astype(float)
+    counts = rng.multinomial(shots, p)
     if readout_flip > 0.0:
-        # probability of flip pattern m depends only on its popcount
-        by_pop = [readout_flip ** k * (1 - readout_flip) ** (n - k) for k in range(n + 1)]
-        pat_probs = [by_pop[bin(m).count("1")] for m in range(p.size)]
-        # split[b, m]: shots of outcome b read out with flip pattern m; rows
-        # with raw[b] = 0 draw nothing from the stream
-        split = rng.multinomial(raw, pat_probs)
-        b_xor_m = np.arange(p.size)[:, None] ^ np.arange(p.size)
-        raw = np.take_along_axis(split, b_xor_m, axis=1).sum(axis=0)
-    counts = {format(b, f"0{n}b"): int(raw[b]) for b in np.nonzero(raw)[0]}
-    return Counts(counts, shots, int(seed))
+        outcome = np.arange(d)
+        for q in range(n):
+            moved = rng.binomial(counts, readout_flip)
+            counts += moved[:, outcome ^ (1 << (n - 1 - q))] - moved
+    return counts
+
+
+def histogram(row: np.ndarray) -> dict:
+    """Nonzero entries of one outcome row, keyed by bitstring (qubit 0
+    leftmost): ints for counts, floats for probabilities."""
+    n = int(round(math.log2(row.size)))
+    return {format(b, f"0{n}b"): row[b].item() for b in np.flatnonzero(row > 0)}
+
+
+def counts_from_probabilities(p: np.ndarray, shots: int, seed,
+                              readout_flip: float = 0.0) -> Counts:
+    """Counts from one normalized outcome distribution p over 2^n
+    bitstrings: a one-row sample_table on generator _rng(seed)."""
+    table = sample_table(p[None], shots, _rng(seed), readout_flip)
+    return Counts(histogram(table[0]), shots, int(seed))
 
 
 def sample_counts(state_or_density, shots: int, seed: int, readout_flip: float = 0.0) -> Counts:

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import channels as ch
 from . import choi as cj
 from . import circuits as cc
@@ -113,7 +115,7 @@ def _merge_config(args) -> dict:
     if cfg["choi_method"] not in ("analytic", "linear", "direct"):
         raise ConfigError(f"unknown choi method {cfg['choi_method']!r}")
     _int_option(cfg, "shots", 0)
-    _int_option(cfg, "seed")
+    _int_option(cfg, "seed", 0)
     _int_option(cfg, "grid", 2)
     for key in ("noise", "coupling", "choi_file", "out"):
         v = cfg[key]
@@ -137,16 +139,17 @@ def _circuit_outputs(circuit, shots, seed, noise) -> list:
     a stack of states (no gate noise) or densities, and the system qutrit is
     read out of wires (2, 3).  shots = 0 is exact: the nine reduced states
     themselves.  Otherwise the nine are tomographed with one shared effect
-    tensor, setting j of input i sampled with substream seed + 100 * i + j,
-    then inverted and projected as one stack.
+    tensor, input i's record sampled from its own stream
+    SeedSequence(seed, spawn_key=(i,)), then inverted and projected as one
+    stack.
     """
     n = circuit.n_qubits
     preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
     if shots == 0:
         reduced = tg.measured_states(circuit, preps, noise, (2, 3))
     else:
-        recs = tg.collect_batch(circuit, preps, shots, [seed + 100 * i for i in range(1, 10)],
-                                noise, (2, 3))
+        seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
+        recs = tg.collect_batch(circuit, preps, shots, seeds, noise, (2, 3))
         reduced = tg.reconstruct_state(recs)
     return [enc.project_qutrit(red) for red in reduced]
 

@@ -19,13 +19,14 @@ identical qutrit channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coupling as cp
-from .circuits import Circuit, Gate, unitary_of
+from .circuits import Circuit, Gate, simulate_state, unitary_of
 from .linalg import kron_all
 
 _S2 = math.sqrt(2.0)
@@ -232,19 +233,30 @@ def prep_basis_circuit(i: int) -> Circuit:
     return Circuit(2, list(_PREP_GATES[i]))
 
 
-def basis_state_vector(i: int) -> np.ndarray:
-    """The embedded 4-vector |psi_i> the prep circuit produces."""
-    from .circuits import simulate_state
+@functools.cache
+def _basis_states() -> tuple:
+    """The nine prep circuits' output 4-vectors (9, 4) and their 3x3
+    densities (9, 3, 3), simulated once and read-only."""
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
-    return simulate_state(prep_basis_circuit(i), psi0)
+    vecs = np.stack([simulate_state(prep_basis_circuit(i), psi0) for i in range(1, 10)])
+    dens = np.stack([np.outer(v[:3], v[:3].conj()) for v in vecs])
+    vecs.flags.writeable = dens.flags.writeable = False
+    return vecs, dens
+
+
+def basis_state_vector(i: int) -> np.ndarray:
+    """The embedded 4-vector |psi_i> the prep circuit produces (a copy)."""
+    if i not in _PREP_GATES:
+        raise ValueError("state index must be 1..9")
+    return _basis_states()[0][i - 1].copy()
 
 
 def basis_density(i: int) -> np.ndarray:
-    """The 3x3 density matrix rho_i of the i-th input state."""
-    v4 = basis_state_vector(i)
-    v3 = v4[:3]
-    return np.outer(v3, v3.conj())
+    """The 3x3 density matrix rho_i of the i-th input state (a copy)."""
+    if i not in _PREP_GATES:
+        raise ValueError("state index must be 1..9")
+    return _basis_states()[1][i - 1].copy()
 
 
 SUPERPOSITION_THETA = 2.0 * math.acos(1.0 / math.sqrt(3.0))  # ~1.9106 rad

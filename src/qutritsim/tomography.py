@@ -1,15 +1,17 @@
 """Shot-based measurement settings, state reconstruction, and fidelity.
 
-A complete record holds one counts histogram per setting, 3^k settings for
-k measured qubits, with per-qubit bases Z, X, Y and pre-rotations Z: none,
-X: h, Y: u1(-pi/2) then h.  Every pre-rotation gate is a one-qubit gate and
+A complete record holds one outcome row per setting, 3^k settings for k
+measured qubits, as one (3^k, 2^k) table, with per-qubit bases Z, X, Y and
+pre-rotations Z: none, X: h, Y: u1(-pi/2) then h.  Every pre-rotation gate is a one-qubit gate and
 gate noise acts only on the qubits a gate touches, so a setting's noisy
 pre-rotation is a tensor product of three possible one-qubit channels.
 ``collect`` therefore simulates the circuit once and reads all 3^k
 distributions off the reduced state with one per-qubit contraction.
 ``collect_batch`` does the same for a stack of prepared inputs: one
 simulation of the circuit over the stack, one effect tensor, one
-contraction.
+contraction.  Each record's table is sampled from its own generator, seeded
+by SeedSequence, so records with distinct seeds or spawn keys draw
+independent streams.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
@@ -22,14 +24,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg as la
-from .circuits import (Circuit, Counts, NoiseConfig, check_dense_register,
-                       counts_from_probabilities, normalize_probabilities,
-                       simulate_density, simulate_state)
+from .circuits import (Circuit, NoiseConfig, _rng, check_dense_register, histogram,
+                       normalize_probabilities, sample_table, simulate_density,
+                       simulate_state)
 from .encoding import project_qutrit
 
 BASES = ("Z", "X", "Y")
@@ -61,34 +64,88 @@ def prerotation_gates(setting: str) -> list:
     return gates
 
 
+def _nonneg_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
 @dataclass
 class TomographyRecord:
+    """Outcomes of every measurement setting of k qubits.
+
+    table[r] is the outcome row of settings[r] over the 2^k bitstrings
+    (qubit 0 the most significant bit): int counts summing to shots, or at
+    shots = 0 float probabilities.  A sampled table was drawn from the one
+    generator of SeedSequence(seed, spawn_key=spawn_key).
+    """
     settings: list
-    counts: list            # one Counts per setting
+    table: np.ndarray
     shots: int
     seed: int
+    spawn_key: tuple = ()
 
     def __post_init__(self):
-        if len(self.settings) != len(self.counts):
-            raise ValueError("one counts histogram per setting required")
+        if not self.settings or np.shape(self.table) != (len(self.settings),
+                                                         2 ** self.n_qubits):
+            raise ValueError("one row of 2^k outcomes per setting required")
 
     @property
     def n_qubits(self) -> int:
         return len(self.settings[0])
 
     def to_json(self) -> dict:
+        """Histograms as one {bitstring: value} dict of nonzero entries per
+        setting."""
         return {
             "shots": self.shots,
             "seed": self.seed,
+            "spawn_key": list(self.spawn_key),
             "settings": list(self.settings),
-            "counts": [c.to_json()["counts"] for c in self.counts],
+            "counts": [histogram(row) for row in self.table],
         }
 
     @classmethod
     def from_json(cls, obj) -> "TomographyRecord":
-        shots, seed = int(obj["shots"]), int(obj["seed"])
-        counts = [Counts(dict(c), shots, seed + i) for i, c in enumerate(obj["counts"])]
-        return cls(list(obj["settings"]), counts, shots, seed)
+        """Parse a record, raising ValueError unless it holds a complete
+        setting set, one histogram per setting, k-bit keys and, per
+        histogram, non-negative int counts summing to shots or, at
+        shots = 0, non-negative finite probabilities summing to 1 within
+        1e-9."""
+        keys = ("shots", "seed", "settings", "counts")
+        if not isinstance(obj, dict) or any(key not in obj for key in keys):
+            raise ValueError(f"a record is an object with keys {keys}")
+        shots, seed, settings, hists = (obj[key] for key in keys)
+        spawn_key = obj.get("spawn_key", [])
+        if not (_nonneg_int(shots) and shots < 2 ** 63 and _nonneg_int(seed)
+                and isinstance(spawn_key, list) and all(_nonneg_int(v) for v in spawn_key)):
+            raise ValueError("shots (below 2^63), seed and spawn_key entries must be "
+                             "non-negative integers")
+        if not (isinstance(settings, list) and settings
+                and all(isinstance(x, str) for x in settings)):
+            raise ValueError("settings must be a list of strings")
+        k = len(settings[0])
+        if k < 1 or len(settings) != 3 ** k or sorted(settings) != sorted(settings_for(k)):
+            raise ValueError("settings must list every setting of k >= 1 qubits once")
+        if not isinstance(hists, list) or len(hists) != len(settings):
+            raise ValueError("one histogram per setting required")
+        table = np.zeros((len(settings), 2 ** k), dtype=int if shots else float)
+        for row, hist in zip(table, hists):
+            if not isinstance(hist, dict):
+                raise ValueError("a histogram is a {bitstring: value} object")
+            for key, v in hist.items():
+                if len(key) != k or set(key) - {"0", "1"}:
+                    raise ValueError(f"outcome {key!r} is not a {k}-bit string")
+                if shots:
+                    ok = _nonneg_int(v) and v <= shots
+                else:
+                    ok = (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                          and math.isfinite(v) and v >= 0)
+                if not ok:
+                    raise ValueError(f"bad value {v!r} for outcome {key!r}")
+                row[int(key, 2)] = v
+            total = row.sum()
+            if (shots and total != shots) or (not shots and abs(total - 1.0) > 1e-9):
+                raise ValueError("a histogram must sum to shots (to 1 at shots = 0)")
+        return cls(list(settings), table, shots, seed, tuple(spawn_key))
 
 
 def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
@@ -170,7 +227,7 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig | None = None,
     return la.partial_trace(simulate_density(c, np.stack(inputs), noise), [2] * n, measure)
 
 
-def _readout(rho_meas: np.ndarray, shots: int, seeds, noise: NoiseConfig | None) -> list:
+def _readout(rho_meas: np.ndarray, shots: int, rngs, noise: NoiseConfig | None) -> list:
     """One TomographyRecord per reduced state of the stack (B, 2^k, 2^k).
 
     The (B, 3^k, 2^k) table of outcome distributions of all settings comes
@@ -180,32 +237,42 @@ def _readout(rho_meas: np.ndarray, shots: int, seeds, noise: NoiseConfig | None)
     one-qubit gate and NoiseConfig acts only on the qubits a gate touches,
     so each setting's noisy pre-rotation is a tensor product of one-qubit
     channels.  Each row is clipped and normalized like born_probabilities.
-    Setting i of state b is sampled from substream seeds[b] + i.
+    State b's table is sampled by sample_table from generator rngs[b],
+    settings in settings_for order.
     """
     k = int(round(math.log2(rho_meas.shape[-1])))
     effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
     t = _per_qubit(rho_meas.reshape((-1,) + (2,) * (2 * k)), k, effect, (3, 2))
     tables = normalize_probabilities(t.real.reshape(-1, 3 ** k, 2 ** k))
     flip = noise.readout_flip if noise is not None else 0.0
-    return [TomographyRecord(settings_for(k),
-                             [counts_from_probabilities(p, shots, seed + i, flip)
-                              for i, p in enumerate(table)], shots, seed)
-            for table, seed in zip(tables, seeds)]
+    records = []
+    for table, rng in zip(tables, rngs):
+        seq = rng.bit_generator.seed_seq
+        records.append(TomographyRecord(settings_for(k), sample_table(table, shots, rng, flip),
+                                        shots, seq.entropy, seq.spawn_key))
+    return records
 
 
 def collect_batch(c: Circuit, preps, shots: int, seeds, noise: NoiseConfig | None = None,
                   measure_qubits=None) -> list:
     """Tomograph a stack of prepared inputs with one run of the circuit: one
-    TomographyRecord per prep circuit (see measured_states), the one of
-    preps[b] sampled with seed seeds[b] as collect does."""
+    TomographyRecord per prep circuit (see measured_states).
+
+    The record of preps[b] is sampled from one generator seeded by
+    seeds[b], a non-negative int or a SeedSequence (circuits._rng); give
+    the inputs distinct seeds or spawn keys, e.g.
+    SeedSequence(seed, spawn_key=(b,)), for independent streams.  Shots and
+    seeds are checked before anything is simulated.
+    """
     if shots < 0:
         raise ValueError("shots must be >= 0")
     if len(seeds) != len(preps):
         raise ValueError("one seed per prep circuit required")
-    return _readout(measured_states(c, preps, noise, measure_qubits), shots, seeds, noise)
+    rngs = [_rng(seed) for seed in seeds]
+    return _readout(measured_states(c, preps, noise, measure_qubits), shots, rngs, noise)
 
 
-def collect(c: Circuit, shots: int, seed: int, noise: NoiseConfig | None = None,
+def collect(c: Circuit, shots: int, seed, noise: NoiseConfig | None = None,
             measure_qubits=None) -> TomographyRecord:
     """Run the circuit once on |0...0>, then sample every measurement
     setting of the measured qubits: collect_batch on a stack of one.
@@ -216,18 +283,11 @@ def collect(c: Circuit, shots: int, seed: int, noise: NoiseConfig | None = None,
     shots = 0 is exact mode: Born probabilities are stored in place of
     sampled counts, with readout error applied exactly.
 
-    Sampling for setting index i uses substream seed + i, so settings may
-    be evaluated in any order (or in parallel) without changing results.
+    The whole (3^k, 2^k) table is drawn from one generator seeded by seed
+    (a non-negative int or a SeedSequence), settings in settings_for
+    order, so distinct seeds give independent records.
     """
     return collect_batch(c, [None], shots, [seed], noise, measure_qubits)[0]
-
-
-def _probability_vector(counts: Counts, n: int) -> np.ndarray:
-    p = np.zeros(2 ** n)
-    for b, v in counts.counts.items():
-        p[int(b, 2)] += v
-    s = p.sum()
-    return p / s
 
 
 def _linear_inversion(records) -> np.ndarray:
@@ -238,19 +298,24 @@ def _linear_inversion(records) -> np.ndarray:
     Averaging each Pauli string's expectation over every setting that
     measures it factorizes per qubit: outcome o of basis s contributes
     R[s, o] = (I/3 + (-1)^o sigma_s) / 2 on that qubit.  The whole stack is
-    one per-qubit contraction.
+    one per-qubit contraction over the normalized tables; a record whose
+    settings are not in settings_for order has its rows reordered first.
     """
     one = isinstance(records, TomographyRecord)
     recs = [records] if one else list(records)
     if not recs:
         raise ValueError("no tomography records")
     n = recs[0].n_qubits
-    tables = np.zeros((len(recs), 3 ** n, 2 ** n))
+    canonical = settings_for(n)
+    tables = np.empty((len(recs), 3 ** n, 2 ** n))
     for table, rec in zip(tables, recs):
-        if sorted(rec.settings) != sorted(settings_for(n)):
+        if rec.settings == canonical:
+            table[:] = rec.table
+        elif sorted(rec.settings) == sorted(canonical):
+            table[[int(s.translate(_BASE_DIGIT), 3) for s in rec.settings]] = rec.table
+        else:
             raise ValueError("incomplete tomography record")
-        for s, cnt in zip(rec.settings, rec.counts):
-            table[int(s.translate(_BASE_DIGIT), 3)] = _probability_vector(cnt, n)
+    tables /= tables.sum(axis=-1, keepdims=True)
     t = _per_qubit(tables.reshape((len(recs),) + (3,) * n + (2,) * n), n, _ESTIMATOR, (2, 2))
     t = t.reshape(len(recs), 2 ** n, 2 ** n)
     return t[0] if one else t

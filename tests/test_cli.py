@@ -191,6 +191,20 @@ def test_config_seed_not_integer_is_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG and "config error:" in err
 
 
+def test_seed_negative_is_config_error_and_large_seeds_unmasked(tmp_path, capsys):
+    args = ["choi", "--choi-method", "direct", "--shots", "1000"]
+    assert run(args + ["--seed", "-1", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not any(tmp_path.glob("choi_*"))
+    # seeds equal modulo 2^63 draw different streams
+    files = []
+    for seed in (5, 2 ** 63 + 5, 2 ** 63 - 1, 2 ** 64 - 1):
+        out = tmp_path / str(seed)
+        assert run(args + ["--seed", str(seed), "--out", str(out)]) == 0
+        files.append((out / "choi_ls_direct.json").read_text())
+    assert len(set(files)) == len(files)
+
+
 def test_sweep_grid_below_two_is_config_error(tmp_path, capsys):
     assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
     code = run(["sweep", "--channel", "ls", "--grid", "1",
@@ -288,6 +302,10 @@ def _full_circuit(circuit, i):
     return full
 
 
+def _input_seed(seed, i):
+    return np.random.SeedSequence(seed, spawn_key=(i,))
+
+
 def _ref_circuit_outputs(circuit, shots, seed, noise):
     n = circuit.n_qubits
     results = []
@@ -299,7 +317,7 @@ def _ref_circuit_outputs(circuit, shots, seed, noise):
             red = la.partial_trace(cc.simulate_density(full, rho0, noise), [2] * n, [2, 3])
             results.append(enc.project_qutrit(red))
         else:
-            rec = tg.collect(full, shots, seed + 100 * i, noise, measure_qubits=(2, 3))
+            rec = tg.collect(full, shots, _input_seed(seed, i), noise, measure_qubits=(2, 3))
             results.append(tg.reconstruct_qutrit(rec))
     return results
 
@@ -316,16 +334,16 @@ def _check_batched_outputs(name, layout, shots, seed, noise):
         else:
             assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
     if shots > 0:
-        # the records behind them: same counts from the same substreams
+        # the records behind them: same counts from the same streams
         n = circuit.n_qubits
         preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
-        seeds = [seed + 100 * i for i in range(1, 10)]
+        seeds = [_input_seed(seed, i) for i in range(1, 10)]
         recs = tg.collect_batch(circuit, preps, shots, seeds, noise, (2, 3))
         for i, rec in enumerate(recs, start=1):
-            ref = tg.collect(_full_circuit(circuit, i), shots, seed + 100 * i, noise, (2, 3))
+            ref = tg.collect(_full_circuit(circuit, i), shots, _input_seed(seed, i), noise, (2, 3))
             assert rec.settings == ref.settings and rec.seed == ref.seed
-            assert [c.counts for c in rec.counts] == [c.counts for c in ref.counts]
-            assert [c.seed for c in rec.counts] == [c.seed for c in ref.counts]
+            assert rec.spawn_key == ref.spawn_key == (i,)
+            assert np.array_equal(rec.table, ref.table)
 
 
 @pytest.mark.parametrize("layout", [None, "ibmqx4"])

@@ -186,6 +186,18 @@ def test_basis_density_matches_published_inputs():
     assert np.abs(dc.basis_density(9) - r9).max() < 1e-12
 
 
+def test_basis_states_are_fresh_copies():
+    # the nine states are built once; a caller mutating its copy must not
+    # change what the next caller gets
+    for get in (dc.basis_density, dc.basis_state_vector):
+        first = get(4)
+        want = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(get(4), want)
+        with pytest.raises(ValueError):
+            get(10)
+
+
 def test_prep_superposition():
     assert abs(dc.SUPERPOSITION_THETA - 1.9106) < 1e-3
     psi0 = np.zeros(4); psi0[0] = 1

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -41,15 +42,15 @@ def test_prerotations_map_eigenbasis():
 def test_collect_identity_circuit():
     rec = tg.collect(cc.Circuit(2), shots=100, seed=5)
     assert len(rec.settings) == 9
-    zz = rec.counts[rec.settings.index("ZZ")]
-    assert zz.counts == {"00": 100}
+    zz = rec.table[rec.settings.index("ZZ")]
+    assert cc.histogram(zz) == {"00": 100}
 
 
 def test_collect_bell_parity():
     c = cc.Circuit(2, [("h", (), (0,)), ("cnot", (), (0, 1))])
     rec = tg.collect(c, shots=20000, seed=3)
-    xx = rec.counts[rec.settings.index("XX")]
-    even = sum(v for b, v in xx.counts.items() if (b.count("1") % 2) == 0)
+    xx = rec.table[rec.settings.index("XX")]
+    even = sum(v for b, v in cc.histogram(xx).items() if (b.count("1") % 2) == 0)
     assert even / 20000 > 0.99
 
 
@@ -57,7 +58,7 @@ def test_collect_deterministic_and_order_independent():
     c = cc.Circuit(2, [("h", (), (0,))])
     a = tg.collect(c, shots=500, seed=11)
     b = tg.collect(c, shots=500, seed=11)
-    assert all(x.counts == y.counts for x, y in zip(a.counts, b.counts))
+    assert all(cc.histogram(x) == cc.histogram(y) for x, y in zip(a.table, b.table))
 
 
 def test_reconstruct_exact_record():
@@ -129,7 +130,7 @@ def test_reconstruct_channel_output_high_shots():
 def test_incomplete_record_rejected():
     rec = tg.collect(cc.Circuit(2), shots=4, seed=0)
     rec.settings = rec.settings[:-1]
-    rec.counts = rec.counts[:-1]
+    rec.table = rec.table[:-1]
     with pytest.raises(ValueError):
         tg.reconstruct_2q(rec)
 
@@ -192,15 +193,17 @@ def test_record_json_roundtrip(tmp_path):
     tg.record_to_json_file(p, rec)
     back = tg.record_from_json_file(p)
     assert back.settings == rec.settings
-    assert all(a.counts == b.counts for a, b in zip(back.counts, rec.counts))
+    assert all(cc.histogram(a) == cc.histogram(b) for a, b in zip(back.table, rec.table))
     assert np.abs(tg.reconstruct_2q(back) - tg.reconstruct_2q(rec)).max() < 1e-12
 
 
 # --- equivalence with the per-setting reference implementation ---------------
 # _ref_collect runs one noisy pre-rotation fragment per setting, _ref_sample
-# splits readout flips with one multinomial per outcome, and
-# _ref_linear_inversion sums Pauli-string estimates in a dict and builds each
-# operator with kron.  The batched code in tomography and circuits must agree.
+# draws a table from one generator with scalar loops (each row's multinomial
+# in settings order, then per bit, qubit 0 first, one binomial per entry),
+# and _ref_linear_inversion sums Pauli-string estimates in a dict and builds
+# each operator with kron.  The batched code in tomography and circuits must
+# agree.
 
 _REF_PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -210,23 +213,23 @@ _REF_PAULI = {
 }
 
 
-def _ref_sample(state, shots, seed, readout_flip=0.0):
-    p = cc.born_probabilities(state)
-    n = int(round(math.log2(p.size)))
+def _ref_sample(probs, shots, seed, readout_flip=0.0):
+    probs = np.atleast_2d(probs)
     rng = cc._rng(seed)
-    raw = rng.multinomial(shots, p)
+    raw = np.array([rng.multinomial(shots, p) for p in probs])
+    n = int(round(math.log2(probs.shape[1])))
     if readout_flip > 0.0:
-        flipped = np.zeros_like(raw)
-        pat_probs = np.array(
-            [readout_flip ** bin(m).count("1") * (1 - readout_flip) ** (n - bin(m).count("1"))
-             for m in range(p.size)])
-        for b in np.nonzero(raw)[0]:
-            split = rng.multinomial(raw[b], pat_probs)
-            for m in np.nonzero(split)[0]:
-                flipped[b ^ m] += split[m]
-        raw = flipped
-    counts = {format(b, f"0{n}b"): int(raw[b]) for b in np.nonzero(raw)[0]}
-    return cc.Counts(counts, shots, int(seed))
+        for q in range(n):
+            bit = 1 << (n - 1 - q)
+            moved = np.zeros_like(raw)
+            for r in range(raw.shape[0]):
+                for b in range(raw.shape[1]):
+                    moved[r, b] = rng.binomial(int(raw[r, b]), readout_flip)
+            for r in range(raw.shape[0]):
+                for b in range(raw.shape[1]):
+                    raw[r, b] -= moved[r, b]
+                    raw[r, b ^ bit] += moved[r, b]
+    return raw
 
 
 def _ref_collect(c, shots, seed, noise=None, measure_qubits=None):
@@ -243,15 +246,16 @@ def _ref_collect(c, shots, seed, noise=None, measure_qubits=None):
     k = len(measure)
     flip = noise.readout_flip if noise is not None else 0.0
     settings_k = tg.settings_for(k)
-    all_counts = []
-    for i, s in enumerate(settings_k):
+    probs = []
+    for s in settings_k:
         frag = cc.Circuit(k, tg.prerotation_gates(s))
         rho = cc.simulate_density(frag, rho_meas, noise)
         if shots == 0:
-            all_counts.append(cc.exact_counts(rho, seed=seed + i, readout_flip=flip))
+            probs.append(_vec(cc.exact_counts(rho, seed=seed, readout_flip=flip), k))
         else:
-            all_counts.append(_ref_sample(rho, shots, seed + i, flip))
-    return tg.TomographyRecord(settings_k, all_counts, shots, seed)
+            probs.append(cc.born_probabilities(rho))
+    table = np.array(probs) if shots == 0 else _ref_sample(probs, shots, seed, flip)
+    return tg.TomographyRecord(settings_k, table, shots, seed)
 
 
 def _vec(counts, n):
@@ -266,8 +270,8 @@ def _ref_linear_inversion(rec):
     d = 2 ** n
     pop = np.array([[(-1) ** bin(m & b).count("1") for b in range(d)] for m in range(d)])
     est_sum, est_cnt = {}, {}
-    for s, cnt in zip(rec.settings, rec.counts):
-        p = _vec(cnt, n)
+    for s, row in zip(rec.settings, rec.table):
+        p = row / row.sum()
         for mask in range(d):
             pauli = tuple(s[q] if (mask >> (n - 1 - q)) & 1 else "I" for q in range(n))
             est_sum[pauli] = est_sum.get(pauli, 0.0) + float(pop[mask] @ p)
@@ -309,9 +313,9 @@ def test_collect_exact_matches_per_setting_reference(k, seed, noise):
     got = tg.collect(c, 0, seed, noise, measure_qubits=measure)
     want = _ref_collect(c, 0, seed, noise, measure_qubits=measure)
     assert got.settings == want.settings
-    for a, b in zip(got.counts, want.counts):
-        assert a.seed == b.seed and a.shots == 0
-        assert np.abs(_vec(a, k) - _vec(b, k)).max() < 1e-12
+    assert got.seed == want.seed and got.shots == 0
+    for a, b in zip(got.table, want.table):
+        assert np.abs(a / a.sum() - b / b.sum()).max() < 1e-12
 
 
 @_property
@@ -321,8 +325,8 @@ def test_collect_noisy_counts_bit_identical_to_reference(k, seed, noise, shots):
     c, measure = _random_register(k, seed)
     got = tg.collect(c, shots, seed, noise, measure_qubits=measure)
     want = _ref_collect(c, shots, seed, noise, measure_qubits=measure)
-    assert [x.counts for x in got.counts] == [x.counts for x in want.counts]
-    assert [x.seed for x in got.counts] == [x.seed for x in want.counts]
+    assert got.table.dtype == want.table.dtype and np.array_equal(got.table, want.table)
+    assert got.seed == want.seed and got.spawn_key == ()
 
 
 def test_readout_flip_split_matches_loop():
@@ -337,7 +341,8 @@ def test_readout_flip_split_matches_loop():
         for flip in (0.001, 0.05, 0.5):
             for shots in (1, 37, 100000):
                 got = cc.sample_counts(psi, shots, seed, flip)
-                assert got.counts == _ref_sample(psi, shots, seed, flip).counts
+                want = _ref_sample(cc.born_probabilities(psi), shots, seed, flip)[0]
+                assert got.counts == cc.histogram(want)
 
 
 @_property
@@ -348,7 +353,7 @@ def test_linear_inversion_matches_reference_any_setting_order(k, seed, noise, sh
     rec = tg.collect(c, shots, seed, noise, measure_qubits=measure)
     order = np.random.default_rng(seed).permutation(len(rec.settings))
     shuffled = tg.TomographyRecord([rec.settings[i] for i in order],
-                                   [rec.counts[i] for i in order], shots, seed)
+                                   rec.table[order], shots, seed)
     want = _ref_linear_inversion(rec)
     assert np.abs(tg._linear_inversion(rec) - want).max() < 1e-12
     assert np.abs(tg._linear_inversion(shuffled) - want).max() < 1e-12
@@ -399,6 +404,149 @@ def test_collect_batch_checks_before_simulating():
     for noise in (None, cc.NoiseConfig(p1=0.1)):
         with pytest.raises(cc.ResourceError):
             tg.measured_states(big, [None], noise)
+
+
+# --- record JSON boundary, seeds and streams ---------------------------------
+
+
+def _set(path, value):
+    def mutate(obj):
+        *keys, last = path
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+def _drop_last_setting(obj):
+    obj["settings"].pop()
+    obj["counts"].pop()
+
+
+def _repeat_setting(obj):
+    obj["settings"][-1] = obj["settings"][0]
+
+
+@pytest.mark.parametrize("shots, mutate", [
+    (20, _set(("counts", 0), {"0000": 20})),             # key of the wrong width
+    (20, _set(("counts", 0), {"00": 25, "01": -5})),     # negative count
+    (20, _set(("counts", 0), {"111": 20})),              # key of the wrong width
+    (20, _set(("counts", 0), {"0a": 20})),               # not a bitstring
+    (20, _set(("counts", 0), {"00": 19.5, "01": 0.5})),  # not an integer
+    (20, _set(("counts", 0), {"00": True, "01": 19})),   # not an integer
+    (20, _set(("counts", 0), {"00": 19})),               # does not sum to shots
+    (20, _set(("counts", 0), [20, 0, 0, 0])),            # not an object
+    (20, _set(("shots",), -20)),
+    (20, _set(("shots",), 2 ** 64)),                     # above the int64 table
+    (20, _set(("seed",), -1)),
+    (20, _set(("seed",), "9")),
+    (20, _set(("spawn_key",), [-1])),
+    (20, _drop_last_setting),                            # incomplete setting set
+    (20, _repeat_setting),                               # a setting twice
+    (20, lambda obj: obj["counts"].pop()),               # one histogram short
+    (20, lambda obj: obj.pop("settings")),
+    (0, _set(("counts", 0), {"00": 1.0 + 1e-6})),        # does not sum to 1
+    (0, _set(("counts", 0), {"00": 1.5, "01": -0.5})),  # negative probability
+    (0, _set(("counts", 0), {"00": float("nan")})),
+    (0, _set(("counts", 0), {"00": float("inf")})),
+    (0, _set(("counts", 0), {"000": 1.0})),
+])
+def test_record_from_json_rejects_malformed(shots, mutate):
+    obj = tg.collect(dc.prep_basis_circuit(6), shots=shots, seed=9).to_json()
+    tg.TomographyRecord.from_json(json.loads(json.dumps(obj)))
+    mutate(obj)
+    with pytest.raises(ValueError):
+        tg.TomographyRecord.from_json(obj)
+
+
+@_property
+@given(k=st.integers(1, 3), shots=st.sampled_from([0, 1, 7, 10 ** 6]),
+       seed=st.integers(0, 2 ** 70), spawn_key=st.lists(st.integers(0, 2 ** 40), max_size=2),
+       draw=st.integers(0, 2 ** 32 - 1))
+def test_record_json_roundtrip_is_bit_identical(k, shots, seed, spawn_key, draw):
+    rng = np.random.default_rng(draw)
+    settings = [tg.settings_for(k)[i] for i in rng.permutation(3 ** k)]
+    weights = rng.dirichlet(np.full(2 ** k, 0.3), size=3 ** k)
+    weights[rng.random(weights.shape) < 0.3] = 0.0
+    weights[:, 0] += 1e-3
+    p = weights / weights.sum(axis=1, keepdims=True)
+    table = p if shots == 0 else rng.multinomial(shots, p)
+    rec = tg.TomographyRecord(settings, table, shots, seed, tuple(spawn_key))
+    back = tg.TomographyRecord.from_json(json.loads(json.dumps(rec.to_json())))
+    assert (back.settings, back.shots, back.seed, back.spawn_key) == (
+        settings, shots, seed, tuple(spawn_key))
+    assert back.table.dtype.kind == table.dtype.kind
+    assert np.array_equal(back.table, table)
+
+
+def test_seed_is_validated_and_not_masked():
+    c = cc.Circuit(2, [("h", (), (0,)), ("h", (), (1,))])
+    for bad in (-1, -2 ** 63):
+        with pytest.raises(ValueError, match="seed"):
+            tg.collect(c, 100, bad)
+        with pytest.raises(ValueError, match="seed"):
+            cc.sample_counts(np.ones(4) / 2, 100, bad)
+    with pytest.raises(ValueError, match="seed"):  # checked before simulating
+        tg.collect_batch(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), [None], 10, [-1])
+    # seeds equal modulo 2^63 draw different streams
+    tables = [tg.collect(c, 1000, s).table for s in (5, 2 ** 63 + 5, 2 ** 63 - 1, 2 ** 64 - 1)]
+    assert len({t.tobytes() for t in tables}) == len(tables)
+
+
+def _mixed_pair():
+    """4 qubits with (0, 1) maximally entangled with (2, 3): the pair (0, 1)
+    is maximally mixed, so all nine settings have one distribution."""
+    return cc.Circuit(4, [("h", (), (0,)), ("h", (), (1,)),
+                          ("cnot", (), (0, 2)), ("cnot", (), (1, 3))])
+
+
+def test_records_with_distinct_seeds_share_no_rows():
+    # with one outcome distribution for every setting, records drawn from
+    # overlapping streams repeat rows (per-setting streams seed + i made
+    # row j + 1 of seed s equal to row j of seed s + 1).  At 10^6 shots two
+    # independent rows coincide with probability about 4e-10 per pair.
+    c, shots, measure = _mixed_pair(), 10 ** 6, (0, 1)
+    recs = [tg.collect(c, shots, seed, measure_qubits=measure) for seed in range(40)]
+    recs += [tg.collect(c, shots, 1000 * s + i, measure_qubits=measure)  # criterion 7's seeds
+             for s in range(1, 4) for i in range(1, 10)]
+    for seed in range(4):
+        children = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
+        recs += tg.collect_batch(c, [None] * 9, shots, children, measure_qubits=measure)
+    rows = np.concatenate([rec.table for rec in recs])
+    assert rows.shape == (len(recs) * 9, 4)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+def _chi2_upper(df, z=3.090):
+    """Wilson-Hilferty approximation of the chi-square quantile z standard
+    normal deviations above the mean; z = 3.090 is the one-sided 1e-3 point."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize("flip", [0.0, 0.05])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sampled_table_fits_exact_table(k, flip):
+    # Pearson chi-square of a sampled record against the exact-mode record
+    # of the same circuit, significance level 1e-3 per case, fixed seeds;
+    # per row, cells expecting fewer than 5 shots are pooled into one
+    c, measure = _random_register(k, 500 + k)
+    noise = cc.NoiseConfig(p2=0.02, readout_flip=flip)
+    shots = 20000
+    exact = tg.collect(c, 0, 0, noise, measure_qubits=measure).table
+    got = tg.collect(c, shots, 700 + k, noise, measure_qubits=measure).table
+    assert np.all(got.sum(axis=1) == shots)
+    stat, df = 0.0, 0
+    for obs, p in zip(got, exact):
+        want = shots * p
+        assert obs[want == 0].sum() == 0
+        small = want < 5
+        o = np.append(obs[~small], obs[small].sum())
+        e = np.append(want[~small], want[small].sum())
+        o, e = o[e > 0], e[e > 0]
+        stat += float(np.sum((o - e) ** 2 / e))
+        df += len(e) - 1
+    assert stat < _chi2_upper(df), (stat, df)
 
 
 # --- the batched sweep against the per-lambda loop ----------------------------
