@@ -8,6 +8,8 @@ Phi(rho) = 3 Tr_in((rho^T (x) I) Omega).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import linalg as la
@@ -25,6 +27,19 @@ def analytic_choi(channel: ChannelRep) -> np.ndarray:
     if channel.dim != 3:
         raise la.ShapeError("analytic_choi expects a qutrit channel")
     return choi_of(channel)
+
+
+@functools.cache
+def _named_choi(name: str) -> np.ndarray:
+    omega = analytic_choi(ChannelRep.analytic(name))
+    omega.flags.writeable = False
+    return omega
+
+
+def named_choi(name: str) -> np.ndarray:
+    """Analytic Choi matrix of the channel 'ls', 'wh' or 'id' (a copy of
+    one built once per name)."""
+    return _named_choi(name).copy()
 
 
 # Coefficient matrix expressing each |i><j| in terms of the nine physical

@@ -10,9 +10,9 @@ Conventions, used everywhere in this package:
   u2(phi, lam) = u3(pi/2, phi, lam), u1(lam) = diag(1, e^{i lam});
   ry(theta) == u3(theta, 0, 0).
 
-Every simulation path goes through one kernel, ``_apply(t, m, axes)``: a
-tensordot of the 2^k x 2^k matrix m into k size-2 axes of t, then a moveaxis
-that puts the image back on those axes.
+Every simulation path goes through one kernel, ``_apply(t, m, axes)``: one
+BLAS product of the 2^k x 2^k matrix m with t, its k size-2 axes moved to
+the front and the rest flattened, transposed back onto the same axes.
 
 * States and unitaries: t has axes (q_0..q_{n-1}, batch).  simulate_state
   runs a stack of states as the batch; unitary_of runs the identity as a
@@ -22,7 +22,7 @@ that puts the image back on those axes.
   A gate on qubits (a, b) is one 4^k x 4^k superoperator on axes
   (a, b, n+a, n+b), row-major over those axes: N (u (x) conj(u)), where N
   applies the 4x4 per-qubit noise (depolarizing, then amplitude damping) to
-  each touched qubit's (row, col) pair.
+  each touched qubit's (row, col) pair, built once per distinct gate.
 * Exact readout: the 2x2 bit-flip matrix on each outcome axis.
 """
 
@@ -167,10 +167,15 @@ def gate_matrix(g: Gate) -> np.ndarray:
 
 def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     """Contract the 2^k x 2^k matrix m into the k listed (size-2) axes of t;
-    the image of the listed axes keeps their positions."""
-    k = len(axes)
-    t = np.tensordot(m.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(t, range(k), axes)
+    the image of the listed axes keeps their positions.  The product has
+    the operands np.tensordot builds: bit for bit tensordot then moveaxis."""
+    rest = [a for a in range(t.ndim) if a not in axes]
+    src = [*axes, *rest]
+    out = np.dot(m, t.transpose(src).reshape(len(m), -1))
+    inv = [0] * t.ndim
+    for i, a in enumerate(src):
+        inv[a] = i
+    return out.reshape([2] * len(axes) + [t.shape[a] for a in rest]).transpose(inv)
 
 
 def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
@@ -241,6 +246,24 @@ def _qubit_noise(p: float, gamma: float) -> np.ndarray:
     return (np.kron(k0, k0) + np.kron(k1, k1)) @ depolarize
 
 
+def gate_superops(gates, noise: NoiseConfig) -> list:
+    """N (u (x) conj(u)) of each gate on its axes (q.., n + q..), built once
+    per distinct (name, params).  N: the one-qubit 4x4 noise, or for a CNOT
+    two p2 copies reordered from (q0, n + q0, q1, n + q1) to (q0, q1, n + q0,
+    n + q1).  The (x) broadcasts, bit for bit np.kron."""
+    cnot_qubit = _qubit_noise(noise.p2, noise.gamma)
+    cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)
+    gate_noise = {1: _qubit_noise(noise.p1, noise.gamma),
+                  2: cnot_noise.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)}
+    built = {}
+    for g in gates:
+        if (g.name, g.params) not in built:
+            u = gate_matrix(g)
+            uu = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
+            built[g.name, g.params] = gate_noise[len(g.qubits)] @ uu
+    return [built[g.name, g.params] for g in gates]
+
+
 def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig | None = None) -> np.ndarray:
     """Evolve a density matrix, or every matrix of a stack (..., 2^n, 2^n),
     through a circuit.
@@ -248,10 +271,10 @@ def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig |
     Without gate noise this is U rho U+, with U built as in unitary_of but
     without its 6-qubit limit (U is no larger than rho).  With noise, each
     gate on qubits Q is one superoperator on the axes (q.., n + q..), q in
-    Q, of the (2,)*2n density tensor: u (x) conj(u), then per-touched-qubit
-    depolarizing (p1 for one-qubit gates, p2 for CNOT), then amplitude
-    damping gamma; a stack rides along as a trailing batch axis.  Readout
-    error is not applied here; it belongs to sampling.
+    Q, of the (2,)*2n density tensor (gate_superops): u (x) conj(u), then
+    per-touched-qubit depolarizing (p1 for one-qubit gates, p2 for CNOT),
+    then amplitude damping gamma; a stack rides along as a trailing batch
+    axis.  Readout error is not applied here; it belongs to sampling.
 
     Registers above MAX_DENSE_QUBITS (10) qubits raise ResourceError before
     anything is allocated.
@@ -265,17 +288,8 @@ def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig |
         u = _unitary(c)
         return u @ rho @ u.conj().T
     n = c.n_qubits
-    # noise on a gate's axes (q.., n + q..): the one-qubit 4x4 for a one-qubit
-    # gate; for a CNOT, two p2 copies reordered from (q0, n + q0, q1, n + q1)
-    # to (q0, q1, n + q0, n + q1)
-    cnot_qubit = _qubit_noise(noise.p2, noise.gamma)
-    cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)
-    gate_noise = {1: _qubit_noise(noise.p1, noise.gamma),
-                  2: cnot_noise.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)}
     t = np.moveaxis(rho.reshape(-1, d, d), 0, -1).reshape((2,) * (2 * n) + (-1,))
-    for g in c.gates:
-        u = gate_matrix(g)
-        superop = gate_noise[len(g.qubits)] @ np.kron(u, u.conj())
+    for g, superop in zip(c.gates, gate_superops(c.gates, noise)):
         t = _apply(t, superop, g.qubits + tuple(n + q for q in g.qubits))
     return np.moveaxis(t.reshape(d, d, -1), -1, 0).reshape(rho.shape)
 
@@ -324,6 +338,16 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# Counts are int64, so a table holds at most 2^63 - 1 shots.
+MAX_SHOTS = 2 ** 63 - 1
+
+
+def check_shots(shots: int, minimum: int = 0) -> None:
+    """Raise ValueError unless minimum <= shots <= MAX_SHOTS."""
+    if not minimum <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [{minimum}, {MAX_SHOTS}], got {shots}")
+
+
 def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None,
                  readout_flip: float = 0.0) -> np.ndarray:
     """Outcome table (m, 2^n) from m normalized distributions p over 2^n
@@ -335,7 +359,9 @@ def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None,
     flips that bit.  Flips are independent per bit, so this is the per-bit
     binary symmetric channel applied to every shot.  shots = 0 is exact
     mode: p with that channel applied exactly, as floats; rng is unused.
+    shots outside [0, MAX_SHOTS] raise ValueError.
     """
+    check_shots(shots)
     m, d = p.shape
     n = int(round(math.log2(d)))
     if shots == 0:
@@ -373,8 +399,7 @@ def counts_from_probabilities(p: np.ndarray, shots: int, seed,
 def sample_counts(state_or_density, shots: int, seed: int, readout_flip: float = 0.0) -> Counts:
     """Draw i.i.d. Born-rule outcomes, then flip each outcome bit independently
     with probability readout_flip.  Deterministic given the seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots, 1)
     return counts_from_probabilities(born_probabilities(state_or_density),
                                      shots, seed, readout_flip)
 

@@ -115,6 +115,8 @@ def _merge_config(args) -> dict:
     if cfg["choi_method"] not in ("analytic", "linear", "direct"):
         raise ConfigError(f"unknown choi method {cfg['choi_method']!r}")
     _int_option(cfg, "shots", 0)
+    if cfg["shots"] > cc.MAX_SHOTS:
+        raise ConfigError(f"shots must be <= {cc.MAX_SHOTS}")
     _int_option(cfg, "seed", 0)
     _int_option(cfg, "grid", 2)
     for key in ("noise", "coupling", "choi_file", "out"):
@@ -183,7 +185,7 @@ def cmd_choi(cfg) -> str:
     shots = cfg["shots"]
     seed = cfg["seed"]
     method = cfg["choi_method"]
-    analytic = cj.analytic_choi(ch.ChannelRep.analytic(name))
+    analytic = cj.named_choi(name)
     if method == "analytic":
         omega = analytic
     elif method == "linear":
@@ -220,7 +222,7 @@ def cmd_sweep(cfg) -> str:
         raise ConfigError(f"choi file is for channel {obj['channel']!r}, not {name!r}")
     reference = _ANALYTIC[name]
     grid = cfg["grid"]
-    analytic = cj.analytic_choi(ch.ChannelRep.analytic(name))
+    analytic = cj.named_choi(name)
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], f"sweep_{name}.csv")
     with open(path, "w", newline="") as f:

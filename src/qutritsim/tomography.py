@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .circuits import (Circuit, NoiseConfig, _rng, check_dense_register, histogram,
+from .circuits import (MAX_SHOTS, Circuit, Gate, NoiseConfig, _rng,
+                       check_dense_register, check_shots, gate_superops, histogram,
                        normalize_probabilities, sample_table, simulate_density,
                        simulate_state)
 from .encoding import project_qutrit
@@ -115,7 +116,7 @@ class TomographyRecord:
             raise ValueError(f"a record is an object with keys {keys}")
         shots, seed, settings, hists = (obj[key] for key in keys)
         spawn_key = obj.get("spawn_key", [])
-        if not (_nonneg_int(shots) and shots < 2 ** 63 and _nonneg_int(seed)
+        if not (_nonneg_int(shots) and shots <= MAX_SHOTS and _nonneg_int(seed)
                 and isinstance(spawn_key, list) and all(_nonneg_int(v) for v in spawn_key)):
             raise ValueError("shots (below 2^63), seed and spawn_key entries must be "
                              "non-negative integers")
@@ -171,16 +172,16 @@ def _effect_tensor(noise: NoiseConfig | None) -> np.ndarray:
     """E[b, o, i, j] = <o| L_b(|i><j|) |o>, where L_b is the (noisy) one-qubit
     pre-rotation of basis BASES[b].
 
-    L_b runs through simulate_density on qubit 0 of a two-qubit register;
-    the idle qubit 1 keeps a reference copy, so the unnormalized input
-    sum_ij |i><j| (x) |i><j| comes out as sum_ij L_b(|i><j|) (x) |i><j|.
+    L_b is the product of its gates' 4x4 superoperators (gate_superops, the
+    per-gate channels of simulate_density) on the row-major (row, col) pair.
     """
-    pair = np.zeros((4, 4), dtype=complex)
-    pair[np.ix_([0, 3], [0, 3])] = 1.0
     e = np.empty((3, 2, 2, 2), dtype=complex)
     for b, basis in enumerate(BASES):
-        out = simulate_density(Circuit(2, prerotation_gates(basis)), pair, noise)
-        e[b] = np.einsum("oioj->oij", out.reshape(2, 2, 2, 2))
+        gates = [Gate(*g) for g in prerotation_gates(basis)]
+        ell = np.eye(4, dtype=complex)
+        for superop in gate_superops(gates, noise or NoiseConfig.zero()):
+            ell = np.dot(superop, ell)
+        e[b] = np.einsum("ooij->oij", ell.reshape(2, 2, 2, 2))
     return e
 
 
@@ -264,8 +265,7 @@ def collect_batch(c: Circuit, preps, shots: int, seeds, noise: NoiseConfig | Non
     SeedSequence(seed, spawn_key=(b,)), for independent streams.  Shots and
     seeds are checked before anything is simulated.
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    check_shots(shots)
     if len(seeds) != len(preps):
         raise ValueError("one seed per prep circuit required")
     rngs = [_rng(seed) for seed in seeds]

@@ -135,7 +135,7 @@ def check_choi_roundtrip():
     rng = np.random.default_rng(3)
     worst = 0.0
     for name, oracle in (("ls", ch.ls_apply), ("wh", ch.wh_apply), ("id", lambda r: r)):
-        omega = cj.analytic_choi(ch.ChannelRep.analytic(name))
+        omega = cj.named_choi(name)
         for _ in range(30):
             rho = _rand_density(rng)
             worst = max(worst, np.abs(cj.channel_from_choi(omega, rho) - oracle(rho)).max())
@@ -143,7 +143,7 @@ def check_choi_roundtrip():
 
 
 def check_kraus_rank():
-    omega = cj.analytic_choi(ch.ChannelRep.analytic("ls"))
+    omega = cj.named_choi("ls")
     w, _ = la.hermitian_eig(omega)
     rank = int(np.sum(w > 1e-9))
     flat = np.abs(w[:3] - 1 / 3).max() < 1e-9

@@ -27,6 +27,19 @@ def wh_linear(m):
     return (np.trace(m) * np.eye(3) - m.T) / 2
 
 
+def test_named_choi_is_a_fresh_copy_of_analytic_choi():
+    # built once per name; a caller mutating its copy must not change what
+    # the next caller gets
+    for name in ("ls", "wh", "id"):
+        first = cj.named_choi(name)
+        assert np.array_equal(first, cj.analytic_choi(ch.ChannelRep.analytic(name)))
+        want = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(cj.named_choi(name), want)
+    with pytest.raises(ValueError):
+        cj.named_choi("xx")
+
+
 def test_analytic_choi_identity_channel():
     omega = cj.analytic_choi(ch.ChannelRep.analytic("id"))
     psi = np.zeros(9, dtype=complex)

@@ -10,6 +10,7 @@ from qutritsim import circuits as cc
 from qutritsim import coupling as cp
 from qutritsim import decompositions as dc
 from qutritsim import linalg as la
+from qutritsim import tomography as tg
 from qutritsim.verify import _random_circuit as random_circuit
 
 
@@ -397,6 +398,95 @@ def test_exact_readout_matches_reference():
             got = cc.counts_from_probabilities(p, 0, 5, flip)
             assert got.shots == 0 and got.seed == 5
             assert got.counts == _ref_exact_readout(p, flip)
+
+
+# --- the gate kernel against tensordot + moveaxis ---------------------------
+# _ref_apply is the kernel as np.tensordot then np.moveaxis; circuits._apply
+# builds the same operands for the same BLAS product and must agree bit for
+# bit, on fresh arrays and on the transposed views the kernel itself returns.
+
+
+def _ref_apply(t, m, axes):
+    k = len(axes)
+    t = np.tensordot(m.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(t, range(k), axes)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 2), batch=st.integers(1, 9),
+       density=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_matches_tensordot_moveaxis_kernel(n, k, batch, density, seed):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    # state layout (q.., batch), or noisy-density layout (row q.., col q.., batch)
+    shape = (2,) * (2 * n if density else n) + (batch,)
+    got = want = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for _ in range(3):
+        qubits = [int(q) for q in rng.permutation(n)[:k]]
+        axes = qubits + [n + q for q in qubits] if density else qubits
+        d = 2 ** len(axes)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got, want = cc._apply(got, m, axes), _ref_apply(want, m, axes)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def _ref_superop(g, noise):
+    cnot_qubit = cc._qubit_noise(noise.p2, noise.gamma)
+    cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)
+    gate_noise = {1: cc._qubit_noise(noise.p1, noise.gamma),
+                  2: cnot_noise.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)}
+    u = cc.gate_matrix(g)
+    return gate_noise[len(g.qubits)] @ np.kron(u, u.conj())
+
+
+def test_gate_superops_shared_and_equal_to_kron_exactly():
+    rng = np.random.default_rng(47)
+    noise = cc.NoiseConfig(p1=0.01, p2=0.1, gamma=0.02)
+    for c in list(_routed_channel_circuits()) + [random_circuit(rng, 3, 30)]:
+        superops = cc.gate_superops(c.gates, noise)
+        for g, s in zip(c.gates, superops):
+            assert np.array_equal(s, _ref_superop(g, noise))
+        assert len({id(s) for s in superops}) == len({(g.name, g.params) for g in c.gates})
+        # the whole noisy run equals a per-gate kron + tensordot loop bit for bit
+        n, d = c.n_qubits, 2 ** c.n_qubits
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        t = rho.reshape((2,) * (2 * n) + (1,))
+        for g in c.gates:
+            t = _ref_apply(t, _ref_superop(g, noise), g.qubits + tuple(n + q for q in g.qubits))
+        assert np.array_equal(cc.simulate_density(c, rho, noise), t.reshape(d, d))
+
+
+def _ref_effect_tensor(noise):
+    # each pre-rotation run through simulate_density on qubit 0 of two, the
+    # idle qubit 1 keeping a reference copy of the input |i><j|
+    pair = np.zeros((4, 4), dtype=complex)
+    pair[np.ix_([0, 3], [0, 3])] = 1.0
+    e = np.empty((3, 2, 2, 2), dtype=complex)
+    for b, basis in enumerate(tg.BASES):
+        out = cc.simulate_density(cc.Circuit(2, tg.prerotation_gates(basis)), pair, noise)
+        e[b] = np.einsum("oioj->oij", out.reshape(2, 2, 2, 2))
+    return e
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(noise=st.one_of(st.none(), _noise))
+def test_effect_tensor_matches_two_qubit_density_reference(noise):
+    assert np.abs(tg._effect_tensor(noise) - _ref_effect_tensor(noise)).max() <= 1e-15
+
+
+def test_sampling_shots_bounded_by_int64():
+    p = np.ones((1, 4)) / 4
+    rng = np.random.default_rng(0)
+    for bad in (-1, 2 ** 63, 2 ** 64):
+        with pytest.raises(ValueError, match="shots"):
+            cc.sample_table(p, bad, rng)
+        with pytest.raises(ValueError, match="shots"):
+            cc.sample_counts(np.ones(4) / 2, bad, 0)
+    with pytest.raises(ValueError, match="shots"):
+        cc.sample_counts(np.ones(4) / 2, 0, 0)
+    assert cc.sample_table(p, cc.MAX_SHOTS, rng, 0.01).sum() == cc.MAX_SHOTS
 
 
 # --- stacks: one batched call against per-input calls ------------------------

@@ -205,6 +205,22 @@ def test_seed_negative_is_config_error_and_large_seeds_unmasked(tmp_path, capsys
     assert len(set(files)) == len(files)
 
 
+def test_shots_above_int64_is_config_error(tmp_path, capsys):
+    # counts are int64, so 2^63 shots cannot be sampled
+    for method in ("direct", "linear"):
+        args = ["choi", "--choi-method", method, "--out", str(tmp_path)]
+        assert run(args + ["--shots", str(2 ** 63)]) == cli.EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+    code, err = _run_config(tmp_path, capsys, {"choi_method": "direct", "shots": 2 ** 64})
+    assert code == cli.EXIT_CONFIG and "config error:" in err
+    assert not any(tmp_path.glob("choi_*"))
+    # the largest int64 is still a valid shot count
+    out = tmp_path / "max"
+    assert run(["choi", "--choi-method", "direct", "--shots", str(cc.MAX_SHOTS),
+                "--out", str(out)]) == 0
+    assert json.loads((out / "choi_ls_direct.json").read_text())["fidelity_vs_analytic"] > 0.999
+
+
 def test_sweep_grid_below_two_is_config_error(tmp_path, capsys):
     assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
     code = run(["sweep", "--channel", "ls", "--grid", "1",

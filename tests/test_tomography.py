@@ -493,6 +493,17 @@ def test_seed_is_validated_and_not_masked():
     assert len({t.tobytes() for t in tables}) == len(tables)
 
 
+def test_shots_are_bounded_by_int64():
+    c = cc.Circuit(2, [("h", (), (0,))])
+    for bad in (-1, 2 ** 63, 2 ** 64):
+        with pytest.raises(ValueError, match="shots"):  # checked before simulating
+            tg.collect_batch(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), [None], bad, [0])
+        with pytest.raises(ValueError, match="shots"):
+            tg.collect(c, bad, 0)
+    rec = tg.collect(c, cc.MAX_SHOTS, 0)
+    assert (rec.table.sum(axis=1) == cc.MAX_SHOTS).all()
+
+
 def _mixed_pair():
     """4 qubits with (0, 1) maximally entangled with (2, 3): the pair (0, 1)
     is maximally mixed, so all nine settings have one distribution."""
