@@ -1,5 +1,5 @@
-"""Analytic qutrit channels, their Stinespring dilations, and representation
-conversion / CPTP checks.
+"""Analytic qutrit channels, their Stinespring dilations, and the one
+channel form: a d^2 x d^2 superoperator.
 
 The two channels of interest:
 
@@ -9,17 +9,23 @@ The two channels of interest:
   (``wh_apply``), related to the first by conjugation with the unitary W.
 
 Both are unital, CPTP, and have Kraus rank 3 with a flat Choi spectrum.
+
+A ``ChannelRep`` holds one matrix S with vec(Phi(m)) = S vec(m), vec
+row-major.  Its four constructors (analytic, kraus, stinespring, choi) build
+S once; applying the channel is one matvec and its trace-one Choi matrix is
+the inverse reshuffle of S divided by d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import linalg as la
-from .linalg import as_matrix, dagger, kron
+from .linalg import as_matrix, dagger
 
 _S2 = np.sqrt(2.0)
 
@@ -133,9 +139,6 @@ class KrausSet:
         if np.abs(s - np.eye(s.shape[0])).max() > 1e-10:
             raise ValueError("Kraus operators do not satisfy sum K+ K = I")
 
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        return sum(k @ m @ dagger(k) for k in self.operators)
-
 
 _EQ5_BLOCKS = {
     # 3x3 blocks of the 9x9 spin-1 dilation; row block = system out,
@@ -219,65 +222,61 @@ def wh_stinespring() -> StinespringDilation:
     return StinespringDilation(wh_dilation_matrix(), env, Ordering.ENV_FIRST, 3, 3)
 
 
+def superop_from_choi(omega: np.ndarray) -> np.ndarray:
+    """Superoperator of a trace-one d^2 x d^2 Choi matrix (input (x) output):
+    d times its reshuffle, S[(a, b), (i, k)] = d Omega[(i, a), (k, b)]."""
+    omega = as_matrix(omega)
+    d = math.isqrt(omega.shape[0])
+    if d * d != omega.shape[0] or omega.shape[0] != omega.shape[1]:
+        raise la.ShapeError("Choi matrix must be d^2 x d^2")
+    return d * omega.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+
+
 @dataclass
 class ChannelRep:
-    """A channel in one of four representations.
+    """A channel as its d^2 x d^2 superoperator: vec(Phi(m)) = S vec(m),
+    vec row-major.  The four constructors build S once."""
+    superop: np.ndarray
 
-    kind: "analytic" (payload: "ls" | "wh" | "id"), "kraus", "stinespring",
-    or "choi" (payload: trace-one Choi matrix, input (x) output ordering).
-    """
-    kind: str
-    dim: int
-    payload: object = None
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.superop.shape[0])
 
     @classmethod
     def analytic(cls, name: str, dim: int = 3) -> "ChannelRep":
-        if name not in ("ls", "wh", "id"):
+        """'ls', 'wh' or 'id': the closed form applied to the units E_ik."""
+        linear = {"ls": _ls_linear, "wh": _wh_linear, "id": np.copy}.get(name)
+        if linear is None:
             raise ValueError(f"unknown analytic channel {name!r}")
         if name == "ls" and dim != 3:
             raise ValueError("the spin-1 channel is dimension 3")
-        return cls("analytic", dim, name)
+        if name == "wh" and dim < 2:
+            raise ValueError("the transpose-depolarizer needs dimension >= 2")
+        units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+        return cls(np.stack([linear(e).reshape(-1) for e in units], axis=1))
 
     @classmethod
     def kraus(cls, ops) -> "ChannelRep":
+        """S = sum_K K (x) conj(K)."""
         ks = ops if isinstance(ops, KrausSet) else KrausSet(list(ops))
-        return cls("kraus", ks.operators[0].shape[1], ks)
+        return cls(sum(np.kron(k, k.conj()) for k in ks.operators))
 
     @classmethod
     def stinespring(cls, dil: StinespringDilation) -> "ChannelRep":
-        return cls("stinespring", dil.sys_dim, dil)
+        """Through the dilation's Kraus operators (a pure environment only)."""
+        return cls.kraus(dil.kraus())
 
     @classmethod
     def choi(cls, omega: np.ndarray) -> "ChannelRep":
-        omega = as_matrix(omega)
-        d = int(round(np.sqrt(omega.shape[0])))
-        if d * d != omega.shape[0] or omega.shape[0] != omega.shape[1]:
-            raise la.ShapeError("Choi matrix must be d^2 x d^2")
-        return cls("choi", d, omega)
+        """From a trace-one Choi matrix, input (x) output ordering."""
+        return cls(superop_from_choi(omega))
 
 
 def apply_linear(rep: ChannelRep, m: np.ndarray) -> np.ndarray:
     """Apply the channel's linear extension to an arbitrary matrix (no
     density-matrix validation); needed when acting on |i><k| basis elements."""
     m = as_matrix(m)
-    if rep.kind == "analytic":
-        if rep.payload == "ls":
-            return _ls_linear(m)
-        if rep.payload == "wh":
-            return _wh_linear(m)
-        return m.copy()
-    if rep.kind == "kraus":
-        return rep.payload.apply(m)
-    if rep.kind == "stinespring":
-        return rep.payload.kraus().apply(m)
-    if rep.kind == "choi":
-        # Phi(m) = d * Tr_in((m^T (x) I) Omega) for a trace-one Choi matrix
-        omega = rep.payload
-        d = rep.dim
-        op = kron(m.T, np.eye(d))
-        prod = op @ omega
-        return d * la.partial_trace(prod, [d, d], [1])
-    raise ValueError(f"unknown representation kind {rep.kind!r}")
+    return (rep.superop @ m.reshape(-1)).reshape(m.shape)
 
 
 def apply_channel(rep: ChannelRep, rho: np.ndarray) -> np.ndarray:
@@ -289,23 +288,15 @@ def apply_channel(rep: ChannelRep, rho: np.ndarray) -> np.ndarray:
 
 
 def choi_of(rep: ChannelRep) -> np.ndarray:
-    """Trace-one Choi matrix (input (x) output ordering) of any representation."""
+    """Trace-one Choi matrix (input (x) output ordering): the inverse
+    reshuffle of the superoperator, divided by d."""
     d = rep.dim
-    omega = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, k] = 1.0
-            omega += kron(e, apply_linear(rep, e))
-    return omega / d
+    return rep.superop.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
 
 
 def is_cptp(rep: ChannelRep, atol: float = 1e-8) -> bool:
     """Complete positivity (Choi PSD) and trace preservation (Tr_out = I/d)."""
-    try:
-        omega = choi_of(rep)
-    except ValueError:
-        return False
+    omega = choi_of(rep)
     if not la.is_psd(omega, atol):
         return False
     d = rep.dim
@@ -317,18 +308,9 @@ def is_cptp(rep: ChannelRep, atol: float = 1e-8) -> bool:
 
 
 def channel_to_json(rep: ChannelRep) -> dict:
-    if rep.kind == "analytic":
-        return {"kind": "analytic", "name": rep.payload, "dim": rep.dim}
-    if rep.kind == "kraus":
-        return {"kind": "kraus",
-                "operators": [la.matrix_to_json(k) for k in rep.payload.operators]}
-    if rep.kind == "stinespring":
-        dil = rep.payload
-        return {"kind": "stinespring", "u": la.matrix_to_json(dil.u),
-                "rho_env": la.matrix_to_json(dil.rho_env),
-                "ordering": dil.ordering.value,
-                "sys_dim": dil.sys_dim, "env_dim": dil.env_dim}
-    return {"kind": "choi", "omega": la.matrix_to_json(rep.payload),
+    """The Choi form; channel_from_json also reads the analytic, kraus and
+    stinespring kinds."""
+    return {"kind": "choi", "omega": la.matrix_to_json(choi_of(rep)),
             "ordering": "input_output", "normalization": "trace_one"}
 
 

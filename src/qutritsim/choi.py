@@ -2,8 +2,9 @@
 
 Normalization convention, used everywhere: the Choi matrix is a state,
 Omega = (1/3) sum_{i,k} E_{i,k} (x) Phi(E_{i,k}), trace one, ordering
-input (x) output.  Channel recovery therefore multiplies by 3:
-Phi(rho) = 3 Tr_in((rho^T (x) I) Omega).
+input (x) output.  Channel recovery therefore multiplies by 3: the
+superoperator is 3 times the reshuffled Choi matrix
+(channels.superop_from_choi), and Phi(rho) is one matvec with it.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import functools
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelRep, choi_of
+from .channels import ChannelRep, choi_of, superop_from_choi
 from .circuits import Circuit, NoiseConfig
 from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_superposition_circuit
 from .encoding import project_two_qutrits
-from .linalg import as_matrix, kron
+from .linalg import as_matrix
 from .tomography import collect, fidelity, reconstruct_state
 
 
@@ -99,12 +100,12 @@ def choi_linear(channel_on_basis) -> np.ndarray:
 
 
 def channel_from_choi(omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Phi(rho) = 3 Tr_in((rho^T (x) I) Omega) for a trace-one Choi matrix."""
+    """Phi(rho) = 3 Tr_in((rho^T (x) I) Omega) for a trace-one Choi matrix,
+    computed as the superoperator 3 reshuffle(Omega) applied to vec(rho)."""
     omega, rho = as_matrix(omega), as_matrix(rho)
     if omega.shape != (9, 9) or rho.shape != (3, 3):
         raise la.ShapeError("channel_from_choi expects 9x9 Choi and 3x3 state")
-    prod = kron(rho.T, np.eye(3)) @ omega
-    return 3.0 * la.partial_trace(prod, [3, 3], [1])
+    return (superop_from_choi(omega) @ rho.reshape(9)).reshape(3, 3)
 
 
 def choi_fidelity(th: np.ndarray, exp: np.ndarray) -> float:

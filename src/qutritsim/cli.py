@@ -77,7 +77,7 @@ _DEFAULTS = {
 }
 
 
-def _int_option(cfg, key, minimum=None) -> None:
+def _int_option(cfg, key, minimum, maximum) -> None:
     v = cfg[key]
     try:
         iv = int(v)
@@ -85,8 +85,10 @@ def _int_option(cfg, key, minimum=None) -> None:
             raise ValueError("not an integer")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be an integer, got {v!r}") from exc
-    if minimum is not None and iv < minimum:
+    if iv < minimum:
         raise ConfigError(f"{key} must be >= {minimum}")
+    if maximum is not None and iv > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}")
     cfg[key] = iv
 
 
@@ -114,11 +116,9 @@ def _merge_config(args) -> dict:
         raise ConfigError(f"unknown method {cfg['method']!r}")
     if cfg["choi_method"] not in ("analytic", "linear", "direct"):
         raise ConfigError(f"unknown choi method {cfg['choi_method']!r}")
-    _int_option(cfg, "shots", 0)
-    if cfg["shots"] > cc.MAX_SHOTS:
-        raise ConfigError(f"shots must be <= {cc.MAX_SHOTS}")
-    _int_option(cfg, "seed", 0)
-    _int_option(cfg, "grid", 2)
+    _int_option(cfg, "shots", 0, cc.MAX_SHOTS)
+    _int_option(cfg, "seed", 0, None)
+    _int_option(cfg, "grid", 2, tg.MAX_SWEEP_GRID)
     for key in ("noise", "coupling", "choi_file", "out"):
         v = cfg[key]
         # open() takes an int as a file descriptor: only strings are paths
@@ -216,6 +216,8 @@ def cmd_sweep(cfg) -> str:
         with open(cfg["choi_file"]) as f:
             obj = json.load(f)
         omega = cj.choi_from_json(obj)
+        if omega.shape != (9, 9):
+            raise la.ShapeError(f"Choi matrix has shape {omega.shape}, not (9, 9)")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad choi file: {exc}") from exc
     if obj.get("channel", name) != name:

@@ -103,29 +103,29 @@ def induced_channel(c: Circuit, noise: NoiseConfig | None = None,
     environment pair in |00>, run the circuit, trace out the environment
     pair, project back onto the qutrit subspace.  Returns a function
     rho3 -> (rho3', leakage).
+
+    Everything before the projection is linear, so it is built once: the
+    nine units E_ik (x) |00><00| run as one stack through simulate_density,
+    on the circuit remapped so the system pair sits on wires (0, 1) and the
+    environment on (2, 3).  Each call is then embed_density (the input
+    check), one matvec and project_qutrit.
     """
     if c.n_qubits != 4:
         raise ValueError("induced_channel expects a 4-qubit circuit")
     order = list(sys_qubits) + list(env_qubits)
     if sorted(order) != [0, 1, 2, 3]:
         raise ValueError("sys_qubits and env_qubits must partition the register")
+    pairs = [(i, k) for i in QUTRIT_IDX for k in QUTRIT_IDX]
+    units = np.zeros((9, 16, 16), dtype=complex)
+    for n, (i, k) in enumerate(pairs):
+        units[n, 4 * i, 4 * k] = 1.0  # E_ik on wires (0, 1), |00><00| on (2, 3)
+    out = simulate_density(c.remapped(np.argsort(order).tolist()), units, noise)
+    linear = np.zeros((16, 16), dtype=complex)
+    # column 4 i + k takes vec(embed_density(E_ik)) to vec(Tr_env(out))
+    linear[:, [4 * i + k for i, k in pairs]] = la.partial_trace(out, [4, 4], [0]).reshape(9, 16).T
 
     def channel(rho3: np.ndarray):
-        rho_sys = embed_density(rho3)
-        env = np.zeros((4, 4), dtype=complex)
-        env[0, 0] = 1.0
-        # assemble the full density with each pair on its wires
-        full = _place_pairs(rho_sys, env, sys_qubits, env_qubits)
-        out = simulate_density(c, full, noise)
-        red = la.partial_trace(out, [2, 2, 2, 2], list(sys_qubits))
-        return project_qutrit(red)
+        red = linear @ embed_density(rho3).reshape(16)
+        return project_qutrit(red.reshape(4, 4))
 
     return channel
-
-
-def _place_pairs(rho_a, rho_b, wires_a, wires_b):
-    """kron the two 2-qubit factors onto the stated wires of a 4-qubit register."""
-    # factor axes (a0, a1, b0, b1) move to wires (wires_a + wires_b)
-    t = np.kron(rho_a, rho_b).reshape((2,) * 8)
-    inv = np.argsort(list(wires_a) + list(wires_b))
-    return t.transpose(list(inv) + [4 + p for p in inv]).reshape(16, 16)

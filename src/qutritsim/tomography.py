@@ -356,6 +356,12 @@ def fidelity(s1: np.ndarray, s2: np.ndarray):
     return float(val) if val.ndim == 0 else val
 
 
+# Largest lambda grid of channel_fidelity_sweep, a memory budget: the sweep
+# holds about 1 KiB of 3x3 stacks per grid point, so 2^16 points take about
+# 64 MiB.
+MAX_SWEEP_GRID = 2 ** 16
+
+
 def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
                            grid: int = 101):
     """Fidelity statistics of a reconstructed channel along the segment
@@ -371,8 +377,8 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     from .choi import channel_from_choi
     from .decompositions import basis_density
 
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    if not 2 <= grid <= MAX_SWEEP_GRID:
+        raise ValueError(f"grid must be in [2, {MAX_SWEEP_GRID}]")
     rho_a, rho_b = basis_density(a), basis_density(b)
     lam = np.linspace(0.0, 1.0, grid)[:, None, None]
     got_a, got_b = channel_from_choi(omega, rho_a), channel_from_choi(omega, rho_b)

@@ -233,3 +233,89 @@ def test_channel_json_roundtrip():
     for rep in reps:
         back = ch.channel_from_json(ch.channel_to_json(rep))
         assert np.abs(ch.apply_channel(back, rho) - ch.apply_channel(rep, rho)).max() < 1e-10
+
+
+def test_channel_from_json_reads_every_kind():
+    # hand-written objects of the four kinds a channel file may hold
+    dil = ch.wh_stinespring()
+    objs = [
+        {"kind": "analytic", "name": "wh", "dim": 3},
+        {"kind": "kraus", "operators": [la.matrix_to_json(k) for k in ch.wh_kraus().operators]},
+        {"kind": "stinespring", "u": la.matrix_to_json(dil.u),
+         "rho_env": la.matrix_to_json(dil.rho_env), "ordering": "env_first",
+         "sys_dim": 3, "env_dim": 3},
+        {"kind": "choi", "omega": la.matrix_to_json(ch.choi_of(ch.ChannelRep.analytic("wh"))),
+         "ordering": "input_output", "normalization": "trace_one"},
+    ]
+    want = ch.ChannelRep.analytic("wh").superop
+    for obj in objs:
+        assert np.abs(ch.channel_from_json(obj).superop - want).max() < 1e-12, obj["kind"]
+    with pytest.raises(ValueError):
+        ch.channel_from_json({"kind": "ptm", "matrix": la.matrix_to_json(np.eye(9))})
+
+
+def test_channel_to_json_writes_the_choi_form():
+    obj = ch.channel_to_json(ch.ChannelRep.kraus(ch.wh_kraus()))
+    assert obj["kind"] == "choi"
+    omega = la.matrix_from_json(obj["omega"])
+    assert np.abs(omega - ch.choi_of(ch.ChannelRep.analytic("wh"))).max() < 1e-12
+
+
+def test_stinespring_with_mixed_environment_rejected_at_construction():
+    dil = ch.ls_stinespring()
+    mixed = ch.StinespringDilation(dil.u, np.eye(3) / 3, dil.ordering, 3, 3)
+    with pytest.raises(ValueError):
+        ch.ChannelRep.stinespring(mixed)
+
+
+# Per-kind formulas the one superoperator replaces.
+def _ref_ls(m):
+    j = ch.spin1_generators()
+    return (j.jx @ m @ j.jx + j.jy @ m @ j.jy + j.jz @ m @ j.jz) / 2
+
+
+def _ref_wh(m):
+    return (np.trace(m) * I3 - m.T) / 2
+
+
+def _ref_kraus(ops, m):
+    return sum(k @ m @ k.conj().T for k in ops)
+
+
+def _ref_dilation(dil, m):
+    """Tr_env(U (m (x) rho_env) U+), in the dilation's factor order."""
+    if dil.ordering is ch.Ordering.SYSTEM_FIRST:
+        full, keep = np.kron(m, dil.rho_env), [0]
+    else:
+        full, keep = np.kron(dil.rho_env, m), [1]
+    return la.partial_trace(dil.u @ full @ dil.u.conj().T, [3, 3], keep)
+
+
+def _ref_choi(omega, m):
+    return 3 * la.partial_trace(np.kron(m.T, I3) @ omega, [3, 3], [1])
+
+
+def test_apply_linear_matches_per_kind_formulas():
+    rng = np.random.default_rng(12)
+    j = ch.spin1_generators()
+    ls_ops = [j.jx / np.sqrt(2), j.jy / np.sqrt(2), j.jz / np.sqrt(2)]
+    omega_ls = ch.choi_of(ch.ChannelRep.analytic("ls"))
+    omega_wh = ch.choi_of(ch.ChannelRep.analytic("wh"))
+    cases = [
+        (ch.ChannelRep.analytic("ls"), _ref_ls),
+        (ch.ChannelRep.analytic("wh"), _ref_wh),
+        (ch.ChannelRep.analytic("id"), lambda m: m),
+        (ch.ChannelRep.kraus(ls_ops), lambda m: _ref_kraus(ls_ops, m)),
+        (ch.ChannelRep.kraus(ch.wh_kraus()), lambda m: _ref_kraus(ch.wh_kraus().operators, m)),
+        (ch.ChannelRep.stinespring(ch.ls_stinespring()),
+         lambda m: _ref_dilation(ch.ls_stinespring(), m)),
+        (ch.ChannelRep.stinespring(ch.wh_stinespring()),
+         lambda m: _ref_dilation(ch.wh_stinespring(), m)),
+        (ch.ChannelRep.choi(omega_ls), lambda m: _ref_choi(omega_ls, m)),
+        (ch.ChannelRep.choi(omega_wh), lambda m: _ref_choi(omega_wh, m)),
+    ]
+    for _ in range(10):
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        for rep, ref in cases:
+            assert np.abs(ch.apply_linear(rep, m) - ref(m)).max() < 1e-12
+

@@ -182,6 +182,37 @@ def test_choi_linear_validation():
         cj.choi_linear([np.eye(3) / 3] * 8 + [np.eye(4) / 4])
 
 
+def test_analytic_choi_equals_kron_loop_exactly():
+    j = ch.spin1_generators()
+
+    def ls_linear(m):
+        return (j.jx @ m @ j.jx + j.jy @ m @ j.jy + j.jz @ m @ j.jz) / 2
+
+    for name, linear in (("ls", ls_linear), ("wh", wh_linear), ("id", np.copy)):
+        assert np.array_equal(cj.analytic_choi(ch.ChannelRep.analytic(name)),
+                              brute_choi(linear)), name
+
+
+def test_channel_from_choi_matches_partial_trace_formula():
+    # the kron + partial-trace recovery the reshuffled superoperator replaces
+    rng = np.random.default_rng(13)
+    omegas = [cj.named_choi(name) for name in ("ls", "wh", "id")]
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    omegas.append(a @ a.conj().T / np.trace(a @ a.conj().T))
+    for omega in omegas:
+        for _ in range(10):
+            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            want = 3 * la.partial_trace(np.kron(m.T, np.eye(3)) @ omega, [3, 3], [1])
+            assert np.abs(cj.channel_from_choi(omega, m) - want).max() < 1e-12
+
+
+def test_channel_from_choi_shape_errors():
+    with pytest.raises(la.ShapeError):
+        cj.channel_from_choi(np.eye(4) / 4, np.eye(3) / 3)
+    with pytest.raises(la.ShapeError):
+        cj.channel_from_choi(np.eye(9) / 9, np.eye(2) / 2)
+
+
 def test_channel_from_choi_roundtrip():
     rng = np.random.default_rng(7)
     for name, oracle in (("ls", ch.ls_apply), ("wh", ch.wh_apply), ("id", lambda r: r)):

@@ -230,6 +230,29 @@ def test_sweep_grid_below_two_is_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [tg.MAX_SWEEP_GRID + 1, 10 ** 12])
+def test_sweep_grid_above_budget_is_config_error(tmp_path, capsys, grid):
+    assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = run(["sweep", "--channel", "ls", "--grid", str(grid),
+                "--choi-file", str(tmp_path / "choi_ls_analytic.json"),
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_ls.csv").exists()
+
+
+def test_sweep_choi_file_not_nine_by_nine_is_config_error(tmp_path, capsys):
+    path = tmp_path / "choi4.json"
+    path.write_text(json.dumps({"channel": "ls", "ordering": "input_output",
+                                **la.matrix_to_json(np.eye(4) / 4)}))
+    code = run(["sweep", "--channel", "ls", "--choi-file", str(path),
+                "--grid", "3", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_ls.csv").exists()
+
+
 def test_config_grid_not_integer_is_config_error(tmp_path, capsys):
     assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

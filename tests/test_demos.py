@@ -1,5 +1,6 @@
-"""Smoke test: every numbered demo runs to completion against ``src`` and
-writes nothing into the checkout."""
+"""Smoke test: every numbered demo, and the permutation-circuit
+re-derivation in its default verify mode, runs to completion against
+``src`` and writes nothing into the checkout."""
 
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+DEMOS = [*sorted((ROOT / "demos").glob("0*.py")),
+         ROOT / "demos" / "derive_permutation_circuits.py"]
 
 
 def _tree():

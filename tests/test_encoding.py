@@ -146,29 +146,68 @@ def test_induced_channel_role_declaration():
     assert abs(leak) < 1e-10
 
 
-def test_place_pairs_interleaved_wires():
-    # interleaved placements go through the tensor-reordering path
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    got = enc._place_pairs(a, b, (0, 2), (1, 3))
-    # oracle: build from single-qubit factors of a 16x16 via explicit swap
-    # of axes (a0,a1,b0,b1) -> wires (0,2,1,3)
-    t = np.kron(a, b).reshape((2,) * 8)
-    perm = [0, 2, 1, 3]
-    inv = np.argsort(perm)
-    want = t.transpose(list(inv) + [4 + p for p in inv]).reshape(16, 16)
-    assert np.abs(got - want).max() == 0
-    # sanity: reduced blocks recover the inputs for density-like factors
-    rho_a = a @ a.conj().T
-    rho_a /= np.trace(rho_a)
-    rho_b = b @ b.conj().T
-    rho_b /= np.trace(rho_b)
-    full = enc._place_pairs(rho_a, rho_b, (1, 3), (0, 2))
-    red_a = la.partial_trace(full, [2, 2, 2, 2], [1, 3])
-    red_b = la.partial_trace(full, [2, 2, 2, 2], [0, 2])
-    assert np.abs(red_a - rho_a).max() < 1e-12
-    assert np.abs(red_b - rho_b).max() < 1e-12
+# The per-input path induced_channel replaces: place the embedded qutrit
+# and the environment |00><00| on their wires, run one simulate_density per
+# input, trace the environment out and post-select.
+def _ref_place_pairs(rho_a, rho_b, wires_a, wires_b):
+    t = np.kron(rho_a, rho_b).reshape((2,) * 8)
+    inv = np.argsort(list(wires_a) + list(wires_b))
+    return t.transpose(list(inv) + [4 + p for p in inv]).reshape(16, 16)
+
+
+def _ref_induced_channel(c, noise, sys_qubits, env_qubits):
+    env = np.zeros((4, 4), dtype=complex)
+    env[0, 0] = 1.0
+
+    def channel(rho3):
+        full = _ref_place_pairs(enc.embed_density(rho3), env, sys_qubits, env_qubits)
+        out = cc.simulate_density(c, full, noise)
+        return enc.project_qutrit(la.partial_trace(out, [2, 2, 2, 2], list(sys_qubits)))
+
+    return channel
+
+
+@pytest.mark.parametrize("sys_qubits, env_qubits",
+                         [((2, 3), (0, 1)), ((0, 1), (2, 3)), ((0, 2), (1, 3)),
+                          ((1, 2), (3, 0))])
+def test_induced_channel_matches_per_input_path(sys_qubits, env_qubits):
+    # the circuit's environment wires (0, 1) and system wires (2, 3) move
+    # onto the declared pairs; the last placement is a 4-cycle, whose wire
+    # map is not its own inverse
+    wires = list(env_qubits) + list(sys_qubits)
+    noisy = cc.NoiseConfig(p1=0.01, p2=0.05, gamma=0.02)
+    rng = np.random.default_rng(11)
+    inputs = basis_states() + [rand_density(rng) for _ in range(5)]
+    for build in (dc.ls_channel_circuit, dc.wh_channel_circuit, lambda: cc.Circuit(4)):
+        c = build().remapped(wires)
+        for noise in (None, noisy):
+            got = enc.induced_channel(c, noise, sys_qubits, env_qubits)
+            want = _ref_induced_channel(c, noise, sys_qubits, env_qubits)
+            for rho in inputs:
+                (out, leak), (out_ref, leak_ref) = got(rho), want(rho)
+                assert np.abs(out - out_ref).max() < 1e-12
+                assert abs(leak - leak_ref) < 1e-12
+
+
+def test_induced_channel_simulates_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cc.simulate_density(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "simulate_density", counted)
+    chan = enc.induced_channel(dc.wh_channel_circuit(), cc.NoiseConfig(p2=0.05))
+    assert len(calls) == 1
+    for i in range(1, 10):
+        chan(dc.basis_density(i))
+    assert len(calls) == 1
+
+
+def test_induced_channel_checks_each_input():
+    chan = enc.induced_channel(cc.Circuit(4))
+    with pytest.raises(ValueError):
+        chan(np.diag([1.0, 1.0, 1.0]))
 
 
 def test_noiseless_paper_circuits_zero_leakage():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ def test_error_shrinks_with_shots():
         return np.mean(errs)
 
     assert mean_err(4096) > mean_err(262144)
+
+
+@pytest.mark.parametrize("grid", [1, tg.MAX_SWEEP_GRID + 1, 10 ** 12])
+def test_channel_fidelity_sweep_grid_bounded_before_allocating(grid):
+    omega = ch.choi_of(ch.ChannelRep.analytic("wh"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            tg.channel_fidelity_sweep(omega, ch.wh_apply, 1, 2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_channel_fidelity_sweep_self():
