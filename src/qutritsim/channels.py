@@ -134,6 +134,8 @@ class KrausSet:
 
     def __post_init__(self):
         ops = [as_matrix(k) for k in self.operators]
+        if not ops:
+            raise ValueError("a Kraus set needs at least one operator")
         self.operators = ops
         s = sum(dagger(k) @ k for k in ops)
         if np.abs(s - np.eye(s.shape[0])).max() > 1e-10:
@@ -315,16 +317,23 @@ def channel_to_json(rep: ChannelRep) -> dict:
 
 
 def channel_from_json(obj: dict) -> ChannelRep:
-    kind = obj["kind"]
-    if kind == "analytic":
-        return ChannelRep.analytic(obj["name"], int(obj["dim"]))
-    if kind == "kraus":
-        return ChannelRep.kraus([la.matrix_from_json(k) for k in obj["operators"]])
-    if kind == "stinespring":
-        dil = StinespringDilation(
-            la.matrix_from_json(obj["u"]), la.matrix_from_json(obj["rho_env"]),
-            Ordering(obj["ordering"]), int(obj["sys_dim"]), int(obj["env_dim"]))
-        return ChannelRep.stinespring(dil)
-    if kind == "choi":
-        return ChannelRep.choi(la.matrix_from_json(obj["omega"]))
+    """Read a channel of any of the four kinds; a malformed object (not a
+    dict, a missing or mistyped field) raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"channel JSON must be an object, not {type(obj).__name__}")
+    kind = obj.get("kind")
+    try:
+        if kind == "analytic":
+            return ChannelRep.analytic(obj["name"], int(obj["dim"]))
+        if kind == "kraus":
+            return ChannelRep.kraus([la.matrix_from_json(k) for k in obj["operators"]])
+        if kind == "stinespring":
+            dil = StinespringDilation(
+                la.matrix_from_json(obj["u"]), la.matrix_from_json(obj["rho_env"]),
+                Ordering(obj["ordering"]), int(obj["sys_dim"]), int(obj["env_dim"]))
+            return ChannelRep.stinespring(dil)
+        if kind == "choi":
+            return ChannelRep.choi(la.matrix_from_json(obj["omega"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad {kind} channel: {exc!r}") from exc
     raise ValueError(f"unknown channel kind {kind!r}")

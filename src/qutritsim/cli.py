@@ -66,7 +66,7 @@ def _load_coupling(spec):
         return None
     try:
         return cp.load_map(spec)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad coupling spec {spec!r}: {exc}") from exc
 
 
@@ -127,9 +127,23 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-def _write_json(path, obj):
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=1)
+def _write_output(cfg, filename, write) -> str:
+    """Create the out directory, open filename in it and hand the file to
+    write; an out path that cannot hold it (an existing file, a path under
+    a file, no permission) is a config error.  Returns the path."""
+    path = os.path.join(cfg["out"], filename)
+    try:
+        os.makedirs(cfg["out"], exist_ok=True)
+        with open(path, "w", newline="") as f:
+            write(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    return path
+
+
+def _write_json(cfg, filename, obj) -> str:
+    return _write_output(cfg, filename,
+                         lambda f: json.dump(obj, f, sort_keys=True, indent=1))
 
 
 def _circuit_outputs(circuit, shots, seed, noise) -> list:
@@ -169,11 +183,9 @@ def cmd_apply(cfg) -> str:
         results = _circuit_outputs(_channel_circuit(name, layout), shots, seed, noise)
     outputs = [{"input": i, "matrix": la.matrix_to_json(rho3), "leakage": leak}
                for i, (rho3, leak) in enumerate(results, start=1)]
-    os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], f"apply_{name}_{cfg['method']}.json")
-    _write_json(path, {"channel": name, "method": cfg["method"],
-                       "shots": shots, "seed": seed, "outputs": outputs})
-    return path
+    return _write_json(cfg, f"apply_{name}_{cfg['method']}.json",
+                       {"channel": name, "method": cfg["method"],
+                        "shots": shots, "seed": seed, "outputs": outputs})
 
 
 def cmd_choi(cfg) -> str:
@@ -200,10 +212,7 @@ def cmd_choi(cfg) -> str:
     obj["method"] = method
     obj["fidelity_vs_analytic"] = cj.choi_fidelity(analytic, omega)
     obj["eigenvalues"] = [float(x) for x in w]
-    os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], f"choi_{name}_{method}.json")
-    _write_json(path, obj)
-    return path
+    return _write_json(cfg, f"choi_{name}_{method}.json", obj)
 
 
 def cmd_sweep(cfg) -> str:
@@ -224,20 +233,14 @@ def cmd_sweep(cfg) -> str:
         raise ConfigError(f"choi file is for channel {obj['channel']!r}, not {name!r}")
     reference = _ANALYTIC[name]
     grid = cfg["grid"]
-    analytic = cj.named_choi(name)
-    os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], f"sweep_{name}.csv")
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["pair_a", "pair_b", "min", "max", "mean"])
-        for a in range(1, 10):
-            for b in range(a + 1, 10):
-                lo, hi, mean = tg.channel_fidelity_sweep(omega, reference, a, b, grid)
-                wr.writerow([a, b, f"{lo:.10f}", f"{hi:.10f}", f"{mean:.10f}"])
-        overall = cj.choi_fidelity(analytic, omega)
-        wr.writerow(["choi", "choi", f"{overall:.10f}", f"{overall:.10f}",
-                     f"{overall:.10f}"])
-    return path
+    rows = [["pair_a", "pair_b", "min", "max", "mean"]]
+    for a in range(1, 10):
+        for b in range(a + 1, 10):
+            lo, hi, mean = tg.channel_fidelity_sweep(omega, reference, a, b, grid)
+            rows.append([a, b, f"{lo:.10f}", f"{hi:.10f}", f"{mean:.10f}"])
+    overall = cj.choi_fidelity(cj.named_choi(name), omega)
+    rows.append(["choi", "choi", f"{overall:.10f}", f"{overall:.10f}", f"{overall:.10f}"])
+    return _write_output(cfg, f"sweep_{name}.csv", lambda f: csv.writer(f).writerows(rows))
 
 
 def cmd_verify(cfg) -> int:

@@ -1,7 +1,10 @@
 """Named invariant checks behind the ``verify`` command.
 
 Each check returns (name, passed, detail); run_all executes every check and
-is the release gate: a fresh checkout must pass all of them.
+is the release gate: a fresh checkout must pass all of them.  The checks
+are also the one implementation of acceptance criteria 1-3, 5, 6, 10 and
+11: tests/test_acceptance.py calls them, so their seeds and sample sizes
+are the criteria's.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ def _rand_density(rng, d=3):
     return rho / np.trace(rho)
 
 
+def _inputs(rng, n):
+    """The nine basis densities, then n random densities drawn from rng."""
+    return [dc.basis_density(i) for i in range(1, 10)] + [_rand_density(rng) for _ in range(n)]
+
+
 def check_dilation_unitarity():
     u = ch.ls_dilation_matrix()
     dev = np.abs(la.dagger(u) @ u - np.eye(9)).max()
@@ -30,19 +38,10 @@ def check_dilation_unitarity():
 
 
 def check_dilation_reproduces_channel():
-    dil = ch.ls_stinespring()
-    env = np.zeros((3, 3), dtype=complex)
-    env[0, 0] = 1
-    rng = np.random.default_rng(0)
+    dil = ch.ls_stinespring()  # environment |0><0|
     worst = 0.0
-    for i in range(1, 10):
-        rho = dc.basis_density(i)
-        full = dil.u @ la.kron(rho, env) @ la.dagger(dil.u)
-        out = la.partial_trace(full, [3, 3], [0])
-        worst = max(worst, np.abs(out - ch.ls_apply(rho)).max())
-    for _ in range(20):
-        rho = _rand_density(rng)
-        full = dil.u @ la.kron(rho, env) @ la.dagger(dil.u)
+    for rho in _inputs(np.random.default_rng(0), 20):
+        full = dil.u @ la.kron(rho, dil.rho_env) @ la.dagger(dil.u)
         out = la.partial_trace(full, [3, 3], [0])
         worst = max(worst, np.abs(out - ch.ls_apply(rho)).max())
     return "spin1_dilation_channel", worst < 1e-10, f"max dev {worst:.2e}"
@@ -50,7 +49,7 @@ def check_dilation_reproduces_channel():
 
 def check_covariance():
     w = ch.covariance_unitary()
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(200):
         rho = _rand_density(rng)
@@ -103,18 +102,13 @@ def check_permutation_pattern():
 
 
 def check_circuit_channels():
-    rng = np.random.default_rng(2)
+    rng = np.random.default_rng(303)
     worst = 0.0
     leak_worst = 0.0
     for build, oracle in ((dc.wh_channel_circuit, ch.wh_apply),
                           (dc.ls_channel_circuit, ch.ls_apply)):
         chan = enc.induced_channel(build())
-        for i in range(1, 10):
-            out, leak = chan(dc.basis_density(i))
-            worst = max(worst, np.abs(out - oracle(dc.basis_density(i))).max())
-            leak_worst = max(leak_worst, abs(leak))
-        for _ in range(10):
-            rho = _rand_density(rng)
+        for rho in _inputs(rng, 50):
             out, leak = chan(rho)
             worst = max(worst, np.abs(out - oracle(rho)).max())
             leak_worst = max(leak_worst, abs(leak))
@@ -132,11 +126,11 @@ def check_choi_two_route():
 
 
 def check_choi_roundtrip():
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(606)
     worst = 0.0
     for name, oracle in (("ls", ch.ls_apply), ("wh", ch.wh_apply), ("id", lambda r: r)):
         omega = cj.named_choi(name)
-        for _ in range(30):
+        for _ in range(100):
             rho = _rand_density(rng)
             worst = max(worst, np.abs(cj.channel_from_choi(omega, rho) - oracle(rho)).max())
     return "choi_roundtrip", worst < 1e-10, f"max dev {worst:.2e}"
@@ -152,10 +146,10 @@ def check_kraus_rank():
 
 def check_routing(coupling: cp.CouplingMap | None = None):
     cmap = coupling if coupling is not None else cp.preset_map("ibmqx4")
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(1111)
     try:
-        for _ in range(50):
-            c = _random_circuit(rng, 4, int(rng.integers(1, 15)))
+        for _ in range(200):
+            c = _random_circuit(rng, 4, int(rng.integers(1, 21)))
             routed = cp.route_circuit(c, cmap)
             if cp.validate(routed, cmap):
                 return "routing_preserves_semantics", False, "illegal output"
@@ -171,7 +165,7 @@ def check_routing(coupling: cp.CouplingMap | None = None):
     except cc.ResourceError as exc:
         return ("routing_preserves_semantics", False,
                 f"{cmap.n_qubits}-qubit routed register: {exc}")
-    return "routing_preserves_semantics", True, "50 random circuits"
+    return "routing_preserves_semantics", True, "200 random circuits"
 
 
 def _random_circuit(rng, n, depth):

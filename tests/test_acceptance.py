@@ -10,62 +10,33 @@ import pytest
 from qutritsim import channels as ch
 from qutritsim import choi as cj
 from qutritsim import circuits as cc
-from qutritsim import coupling as cp
 from qutritsim import decompositions as dc
-from qutritsim import encoding as enc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
-from qutritsim.verify import _random_circuit as random_circuit
-
-from test_channels import rand_density
+from qutritsim import verify as vf
 
 
 def report(n, text):
     print(f"\n[PASS] criterion {n}: {text}")
 
 
-def basis9():
-    return [dc.basis_density(i) for i in range(1, 10)]
+def holds(n, *checks):
+    """Assert each verify check's (name, ok, detail) and print its line."""
+    for name, ok, detail in checks:
+        assert ok, f"{name}: {detail}"
+        report(n, f"{name}, {detail}")
 
 
 def test_criterion_01_stinespring_correctness():
-    dil = ch.ls_stinespring()
-    env = np.zeros((3, 3), dtype=complex)
-    env[0, 0] = 1
-    worst = 0.0
-    for rho in basis9():
-        full = dil.u @ la.kron(rho, env) @ la.dagger(dil.u)
-        out = la.partial_trace(full, [3, 3], [0])
-        worst = max(worst, np.abs(out - ch.ls_apply(rho)).max())
-    assert worst < 1e-10
-    report(1, f"dilation reproduces the spin-1 channel, max dev {worst:.2e}")
+    holds(1, vf.check_dilation_reproduces_channel())
 
 
 def test_criterion_02_covariance_identity():
-    w = ch.covariance_unitary()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(200):
-        rho = rand_density(rng)
-        worst = max(worst, np.abs(ch.ls_apply(rho) - ch.wh_apply(w @ rho @ w.conj().T)).max())
-    assert worst < 1e-12
-    report(2, f"covariance identity on 200 random states, max dev {worst:.2e}")
+    holds(2, vf.check_covariance())
 
 
 def test_criterion_03_circuit_induced_channels():
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    leak_worst = 0.0
-    for build, oracle in ((dc.wh_channel_circuit, ch.wh_apply),
-                          (dc.ls_channel_circuit, ch.ls_apply)):
-        chan = enc.induced_channel(build())
-        for rho in basis9() + [rand_density(rng) for _ in range(50)]:
-            out, leak = chan(rho)
-            worst = max(worst, np.abs(out - oracle(rho)).max())
-            leak_worst = max(leak_worst, abs(leak))
-    assert worst < 1e-9
-    assert leak_worst < 1e-10
-    report(3, f"circuit channels match analytic maps, dev {worst:.2e}, leakage {leak_worst:.2e}")
+    holds(3, vf.check_circuit_channels())
 
 
 def test_criterion_04_choi_structure():
@@ -85,15 +56,8 @@ def test_criterion_04_choi_structure():
 
 
 def test_criterion_05_two_route_choi_agreement():
-    worst = 0.0
-    for name in ("ls", "wh", "id"):
-        rep = ch.ChannelRep.analytic(name)
-        outs = [ch.apply_channel(rep, r) for r in cj.physical_basis()]
-        worst = max(worst, np.abs(cj.choi_linear(outs) - cj.analytic_choi(rep)).max())
-    assert worst < 1e-10
-    # coefficient table: numeric rederivation, then exact symbolic rederivation
-    dev = np.abs(cj.rederive_coefficients() - cj.COEFFICIENTS).max()
-    assert dev < 1e-12
+    holds(5, vf.check_choi_two_route(), vf.check_coefficient_rederivation())
+    # the coefficient table once more, exactly, by symbolic rederivation
     sympy = pytest.importorskip("sympy")
     I = sympy.I
     half = sympy.Rational(1, 2)
@@ -115,19 +79,11 @@ def test_criterion_05_two_route_choi_agreement():
             e[i, j] = 1
             sol = bmat.solve(sympy.Matrix([e[idx // 3, idx % 3] for idx in range(9)]))
             assert (sol.T - stored.row(3 * i + j)).expand() == sympy.zeros(1, 9)
-    report(5, f"linear Choi route agrees within {worst:.2e}; coefficient table exact")
+    report(5, "coefficient table exact")
 
 
 def test_criterion_06_choi_roundtrip():
-    rng = np.random.default_rng(606)
-    worst = 0.0
-    for name, oracle in (("ls", ch.ls_apply), ("wh", ch.wh_apply), ("id", lambda r: r)):
-        omega = cj.analytic_choi(ch.ChannelRep.analytic(name))
-        for _ in range(100):
-            rho = rand_density(rng)
-            worst = max(worst, np.abs(cj.channel_from_choi(omega, rho) - oracle(rho)).max())
-    assert worst < 1e-10
-    report(6, f"channel recovery from Choi within {worst:.2e} on 100 random states")
+    holds(6, vf.check_choi_roundtrip())
 
 
 def test_criterion_07_tomography_pipeline_fidelity():
@@ -181,31 +137,8 @@ def test_criterion_09_noise_degradation_property():
 
 
 def test_criterion_10_decomposition_identities():
-    u = cc.unitary_of(dc.w_tilde_circuit())
-    y1 = np.kron(np.eye(2), np.array([[0, -1j], [1j, 0]]))
-    x1 = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
-    cnot10 = cc.unitary_of(cc.Circuit(2, [("cnot", (), (1, 0))]))
-    dev_w = np.abs(u - 1j * (y1 @ cnot10 @ x1)).max()
-    assert dev_w < 1e-12
-    m = dc.quasi_toffoli_matrix()
-    for v in ("a", "b"):
-        uv = cc.unitary_of(dc.quasi_toffoli_circuit(dc.QuasiToffoliVariant(v)))
-        assert la.equal_up_to_global_phase(uv, m, 1e-12)
-    frag = cc.Circuit(2, cp.reverse_cnot(0, 1))
-    dev_r = np.abs(cc.unitary_of(frag)
-                   - cc.unitary_of(cc.Circuit(2, [("cnot", (), (0, 1))]))).max()
-    assert dev_r < 1e-12
-    report(10, f"gate identities: w-tilde {dev_w:.2e}, quasi-Toffoli matched, "
-               f"reversal {dev_r:.2e}")
+    holds(10, vf.check_w_tilde_identity(), vf.check_quasi_toffoli(), vf.check_cnot_reversal())
 
 
 def test_criterion_11_routing_semantics():
-    cmap = cp.preset_map("ibmqx4")
-    rng = np.random.default_rng(1111)
-    for _ in range(200):
-        c = random_circuit(rng, 4, int(rng.integers(1, 21)))
-        routed = cp.route_circuit(c, cmap)
-        assert cp.validate(routed, cmap) == []
-        want = np.kron(cc.unitary_of(c), np.eye(2))
-        assert la.equal_up_to_global_phase(cc.unitary_of(routed), want, 1e-9)
-    report(11, "200 random circuits routed, unitaries preserved, all legal")
+    holds(11, vf.check_routing())

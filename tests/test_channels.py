@@ -250,8 +250,12 @@ def test_channel_from_json_reads_every_kind():
     want = ch.ChannelRep.analytic("wh").superop
     for obj in objs:
         assert np.abs(ch.channel_from_json(obj).superop - want).max() < 1e-12, obj["kind"]
-    with pytest.raises(ValueError):
-        ch.channel_from_json({"kind": "ptm", "matrix": la.matrix_to_json(np.eye(9))})
+    # an unknown kind, a missing or empty field, or not an object at all
+    for bad in ({"kind": "ptm", "matrix": la.matrix_to_json(np.eye(9))},
+                {"kind": "kraus", "operators": []}, {"kind": "choi"},
+                {"kind": "analytic", "name": "ls"}, [objs[0]]):
+        with pytest.raises(ValueError):
+            ch.channel_from_json(bad)
 
 
 def test_channel_to_json_writes_the_choi_form():

@@ -111,12 +111,49 @@ def test_exit_codes(tmp_path):
                 "--coupling", str(bad), "--out", str(tmp_path)]) == cli.EXIT_ROUTING
 
 
+VERIFY_NAMES = [
+    "spin1_dilation_unitary", "spin1_dilation_channel", "covariance_identity",
+    "coefficient_table_rederivation", "w_tilde_decomposition", "quasi_toffoli_circuits",
+    "cnot_reversal", "permutation_factorization_pattern", "circuit_induced_channels",
+    "choi_two_route_agreement", "choi_roundtrip", "spin1_kraus_rank",
+    "routing_preserves_semantics",
+]
+
+
 def test_verify_passes(capsys):
     assert run(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS] spin1_dilation_unitary" in out
-    assert "spin1_kraus_rank: rank 3" in out
-    assert "[FAIL]" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:-1]] == [f"[PASS] {n}" for n in VERIFY_NAMES]
+    assert "[PASS] spin1_kraus_rank: rank 3" in lines
+    assert lines[-1] == "13/13 invariants passed"
+
+
+@pytest.mark.parametrize("command", ["apply", "choi", "sweep"])
+def test_unwritable_out_path_is_a_config_error(tmp_path, capsys, command):
+    args = [command, "--channel", "ls"]
+    if command == "sweep":
+        assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
+        args += ["--choi-file", str(tmp_path / "choi_ls_analytic.json")]
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):  # an existing file, a path under a file
+        capsys.readouterr()
+        assert run(args + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+    assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"n_qubits": 5, "edges": 5}', "[1, 2]",
+    '{"n_qubits": null, "edges": []}', '{"n_qubits": 5, "edges": [null]}',
+])
+def test_malformed_coupling_json_is_a_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "coupling.json"
+    bad.write_text(text)
+    assert run(["verify", "--coupling", str(bad)]) == cli.EXIT_CONFIG
+    assert run(["apply", "--channel", "ls", "--method", "circuit", "--shots", "0",
+                "--coupling", str(bad), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "bad coupling spec" in capsys.readouterr().err
 
 
 def test_verify_fault_injection(tmp_path, capsys):
