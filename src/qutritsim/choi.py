@@ -144,6 +144,22 @@ def choi_direct_circuit(channel_circuit: Circuit,
     return c
 
 
+# Largest number of cached direct Choi-state circuits, a memory budget: a
+# routed 6-qubit circuit and its key hold at most about 1000 gates of about
+# 300 bytes, 300 KiB, so 16 of them take under 5 MiB.
+MAX_CACHED_DIRECT = 16
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_DIRECT)
+def _direct_circuit(n_qubits: int, gates: tuple, layout: CouplingMap | None,
+                    placement: tuple | None) -> Circuit:
+    """choi_direct_circuit, built once per process for each (channel
+    gates, layout, placement) and used only inside this module: a Circuit
+    is mutable, so it is never handed out."""
+    return choi_direct_circuit(Circuit(n_qubits, list(gates)), layout,
+                               None if placement is None else dict(placement))
+
+
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
                 noise: NoiseConfig | None = None,
                 layout: CouplingMap | None = None,
@@ -153,7 +169,9 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
     factors, and return the 9x9 estimate (input (x) output ordering).
     With a layout and placement, the measured wires are the physical wires
     the placement gives the ancilla and system pairs."""
-    circuit = choi_direct_circuit(channel_circuit, layout, placement)
+    placed = None if placement is None else tuple(sorted(placement.items()))
+    circuit = _direct_circuit(channel_circuit.n_qubits, tuple(channel_circuit.gates),
+                              layout, placed)
     measure = (0, 1, 2, 3)
     if placement is not None:
         measure = tuple(placement[q] for q in measure)

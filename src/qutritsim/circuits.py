@@ -22,14 +22,18 @@ the front and the rest flattened, transposed back onto the same axes.
   A gate on qubits (a, b) is one 4^k x 4^k superoperator on axes
   (a, b, n+a, n+b), row-major over those axes: N (u (x) conj(u)), where N
   applies the 4x4 per-qubit noise (depolarizing, then amplitude damping) to
-  each touched qubit's (row, col) pair, built once per distinct gate.
+  each touched qubit's (row, col) pair.  Each superoperator is built once
+  per process for each (noise, gate name, params) and shared read-only
+  (gate_superops).
 * Exact readout: the 2x2 bit-flip matrix on each outcome axis.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -223,7 +227,11 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("p1", "p2", "gamma", "readout_flip"):
-            v = float(getattr(self, name))
+            v = getattr(self, name)
+            # a bool or a numeric string is not a probability
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            v = float(v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
             object.__setattr__(self, name, v)
@@ -246,22 +254,36 @@ def _qubit_noise(p: float, gamma: float) -> np.ndarray:
     return (np.kron(k0, k0) + np.kron(k1, k1)) @ depolarize
 
 
+# Largest number of cached per-gate superoperators, a memory budget: an
+# entry is at most a CNOT's 16 x 16 complex128, 4 KiB, so 1024 take 4 MiB.
+MAX_CACHED_SUPEROPS = 1024
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_SUPEROPS)
+def _gate_superop(noise: NoiseConfig, name: str, params: tuple) -> np.ndarray:
+    """N (u (x) conj(u)) of one gate, read-only (see gate_superops).  Keys
+    compare as floats, so params 0.0 and -0.0 share one entry; the two
+    matrices differ at most in the signs of zeros."""
+    u = gate_matrix(Gate(name, params, range(GATE_ARITY[name][1])))
+    uu = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
+    if len(u) == 2:
+        gate_noise = _qubit_noise(noise.p1, noise.gamma)
+    else:
+        cnot_qubit = _qubit_noise(noise.p2, noise.gamma)
+        cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)
+        gate_noise = cnot_noise.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+    superop = gate_noise @ uu
+    superop.flags.writeable = False
+    return superop
+
+
 def gate_superops(gates, noise: NoiseConfig) -> list:
     """N (u (x) conj(u)) of each gate on its axes (q.., n + q..), built once
-    per distinct (name, params).  N: the one-qubit 4x4 noise, or for a CNOT
-    two p2 copies reordered from (q0, n + q0, q1, n + q1) to (q0, q1, n + q0,
-    n + q1).  The (x) broadcasts, bit for bit np.kron."""
-    cnot_qubit = _qubit_noise(noise.p2, noise.gamma)
-    cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)
-    gate_noise = {1: _qubit_noise(noise.p1, noise.gamma),
-                  2: cnot_noise.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)}
-    built = {}
-    for g in gates:
-        if (g.name, g.params) not in built:
-            u = gate_matrix(g)
-            uu = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
-            built[g.name, g.params] = gate_noise[len(g.qubits)] @ uu
-    return [built[g.name, g.params] for g in gates]
+    per process for each distinct (noise, name, params) and shared
+    read-only.  N: the one-qubit 4x4 noise, or for a CNOT two p2 copies
+    reordered from (q0, n + q0, q1, n + q1) to (q0, q1, n + q0, n + q1).
+    The (x) broadcasts, bit for bit np.kron."""
+    return [_gate_superop(noise, g.name, g.params) for g in gates]
 
 
 def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig | None = None) -> np.ndarray:

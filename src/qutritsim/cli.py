@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,15 @@ class ConfigError(ValueError):
 _ANALYTIC = {"ls": ch.ls_apply, "wh": ch.wh_apply, "id": lambda rho: rho.copy()}
 
 
-def _channel_circuit(name, layout):
+# Largest number of entries of each circuit cache below (channel circuits
+# by (name, layout), prep circuits by register size), a memory budget: a
+# routed channel circuit holds at most about 500 gates of about 300 bytes,
+# 150 KiB, so 16 of them take under 3 MiB; a set of prep circuits far less.
+MAX_CACHED_CIRCUITS = 16
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_CIRCUITS)
+def _built_channel_circuit(name, layout) -> cc.Circuit:
     if name == "ls":
         return dc.ls_channel_circuit(layout=layout)
     if name == "wh":
@@ -48,6 +57,21 @@ def _channel_circuit(name, layout):
         c = cc.Circuit(4)
         return cp.route_circuit(c, layout) if layout is not None else c
     raise ConfigError(f"unknown channel {name!r}")
+
+
+def _channel_circuit(name, layout) -> cc.Circuit:
+    """The channel circuit, routed onto layout if one is given: a copy of
+    the one built once per process for each (name, layout)."""
+    c = _built_channel_circuit(name, layout)
+    return cc.Circuit(c.n_qubits, list(c.gates))
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_CIRCUITS)
+def _prep_circuits(n_qubits) -> tuple:
+    """prep_basis_circuit(i) on wires (2, 3) of an n-qubit register, i =
+    1..9, built once per process for each register size; used only inside
+    this module, never handed out."""
+    return tuple(dc.prep_basis_circuit(i).remapped([2, 3], n_qubits) for i in range(1, 10))
 
 
 def _load_noise(spec) -> cc.NoiseConfig:
@@ -159,8 +183,7 @@ def _circuit_outputs(circuit, shots, seed, noise) -> list:
     SeedSequence(seed, spawn_key=(i,)), then inverted and projected as one
     stack.
     """
-    n = circuit.n_qubits
-    preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
+    preps = _prep_circuits(circuit.n_qubits)
     if shots == 0:
         reduced = tg.measured_states(circuit, preps, noise, (2, 3))
     else:
@@ -227,6 +250,9 @@ def cmd_sweep(cfg) -> str:
         omega = cj.choi_from_json(obj)
         if omega.shape != (9, 9):
             raise la.ShapeError(f"Choi matrix has shape {omega.shape}, not (9, 9)")
+        if not la.is_density_matrix(omega, 1e-8):
+            raise ValueError("Choi matrix is not a state (trace one, Hermitian, PSD "
+                             "within 1e-8)")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad choi file: {exc}") from exc
     if obj.get("channel", name) != name:
@@ -285,8 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parse_args leaves the parser as it was, so one parser serves every main()
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
         if args.command == "apply":

@@ -21,6 +21,7 @@ projected as one stack.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -168,20 +169,33 @@ def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
         lead + [nb + a for a in range(0, 2 * k, 2)] + [nb + a for a in range(1, 2 * k, 2)])
 
 
+# Largest number of cached effect tensors, a memory budget: one is a
+# (3, 2, 2, 2) complex128 array, 384 bytes, so 256 take under 100 KiB.
+MAX_CACHED_EFFECTS = 256
+
+
 def _effect_tensor(noise: NoiseConfig | None) -> np.ndarray:
     """E[b, o, i, j] = <o| L_b(|i><j|) |o>, where L_b is the (noisy) one-qubit
     pre-rotation of basis BASES[b].
 
     L_b is the product of its gates' 4x4 superoperators (gate_superops, the
     per-gate channels of simulate_density) on the row-major (row, col) pair.
+    Built once per process for each noise (None is NoiseConfig.zero()) and
+    shared read-only.
     """
+    return _noise_effect_tensor(noise or NoiseConfig.zero())
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_EFFECTS)
+def _noise_effect_tensor(noise: NoiseConfig) -> np.ndarray:
     e = np.empty((3, 2, 2, 2), dtype=complex)
     for b, basis in enumerate(BASES):
         gates = [Gate(*g) for g in prerotation_gates(basis)]
         ell = np.eye(4, dtype=complex)
-        for superop in gate_superops(gates, noise or NoiseConfig.zero()):
+        for superop in gate_superops(gates, noise):
             ell = np.dot(superop, ell)
         e[b] = np.einsum("ooij->oij", ell.reshape(2, 2, 2, 2))
+    e.flags.writeable = False
     return e
 
 

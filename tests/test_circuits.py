@@ -131,6 +131,15 @@ def test_noise_config_validation():
         cc.NoiseConfig(gamma=-0.1)
 
 
+def test_noise_config_takes_only_real_numbers():
+    for bad in (True, False, "0.1", None):
+        with pytest.raises(ValueError, match="real number"):
+            cc.NoiseConfig(p2=bad)
+    noise = cc.NoiseConfig(p1=np.float64(0.25), p2=1, gamma=0)
+    assert noise == cc.NoiseConfig(0.25, 1.0, 0.0, 0.0)
+    assert all(type(v) is float for v in (noise.p1, noise.p2, noise.gamma, noise.readout_flip))
+
+
 def test_full_depolarization():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     c = cc.Circuit(1, [("x", (), (0,))])
@@ -456,6 +465,28 @@ def test_gate_superops_shared_and_equal_to_kron_exactly():
         for g in c.gates:
             t = _ref_apply(t, _ref_superop(g, noise), g.qubits + tuple(n + q for q in g.qubits))
         assert np.array_equal(cc.simulate_density(c, rho, noise), t.reshape(d, d))
+
+
+def test_gate_superops_shared_across_calls_and_read_only():
+    noise = cc.NoiseConfig(p1=0.01, p2=0.1, gamma=0.02)
+    gates = dc.ls_channel_circuit().gates
+    first = cc.gate_superops(gates, noise)
+    # an equal NoiseConfig, not the same object, finds the same entries
+    second = cc.gate_superops(gates, cc.NoiseConfig(p1=0.01, p2=0.1, gamma=0.02))
+    for g, a, b in zip(gates, first, second):
+        assert a is b
+        assert np.array_equal(a, _ref_superop(g, noise))
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_effect_tensor_shared_and_read_only():
+    assert tg._effect_tensor(None) is tg._effect_tensor(cc.NoiseConfig.zero())
+    for noise in (None, cc.NoiseConfig(p1=0.03, gamma=0.01, readout_flip=0.02)):
+        e = tg._effect_tensor(noise)
+        assert e is tg._effect_tensor(noise)
+        with pytest.raises(ValueError):
+            e[0, 0, 0, 0] = 1.0
 
 
 def _ref_effect_tensor(noise):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qutritsim import channels as ch
+from qutritsim import choi as cj
 from qutritsim import circuits as cc
 from qutritsim import cli
 from qutritsim import coupling as cp
@@ -288,6 +290,70 @@ def test_sweep_choi_file_not_nine_by_nine_is_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "sweep_ls.csv").exists()
+
+
+@pytest.mark.parametrize("omega", [
+    np.zeros((9, 9)),                        # trace zero
+    2 * np.eye(9) / 9,                       # trace two
+    np.eye(9) / 9 + 0.01 * np.triu(np.ones((9, 9)), 1),  # not Hermitian
+    np.diag([0.2] * 5 + [0.1] * 3 + [-0.1]),  # trace one, an eigenvalue -0.1
+])
+def test_sweep_rejects_choi_file_that_is_not_a_state(tmp_path, capsys, omega):
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps({"channel": "ls", **la.matrix_to_json(omega)}))
+    code = run(["sweep", "--channel", "ls", "--choi-file", str(path),
+                "--grid", "3", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad choi file:")
+    assert not (tmp_path / "sweep_ls.csv").exists()
+
+
+@pytest.mark.parametrize("noise", [{"p1": True}, {"p2": "0.1"}])
+def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, noise):
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps(noise))
+    code = run(["choi", "--channel", "ls", "--choi-method", "direct", "--shots", "0",
+                "--noise", str(path), "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad noise spec")
+    assert not (tmp_path / "choi_ls_direct.json").exists()
+
+
+def _clear_caches():
+    for cached in (cli._parser, cli._built_channel_circuit, cli._prep_circuits,
+                   cj._direct_circuit, tg._noise_effect_tensor, cc._gate_superop):
+        cached.cache_clear()
+
+
+def test_cold_and_warm_caches_write_identical_files(tmp_path):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p1": 0.005, "p2": 0.05, "gamma": 0.01, "readout_flip": 0.02}))
+    runs = []
+    for shots, nz in itertools.product(("0", "100000"), ("zero", str(noise))):
+        common = ["--shots", shots, "--noise", nz, "--seed", "3"]
+        for name, method in itertools.product(("ls", "wh"), ("linear", "direct")):
+            runs.append(["choi", "--channel", name, "--choi-method", method, *common])
+        runs.append(["apply", "--channel", "ls", "--method", "circuit",
+                     "--coupling", "ibmqx4", *common])
+    for k, args in enumerate(runs):
+        _clear_caches()
+        for state in ("cold", "warm"):
+            assert run(args + ["--out", str(tmp_path / state / str(k))]) == 0
+        (cold,), (warm,) = ((tmp_path / state / str(k)).iterdir() for state in ("cold", "warm"))
+        assert cold.name == warm.name and cold.read_bytes() == warm.read_bytes(), args
+
+
+def test_mutating_a_handed_out_channel_circuit_changes_no_output(tmp_path):
+    args = ["apply", "--channel", "ls", "--method", "circuit", "--shots", "0"]
+    assert run(args + ["--out", str(tmp_path / "a")]) == 0
+    c = cli._channel_circuit("ls", None)
+    c.add("x", (), (2,))
+    c.gates.reverse()
+    c.n_qubits = 5
+    assert run(args + ["--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "apply_ls_circuit.json").read_bytes() == \
+        (tmp_path / "b" / "apply_ls_circuit.json").read_bytes()
+    assert cli._channel_circuit("ls", None) == dc.ls_channel_circuit()
 
 
 def test_config_grid_not_integer_is_config_error(tmp_path, capsys):
