@@ -15,12 +15,13 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelRep, choi_of, superop_from_choi
-from .circuits import Circuit, NoiseConfig
+from .circuits import Circuit, NoiseConfig, _rng, check_shots
 from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_superposition_circuit
 from .encoding import project_two_qutrits
 from .linalg import as_matrix
-from .tomography import collect, fidelity, reconstruct_state
+from .tomography import (fidelity, measured_states, outcome_tables, reconstruct_state,
+                         sample_records)
 
 
 def analytic_choi(channel: ChannelRep) -> np.ndarray:
@@ -144,20 +145,27 @@ def choi_direct_circuit(channel_circuit: Circuit,
     return c
 
 
-# Largest number of cached direct Choi-state circuits, a memory budget: a
-# routed 6-qubit circuit and its key hold at most about 1000 gates of about
-# 300 bytes, 300 KiB, so 16 of them take under 5 MiB.
-MAX_CACHED_DIRECT = 16
+def direct_tables(channel_circuit: Circuit, noise: NoiseConfig | None = None,
+                  layout: CouplingMap | None = None, placement=None) -> np.ndarray:
+    """The exact (1, 81, 16) outcome table of the direct Choi experiment:
+    one run of choi_direct_circuit, read out on the (ancilla, system) wires,
+    which under a placement are the physical wires placement[0..3]."""
+    circuit = choi_direct_circuit(channel_circuit, layout, placement)
+    measure = (0, 1, 2, 3)
+    if placement is not None:
+        measure = tuple(placement[q] for q in measure)
+    return outcome_tables(measured_states(circuit, [None], noise, measure), noise)
 
 
-@functools.lru_cache(maxsize=MAX_CACHED_DIRECT)
-def _direct_circuit(n_qubits: int, gates: tuple, layout: CouplingMap | None,
-                    placement: tuple | None) -> Circuit:
-    """choi_direct_circuit, built once per process for each (channel
-    gates, layout, placement) and used only inside this module: a Circuit
-    is mutable, so it is never handed out."""
-    return choi_direct_circuit(Circuit(n_qubits, list(gates)), layout,
-                               None if placement is None else dict(placement))
+def estimate_direct(tables: np.ndarray, shots: int, seed, readout_flip: float = 0.0) -> np.ndarray:
+    """The 9x9 direct Choi estimate (input (x) output ordering) from the
+    exact table of direct_tables: sample it from one generator seeded by
+    seed (shots = 0: exact, readout error included), reconstruct the
+    (ancilla, system) state, post-select both qutrit factors and project
+    onto the density matrices."""
+    rec, = sample_records(tables, shots, [_rng(seed)], readout_flip)
+    omega, _leak = project_two_qutrits(reconstruct_state(rec))
+    return la.project_to_density(omega)
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
@@ -166,19 +174,13 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
                 placement=None) -> np.ndarray:
     """Direct Choi-state estimate: build the 6-qubit circuit, tomograph the
     (ancilla, system) register over 81 settings, post-select both qutrit
-    factors, and return the 9x9 estimate (input (x) output ordering).
-    With a layout and placement, the measured wires are the physical wires
-    the placement gives the ancilla and system pairs."""
-    placed = None if placement is None else tuple(sorted(placement.items()))
-    circuit = _direct_circuit(channel_circuit.n_qubits, tuple(channel_circuit.gates),
-                              layout, placed)
-    measure = (0, 1, 2, 3)
-    if placement is not None:
-        measure = tuple(placement[q] for q in measure)
-    rec = collect(circuit, shots, seed, noise, measure_qubits=measure)
-    rho16 = reconstruct_state(rec)
-    omega, _leak = project_two_qutrits(rho16)
-    return la.project_to_density(omega)
+    factors, and return the 9x9 estimate (input (x) output ordering):
+    direct_tables then estimate_direct.  With a layout and placement, the
+    measured wires are the physical wires the placement gives the ancilla
+    and system pairs.  Shots are checked before anything is simulated."""
+    check_shots(shots)
+    tables = direct_tables(channel_circuit, noise, layout, placement)
+    return estimate_direct(tables, shots, seed, noise.readout_flip if noise is not None else 0.0)
 
 
 # --- Choi JSON ---------------------------------------------------------------

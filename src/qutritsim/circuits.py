@@ -31,7 +31,6 @@ the front and the rest flattened, transposed back onto the same axes.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import operator
@@ -453,7 +452,3 @@ def circuit_from_json(obj: dict) -> Circuit:
         c.add(g["name"], tuple(g.get("params", ())), tuple(g["qubits"]))
     return c
 
-
-def load_circuit(path) -> Circuit:
-    with open(path) as f:
-        return circuit_from_json(json.load(f))

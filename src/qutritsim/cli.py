@@ -2,7 +2,8 @@
 matrices, sweep pairwise fidelities, and run the invariant suite.
 
 All outputs are JSON or CSV, deterministic given (config, seed).  Exit
-codes: 0 success, 1 verification failure, 2 configuration error or a
+codes: 0 success, 1 verification failure, 2 configuration error (a
+reconstructed state with no weight in the qutrit subspace included) or a
 register above the dense simulation budget, 3 routing error.
 """
 
@@ -40,38 +41,37 @@ class ConfigError(ValueError):
 _ANALYTIC = {"ls": ch.ls_apply, "wh": ch.wh_apply, "id": lambda rho: rho.copy()}
 
 
-# Largest number of entries of each circuit cache below (channel circuits
-# by (name, layout), prep circuits by register size), a memory budget: a
-# routed channel circuit holds at most about 500 gates of about 300 bytes,
-# 150 KiB, so 16 of them take under 3 MiB; a set of prep circuits far less.
-MAX_CACHED_CIRCUITS = 16
+_CHANNEL_CIRCUITS = {"ls": dc.ls_channel_circuit, "wh": dc.wh_channel_circuit,
+                     "id": lambda: cc.Circuit(4)}
+
+# Largest number of cached outcome tables, a memory budget: an entry is at
+# most one (1, 81, 16) float64 table, about 10 KiB, so 64 take under 1 MiB.
+MAX_CACHED_EXPERIMENTS = 64
 
 
-@functools.lru_cache(maxsize=MAX_CACHED_CIRCUITS)
-def _built_channel_circuit(name, layout) -> cc.Circuit:
-    if name == "ls":
-        return dc.ls_channel_circuit(layout=layout)
-    if name == "wh":
-        return dc.wh_channel_circuit(layout=layout)
-    if name == "id":
-        c = cc.Circuit(4)
-        return cp.route_circuit(c, layout) if layout is not None else c
-    raise ConfigError(f"unknown channel {name!r}")
+@functools.lru_cache(maxsize=MAX_CACHED_EXPERIMENTS)
+def _outcome_table(channel, method, layout, noise) -> np.ndarray:
+    """The exact, read-only tomography outcome table of one configuration,
+    built once per process for each (channel, method, layout, noise); it
+    depends on no seed.
 
-
-def _channel_circuit(name, layout) -> cc.Circuit:
-    """The channel circuit, routed onto layout if one is given: a copy of
-    the one built once per process for each (name, layout)."""
-    c = _built_channel_circuit(name, layout)
-    return cc.Circuit(c.n_qubits, list(c.gates))
-
-
-@functools.lru_cache(maxsize=MAX_CACHED_CIRCUITS)
-def _prep_circuits(n_qubits) -> tuple:
-    """prep_basis_circuit(i) on wires (2, 3) of an n-qubit register, i =
-    1..9, built once per process for each register size; used only inside
-    this module, never handed out."""
-    return tuple(dc.prep_basis_circuit(i).remapped([2, 3], n_qubits) for i in range(1, 10))
+    method "linear" (also behind apply --method circuit): the (9, 9, 4)
+    table of the nine basis inputs, input i being prep_basis_circuit(i) on
+    the system pair (2, 3) of the channel circuit routed onto layout, read
+    out on (2, 3).  method "direct": the (1, 81, 16) table of
+    choi.direct_tables on the unrouted channel circuit and layout.  The
+    circuits are built, run once and dropped.  noise is the NoiseConfig of
+    _load_noise, which reads no noise spec (None or "zero") as
+    NoiseConfig.zero(), so every noiseless item shares one entry.
+    """
+    circuit = _CHANNEL_CIRCUITS[channel]()
+    if method == "direct":
+        return cj.direct_tables(circuit, noise, layout)
+    if layout is not None:
+        circuit = cp.route_circuit(circuit, layout)
+    n = circuit.n_qubits
+    preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
+    return tg.outcome_tables(tg.measured_states(circuit, preps, noise, (2, 3)), noise)
 
 
 def _load_noise(spec) -> cc.NoiseConfig:
@@ -170,27 +170,22 @@ def _write_json(cfg, filename, obj) -> str:
                          lambda f: json.dump(obj, f, sort_keys=True, indent=1))
 
 
-def _circuit_outputs(circuit, shots, seed, noise) -> list:
-    """(rho3, leakage) for the nine basis inputs, as one batch.
+def _circuit_outputs(name, layout, shots, seed, noise) -> list:
+    """(rho3, leakage) for the nine basis inputs of the channel circuit,
+    as one batch.
 
-    Input i is prep_basis_circuit(i) on wires (2, 3) of the channel
-    circuit's register, run from |0...0> with the same noise as the
-    channel.  The nine inputs then run through the channel circuit once, as
-    a stack of states (no gate noise) or densities, and the system qutrit is
-    read out of wires (2, 3).  shots = 0 is exact: the nine reduced states
-    themselves.  Otherwise the nine are tomographed with one shared effect
-    tensor, input i's record sampled from its own stream
+    The nine records are sampled from the configuration's cached exact
+    table (_outcome_table, method "linear"), input i's from its own stream
     SeedSequence(seed, spawn_key=(i,)), then inverted and projected as one
-    stack.
+    stack, and each 4x4 state is post-selected onto the qutrit.  shots = 0
+    takes the same path with the exact table, so exact mode keeps the
+    noisy pre-rotations and the readout flips: it is the infinite-shot
+    limit, as for choi direct.
     """
-    preps = _prep_circuits(circuit.n_qubits)
-    if shots == 0:
-        reduced = tg.measured_states(circuit, preps, noise, (2, 3))
-    else:
-        seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
-        recs = tg.collect_batch(circuit, preps, shots, seeds, noise, (2, 3))
-        reduced = tg.reconstruct_state(recs)
-    return [enc.project_qutrit(red) for red in reduced]
+    seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
+    recs = tg.sample_records(_outcome_table(name, "linear", layout, noise), shots,
+                             [np.random.default_rng(s) for s in seeds], noise.readout_flip)
+    return [enc.project_qutrit(red) for red in tg.reconstruct_state(recs)]
 
 
 def cmd_apply(cfg) -> str:
@@ -203,7 +198,7 @@ def cmd_apply(cfg) -> str:
     if cfg["method"] == "analytic":
         results = [(_ANALYTIC[name](dc.basis_density(i)), 0.0) for i in range(1, 10)]
     else:
-        results = _circuit_outputs(_channel_circuit(name, layout), shots, seed, noise)
+        results = _circuit_outputs(name, layout, shots, seed, noise)
     outputs = [{"input": i, "matrix": la.matrix_to_json(rho3), "leakage": leak}
                for i, (rho3, leak) in enumerate(results, start=1)]
     return _write_json(cfg, f"apply_{name}_{cfg['method']}.json",
@@ -224,11 +219,11 @@ def cmd_choi(cfg) -> str:
     if method == "analytic":
         omega = analytic
     elif method == "linear":
-        results = _circuit_outputs(_channel_circuit(name, layout), shots, seed, noise)
+        results = _circuit_outputs(name, layout, shots, seed, noise)
         omega = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
     else:  # direct
-        circuit = _channel_circuit(name, None)
-        omega = cj.choi_direct(circuit, shots, seed, noise, layout)
+        omega = cj.estimate_direct(_outcome_table(name, "direct", layout, noise), shots, seed,
+                                   noise.readout_flip)
     w, _ = la.hermitian_eig(omega)
     obj = cj.choi_to_json(omega)
     obj["channel"] = name
@@ -339,6 +334,9 @@ def main(argv=None) -> int:
         return EXIT_ROUTING
     except cc.ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except enc.DegenerateProjectionError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

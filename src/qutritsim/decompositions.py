@@ -280,10 +280,10 @@ def prep_superposition_circuit() -> Circuit:
     return Circuit(2, gates)
 
 
-# --- named-circuit manifest ----------------------------------------------------
+# --- named circuits ----------------------------------------------------------
 
 def named_circuits() -> dict:
-    """Every exported circuit under its manifest name."""
+    """Every named circuit of the package under its name."""
     out = {}
     for k in (1, 2, 3, 4):
         out[f"wh_s{k}"] = wh_channel_circuit(SConfig(k))
@@ -297,21 +297,3 @@ def named_circuits() -> dict:
     out["quasi_toffoli_b"] = quasi_toffoli_circuit(QuasiToffoliVariant("b"))
     return out
 
-
-def export_circuits(outdir) -> dict:
-    """Write every named circuit as Circuit JSON plus a manifest.json index."""
-    import json
-    import os
-
-    from .circuits import circuit_to_json
-
-    os.makedirs(outdir, exist_ok=True)
-    manifest = {}
-    for name, c in sorted(named_circuits().items()):
-        fname = f"{name}.json"
-        with open(os.path.join(outdir, fname), "w") as f:
-            json.dump(circuit_to_json(c), f, sort_keys=True, indent=1)
-        manifest[name] = fname
-    with open(os.path.join(outdir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-    return manifest

@@ -5,13 +5,14 @@ measured qubits, as one (3^k, 2^k) table, with per-qubit bases Z, X, Y and
 pre-rotations Z: none, X: h, Y: u1(-pi/2) then h.  Every pre-rotation gate is a one-qubit gate and
 gate noise acts only on the qubits a gate touches, so a setting's noisy
 pre-rotation is a tensor product of three possible one-qubit channels.
-``collect`` therefore simulates the circuit once and reads all 3^k
-distributions off the reduced state with one per-qubit contraction.
-``collect_batch`` does the same for a stack of prepared inputs: one
-simulation of the circuit over the stack, one effect tensor, one
-contraction.  Each record's table is sampled from its own generator, seeded
-by SeedSequence, so records with distinct seeds or spawn keys draw
-independent streams.
+Tomography has two stages.  ``outcome_tables`` reads all 3^k exact
+distributions off the measured reduced states of a stack of inputs with
+one per-qubit contraction; it depends only on the circuit and the noise.
+``sample_records`` then draws each record's table from its own generator,
+seeded by SeedSequence, so records with distinct seeds or spawn keys draw
+independent streams.  ``collect_batch`` (one simulation of the circuit over
+a stack of prepared inputs) and ``collect`` (one input) are the two stages
+in a row.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
@@ -21,9 +22,7 @@ projected as one stack.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -169,25 +168,14 @@ def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
         lead + [nb + a for a in range(0, 2 * k, 2)] + [nb + a for a in range(1, 2 * k, 2)])
 
 
-# Largest number of cached effect tensors, a memory budget: one is a
-# (3, 2, 2, 2) complex128 array, 384 bytes, so 256 take under 100 KiB.
-MAX_CACHED_EFFECTS = 256
-
-
 def _effect_tensor(noise: NoiseConfig | None) -> np.ndarray:
     """E[b, o, i, j] = <o| L_b(|i><j|) |o>, where L_b is the (noisy) one-qubit
-    pre-rotation of basis BASES[b].
+    pre-rotation of basis BASES[b] (None is NoiseConfig.zero()).
 
     L_b is the product of its gates' 4x4 superoperators (gate_superops, the
     per-gate channels of simulate_density) on the row-major (row, col) pair.
-    Built once per process for each noise (None is NoiseConfig.zero()) and
-    shared read-only.
     """
-    return _noise_effect_tensor(noise or NoiseConfig.zero())
-
-
-@functools.lru_cache(maxsize=MAX_CACHED_EFFECTS)
-def _noise_effect_tensor(noise: NoiseConfig) -> np.ndarray:
+    noise = noise or NoiseConfig.zero()
     e = np.empty((3, 2, 2, 2), dtype=complex)
     for b, basis in enumerate(BASES):
         gates = [Gate(*g) for g in prerotation_gates(basis)]
@@ -195,7 +183,6 @@ def _noise_effect_tensor(noise: NoiseConfig) -> np.ndarray:
         for superop in gate_superops(gates, noise):
             ell = np.dot(superop, ell)
         e[b] = np.einsum("ooij->oij", ell.reshape(2, 2, 2, 2))
-    e.flags.writeable = False
     return e
 
 
@@ -242,36 +229,48 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig | None = None,
     return la.partial_trace(simulate_density(c, np.stack(inputs), noise), [2] * n, measure)
 
 
-def _readout(rho_meas: np.ndarray, shots: int, rngs, noise: NoiseConfig | None) -> list:
-    """One TomographyRecord per reduced state of the stack (B, 2^k, 2^k).
+def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig | None = None) -> np.ndarray:
+    """The exact, read-only (B, 3^k, 2^k) table of outcome distributions of
+    every setting, settings_for order, for each reduced state of the stack
+    (B, 2^k, 2^k), before readout error.
 
-    The (B, 3^k, 2^k) table of outcome distributions of all settings comes
-    from contracting the reduced states, one qubit at a time, with the
-    effect tensor of the three noisy one-qubit pre-rotations, built once.
-    This is exact, not an approximation: every pre-rotation gate is a
-    one-qubit gate and NoiseConfig acts only on the qubits a gate touches,
-    so each setting's noisy pre-rotation is a tensor product of one-qubit
-    channels.  Each row is clipped and normalized like born_probabilities.
-    State b's table is sampled by sample_table from generator rngs[b],
-    settings in settings_for order.
+    It comes from contracting the reduced states, one qubit at a time, with
+    the effect tensor of the three noisy one-qubit pre-rotations.  This is
+    exact, not an approximation: every pre-rotation gate is a one-qubit gate
+    and NoiseConfig acts only on the qubits a gate touches, so each
+    setting's noisy pre-rotation is a tensor product of one-qubit channels.
+    Each row is clipped and normalized like born_probabilities.  The table
+    depends on the circuit and the noise only, never on a seed, so a caller
+    may build it once and sample it many times (sample_records).
     """
     k = int(round(math.log2(rho_meas.shape[-1])))
     effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
     t = _per_qubit(rho_meas.reshape((-1,) + (2,) * (2 * k)), k, effect, (3, 2))
     tables = normalize_probabilities(t.real.reshape(-1, 3 ** k, 2 ** k))
-    flip = noise.readout_flip if noise is not None else 0.0
+    tables.flags.writeable = False
+    return tables
+
+
+def sample_records(tables: np.ndarray, shots: int, rngs, readout_flip: float = 0.0) -> list:
+    """One TomographyRecord per table of the stack (B, 3^k, 2^k) of
+    outcome_tables: table b sampled by sample_table from generator rngs[b]
+    (at shots = 0 the exact table, readout error applied exactly), its
+    record carrying that generator's seed and spawn key."""
+    k = int(round(math.log2(tables.shape[-1])))
     records = []
     for table, rng in zip(tables, rngs):
         seq = rng.bit_generator.seed_seq
-        records.append(TomographyRecord(settings_for(k), sample_table(table, shots, rng, flip),
-                                        shots, seq.entropy, seq.spawn_key))
+        counts = sample_table(table, shots, rng, readout_flip)
+        records.append(TomographyRecord(settings_for(k), counts, shots, seq.entropy,
+                                        seq.spawn_key))
     return records
 
 
 def collect_batch(c: Circuit, preps, shots: int, seeds, noise: NoiseConfig | None = None,
                   measure_qubits=None) -> list:
     """Tomograph a stack of prepared inputs with one run of the circuit: one
-    TomographyRecord per prep circuit (see measured_states).
+    TomographyRecord per prep circuit (see measured_states), the exact
+    outcome_tables then sample_records.
 
     The record of preps[b] is sampled from one generator seeded by
     seeds[b], a non-negative int or a SeedSequence (circuits._rng); give
@@ -283,7 +282,8 @@ def collect_batch(c: Circuit, preps, shots: int, seeds, noise: NoiseConfig | Non
     if len(seeds) != len(preps):
         raise ValueError("one seed per prep circuit required")
     rngs = [_rng(seed) for seed in seeds]
-    return _readout(measured_states(c, preps, noise, measure_qubits), shots, rngs, noise)
+    tables = outcome_tables(measured_states(c, preps, noise, measure_qubits), noise)
+    return sample_records(tables, shots, rngs, noise.readout_flip if noise is not None else 0.0)
 
 
 def collect(c: Circuit, shots: int, seed, noise: NoiseConfig | None = None,
@@ -291,11 +291,9 @@ def collect(c: Circuit, shots: int, seed, noise: NoiseConfig | None = None,
     """Run the circuit once on |0...0>, then sample every measurement
     setting of the measured qubits: collect_batch on a stack of one.
 
-    The 3^k outcome distributions are read off the measured qubits'
-    reduced state with one per-qubit contraction (see _readout).
-
-    shots = 0 is exact mode: Born probabilities are stored in place of
-    sampled counts, with readout error applied exactly.
+    shots = 0 is exact mode: the outcome distributions, with gate noise,
+    noisy pre-rotations and readout error, are stored in place of sampled
+    counts, the infinite-shot limit of a sampled record.
 
     The whole (3^k, 2^k) table is drawn from one generator seeded by seed
     (a non-negative int or a SeedSequence), settings in settings_for
@@ -400,13 +398,3 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     got = la.project_to_density(lam * got_a + (1 - lam) * got_b)
     vals = fidelity(got, lam * want_a + (1 - lam) * want_b)
     return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
-
-
-def record_to_json_file(path, rec: TomographyRecord) -> None:
-    with open(path, "w") as f:
-        json.dump(rec.to_json(), f, sort_keys=True)
-
-
-def record_from_json_file(path) -> TomographyRecord:
-    with open(path) as f:
-        return TomographyRecord.from_json(json.load(f))

@@ -480,15 +480,6 @@ def test_gate_superops_shared_across_calls_and_read_only():
             a[0, 0] = 1.0
 
 
-def test_effect_tensor_shared_and_read_only():
-    assert tg._effect_tensor(None) is tg._effect_tensor(cc.NoiseConfig.zero())
-    for noise in (None, cc.NoiseConfig(p1=0.03, gamma=0.01, readout_flip=0.02)):
-        e = tg._effect_tensor(noise)
-        assert e is tg._effect_tensor(noise)
-        with pytest.raises(ValueError):
-            e[0, 0, 0, 0] = 1.0
-
-
 def _ref_effect_tensor(noise):
     # each pre-rotation run through simulate_density on qubit 0 of two, the
     # idle qubit 1 keeping a reference copy of the input |i><j|

@@ -16,7 +16,6 @@ from qutritsim import circuits as cc
 from qutritsim import cli
 from qutritsim import coupling as cp
 from qutritsim import decompositions as dc
-from qutritsim import encoding as enc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
 
@@ -320,8 +319,8 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
 
 
 def _clear_caches():
-    for cached in (cli._parser, cli._built_channel_circuit, cli._prep_circuits,
-                   cj._direct_circuit, tg._noise_effect_tensor, cc._gate_superop):
+    for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._named_choi,
+                   dc._basis_states):
         cached.cache_clear()
 
 
@@ -343,17 +342,75 @@ def test_cold_and_warm_caches_write_identical_files(tmp_path):
         assert cold.name == warm.name and cold.read_bytes() == warm.read_bytes(), args
 
 
-def test_mutating_a_handed_out_channel_circuit_changes_no_output(tmp_path):
-    args = ["apply", "--channel", "ls", "--method", "circuit", "--shots", "0"]
-    assert run(args + ["--out", str(tmp_path / "a")]) == 0
-    c = cli._channel_circuit("ls", None)
-    c.add("x", (), (2,))
-    c.gates.reverse()
-    c.n_qubits = 5
-    assert run(args + ["--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a" / "apply_ls_circuit.json").read_bytes() == \
-        (tmp_path / "b" / "apply_ls_circuit.json").read_bytes()
-    assert cli._channel_circuit("ls", None) == dc.ls_channel_circuit()
+def _count_simulations(monkeypatch):
+    """Count simulate_state and simulate_density calls at their use site,
+    tomography.measured_states."""
+    calls = []
+    for name in ("simulate_state", "simulate_density"):
+        def counted(*args, _fn=getattr(tg, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(tg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("method", ["linear", "direct"])
+def test_repeated_configuration_simulates_nothing(tmp_path, monkeypatch, method, noisy):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p1": 0.003, "p2": 0.03, "gamma": 0.003, "readout_flip": 0.01}))
+    args = ["choi", "--channel", "wh", "--choi-method", method, "--shots", "1000",
+            "--noise", str(noise) if noisy else "zero", "--out", str(tmp_path)]
+    cli._outcome_table.cache_clear()
+    calls = _count_simulations(monkeypatch)
+    assert run(args + ["--seed", "1"]) == 0
+    assert calls  # the cold item simulated its configuration
+    calls.clear()
+    for seed in ("2", "3"):
+        assert run(args + ["--seed", seed]) == 0
+    assert calls == []
+    # apply --method circuit reads the linear table
+    assert run(["apply", "--channel", "wh", "--method", "circuit"] + args[5:]) == 0
+    assert (calls == []) == (method == "linear")
+
+
+def test_cached_outcome_table_is_read_only():
+    for method, shape in (("linear", (9, 9, 4)), ("direct", (1, 81, 16))):
+        table = cli._outcome_table("ls", method, None, cc.NoiseConfig(p2=0.02))
+        assert table.shape == shape and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+        assert table is cli._outcome_table("ls", method, None, cc.NoiseConfig(p2=0.02))
+
+
+def test_exact_linear_includes_readout_error(tmp_path):
+    # exact mode is the infinite-shot limit: readout flips lower the fidelity
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps({"readout_flip": 0.05}))
+    assert run(["choi", "--channel", "ls", "--choi-method", "linear", "--shots", "0",
+                "--noise", str(path), "--out", str(tmp_path)]) == 0
+    obj = json.loads((tmp_path / "choi_ls_linear.json").read_text())
+    assert obj["fidelity_vs_analytic"] < 1 - 1e-3
+    results = _ref_circuit_outputs(dc.ls_channel_circuit(), 0, 0, cc.NoiseConfig(readout_flip=0.05))
+    want = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
+    assert np.abs(cj.choi_from_json(obj) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("args", [
+    ["apply", "--method", "circuit"],
+    ["choi", "--choi-method", "linear"],
+])
+def test_no_weight_in_qutrit_subspace_is_config_error(tmp_path, capsys, args):
+    # every readout bit flipped: input |00> reconstructs as |11> exactly
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"readout_flip": 1.0}))
+    code = run(args + ["--channel", "id", "--shots", "0", "--noise", str(noise),
+                       "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error: no weight left in the qutrit subspace")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.glob("apply_*")) and not any(tmp_path.glob("choi_*"))
 
 
 def test_config_grid_not_integer_is_config_error(tmp_path, capsys):
@@ -433,7 +490,8 @@ def test_config_out_not_a_string_is_config_error(tmp_path, capsys, out):
 # --- the nine basis inputs as one batch against the per-input loop ----------
 # _ref_circuit_outputs is the loop that cli._circuit_outputs replaces: for
 # each input, prep_i + channel as one circuit, then collect and
-# reconstruct_qutrit (or, at shots = 0, the exact reduced density).
+# reconstruct_qutrit (shots = 0 included: the exact record, readout error
+# and all).
 
 
 def _full_circuit(circuit, i):
@@ -449,24 +507,19 @@ def _input_seed(seed, i):
 
 
 def _ref_circuit_outputs(circuit, shots, seed, noise):
-    n = circuit.n_qubits
     results = []
     for i in range(1, 10):
-        full = _full_circuit(circuit, i)
-        if shots == 0:
-            rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
-            rho0[0, 0] = 1.0
-            red = la.partial_trace(cc.simulate_density(full, rho0, noise), [2] * n, [2, 3])
-            results.append(enc.project_qutrit(red))
-        else:
-            rec = tg.collect(full, shots, _input_seed(seed, i), noise, measure_qubits=(2, 3))
-            results.append(tg.reconstruct_qutrit(rec))
+        rec = tg.collect(_full_circuit(circuit, i), shots, _input_seed(seed, i), noise, (2, 3))
+        results.append(tg.reconstruct_qutrit(rec))
     return results
 
 
 def _check_batched_outputs(name, layout, shots, seed, noise):
-    circuit = cli._channel_circuit(name, cp.preset_map(layout) if layout else None)
-    got = cli._circuit_outputs(circuit, shots, seed, noise)
+    cmap = cp.preset_map(layout) if layout else None
+    circuit = cli._CHANNEL_CIRCUITS[name]()
+    if cmap is not None:
+        circuit = cp.route_circuit(circuit, cmap)
+    got = cli._circuit_outputs(name, cmap, shots, seed, noise)
     want = _ref_circuit_outputs(circuit, shots, seed, noise)
     assert len(got) == len(want) == 9
     for (rho_g, leak_g), (rho_w, leak_w) in zip(got, want):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -256,12 +258,9 @@ def test_purity_monotone_in_noise_on_channel_circuit():
             assert all(purities[k] >= purities[k + 1] - 1e-12 for k in range(3)), (param, i)
 
 
-def test_named_circuits_and_export(tmp_path):
+def test_named_circuits_json_roundtrip():
     names = dc.named_circuits()
     for required in ("wh_s4", "ls_s4", "prep_1", "prep_9", "prep_psi_plus_system"):
         assert required in names
-    manifest = dc.export_circuits(tmp_path)
-    assert (tmp_path / "manifest.json").exists()
-    for name, fname in manifest.items():
-        c = cc.load_circuit(tmp_path / fname)
-        assert c.n_qubits == names[name].n_qubits
+    for c in names.values():
+        assert cc.circuit_from_json(json.loads(json.dumps(cc.circuit_to_json(c)))) == c

@@ -201,16 +201,6 @@ def test_channel_fidelity_sweep_self():
     assert abs(mean - mean2) < 1e-12
 
 
-def test_record_json_roundtrip(tmp_path):
-    rec = tg.collect(dc.prep_basis_circuit(6), shots=128, seed=9)
-    p = tmp_path / "rec.json"
-    tg.record_to_json_file(p, rec)
-    back = tg.record_from_json_file(p)
-    assert back.settings == rec.settings
-    assert all(cc.histogram(a) == cc.histogram(b) for a, b in zip(back.table, rec.table))
-    assert np.abs(tg.reconstruct_2q(back) - tg.reconstruct_2q(rec)).max() < 1e-12
-
-
 # --- equivalence with the per-setting reference implementation ---------------
 # _ref_collect runs one noisy pre-rotation fragment per setting, _ref_sample
 # draws a table from one generator with scalar loops (each row's multinomial
