@@ -33,7 +33,7 @@ print("violations after routing:", cp.validate(r, m5))
 print("\n== the channel circuit on the 5-qubit device layout ==")
 placement = {0: 2, 1: 1, 2: 3, 3: 0}   # env pair on (2,1), system pair on (3,0)
 plain = dc.ls_channel_circuit(dc.SConfig(4))
-routed = dc.ls_channel_circuit(dc.SConfig(4), layout=m5, placement=placement)
+routed = cp.route_circuit(plain, m5, placement)
 print(f"plain: {plain.cnot_count()} CNOTs; routed: {routed.cnot_count()} CNOTs")
 print("legal:", cp.validate(routed, m5) == [])
 want = cc.unitary_of(plain.remapped([2, 1, 3, 0], n_qubits=5))

@@ -20,7 +20,7 @@ from .coupling import CouplingMap, RoutingError, preset_map, reverse_cnot, route
 from .encoding import (embed_density, embed_state, embed_two_qutrit_unitary,
                        induced_channel, project_qutrit, project_two_qutrits)
 from .decompositions import (SConfig, QuasiToffoliVariant, basis_density,
-                             ls_channel_circuit, named_circuits,
+                             ls_channel_circuit,
                              prep_basis_circuit, prep_superposition_circuit,
                              quasi_toffoli_circuit, quasi_toffoli_matrix,
                              s_config_unitary, s_permutation_circuit,

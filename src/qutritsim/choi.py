@@ -5,6 +5,14 @@ Omega = (1/3) sum_{i,k} E_{i,k} (x) Phi(E_{i,k}), trace one, ordering
 input (x) output.  Channel recovery therefore multiplies by 3: the
 superoperator is 3 times the reshuffled Choi matrix
 (channels.superop_from_choi), and Phi(rho) is one matvec with it.
+
+The two circuit experiments live here, each as its exact outcome table
+(seed-free, built once per configuration) and an estimator that samples it:
+linear_tables / linear_outputs tomograph the nine basis inputs prepared on
+the channel circuit's system pair, direct_tables / estimate_direct the
+6-qubit direct Choi-state circuit.  Both tables come from one builder, the
+only place an experiment is routed onto a coupling map: it routes the
+channel circuit and the input preparations with the same placement.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from . import linalg as la
 from .channels import ChannelRep, choi_of, superop_from_choi
 from .circuits import Circuit, NoiseConfig, _rng, check_shots
 from .coupling import CouplingMap, route_circuit
-from .decompositions import basis_density, prep_superposition_circuit
-from .encoding import project_two_qutrits
+from .decompositions import basis_density, prep_basis_circuit, prep_superposition_circuit
+from .encoding import project_qutrit, project_two_qutrits
 from .linalg import as_matrix
 from .tomography import (fidelity, measured_states, outcome_tables, reconstruct_state,
                          sample_records)
@@ -118,43 +126,73 @@ def choi_fidelity(th: np.ndarray, exp: np.ndarray) -> float:
     return fidelity(la.project_to_density(th), la.project_to_density(exp))
 
 
-def choi_direct_circuit(channel_circuit: Circuit,
-                        layout: CouplingMap | None = None,
-                        placement=None) -> Circuit:
+def choi_direct_circuit(channel_circuit: Circuit) -> Circuit:
     """The 6-qubit direct Choi-state circuit.
 
     Wires: (0, 1) ancilla pair (kept as the input side), (2, 3) system pair,
     (4, 5) environment pair.  Prepares the uniform qutrit superposition on
     the system pair, copies it onto the ancilla pair in the computational
     basis (control = system, target = ancilla), then runs the channel
-    circuit with its environment wires moved to (4, 5).  A placement needs
-    a layout to place on.
+    circuit with its environment wires moved to (4, 5).
     """
     if channel_circuit.n_qubits != 4:
         raise ValueError("channel circuit must act on 4 qubits")
-    if placement is not None and layout is None:
-        raise ValueError("a placement needs a layout")
     c = Circuit(6)
     c.extend(prep_superposition_circuit().remapped([2, 3], 6).gates)
     c.add("cnot", (), (2, 0))
     c.add("cnot", (), (3, 1))
     # channel wires (e0, e1, s0, s1) -> physical (4, 5, 2, 3)
     c.extend(channel_circuit.remapped([4, 5, 2, 3], 6).gates)
-    if layout is not None:
-        c = route_circuit(c, layout, placement)
     return c
+
+
+def _experiment_tables(circuit: Circuit, preps, measure: tuple, noise: NoiseConfig | None,
+                       layout: CouplingMap | None, placement) -> np.ndarray:
+    """The exact outcome table of one experiment: each prep circuit of
+    preps (None: none) on |0...0>, then circuit, read out on the logical
+    wires measure.  The one place an experiment is routed: with a layout,
+    circuit and every prep are routed with the same placement and the
+    measured wires are the physical wires the placement gives them.  A
+    placement needs a layout to place on."""
+    if layout is not None:
+        circuit = route_circuit(circuit, layout, placement)
+        preps = [None if p is None else route_circuit(p, layout, placement) for p in preps]
+        if placement is not None:
+            measure = tuple(placement[q] for q in measure)
+    elif placement is not None:
+        raise ValueError("a placement needs a layout")
+    return outcome_tables(measured_states(circuit, preps, noise, measure), noise)
+
+
+def linear_tables(channel_circuit: Circuit, noise: NoiseConfig | None = None,
+                  layout: CouplingMap | None = None) -> np.ndarray:
+    """The exact (9, 9, 4) outcome table of the linear Choi experiment
+    (also behind apply --method circuit): input i is prep_basis_circuit(i)
+    on the system pair (2, 3) of the channel circuit, read out on (2, 3);
+    with a layout the preps are routed with the channel."""
+    n = channel_circuit.n_qubits
+    preps = [prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
+    return _experiment_tables(channel_circuit, preps, (2, 3), noise, layout, None)
+
+
+def linear_outputs(tables: np.ndarray, shots: int, seed, readout_flip: float = 0.0) -> list:
+    """(rho3, leakage) for the nine basis inputs from the exact table of
+    linear_tables: input i's record sampled from its own stream
+    SeedSequence(seed, spawn_key=(i,)) (shots = 0: exact, readout error
+    included), the nine inverted and projected as one stack, and each 4x4
+    state post-selected onto the qutrit."""
+    seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
+    recs = sample_records(tables, shots, [np.random.default_rng(s) for s in seeds], readout_flip)
+    return [project_qutrit(red) for red in reconstruct_state(recs)]
 
 
 def direct_tables(channel_circuit: Circuit, noise: NoiseConfig | None = None,
                   layout: CouplingMap | None = None, placement=None) -> np.ndarray:
     """The exact (1, 81, 16) outcome table of the direct Choi experiment:
-    one run of choi_direct_circuit, read out on the (ancilla, system) wires,
-    which under a placement are the physical wires placement[0..3]."""
-    circuit = choi_direct_circuit(channel_circuit, layout, placement)
-    measure = (0, 1, 2, 3)
-    if placement is not None:
-        measure = tuple(placement[q] for q in measure)
-    return outcome_tables(measured_states(circuit, [None], noise, measure), noise)
+    one run of choi_direct_circuit, read out on the (ancilla, system) wires
+    0..3, which under a placement are the physical wires placement[0..3]."""
+    return _experiment_tables(choi_direct_circuit(channel_circuit), [None], (0, 1, 2, 3),
+                              noise, layout, placement)
 
 
 def estimate_direct(tables: np.ndarray, shots: int, seed, readout_flip: float = 0.0) -> np.ndarray:

@@ -430,25 +430,3 @@ def exact_counts(state_or_density, seed: int = 0, readout_flip: float = 0.0) -> 
     Readout error is applied exactly as a per-bit binary symmetric channel."""
     return counts_from_probabilities(born_probabilities(state_or_density),
                                      0, seed, readout_flip)
-
-
-# --- circuit JSON ------------------------------------------------------------
-# {"n_qubits": n, "gates": [{"name": "u3", "params": [...], "qubits": [...]}]}
-
-
-def circuit_to_json(c: Circuit) -> dict:
-    return {
-        "n_qubits": c.n_qubits,
-        "gates": [
-            {"name": g.name, "params": list(g.params), "qubits": list(g.qubits)}
-            for g in c.gates
-        ],
-    }
-
-
-def circuit_from_json(obj: dict) -> Circuit:
-    c = Circuit(int(obj["n_qubits"]))
-    for g in obj["gates"]:
-        c.add(g["name"], tuple(g.get("params", ())), tuple(g["qubits"]))
-    return c
-

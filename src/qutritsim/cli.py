@@ -1,6 +1,12 @@
 """Experiment driver: apply channels to the basis inputs, build Choi
 matrices, sweep pairwise fidelities, and run the invariant suite.
 
+The driver merges the configuration, picks the channel circuit and caches
+each configuration's exact outcome table; the experiments themselves (input
+preparation, routing, readout wires, sampling and reconstruction) are
+choi.linear_tables / linear_outputs and choi.direct_tables /
+estimate_direct.
+
 All outputs are JSON or CSV, deterministic given (config, seed).  Exit
 codes: 0 success, 1 verification failure, 2 configuration error (a
 reconstructed state with no weight in the qutrit subspace included) or a
@@ -51,27 +57,16 @@ MAX_CACHED_EXPERIMENTS = 64
 
 @functools.lru_cache(maxsize=MAX_CACHED_EXPERIMENTS)
 def _outcome_table(channel, method, layout, noise) -> np.ndarray:
-    """The exact, read-only tomography outcome table of one configuration,
-    built once per process for each (channel, method, layout, noise); it
-    depends on no seed.
-
-    method "linear" (also behind apply --method circuit): the (9, 9, 4)
-    table of the nine basis inputs, input i being prep_basis_circuit(i) on
-    the system pair (2, 3) of the channel circuit routed onto layout, read
-    out on (2, 3).  method "direct": the (1, 81, 16) table of
-    choi.direct_tables on the unrouted channel circuit and layout.  The
-    circuits are built, run once and dropped.  noise is the NoiseConfig of
-    _load_noise, which reads no noise spec (None or "zero") as
-    NoiseConfig.zero(), so every noiseless item shares one entry.
+    """The exact, read-only outcome table of one configuration, built once
+    per process for each (channel, method, layout, noise); it depends on no
+    seed.  method "linear" (also behind apply --method circuit) is the
+    (9, 9, 4) table of choi.linear_tables, "direct" the (1, 81, 16) table
+    of choi.direct_tables.  noise is the NoiseConfig of _load_noise, which
+    reads no noise spec (None or "zero") as NoiseConfig.zero(), so every
+    noiseless item shares one entry.
     """
-    circuit = _CHANNEL_CIRCUITS[channel]()
-    if method == "direct":
-        return cj.direct_tables(circuit, noise, layout)
-    if layout is not None:
-        circuit = cp.route_circuit(circuit, layout)
-    n = circuit.n_qubits
-    preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
-    return tg.outcome_tables(tg.measured_states(circuit, preps, noise, (2, 3)), noise)
+    return {"linear": cj.linear_tables, "direct": cj.direct_tables}[method](
+        _CHANNEL_CIRCUITS[channel](), noise, layout)
 
 
 def _load_noise(spec) -> cc.NoiseConfig:
@@ -170,24 +165,6 @@ def _write_json(cfg, filename, obj) -> str:
                          lambda f: json.dump(obj, f, sort_keys=True, indent=1))
 
 
-def _circuit_outputs(name, layout, shots, seed, noise) -> list:
-    """(rho3, leakage) for the nine basis inputs of the channel circuit,
-    as one batch.
-
-    The nine records are sampled from the configuration's cached exact
-    table (_outcome_table, method "linear"), input i's from its own stream
-    SeedSequence(seed, spawn_key=(i,)), then inverted and projected as one
-    stack, and each 4x4 state is post-selected onto the qutrit.  shots = 0
-    takes the same path with the exact table, so exact mode keeps the
-    noisy pre-rotations and the readout flips: it is the infinite-shot
-    limit, as for choi direct.
-    """
-    seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
-    recs = tg.sample_records(_outcome_table(name, "linear", layout, noise), shots,
-                             [np.random.default_rng(s) for s in seeds], noise.readout_flip)
-    return [enc.project_qutrit(red) for red in tg.reconstruct_state(recs)]
-
-
 def cmd_apply(cfg) -> str:
     """Write Phi(rho_i) for the nine basis inputs, with leakage values."""
     name = cfg["channel"]
@@ -198,7 +175,8 @@ def cmd_apply(cfg) -> str:
     if cfg["method"] == "analytic":
         results = [(_ANALYTIC[name](dc.basis_density(i)), 0.0) for i in range(1, 10)]
     else:
-        results = _circuit_outputs(name, layout, shots, seed, noise)
+        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise),
+                                    shots, seed, noise.readout_flip)
     outputs = [{"input": i, "matrix": la.matrix_to_json(rho3), "leakage": leak}
                for i, (rho3, leak) in enumerate(results, start=1)]
     return _write_json(cfg, f"apply_{name}_{cfg['method']}.json",
@@ -219,7 +197,8 @@ def cmd_choi(cfg) -> str:
     if method == "analytic":
         omega = analytic
     elif method == "linear":
-        results = _circuit_outputs(name, layout, shots, seed, noise)
+        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise),
+                                    shots, seed, noise.readout_flip)
         omega = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
     else:  # direct
         omega = cj.estimate_direct(_outcome_table(name, "direct", layout, noise), shots, seed,

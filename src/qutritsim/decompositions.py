@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coupling as cp
 from .circuits import Circuit, Gate, simulate_state, unitary_of
 from .linalg import kron_all
 
@@ -173,32 +172,24 @@ def _one_qubit_layer_gates(cfg: SConfig) -> list:
     return gates
 
 
-def wh_channel_circuit(cfg: SConfig = SConfig(4), layout: cp.CouplingMap | None = None,
-                       placement=None) -> Circuit:
+def wh_channel_circuit(cfg: SConfig = SConfig(4)) -> Circuit:
     """4-qubit circuit whose induced qutrit channel (environment pair |00>,
     trace out wires 0-1, post-select wires 2-3) is the transpose-depolarizer.
 
     The circuit is the one-qubit layer followed by the inverse permutation
-    circuit.  With a coupling map it is legalized by routing.
+    circuit.  coupling.route_circuit legalizes it on a coupling map.
     """
     gates = _one_qubit_layer_gates(cfg)
     gates += _abstract_to_gates(list(reversed(_S_GATES[cfg.k])))
-    c = Circuit(4, gates)
-    if layout is not None:
-        c = cp.route_circuit(c, layout, placement)
-    return c
+    return Circuit(4, gates)
 
 
-def ls_channel_circuit(cfg: SConfig = SConfig(4), layout: cp.CouplingMap | None = None,
-                       placement=None) -> Circuit:
+def ls_channel_circuit(cfg: SConfig = SConfig(4)) -> Circuit:
     """Spin-1 channel circuit: the encoded covariance unitary on the system
     pair, then the transpose-depolarizer circuit."""
     gates = list(w_tilde_circuit().remapped([2, 3], 4).gates)
     gates += wh_channel_circuit(cfg).gates
-    c = Circuit(4, gates)
-    if layout is not None:
-        c = cp.route_circuit(c, layout, placement)
-    return c
+    return Circuit(4, gates)
 
 
 def wh_embedded_unitary(cfg: SConfig = SConfig(4)) -> np.ndarray:
@@ -278,22 +269,3 @@ def prep_superposition_circuit() -> Circuit:
         ("x", (), (0,)),
     ]
     return Circuit(2, gates)
-
-
-# --- named circuits ----------------------------------------------------------
-
-def named_circuits() -> dict:
-    """Every named circuit of the package under its name."""
-    out = {}
-    for k in (1, 2, 3, 4):
-        out[f"wh_s{k}"] = wh_channel_circuit(SConfig(k))
-        out[f"ls_s{k}"] = ls_channel_circuit(SConfig(k))
-        out[f"s_permutation_s{k}"] = s_permutation_circuit(SConfig(k))
-    for i in range(1, 10):
-        out[f"prep_{i}"] = prep_basis_circuit(i)
-    out["prep_psi_plus_system"] = prep_superposition_circuit()
-    out["w_tilde"] = w_tilde_circuit()
-    out["quasi_toffoli_a"] = quasi_toffoli_circuit(QuasiToffoliVariant("a"))
-    out["quasi_toffoli_b"] = quasi_toffoli_circuit(QuasiToffoliVariant("b"))
-    return out
-

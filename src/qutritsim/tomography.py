@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg as la
-from .circuits import (MAX_SHOTS, Circuit, Gate, NoiseConfig, _rng,
-                       check_dense_register, check_shots, gate_superops, histogram,
-                       normalize_probabilities, sample_table, simulate_density,
+from .circuits import (Circuit, Gate, NoiseConfig, _rng, check_dense_register, check_shots,
+                       gate_superops, normalize_probabilities, sample_table, simulate_density,
                        simulate_state)
 from .encoding import project_qutrit
 
@@ -65,10 +63,6 @@ def prerotation_gates(setting: str) -> list:
     return gates
 
 
-def _nonneg_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
-
-
 @dataclass
 class TomographyRecord:
     """Outcomes of every measurement setting of k qubits.
@@ -92,61 +86,6 @@ class TomographyRecord:
     @property
     def n_qubits(self) -> int:
         return len(self.settings[0])
-
-    def to_json(self) -> dict:
-        """Histograms as one {bitstring: value} dict of nonzero entries per
-        setting."""
-        return {
-            "shots": self.shots,
-            "seed": self.seed,
-            "spawn_key": list(self.spawn_key),
-            "settings": list(self.settings),
-            "counts": [histogram(row) for row in self.table],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "TomographyRecord":
-        """Parse a record, raising ValueError unless it holds a complete
-        setting set, one histogram per setting, k-bit keys and, per
-        histogram, non-negative int counts summing to shots or, at
-        shots = 0, non-negative finite probabilities summing to 1 within
-        1e-9."""
-        keys = ("shots", "seed", "settings", "counts")
-        if not isinstance(obj, dict) or any(key not in obj for key in keys):
-            raise ValueError(f"a record is an object with keys {keys}")
-        shots, seed, settings, hists = (obj[key] for key in keys)
-        spawn_key = obj.get("spawn_key", [])
-        if not (_nonneg_int(shots) and shots <= MAX_SHOTS and _nonneg_int(seed)
-                and isinstance(spawn_key, list) and all(_nonneg_int(v) for v in spawn_key)):
-            raise ValueError("shots (below 2^63), seed and spawn_key entries must be "
-                             "non-negative integers")
-        if not (isinstance(settings, list) and settings
-                and all(isinstance(x, str) for x in settings)):
-            raise ValueError("settings must be a list of strings")
-        k = len(settings[0])
-        if k < 1 or len(settings) != 3 ** k or sorted(settings) != sorted(settings_for(k)):
-            raise ValueError("settings must list every setting of k >= 1 qubits once")
-        if not isinstance(hists, list) or len(hists) != len(settings):
-            raise ValueError("one histogram per setting required")
-        table = np.zeros((len(settings), 2 ** k), dtype=int if shots else float)
-        for row, hist in zip(table, hists):
-            if not isinstance(hist, dict):
-                raise ValueError("a histogram is a {bitstring: value} object")
-            for key, v in hist.items():
-                if len(key) != k or set(key) - {"0", "1"}:
-                    raise ValueError(f"outcome {key!r} is not a {k}-bit string")
-                if shots:
-                    ok = _nonneg_int(v) and v <= shots
-                else:
-                    ok = (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                          and math.isfinite(v) and v >= 0)
-                if not ok:
-                    raise ValueError(f"bad value {v!r} for outcome {key!r}")
-                row[int(key, 2)] = v
-            total = row.sum()
-            if (shots and total != shots) or (not shots and abs(total - 1.0) > 1e-9):
-                raise ValueError("a histogram must sum to shots (to 1 at shots = 0)")
-        return cls(list(settings), table, shots, seed, tuple(spawn_key))
 
 
 def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:

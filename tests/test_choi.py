@@ -273,7 +273,7 @@ def test_choi_direct_noise_strictly_degrades():
 
 def test_choi_direct_routes_on_six_qubit_map():
     m = cp.preset_map("tokyo-6q")
-    circ = cj.choi_direct_circuit(dc.wh_channel_circuit(), layout=m)
+    circ = cp.route_circuit(cj.choi_direct_circuit(dc.wh_channel_circuit()), m)
     assert cp.validate(circ, m) == []
     omega = cj.choi_direct(dc.wh_channel_circuit(), shots=0, seed=0, layout=m)
     want = cj.analytic_choi(ch.ChannelRep.analytic("wh"))
@@ -290,10 +290,37 @@ def test_choi_direct_measures_placed_wires():
     assert cj.choi_fidelity(analytic, omega) >= 1 - 1e-9
 
 
+@pytest.mark.parametrize("tables, layout, placement, measure", [
+    (cj.linear_tables, "ibmqx4", None, (2, 3)),
+    (cj.linear_tables, "tokyo-6q", None, (2, 3)),
+    (cj.direct_tables, "tokyo-6q", None, (0, 1, 2, 3)),
+    (cj.direct_tables, "tokyo-6q", (5, 0, 3, 1, 4, 2), (5, 0, 3, 1)),
+])
+def test_routed_experiments_simulate_only_legal_circuits(monkeypatch, tables, layout,
+                                                         placement, measure):
+    # the input preparations run on the coupling map too, not only the
+    # channel: on ibmqx4 the prep CNOT (2, 3) must be reversed onto (3, 2)
+    cmap = cp.preset_map(layout)
+    seen = []
+
+    def capture(circuit, preps, noise=None, measure_qubits=None):
+        seen.append((circuit, preps, measure_qubits))
+        return tg.measured_states(circuit, preps, noise, measure_qubits)
+
+    monkeypatch.setattr(cj, "measured_states", capture)
+    kwargs = {} if placement is None else {"placement": dict(enumerate(placement))}
+    tables(dc.ls_channel_circuit(), None, cmap, **kwargs)
+    (circuit, preps, measured), = seen
+    assert tuple(measured) == measure
+    for c in [circuit] + [p for p in preps if p is not None]:
+        assert c.n_qubits == cmap.n_qubits
+        assert cp.validate(c, cmap) == []
+
+
 def test_choi_direct_rejects_placement_without_layout():
     placement = dict(enumerate([5, 0, 3, 1, 4, 2]))
     with pytest.raises(ValueError, match="layout"):
-        cj.choi_direct_circuit(dc.wh_channel_circuit(), placement=placement)
+        cj.direct_tables(dc.wh_channel_circuit(), placement=placement)
     with pytest.raises(ValueError, match="layout"):
         cj.choi_direct(dc.wh_channel_circuit(), 0, 0, placement=placement)
 

@@ -217,12 +217,10 @@ def test_circuit_inverse():
     assert np.abs(v @ u - np.eye(8)).max() < 1e-10
 
 
-def test_circuit_remap_and_json_roundtrip():
+def test_circuit_remap():
     c = cc.Circuit(2, [("u3", (0.1, 0.2, 0.3), (0,)), ("cnot", (), (0, 1))])
     r = c.remapped([2, 3], n_qubits=4)
     assert r.gates[1].qubits == (2, 3)
-    back = cc.circuit_from_json(cc.circuit_to_json(c))
-    assert np.abs(cc.unitary_of(back) - cc.unitary_of(c)).max() == 0
 
 
 def test_resource_error():
@@ -324,12 +322,12 @@ def _ref_exact_readout(p, readout_flip):
 
 def _routed_channel_circuits():
     ibm = cp.preset_map("ibmqx4")
-    yield dc.ls_channel_circuit(layout=ibm, placement={0: 2, 1: 1, 2: 3, 3: 0})
-    yield dc.wh_channel_circuit(dc.SConfig(2), layout=ibm)
+    yield cp.route_circuit(dc.ls_channel_circuit(), ibm, {0: 2, 1: 1, 2: 3, 3: 0})
+    yield cp.route_circuit(dc.wh_channel_circuit(dc.SConfig(2)), ibm)
     tokyo6 = cp.preset_map("tokyo-6q")
-    yield cj.choi_direct_circuit(dc.wh_channel_circuit(), tokyo6,
-                                 dict(enumerate([5, 0, 3, 1, 4, 2])))
-    yield cj.choi_direct_circuit(dc.ls_channel_circuit(), tokyo6)
+    yield cp.route_circuit(cj.choi_direct_circuit(dc.wh_channel_circuit()), tokyo6,
+                           dict(enumerate([5, 0, 3, 1, 4, 2])))
+    yield cp.route_circuit(cj.choi_direct_circuit(dc.ls_channel_circuit()), tokyo6)
 
 
 def test_unitary_of_matches_per_column_reference():

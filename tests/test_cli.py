@@ -391,7 +391,7 @@ def test_exact_linear_includes_readout_error(tmp_path):
                 "--noise", str(path), "--out", str(tmp_path)]) == 0
     obj = json.loads((tmp_path / "choi_ls_linear.json").read_text())
     assert obj["fidelity_vs_analytic"] < 1 - 1e-3
-    results = _ref_circuit_outputs(dc.ls_channel_circuit(), 0, 0, cc.NoiseConfig(readout_flip=0.05))
+    results = _ref_circuit_outputs("ls", None, 0, 0, cc.NoiseConfig(readout_flip=0.05))
     want = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
     assert np.abs(cj.choi_from_json(obj) - want).max() < 1e-12
 
@@ -488,39 +488,36 @@ def test_config_out_not_a_string_is_config_error(tmp_path, capsys, out):
 
 
 # --- the nine basis inputs as one batch against the per-input loop ----------
-# _ref_circuit_outputs is the loop that cli._circuit_outputs replaces: for
-# each input, prep_i + channel as one circuit, then collect and
-# reconstruct_qutrit (shots = 0 included: the exact record, readout error
-# and all).
+# _ref_circuit_outputs is the loop that choi.linear_outputs of the cached
+# table replaces: for each input, prep_i + channel as one circuit, routed
+# onto the coupling map as a whole, then collect and reconstruct_qutrit
+# (shots = 0 included: the exact record, readout error and all).
 
 
-def _full_circuit(circuit, i):
-    n = circuit.n_qubits
-    full = cc.Circuit(n)
-    full.extend(dc.prep_basis_circuit(i).remapped([2, 3], n).gates)
-    full.extend(circuit.gates)
-    return full
+def _full_circuit(name, i, cmap):
+    full = cc.Circuit(4)
+    full.extend(dc.prep_basis_circuit(i).remapped([2, 3], 4).gates)
+    full.extend(cli._CHANNEL_CIRCUITS[name]().gates)
+    return full if cmap is None else cp.route_circuit(full, cmap)
 
 
 def _input_seed(seed, i):
     return np.random.SeedSequence(seed, spawn_key=(i,))
 
 
-def _ref_circuit_outputs(circuit, shots, seed, noise):
+def _ref_circuit_outputs(name, cmap, shots, seed, noise):
     results = []
     for i in range(1, 10):
-        rec = tg.collect(_full_circuit(circuit, i), shots, _input_seed(seed, i), noise, (2, 3))
+        rec = tg.collect(_full_circuit(name, i, cmap), shots, _input_seed(seed, i), noise, (2, 3))
         results.append(tg.reconstruct_qutrit(rec))
     return results
 
 
 def _check_batched_outputs(name, layout, shots, seed, noise):
     cmap = cp.preset_map(layout) if layout else None
-    circuit = cli._CHANNEL_CIRCUITS[name]()
-    if cmap is not None:
-        circuit = cp.route_circuit(circuit, cmap)
-    got = cli._circuit_outputs(name, cmap, shots, seed, noise)
-    want = _ref_circuit_outputs(circuit, shots, seed, noise)
+    table = cli._outcome_table(name, "linear", cmap, noise)
+    got = cj.linear_outputs(table, shots, seed, noise.readout_flip)
+    want = _ref_circuit_outputs(name, cmap, shots, seed, noise)
     assert len(got) == len(want) == 9
     for (rho_g, leak_g), (rho_w, leak_w) in zip(got, want):
         if shots == 0:
@@ -530,15 +527,23 @@ def _check_batched_outputs(name, layout, shots, seed, noise):
             assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
     if shots > 0:
         # the records behind them: same counts from the same streams
-        n = circuit.n_qubits
-        preps = [dc.prep_basis_circuit(i).remapped([2, 3], n) for i in range(1, 10)]
-        seeds = [_input_seed(seed, i) for i in range(1, 10)]
-        recs = tg.collect_batch(circuit, preps, shots, seeds, noise, (2, 3))
+        rngs = [np.random.default_rng(_input_seed(seed, i)) for i in range(1, 10)]
+        recs = tg.sample_records(table, shots, rngs, noise.readout_flip)
         for i, rec in enumerate(recs, start=1):
-            ref = tg.collect(_full_circuit(circuit, i), shots, _input_seed(seed, i), noise, (2, 3))
+            ref = tg.collect(_full_circuit(name, i, cmap), shots, _input_seed(seed, i), noise,
+                             (2, 3))
             assert rec.settings == ref.settings and rec.seed == ref.seed
             assert rec.spawn_key == ref.spawn_key == (i,)
             assert np.array_equal(rec.table, ref.table)
+
+
+@pytest.mark.parametrize("name", ["ls", "wh"])
+def test_exact_linear_on_ibmqx4_matches_analytic(tmp_path, name):
+    # the nine input preparations are routed with the channel circuit
+    assert run(["choi", "--channel", name, "--choi-method", "linear", "--shots", "0",
+                "--coupling", "ibmqx4", "--out", str(tmp_path)]) == 0
+    obj = json.loads((tmp_path / f"choi_{name}_linear.json").read_text())
+    assert obj["fidelity_vs_analytic"] >= 1 - 1e-9
 
 
 @pytest.mark.parametrize("layout", [None, "ibmqx4"])

@@ -1,9 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from qutritsim import channels as ch
+from qutritsim import choi as cj
 from qutritsim import circuits as cc
 from qutritsim import coupling as cp
 from qutritsim import decompositions as dc
@@ -216,7 +215,7 @@ def test_channel_circuits_route_onto_bundled_map():
     m = cp.preset_map("ibmqx4")
     for builder in (dc.wh_channel_circuit, dc.ls_channel_circuit):
         plain = builder(dc.SConfig(4))
-        routed = builder(dc.SConfig(4), layout=m)
+        routed = cp.route_circuit(plain, m)
         assert cp.validate(routed, m) == []
         u = cc.unitary_of(routed)
         want = np.kron(cc.unitary_of(plain), np.eye(2))
@@ -224,9 +223,10 @@ def test_channel_circuits_route_onto_bundled_map():
 
 
 def test_routing_error_propagates():
+    # out of the experiment that routes the channel circuit
     disconnected = cp.CouplingMap(4, [(0, 1), (2, 3)])
     with pytest.raises(cp.RoutingError):
-        dc.wh_channel_circuit(dc.SConfig(4), layout=disconnected)
+        cj.linear_tables(dc.wh_channel_circuit(dc.SConfig(4)), layout=disconnected)
 
 
 def test_five_qubit_device_placement():
@@ -234,9 +234,9 @@ def test_five_qubit_device_placement():
     # pair on (2, 1); the system CNOT then needs the 4-CNOT relay
     m = cp.preset_map("ibmqx4")
     placement = {0: 2, 1: 1, 2: 3, 3: 0}
-    routed = dc.ls_channel_circuit(dc.SConfig(4), layout=m, placement=placement)
-    assert cp.validate(routed, m) == []
     plain = dc.ls_channel_circuit(dc.SConfig(4))
+    routed = cp.route_circuit(plain, m, placement)
+    assert cp.validate(routed, m) == []
     want = cc.unitary_of(plain.remapped([2, 1, 3, 0], n_qubits=5))
     assert la.equal_up_to_global_phase(cc.unitary_of(routed), want, 1e-9)
 
@@ -256,11 +256,3 @@ def test_purity_monotone_in_noise_on_channel_circuit():
                 out = cc.simulate_density(circ, rho0, cc.NoiseConfig(**{param: p}))
                 purities.append(float(np.trace(out @ out).real))
             assert all(purities[k] >= purities[k + 1] - 1e-12 for k in range(3)), (param, i)
-
-
-def test_named_circuits_json_roundtrip():
-    names = dc.named_circuits()
-    for required in ("wh_s4", "ls_s4", "prep_1", "prep_9", "prep_psi_plus_system"):
-        assert required in names
-    for c in names.values():
-        assert cc.circuit_from_json(json.loads(json.dumps(cc.circuit_to_json(c)))) == c

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -410,77 +409,7 @@ def test_collect_batch_checks_before_simulating():
             tg.measured_states(big, [None], noise)
 
 
-# --- record JSON boundary, seeds and streams ---------------------------------
-
-
-def _set(path, value):
-    def mutate(obj):
-        *keys, last = path
-        for key in keys:
-            obj = obj[key]
-        obj[last] = value
-    return mutate
-
-
-def _drop_last_setting(obj):
-    obj["settings"].pop()
-    obj["counts"].pop()
-
-
-def _repeat_setting(obj):
-    obj["settings"][-1] = obj["settings"][0]
-
-
-@pytest.mark.parametrize("shots, mutate", [
-    (20, _set(("counts", 0), {"0000": 20})),             # key of the wrong width
-    (20, _set(("counts", 0), {"00": 25, "01": -5})),     # negative count
-    (20, _set(("counts", 0), {"111": 20})),              # key of the wrong width
-    (20, _set(("counts", 0), {"0a": 20})),               # not a bitstring
-    (20, _set(("counts", 0), {"00": 19.5, "01": 0.5})),  # not an integer
-    (20, _set(("counts", 0), {"00": True, "01": 19})),   # not an integer
-    (20, _set(("counts", 0), {"00": 19})),               # does not sum to shots
-    (20, _set(("counts", 0), [20, 0, 0, 0])),            # not an object
-    (20, _set(("shots",), -20)),
-    (20, _set(("shots",), 2 ** 64)),                     # above the int64 table
-    (20, _set(("seed",), -1)),
-    (20, _set(("seed",), "9")),
-    (20, _set(("spawn_key",), [-1])),
-    (20, _drop_last_setting),                            # incomplete setting set
-    (20, _repeat_setting),                               # a setting twice
-    (20, lambda obj: obj["counts"].pop()),               # one histogram short
-    (20, lambda obj: obj.pop("settings")),
-    (0, _set(("counts", 0), {"00": 1.0 + 1e-6})),        # does not sum to 1
-    (0, _set(("counts", 0), {"00": 1.5, "01": -0.5})),  # negative probability
-    (0, _set(("counts", 0), {"00": float("nan")})),
-    (0, _set(("counts", 0), {"00": float("inf")})),
-    (0, _set(("counts", 0), {"000": 1.0})),
-])
-def test_record_from_json_rejects_malformed(shots, mutate):
-    obj = tg.collect(dc.prep_basis_circuit(6), shots=shots, seed=9).to_json()
-    tg.TomographyRecord.from_json(json.loads(json.dumps(obj)))
-    mutate(obj)
-    with pytest.raises(ValueError):
-        tg.TomographyRecord.from_json(obj)
-
-
-@_property
-@given(k=st.integers(1, 3), shots=st.sampled_from([0, 1, 7, 10 ** 6]),
-       seed=st.integers(0, 2 ** 70), spawn_key=st.lists(st.integers(0, 2 ** 40), max_size=2),
-       draw=st.integers(0, 2 ** 32 - 1))
-def test_record_json_roundtrip_is_bit_identical(k, shots, seed, spawn_key, draw):
-    rng = np.random.default_rng(draw)
-    settings = [tg.settings_for(k)[i] for i in rng.permutation(3 ** k)]
-    weights = rng.dirichlet(np.full(2 ** k, 0.3), size=3 ** k)
-    weights[rng.random(weights.shape) < 0.3] = 0.0
-    weights[:, 0] += 1e-3
-    p = weights / weights.sum(axis=1, keepdims=True)
-    table = p if shots == 0 else rng.multinomial(shots, p)
-    rec = tg.TomographyRecord(settings, table, shots, seed, tuple(spawn_key))
-    back = tg.TomographyRecord.from_json(json.loads(json.dumps(rec.to_json())))
-    assert (back.settings, back.shots, back.seed, back.spawn_key) == (
-        settings, shots, seed, tuple(spawn_key))
-    assert back.table.dtype.kind == table.dtype.kind
-    assert np.array_equal(back.table, table)
+# --- seeds and streams -----------------------------------------------------
 
 
 def test_seed_is_validated_and_not_masked():
