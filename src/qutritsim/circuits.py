@@ -12,11 +12,17 @@ Conventions, used everywhere in this package:
 
 Every simulation path goes through one kernel, ``_apply(t, m, axes)``: one
 BLAS product of the 2^k x 2^k matrix m with t, its k size-2 axes moved to
-the front and the rest flattened, transposed back onto the same axes.
+the front and the rest flattened, transposed back onto the same axes.  The
+transpose, the output shape and the inverse transpose are planned once per
+(t.shape, axes) and cached (MAX_CACHED_PLANS); each gate's matrix is built
+once per (name, params) and shared read-only (gate_matrix).
 
 * States and unitaries: t has axes (q_0..q_{n-1}, batch).  simulate_state
   runs a stack of states as the batch; unitary_of runs the identity as a
-  batch of 2^n columns.
+  batch of 2^n columns.  CNOT and X are permutations, so here they move
+  data instead of multiplying: a copy of t with the target axis reversed
+  inside the control's 1 slab, or with the qubit's axis reversed.  Only
+  the signs of zeros can differ from the product (np.array_equal holds).
 * Noiseless densities: U rho U+, U built as in unitary_of.
 * Noisy densities: t has axes (row q_0..q_{n-1}, col q_0..q_{n-1}, batch).
   A gate on qubits (a, b) is one 4^k x 4^k superoperator on axes
@@ -53,6 +59,9 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+_FIXED_GATES = {"x": _X, "y": _Y, "z": _Z, "h": _H, "cnot": _CNOT}
+for _m in _FIXED_GATES.values():
+    _m.flags.writeable = False
 
 
 class ResourceError(ValueError):
@@ -93,6 +102,13 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in {self.qubits}")
 
+    def _on(self, qubits: tuple) -> "Gate":
+        """This gate on other qubits, a tuple of ints the caller has
+        checked: skips the validation above, which dominates placing."""
+        g = object.__new__(Gate)
+        g.__dict__.update(name=self.name, params=self.params, qubits=qubits)
+        return g
+
 
 @dataclass
 class Circuit:
@@ -127,11 +143,21 @@ class Circuit:
         return sum(1 for g in self.gates if g.name == "cnot")
 
     def remapped(self, wires, n_qubits=None) -> "Circuit":
-        """Copy with qubit i renamed to wires[i], on a possibly larger register."""
+        """Copy with qubit i renamed to wires[i], on a possibly larger
+        register.  wires must name distinct qubits of that register, one
+        for each qubit of this circuit, else ValueError."""
         n = self.n_qubits if n_qubits is None else n_qubits
+        try:
+            phys = [int(wires[q]) for q in range(self.n_qubits)]
+        except (IndexError, KeyError):
+            raise ValueError(f"wires {wires!r} do not name a wire for each of "
+                             f"{self.n_qubits} qubits") from None
+        if len(set(phys)) != len(phys):
+            raise ValueError(f"wires {phys} are not distinct")
+        if not all(0 <= w < n for w in phys):
+            raise ValueError(f"wires {phys} outside register of {n} qubits")
         out = Circuit(n)
-        for g in self.gates:
-            out.add(g.name, g.params, tuple(wires[q] for q in g.qubits))
+        out.gates = [g._on(tuple(phys[q] for q in g.qubits)) for g in self.gates]
         return out
 
     def inverse(self) -> "Circuit":
@@ -151,40 +177,79 @@ class Circuit:
         return inv
 
 
+# Largest number of cached gate matrices, a memory budget: an entry is at
+# most a CNOT's 4 x 4 complex128 and its key, under 1 KiB, so 1024 take
+# under 1 MiB.
+MAX_CACHED_GATE_MATRICES = 1024
+
+
 def gate_matrix(g: Gate) -> np.ndarray:
-    """The 2x2 (or 4x4 for cnot) unitary of a gate."""
-    if g.name == "u3" or g.name == "u2" or g.name == "u1":
-        if g.name == "u3":
-            th, phi, lam = g.params
-        elif g.name == "u2":
-            th, (phi, lam) = np.pi / 2, g.params
-        else:
-            th, phi, lam = 0.0, 0.0, g.params[0]
-        c, s = math.cos(th / 2), math.sin(th / 2)
-        return np.array(
-            [[c, -np.exp(1j * lam) * s],
-             [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
-        )
-    return {"x": _X, "y": _Y, "z": _Z, "h": _H, "cnot": _CNOT}[g.name]
+    """The 2x2 (or 4x4 for cnot) unitary of a gate, built once per process
+    for each (name, params) and shared read-only.  Keys compare as floats,
+    as in _gate_superop."""
+    return _gate_matrix(g.name, g.params)
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_GATE_MATRICES)
+def _gate_matrix(name: str, params: tuple) -> np.ndarray:
+    if name not in ("u3", "u2", "u1"):
+        return _FIXED_GATES[name]
+    if name == "u3":
+        th, phi, lam = params
+    elif name == "u2":
+        th, (phi, lam) = np.pi / 2, params
+    else:
+        th, phi, lam = 0.0, 0.0, params[0]
+    c, s = math.cos(th / 2), math.sin(th / 2)
+    m = np.array(
+        [[c, -np.exp(1j * lam) * s],
+         [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
+    )
+    m.flags.writeable = False
+    return m
+
+
+# Largest number of cached kernel plans, a memory budget: a plan and its key
+# are five tuples of at most 21 ints, under 2 KiB, so 1024 take under 2 MiB.
+MAX_CACHED_PLANS = 1024
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_PLANS)
+def _plan(shape: tuple, axes: tuple) -> tuple:
+    """(transpose putting axes first, product shape, inverse transpose)."""
+    rest = [a for a in range(len(shape)) if a not in axes]
+    src = (*axes, *rest)
+    inv = [0] * len(shape)
+    for i, a in enumerate(src):
+        inv[a] = i
+    return src, (2,) * len(axes) + tuple(shape[a] for a in rest), tuple(inv)
 
 
 def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     """Contract the 2^k x 2^k matrix m into the k listed (size-2) axes of t;
     the image of the listed axes keeps their positions.  The product has
     the operands np.tensordot builds: bit for bit tensordot then moveaxis."""
-    rest = [a for a in range(t.ndim) if a not in axes]
-    src = [*axes, *rest]
-    out = np.dot(m, t.transpose(src).reshape(len(m), -1))
-    inv = [0] * t.ndim
-    for i, a in enumerate(src):
-        inv[a] = i
-    return out.reshape([2] * len(axes) + [t.shape[a] for a in rest]).transpose(inv)
+    src, shape, inv = _plan(t.shape, tuple(axes))
+    return np.dot(m, t.transpose(src).reshape(len(m), -1)).reshape(shape).transpose(inv)
 
 
 def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
-    """Apply every gate of c to a (2,)*n + (batch,) tensor of state columns."""
+    """Apply every gate of c to a (2,)*n + (batch,) tensor of state columns;
+    CNOT and X by moving slabs (module docstring), the rest by _apply."""
+    every = (slice(None),) * t.ndim
     for g in c.gates:
-        t = _apply(t, gate_matrix(g), g.qubits)
+        q = g.qubits
+        if g.name == "cnot":
+            on = every[:q[0]] + (1,) + every[q[0] + 1:]
+            flipped = list(on)
+            flipped[q[1]] = slice(None, None, -1)
+            out = t.copy()
+            out[on] = t[tuple(flipped)]
+            t = out
+        elif g.name == "x":
+            t = t[every[:q[0]] + (slice(None, None, -1),)].copy()
+        else:
+            t = _apply(t, gate_matrix(g), q)
     return t
 
 
@@ -263,7 +328,7 @@ def _gate_superop(noise: NoiseConfig, name: str, params: tuple) -> np.ndarray:
     """N (u (x) conj(u)) of one gate, read-only (see gate_superops).  Keys
     compare as floats, so params 0.0 and -0.0 share one entry; the two
     matrices differ at most in the signs of zeros."""
-    u = gate_matrix(Gate(name, params, range(GATE_ARITY[name][1])))
+    u = _gate_matrix(name, params)
     uu = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
     if len(u) == 2:
         gate_noise = _qubit_noise(noise.p1, noise.gamma)

@@ -18,6 +18,7 @@ Multi-hop routing (no common neighbour) is out of scope and raises.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -129,12 +130,20 @@ def reverse_cnot(control: int, target: int) -> list:
     ]
 
 
-def _legal_cnot(c: int, t: int, cmap: CouplingMap) -> list:
-    """Emit a legal gate list equal to cnot(c, t) on cmap."""
+# Largest number of memoized CNOT legalizations, a memory budget: an entry
+# is at most a 4-CNOT relay of reversed CNOTs, 20 gates of under 0.5 KiB
+# each, so 1024 take under 10 MiB.
+MAX_CACHED_LEGALIZATIONS = 1024
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_LEGALIZATIONS)
+def _legal_cnot(c: int, t: int, cmap: CouplingMap) -> tuple:
+    """A legal gate tuple equal to cnot(c, t) on cmap, built once per
+    process for each (c, t, map); Gates are frozen, so it is shared."""
     if cmap.has(c, t):
-        return [Gate("cnot", (), (c, t))]
+        return (Gate("cnot", (), (c, t)),)
     if cmap.has(t, c):
-        return reverse_cnot(c, t)
+        return tuple(reverse_cnot(c, t))
     common = sorted(cmap.neighbors(c) & cmap.neighbors(t))
     if not common:
         raise RoutingError(f"no common neighbour for CNOT ({c},{t})")
@@ -145,32 +154,39 @@ def _legal_cnot(c: int, t: int, cmap: CouplingMap) -> list:
             frag.append(Gate("cnot", (), (cc, tt)))
         else:
             frag.extend(reverse_cnot(cc, tt))
-    return frag
+    return tuple(frag)
 
 
 def route_circuit(c: Circuit, cmap: CouplingMap, placement=None) -> Circuit:
     """Rewrite a circuit so every CNOT is a directed edge of the map.
 
     ``placement`` optionally maps logical wires to physical qubits (defaults
-    to the identity).  Single-qubit gates are always legal.  The output acts
-    on the map's full register; its unitary equals the input's (tensored with
-    identity on unused wires) exactly.
+    to the identity).  It is checked once, up front: it must place every
+    logical wire on its own qubit of the map, else RoutingError.
+    Single-qubit gates are always legal.  The output acts on the map's full
+    register; its unitary equals the input's (tensored with identity on
+    unused wires) exactly.
     """
     if placement is None:
         placement = {q: q for q in range(c.n_qubits)}
     if sorted(placement) != list(range(c.n_qubits)):
         raise RoutingError("placement must cover every logical wire")
-    if len(set(placement.values())) != c.n_qubits:
+    phys = [int(placement[q]) for q in range(c.n_qubits)]
+    if len(set(phys)) != c.n_qubits:
         raise RoutingError("placement must be injective")
-    if any(p >= cmap.n_qubits for p in placement.values()):
-        raise RoutingError("placement outside the coupling map")
+    for q, p in enumerate(phys):
+        if not 0 <= p < cmap.n_qubits:
+            fits = "" if c.n_qubits <= cmap.n_qubits else "; no placement fits"
+            raise RoutingError(
+                f"placement outside the coupling map: the {c.n_qubits}-wire circuit "
+                f"places wire {q} on physical qubit {p}, but the map has "
+                f"{cmap.n_qubits} qubits (0..{cmap.n_qubits - 1}){fits}")
     out = Circuit(cmap.n_qubits)
     for g in c.gates:
-        phys = tuple(placement[q] for q in g.qubits)
-        if g.name != "cnot":
-            out.add(g.name, g.params, phys)
+        if g.name == "cnot":
+            out.gates.extend(_legal_cnot(phys[g.qubits[0]], phys[g.qubits[1]], cmap))
         else:
-            out.extend(_legal_cnot(phys[0], phys[1], cmap))
+            out.gates.append(g._on((phys[g.qubits[0]],)))
     return out
 
 

@@ -223,6 +223,26 @@ def test_circuit_remap():
     assert r.gates[1].qubits == (2, 3)
 
 
+@pytest.mark.parametrize("wires, n", [([0, 0], 2), ([1], 2), ([0, 2], 2), ([-1, 0], 2),
+                                      ({0: 1}, 3)])
+def test_circuit_remap_rejects_bad_wires(wires, n):
+    # not injective, too short (list and dict), outside the new register
+    c = cc.Circuit(2, [("h", (), (0,)), ("x", (), (1,))])
+    with pytest.raises(ValueError):
+        c.remapped(wires, n)
+
+
+def test_gate_matrices_are_shared_and_read_only():
+    params = {"u1": (0.3,), "u2": (0.1, 0.2), "u3": (0.1, 0.2, 0.3)}
+    for name, (_, arity) in cc.GATE_ARITY.items():
+        g = cc.Gate(name, params.get(name, ()), range(arity))
+        m = cc.gate_matrix(g)
+        assert cc.gate_matrix(cc.Gate(name, g.params, g.qubits[::-1])) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert np.allclose(m @ m.conj().T, np.eye(len(m)))
+
+
 def test_resource_error():
     with pytest.raises(cc.ResourceError):
         cc.unitary_of(cc.Circuit(7))
@@ -436,6 +456,30 @@ def test_apply_matches_tensordot_moveaxis_kernel(n, k, batch, density, seed):
         got, want = cc._apply(got, m, axes), _ref_apply(want, m, axes)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), batch=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_permutation_gates_match_dense_kernel(n, batch, seed):
+    # _run moves slabs for CNOT and X; _apply with the dense matrix must agree
+    # bit for bit, on fresh arrays and on the transposed views _apply returns
+    rng = np.random.default_rng(seed)
+    shape = (2,) * n + (batch,)
+    got = want = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for _ in range(6):
+        qubits = tuple(int(q) for q in rng.permutation(n)[:2])
+        g = cc.Gate("cnot", (), qubits) if len(qubits) == 2 and rng.random() < 0.6 \
+            else cc.Gate("x", (), qubits[:1])
+        before = got
+        got = cc._run(cc.Circuit(n, [g]), got)
+        want = cc._apply(want, cc.gate_matrix(g), g.qubits)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not np.shares_memory(got, before)
+        if rng.random() < 0.5:
+            q = [int(rng.integers(n))]
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            got, want = cc._apply(got, m, q), cc._apply(want, m, q)
+            assert np.array_equal(got, want)
 
 
 def _ref_superop(g, noise):

@@ -112,6 +112,16 @@ def test_exit_codes(tmp_path):
                 "--coupling", str(bad), "--out", str(tmp_path)]) == cli.EXIT_ROUTING
 
 
+def test_routing_error_names_circuit_map_and_qubit(tmp_path, capsys):
+    # the 6-wire direct circuit on the 5-qubit map, default placement
+    assert run(["choi", "--channel", "ls", "--choi-method", "direct", "--shots", "0",
+                "--coupling", "ibmqx4", "--out", str(tmp_path)]) == cli.EXIT_ROUTING
+    err = capsys.readouterr().err
+    assert err.startswith("routing error: placement outside the coupling map")
+    assert "6-wire circuit" in err and "physical qubit 5" in err
+    assert "map has 5 qubits" in err and "no placement fits" in err
+
+
 VERIFY_NAMES = [
     "spin1_dilation_unitary", "spin1_dilation_channel", "covariance_identity",
     "coefficient_table_rederivation", "w_tilde_decomposition", "quasi_toffoli_circuits",
@@ -320,7 +330,7 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
 
 def _clear_caches():
     for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._named_choi,
-                   dc._basis_states):
+                   dc._basis_states, cc._gate_matrix, cc._plan, cp._legal_cnot):
         cached.cache_clear()
 
 

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from qutritsim import coupling as cp
 from qutritsim import circuits as cc
+from qutritsim import decompositions as dc
 from qutritsim import linalg as la
 from qutritsim.verify import _random_circuit as random_circuit
 
@@ -115,6 +118,8 @@ def test_placement():
     assert cp.validate(r, m) == []
     with pytest.raises(cp.RoutingError):
         cp.route_circuit(c, m, placement={0: 1, 1: 1})
+    with pytest.raises(cp.RoutingError):
+        cp.route_circuit(c, m, placement={0: -1, 1: 0})
 
 
 def test_map_json_roundtrip(tmp_path):
@@ -123,3 +128,26 @@ def test_map_json_roundtrip(tmp_path):
     p.write_text(__import__("json").dumps(m.to_json()))
     back = cp.load_map(str(p))
     assert back.edges == m.edges and back.n_qubits == m.n_qubits
+
+
+def test_equal_maps_share_legalizations_and_outputs_stay_apart(tmp_path):
+    preset = cp.preset_map("ibmqx4")
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(preset.to_json()))
+    loaded = cp.load_map(str(path))
+    assert loaded is not preset and loaded == preset
+    c = dc.ls_channel_circuit()
+    placement = {0: 2, 1: 1, 2: 3, 3: 0}
+    a = cp.route_circuit(c, preset, placement)
+    b = cp.route_circuit(c, loaded, placement)
+    assert a.gates == b.gates and a.gates is not b.gates
+    assert cp.validate(b, loaded) == []
+    # one memoized fragment per edge, whichever of the equal maps asks
+    relay = cp._legal_cnot(0, 3, preset)
+    assert cp._legal_cnot(0, 3, loaded) is relay and isinstance(relay, tuple)
+    relay_gates, b_gates = list(relay), list(b.gates)
+    a.gates.append(cc.Gate("h", (), (0,)))
+    a.gates[0] = cc.Gate("z", (), (4,))
+    assert b.gates == b_gates
+    assert list(cp._legal_cnot(0, 3, preset)) == relay_gates
+    assert cp.route_circuit(c, preset, placement).gates == b_gates
