@@ -17,8 +17,8 @@ from .channels import (ChannelRep, KrausSet, Ordering, SpinGenerators,
                        covariance_unitary, is_cptp, ls_apply, ls_stinespring,
                        spin1_generators, wh_apply, wh_kraus, wh_stinespring)
 from .coupling import CouplingMap, RoutingError, preset_map, reverse_cnot, route_circuit, validate
-from .encoding import (embed_density, embed_state, embed_two_qutrit_unitary,
-                       induced_channel, project_qutrit, project_two_qutrits)
+from .encoding import (embed_density, embed_two_qutrit_unitary, induced_channel,
+                       project_qutrit, project_two_qutrits)
 from .decompositions import (SConfig, QuasiToffoliVariant, basis_density,
                              ls_channel_circuit,
                              prep_basis_circuit, prep_superposition_circuit,
@@ -27,8 +27,8 @@ from .decompositions import (SConfig, QuasiToffoliVariant, basis_density,
                              w_tilde_circuit, w_tilde_matrix,
                              wh_channel_circuit)
 from .tomography import (TomographyRecord, channel_fidelity_sweep, collect,
-                         fidelity, reconstruct_2q, reconstruct_qutrit,
-                         reconstruct_state, settings_for)
+                         fidelity, reconstruct_qutrit, reconstruct_state,
+                         settings_for)
 from .choi import (analytic_choi, channel_from_choi, choi_direct,
                    choi_fidelity, choi_linear, rederive_coefficients)
 

@@ -11,9 +11,10 @@ The two channels of interest:
 Both are unital, CPTP, and have Kraus rank 3 with a flat Choi spectrum.
 
 A ``ChannelRep`` holds one matrix S with vec(Phi(m)) = S vec(m), vec
-row-major.  Its four constructors (analytic, kraus, stinespring, choi) build
-S once; applying the channel is one matvec and its trace-one Choi matrix is
-the inverse reshuffle of S divided by d.
+row-major.  Its four constructors (analytic, for the three qutrit channels;
+kraus; stinespring; choi) build S once; applying the channel is one matvec
+and its trace-one Choi matrix is the inverse reshuffle of S divided by d.
+There is no channel file format; the CLI writes Choi matrices (choi).
 """
 
 from __future__ import annotations
@@ -114,18 +115,13 @@ class StinespringDilation:
         e0 = v[:, 0]
         ds, de = self.sys_dim, self.env_dim
         u = as_matrix(self.u)
-        ops = []
         if self.ordering is Ordering.SYSTEM_FIRST:
             t = u.reshape(ds, de, ds, de)
             col = np.tensordot(t, e0, axes=([3], [0]))  # (s_out, e_out, s_in)
-            for e in range(de):
-                ops.append(col[:, e, :])
-        else:
-            t = u.reshape(de, ds, de, ds)
-            col = np.tensordot(t, e0, axes=([2], [0]))  # (e_out, s_out, s_in)
-            for e in range(de):
-                ops.append(col[e, :, :])
-        return KrausSet(ops)
+            return KrausSet([col[:, e, :] for e in range(de)])
+        t = u.reshape(de, ds, de, ds)
+        col = np.tensordot(t, e0, axes=([2], [0]))  # (e_out, s_out, s_in)
+        return KrausSet([col[e, :, :] for e in range(de)])
 
 
 @dataclass
@@ -198,8 +194,7 @@ def wh_dilation_matrix() -> np.ndarray:
     u = np.zeros((9, 9), dtype=complex)
     for e in range(3):
         u[3 * e:3 * e + 3, 0:3] = _WH_FIXED_BLOCKS[e] / _S2
-    fixed = [u[:, j] for j in range(3)]
-    basis = list(fixed)
+    basis = [u[:, j] for j in range(3)]
     for cand_idx in range(9):
         if len(basis) == 9:
             break
@@ -210,11 +205,8 @@ def wh_dilation_matrix() -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > 1e-9:
             basis.append(v / norm)
-    out = np.zeros((9, 9), dtype=complex)
     # fixed columns are the env-in = 0 columns: indices 0..2 in env-first order
-    for j, v in enumerate(basis):
-        out[:, j] = v
-    return out
+    return np.column_stack(basis)
 
 
 def wh_stinespring() -> StinespringDilation:
@@ -245,16 +237,13 @@ class ChannelRep:
         return math.isqrt(self.superop.shape[0])
 
     @classmethod
-    def analytic(cls, name: str, dim: int = 3) -> "ChannelRep":
-        """'ls', 'wh' or 'id': the closed form applied to the units E_ik."""
+    def analytic(cls, name: str) -> "ChannelRep":
+        """The qutrit channel 'ls', 'wh' or 'id': the closed form applied to
+        the units E_ik."""
         linear = {"ls": _ls_linear, "wh": _wh_linear, "id": np.copy}.get(name)
         if linear is None:
             raise ValueError(f"unknown analytic channel {name!r}")
-        if name == "ls" and dim != 3:
-            raise ValueError("the spin-1 channel is dimension 3")
-        if name == "wh" and dim < 2:
-            raise ValueError("the transpose-depolarizer needs dimension >= 2")
-        units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+        units = np.eye(9, dtype=complex).reshape(9, 3, 3)
         return cls(np.stack([linear(e).reshape(-1) for e in units], axis=1))
 
     @classmethod
@@ -304,36 +293,3 @@ def is_cptp(rep: ChannelRep, atol: float = 1e-8) -> bool:
     d = rep.dim
     tr_out = la.partial_trace(omega, [d, d], [0])
     return np.abs(tr_out - np.eye(d) / d).max() <= atol
-
-
-# --- channel JSON ------------------------------------------------------------
-
-
-def channel_to_json(rep: ChannelRep) -> dict:
-    """The Choi form; channel_from_json also reads the analytic, kraus and
-    stinespring kinds."""
-    return {"kind": "choi", "omega": la.matrix_to_json(choi_of(rep)),
-            "ordering": "input_output", "normalization": "trace_one"}
-
-
-def channel_from_json(obj: dict) -> ChannelRep:
-    """Read a channel of any of the four kinds; a malformed object (not a
-    dict, a missing or mistyped field) raises ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"channel JSON must be an object, not {type(obj).__name__}")
-    kind = obj.get("kind")
-    try:
-        if kind == "analytic":
-            return ChannelRep.analytic(obj["name"], int(obj["dim"]))
-        if kind == "kraus":
-            return ChannelRep.kraus([la.matrix_from_json(k) for k in obj["operators"]])
-        if kind == "stinespring":
-            dil = StinespringDilation(
-                la.matrix_from_json(obj["u"]), la.matrix_from_json(obj["rho_env"]),
-                Ordering(obj["ordering"]), int(obj["sys_dim"]), int(obj["env_dim"]))
-            return ChannelRep.stinespring(dil)
-        if kind == "choi":
-            return ChannelRep.choi(la.matrix_from_json(obj["omega"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad {kind} channel: {exc!r}") from exc
-    raise ValueError(f"unknown channel kind {kind!r}")

@@ -146,7 +146,7 @@ def choi_direct_circuit(channel_circuit: Circuit) -> Circuit:
     return c
 
 
-def _experiment_tables(circuit: Circuit, preps, measure: tuple, noise: NoiseConfig | None,
+def _experiment_tables(circuit: Circuit, preps, measure: tuple, noise: NoiseConfig,
                        layout: CouplingMap | None, placement) -> np.ndarray:
     """The exact outcome table of one experiment: each prep circuit of
     preps (None: none) on |0...0>, then circuit, read out on the logical
@@ -164,7 +164,7 @@ def _experiment_tables(circuit: Circuit, preps, measure: tuple, noise: NoiseConf
     return outcome_tables(measured_states(circuit, preps, noise, measure), noise)
 
 
-def linear_tables(channel_circuit: Circuit, noise: NoiseConfig | None = None,
+def linear_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
                   layout: CouplingMap | None = None) -> np.ndarray:
     """The exact (9, 9, 4) outcome table of the linear Choi experiment
     (also behind apply --method circuit): input i is prep_basis_circuit(i)
@@ -186,7 +186,7 @@ def linear_outputs(tables: np.ndarray, shots: int, seed, readout_flip: float = 0
     return [project_qutrit(red) for red in reconstruct_state(recs)]
 
 
-def direct_tables(channel_circuit: Circuit, noise: NoiseConfig | None = None,
+def direct_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
                   layout: CouplingMap | None = None, placement=None) -> np.ndarray:
     """The exact (1, 81, 16) outcome table of the direct Choi experiment:
     one run of choi_direct_circuit, read out on the (ancilla, system) wires
@@ -207,7 +207,7 @@ def estimate_direct(tables: np.ndarray, shots: int, seed, readout_flip: float = 
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
-                noise: NoiseConfig | None = None,
+                noise: NoiseConfig = NoiseConfig(),
                 layout: CouplingMap | None = None,
                 placement=None) -> np.ndarray:
     """Direct Choi-state estimate: build the 6-qubit circuit, tomograph the
@@ -218,7 +218,7 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
     and system pairs.  Shots are checked before anything is simulated."""
     check_shots(shots)
     tables = direct_tables(channel_circuit, noise, layout, placement)
-    return estimate_direct(tables, shots, seed, noise.readout_flip if noise is not None else 0.0)
+    return estimate_direct(tables, shots, seed, noise.readout_flip)
 
 
 # --- Choi JSON ---------------------------------------------------------------

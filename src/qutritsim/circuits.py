@@ -160,22 +160,6 @@ class Circuit:
         out.gates = [g._on(tuple(phys[q] for q in g.qubits)) for g in self.gates]
         return out
 
-    def inverse(self) -> "Circuit":
-        """Reversed circuit with each gate inverted."""
-        inv = Circuit(self.n_qubits)
-        for g in reversed(self.gates):
-            if g.name == "u1":
-                inv.add("u1", (-g.params[0],), g.qubits)
-            elif g.name == "u2":
-                phi, lam = g.params
-                inv.add("u3", (-np.pi / 2, -lam, -phi), g.qubits)
-            elif g.name == "u3":
-                th, phi, lam = g.params
-                inv.add("u3", (-th, -lam, -phi), g.qubits)
-            else:  # x, y, z, h, cnot are involutions
-                inv.add(g.name, (), g.qubits)
-        return inv
-
 
 # Largest number of cached gate matrices, a memory budget: an entry is at
 # most a CNOT's 4 x 4 complex128 and its key, under 1 KiB, so 1024 take
@@ -268,13 +252,16 @@ def unitary_of(c: Circuit) -> np.ndarray:
 
 def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:
     """Run a circuit on a normalized state vector, or on every state of a
-    stack (..., 2^n) at once as one batch of columns, gate by gate."""
+    stack (..., 2^n) at once as one batch of columns, gate by gate.  The
+    result never shares memory with the input."""
     psi = np.asarray(input_state, dtype=complex)
     d = 2 ** c.n_qubits
     if psi.ndim == 0 or psi.shape[-1] != d:
         raise ValueError(f"state has shape {psi.shape}, circuit needs (..., {d})")
     if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-10):
         raise ValueError("input state must be normalized")
+    if not c.gates:
+        return psi.copy()
     cols = psi.reshape(-1, d).T.reshape((2,) * c.n_qubits + (-1,))
     return _run(c, cols).reshape(d, -1).T.reshape(psi.shape)
 
@@ -299,10 +286,6 @@ class NoiseConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
             object.__setattr__(self, name, v)
-
-    @classmethod
-    def zero(cls):
-        return cls(0.0, 0.0, 0.0, 0.0)
 
     def is_zero(self) -> bool:
         return self.p1 == self.p2 == self.gamma == self.readout_flip == 0.0
@@ -350,7 +333,8 @@ def gate_superops(gates, noise: NoiseConfig) -> list:
     return [_gate_superop(noise, g.name, g.params) for g in gates]
 
 
-def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig | None = None) -> np.ndarray:
+def simulate_density(c: Circuit, input_density: np.ndarray,
+                     noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
     """Evolve a density matrix, or every matrix of a stack (..., 2^n, 2^n),
     through a circuit.
 
@@ -363,16 +347,18 @@ def simulate_density(c: Circuit, input_density: np.ndarray, noise: NoiseConfig |
     axis.  Readout error is not applied here; it belongs to sampling.
 
     Registers above MAX_DENSE_QUBITS (10) qubits raise ResourceError before
-    anything is allocated.
+    anything is allocated.  The result never shares memory with the input.
     """
     check_dense_register(c.n_qubits)
     rho = as_stack(input_density)
     d = 2 ** c.n_qubits
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"density has shape {rho.shape}, circuit needs (..., {d}, {d})")
-    if noise is None or noise.p1 == noise.p2 == noise.gamma == 0.0:
+    if noise.p1 == noise.p2 == noise.gamma == 0.0:
         u = _unitary(c)
         return u @ rho @ u.conj().T
+    if not c.gates:
+        return rho.copy()
     n = c.n_qubits
     t = np.moveaxis(rho.reshape(-1, d, d), 0, -1).reshape((2,) * (2 * n) + (-1,))
     for g, superop in zip(c.gates, gate_superops(c.gates, noise)):

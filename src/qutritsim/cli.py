@@ -62,7 +62,7 @@ def _outcome_table(channel, method, layout, noise) -> np.ndarray:
     seed.  method "linear" (also behind apply --method circuit) is the
     (9, 9, 4) table of choi.linear_tables, "direct" the (1, 81, 16) table
     of choi.direct_tables.  noise is the NoiseConfig of _load_noise, which
-    reads no noise spec (None or "zero") as NoiseConfig.zero(), so every
+    reads no noise spec (None or "zero") as NoiseConfig(), so every
     noiseless item shares one entry.
     """
     return {"linear": cj.linear_tables, "direct": cj.direct_tables}[method](
@@ -71,7 +71,7 @@ def _outcome_table(channel, method, layout, noise) -> np.ndarray:
 
 def _load_noise(spec) -> cc.NoiseConfig:
     if spec is None or spec == "zero":
-        return cc.NoiseConfig.zero()
+        return cc.NoiseConfig()
     try:
         with open(spec) as f:
             obj = json.load(f)
@@ -149,13 +149,13 @@ def _merge_config(args) -> dict:
 def _write_output(cfg, filename, write) -> str:
     """Create the out directory, open filename in it and hand the file to
     write; an out path that cannot hold it (an existing file, a path under
-    a file, no permission) is a config error.  Returns the path."""
+    a file, no permission, a NUL byte) is a config error.  Returns the path."""
     path = os.path.join(cfg["out"], filename)
     try:
         os.makedirs(cfg["out"], exist_ok=True)
         with open(path, "w", newline="") as f:
             write(f)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     return path
 

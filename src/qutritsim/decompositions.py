@@ -135,13 +135,13 @@ _S_FACTORS = {
 }
 
 
-def _abstract_to_gates(entries, variant: str = "a") -> list:
+def _abstract_to_gates(entries) -> list:
     out = []
     for e in entries:
         if e[0] == "cx":
             out.append(Gate("cnot", (), (e[1], e[2])))
         else:
-            out.extend(quasi_toffoli_gates(e[1], e[2], e[3], variant))
+            out.extend(quasi_toffoli_gates(e[1], e[2], e[3]))
     return out
 
 
@@ -159,17 +159,10 @@ def s_config_unitary(cfg: SConfig) -> np.ndarray:
 
 
 def _one_qubit_layer_gates(cfg: SConfig) -> list:
-    f0 = _S_FACTORS[cfg.k][0]
-    theta0 = -math.pi / 2 if f0 is _G1 else None
-    gates = []
-    if theta0 is not None:
-        gates.append(Gate("u3", (theta0, 0.0, 0.0), (0,)))
-    else:
-        gates.append(Gate("h", (), (0,)))
-    gates.append(Gate("x", (), (2,)))
+    first = (Gate("u3", (-math.pi / 2, 0.0, 0.0), (0,)) if _S_FACTORS[cfg.k][0] is _G1
+             else Gate("h", (), (0,)))
     theta3 = math.pi if _S_FACTORS[cfg.k][3] is _R_PLUS else -math.pi
-    gates.append(Gate("u3", (theta3, 0.0, 0.0), (3,)))
-    return gates
+    return [first, Gate("x", (), (2,)), Gate("u3", (theta3, 0.0, 0.0), (3,))]
 
 
 def wh_channel_circuit(cfg: SConfig = SConfig(4)) -> Circuit:
@@ -225,29 +218,22 @@ def prep_basis_circuit(i: int) -> Circuit:
 
 
 @functools.cache
-def _basis_states() -> tuple:
-    """The nine prep circuits' output 4-vectors (9, 4) and their 3x3
-    densities (9, 3, 3), simulated once and read-only."""
+def _basis_states() -> np.ndarray:
+    """The 3x3 densities (9, 3, 3) of the nine prep circuits' outputs,
+    simulated once and read-only."""
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
-    vecs = np.stack([simulate_state(prep_basis_circuit(i), psi0) for i in range(1, 10)])
+    vecs = [simulate_state(prep_basis_circuit(i), psi0) for i in range(1, 10)]
     dens = np.stack([np.outer(v[:3], v[:3].conj()) for v in vecs])
-    vecs.flags.writeable = dens.flags.writeable = False
-    return vecs, dens
-
-
-def basis_state_vector(i: int) -> np.ndarray:
-    """The embedded 4-vector |psi_i> the prep circuit produces (a copy)."""
-    if i not in _PREP_GATES:
-        raise ValueError("state index must be 1..9")
-    return _basis_states()[0][i - 1].copy()
+    dens.flags.writeable = False
+    return dens
 
 
 def basis_density(i: int) -> np.ndarray:
     """The 3x3 density matrix rho_i of the i-th input state (a copy)."""
     if i not in _PREP_GATES:
         raise ValueError("state index must be 1..9")
-    return _basis_states()[1][i - 1].copy()
+    return _basis_states()[i - 1].copy()
 
 
 SUPERPOSITION_THETA = 2.0 * math.acos(1.0 / math.sqrt(3.0))  # ~1.9106 rad

@@ -4,6 +4,9 @@ Encoding, fixed package-wide: qutrit level m maps to the two-qubit basis
 state with index m, i.e. 0 -> |00>, 1 -> |01>, 2 -> |10>.  The |11> state
 carries no logical meaning; any weight it picks up is "leakage" and is
 discarded with renormalization (post-selection), coherences included.
+
+Qutrit states enter as densities (embed_density) and leave by
+post-selecting one or two pairs (project_qutrit, project_two_qutrits).
 """
 
 from __future__ import annotations
@@ -15,22 +18,11 @@ from .circuits import Circuit, NoiseConfig, simulate_density
 from .linalg import as_matrix
 
 QUTRIT_IDX = (0, 1, 2)  # embedded positions inside a qubit pair
+POSTSELECT_ATOL = 1e-12  # least qutrit-block weight post-selection accepts
 
 
 class DegenerateProjectionError(ValueError):
     """All probability weight sits on the excluded |11> state."""
-
-
-def embed_state(v: np.ndarray) -> np.ndarray:
-    """3-vector amplitudes placed at two-qubit indices 0,1,2; index 3 zero."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != 3:
-        raise la.ShapeError("embed_state needs a 3-vector")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("state must be normalized")
-    out = np.zeros(4, dtype=complex)
-    out[:3] = v
-    return out
 
 
 def embed_density(rho: np.ndarray) -> np.ndarray:
@@ -45,7 +37,7 @@ def embed_density(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_qutrit(rho4: np.ndarray, atol: float = 1e-12):
+def project_qutrit(rho4: np.ndarray):
     """Post-select the qutrit block: returns (rho3, leakage).
 
     rho3 = P rho4 P / Tr(P rho4 P) with P the projector onto
@@ -56,14 +48,14 @@ def project_qutrit(rho4: np.ndarray, atol: float = 1e-12):
         raise la.ShapeError("project_qutrit needs a 4x4 matrix")
     block = rho4[np.ix_(QUTRIT_IDX, QUTRIT_IDX)]
     weight = np.trace(block).real
-    if weight < atol:
+    if weight < POSTSELECT_ATOL:
         raise DegenerateProjectionError("no weight left in the qutrit subspace")
     # the discarded weight is exactly the |11> population for trace-one input
     leakage = float(np.clip(rho4[3, 3].real, 0.0, 1.0))
     return block / weight, leakage
 
 
-def project_two_qutrits(rho16: np.ndarray, atol: float = 1e-12):
+def project_two_qutrits(rho16: np.ndarray):
     """Post-select both qubit pairs of a 4-qubit state onto qutrit blocks.
 
     Input ordering: first pair = most significant.  Returns (rho9, leakage)
@@ -75,7 +67,7 @@ def project_two_qutrits(rho16: np.ndarray, atol: float = 1e-12):
     idx = [4 * a + b for a in QUTRIT_IDX for b in QUTRIT_IDX]
     block = rho16[np.ix_(idx, idx)]
     weight = np.trace(block).real
-    if weight < atol:
+    if weight < POSTSELECT_ATOL:
         raise DegenerateProjectionError("no weight left in the qutrit x qutrit subspace")
     leakage = float(np.clip(np.trace(rho16).real - weight, 0.0, 1.0))
     return block / weight, leakage
@@ -89,20 +81,17 @@ def embed_two_qutrit_unitary(u9: np.ndarray) -> np.ndarray:
         raise la.ShapeError("embed_two_qutrit_unitary needs a 9x9 matrix")
     out = np.eye(16, dtype=complex)
     idx = [4 * a + b for a in QUTRIT_IDX for b in QUTRIT_IDX]
-    for r, i in enumerate(idx):
-        for c, j in enumerate(idx):
-            out[i, j] = u9[r, c]
+    out[np.ix_(idx, idx)] = u9
     return out
 
 
-def induced_channel(c: Circuit, noise: NoiseConfig | None = None,
-                    sys_qubits=(2, 3), env_qubits=(0, 1)):
+def induced_channel(c: Circuit, noise: NoiseConfig = NoiseConfig()):
     """Qutrit channel induced by a 4-qubit circuit.
 
-    The composite map: embed the qutrit on the system pair, tensor with the
-    environment pair in |00>, run the circuit, trace out the environment
-    pair, project back onto the qutrit subspace.  Returns a function
-    rho3 -> (rho3', leakage).
+    The composite map: embed the qutrit on the system pair (2, 3), tensor
+    with the environment pair (0, 1) in |00>, run the circuit, trace out the
+    environment pair, project back onto the qutrit subspace.  Returns a
+    function rho3 -> (rho3', leakage).
 
     Everything before the projection is linear, so it is built once: the
     nine units E_ik (x) |00><00| run as one stack through simulate_density,
@@ -112,14 +101,11 @@ def induced_channel(c: Circuit, noise: NoiseConfig | None = None,
     """
     if c.n_qubits != 4:
         raise ValueError("induced_channel expects a 4-qubit circuit")
-    order = list(sys_qubits) + list(env_qubits)
-    if sorted(order) != [0, 1, 2, 3]:
-        raise ValueError("sys_qubits and env_qubits must partition the register")
     pairs = [(i, k) for i in QUTRIT_IDX for k in QUTRIT_IDX]
     units = np.zeros((9, 16, 16), dtype=complex)
     for n, (i, k) in enumerate(pairs):
         units[n, 4 * i, 4 * k] = 1.0  # E_ik on wires (0, 1), |00><00| on (2, 3)
-    out = simulate_density(c.remapped(np.argsort(order).tolist()), units, noise)
+    out = simulate_density(c.remapped([2, 3, 0, 1]), units, noise)
     linear = np.zeros((16, 16), dtype=complex)
     # column 4 i + k takes vec(embed_density(E_ik)) to vec(Tr_env(out))
     linear[:, [4 * i + k for i, k in pairs]] = la.partial_trace(out, [4, 4], [0]).reshape(9, 16).T

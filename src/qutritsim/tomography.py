@@ -10,9 +10,9 @@ distributions off the measured reduced states of a stack of inputs with
 one per-qubit contraction; it depends only on the circuit and the noise.
 ``sample_records`` then draws each record's table from its own generator,
 seeded by SeedSequence, so records with distinct seeds or spawn keys draw
-independent streams.  ``collect_batch`` (one simulation of the circuit over
-a stack of prepared inputs) and ``collect`` (one input) are the two stages
-in a row.
+independent streams.  ``collect`` runs both stages on one circuit started
+from |0...0>; the Choi experiments (choi.linear_tables, choi.direct_tables)
+run them over a stack of prepared inputs.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
@@ -107,14 +107,13 @@ def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
         lead + [nb + a for a in range(0, 2 * k, 2)] + [nb + a for a in range(1, 2 * k, 2)])
 
 
-def _effect_tensor(noise: NoiseConfig | None) -> np.ndarray:
+def _effect_tensor(noise: NoiseConfig) -> np.ndarray:
     """E[b, o, i, j] = <o| L_b(|i><j|) |o>, where L_b is the (noisy) one-qubit
-    pre-rotation of basis BASES[b] (None is NoiseConfig.zero()).
+    pre-rotation of basis BASES[b].
 
     L_b is the product of its gates' 4x4 superoperators (gate_superops, the
     per-gate channels of simulate_density) on the row-major (row, col) pair.
     """
-    noise = noise or NoiseConfig.zero()
     e = np.empty((3, 2, 2, 2), dtype=complex)
     for b, basis in enumerate(BASES):
         gates = [Gate(*g) for g in prerotation_gates(basis)]
@@ -142,7 +141,7 @@ def _reduced_states(psi: np.ndarray, measure: tuple) -> np.ndarray:
     return t
 
 
-def measured_states(c: Circuit, preps, noise: NoiseConfig | None = None,
+def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
                     measure_qubits=None) -> np.ndarray:
     """Reduced density matrices (B, 2^k, 2^k) of the measured qubits after
     one run of c over a stack of B inputs.
@@ -160,7 +159,7 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig | None = None,
     measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
     zero = np.zeros(2 ** n, dtype=complex)
     zero[0] = 1.0
-    if noise is None or noise.is_zero():
+    if noise.is_zero():
         inputs = [zero if p is None else simulate_state(p, zero) for p in preps]
         return _reduced_states(simulate_state(c, np.stack(inputs)), measure)
     rho0 = np.outer(zero, zero)
@@ -168,7 +167,7 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig | None = None,
     return la.partial_trace(simulate_density(c, np.stack(inputs), noise), [2] * n, measure)
 
 
-def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig | None = None) -> np.ndarray:
+def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
     """The exact, read-only (B, 3^k, 2^k) table of outcome distributions of
     every setting, settings_for order, for each reduced state of the stack
     (B, 2^k, 2^k), before readout error.
@@ -205,30 +204,10 @@ def sample_records(tables: np.ndarray, shots: int, rngs, readout_flip: float = 0
     return records
 
 
-def collect_batch(c: Circuit, preps, shots: int, seeds, noise: NoiseConfig | None = None,
-                  measure_qubits=None) -> list:
-    """Tomograph a stack of prepared inputs with one run of the circuit: one
-    TomographyRecord per prep circuit (see measured_states), the exact
-    outcome_tables then sample_records.
-
-    The record of preps[b] is sampled from one generator seeded by
-    seeds[b], a non-negative int or a SeedSequence (circuits._rng); give
-    the inputs distinct seeds or spawn keys, e.g.
-    SeedSequence(seed, spawn_key=(b,)), for independent streams.  Shots and
-    seeds are checked before anything is simulated.
-    """
-    check_shots(shots)
-    if len(seeds) != len(preps):
-        raise ValueError("one seed per prep circuit required")
-    rngs = [_rng(seed) for seed in seeds]
-    tables = outcome_tables(measured_states(c, preps, noise, measure_qubits), noise)
-    return sample_records(tables, shots, rngs, noise.readout_flip if noise is not None else 0.0)
-
-
-def collect(c: Circuit, shots: int, seed, noise: NoiseConfig | None = None,
+def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
             measure_qubits=None) -> TomographyRecord:
-    """Run the circuit once on |0...0>, then sample every measurement
-    setting of the measured qubits: collect_batch on a stack of one.
+    """Run the circuit once on |0...0> and sample every measurement setting
+    of the measured qubits: measured_states, outcome_tables, sample_records.
 
     shots = 0 is exact mode: the outcome distributions, with gate noise,
     noisy pre-rotations and readout error, are stored in place of sampled
@@ -236,9 +215,13 @@ def collect(c: Circuit, shots: int, seed, noise: NoiseConfig | None = None,
 
     The whole (3^k, 2^k) table is drawn from one generator seeded by seed
     (a non-negative int or a SeedSequence), settings in settings_for
-    order, so distinct seeds give independent records.
+    order, so distinct seeds give independent records.  Shots and seed are
+    checked before anything is simulated.
     """
-    return collect_batch(c, [None], shots, [seed], noise, measure_qubits)[0]
+    check_shots(shots)
+    rng = _rng(seed)
+    tables = outcome_tables(measured_states(c, [None], noise, measure_qubits), noise)
+    return sample_records(tables, shots, [rng], noise.readout_flip)[0]
 
 
 def _linear_inversion(records) -> np.ndarray:
@@ -279,15 +262,9 @@ def reconstruct_state(records) -> np.ndarray:
     return la.project_to_density(_linear_inversion(records))
 
 
-def reconstruct_2q(rec: TomographyRecord) -> np.ndarray:
-    if rec.n_qubits != 2:
-        raise ValueError("reconstruct_2q needs a two-qubit record")
-    return reconstruct_state(rec)
-
-
 def reconstruct_qutrit(rec: TomographyRecord):
     """(rho3, leakage) from a two-qubit record via qutrit post-selection."""
-    return project_qutrit(reconstruct_2q(rec))
+    return project_qutrit(reconstruct_state(rec))
 
 
 def fidelity(s1: np.ndarray, s2: np.ndarray):

@@ -303,13 +303,13 @@ def test_routed_experiments_simulate_only_legal_circuits(monkeypatch, tables, la
     cmap = cp.preset_map(layout)
     seen = []
 
-    def capture(circuit, preps, noise=None, measure_qubits=None):
+    def capture(circuit, preps, noise=cc.NoiseConfig(), measure_qubits=None):
         seen.append((circuit, preps, measure_qubits))
         return tg.measured_states(circuit, preps, noise, measure_qubits)
 
     monkeypatch.setattr(cj, "measured_states", capture)
     kwargs = {} if placement is None else {"placement": dict(enumerate(placement))}
-    tables(dc.ls_channel_circuit(), None, cmap, **kwargs)
+    tables(dc.ls_channel_circuit(), cc.NoiseConfig(), cmap, **kwargs)
     (circuit, preps, measured), = seen
     assert tuple(measured) == measure
     for c in [circuit] + [p for p in preps if p is not None]:

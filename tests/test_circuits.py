@@ -120,7 +120,7 @@ def test_simulate_density_noiseless_equals_conjugation():
         rho /= np.trace(rho)
         got = cc.simulate_density(c, rho)
         assert np.abs(got - u @ rho @ u.conj().T).max() < 1e-10
-        got0 = cc.simulate_density(c, rho, cc.NoiseConfig.zero())
+        got0 = cc.simulate_density(c, rho, cc.NoiseConfig())
         assert np.abs(got0 - got).max() < 1e-12
 
 
@@ -207,14 +207,6 @@ def test_exact_counts():
     ec = cc.exact_counts(psi)
     assert ec.shots == 0
     assert abs(ec.counts["00"] - 0.5) < 1e-12 and abs(ec.counts["10"] - 0.5) < 1e-12
-
-
-def test_circuit_inverse():
-    rng = np.random.default_rng(17)
-    c = random_circuit(rng, 3, 14)
-    u = cc.unitary_of(c)
-    v = cc.unitary_of(c.inverse())
-    assert np.abs(v @ u - np.eye(8)).max() < 1e-10
 
 
 def test_circuit_remap():
@@ -316,11 +308,11 @@ def _ref_amp_damp(rho, q, n, gamma):
     return out
 
 
-def _ref_simulate_density(c, rho, noise=None):
+def _ref_simulate_density(c, rho, noise=cc.NoiseConfig()):
     n = c.n_qubits
     for g in c.gates:
         rho = _ref_apply_gate_density(rho, g, n)
-        if noise is not None and not noise.is_zero():
+        if not noise.is_zero():
             p = noise.p2 if g.name == "cnot" else noise.p1
             for q in g.qubits:
                 rho = _ref_depolarize(rho, q, n, p)
@@ -382,7 +374,7 @@ _noise = st.builds(cc.NoiseConfig, p1=st.floats(0, 1), p2=st.floats(0, 1),
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
-       noise=st.one_of(st.none(), _noise))
+       noise=st.one_of(st.just(cc.NoiseConfig()), _noise))
 def test_simulate_density_matches_gate_by_gate_reference(n, seed, noise):
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, n, 20)
@@ -399,7 +391,7 @@ def test_noisy_routed_density_matches_gate_by_gate_reference():
         d = 2 ** c.n_qubits
         rho = np.zeros((d, d), dtype=complex)
         rho[0, 0] = 1.0
-        for nz in (None, noise):
+        for nz in (cc.NoiseConfig(), noise):
             got = cc.simulate_density(c, rho, nz)
             assert np.abs(got - _ref_simulate_density(c, rho, nz)).max() < 1e-12
 
@@ -535,7 +527,7 @@ def _ref_effect_tensor(noise):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(noise=st.one_of(st.none(), _noise))
+@given(noise=st.one_of(st.just(cc.NoiseConfig()), _noise))
 def test_effect_tensor_matches_two_qubit_density_reference(noise):
     assert np.abs(tg._effect_tensor(noise) - _ref_effect_tensor(noise)).max() <= 1e-15
 
@@ -581,7 +573,8 @@ def test_simulate_state_stack_matches_per_state_calls():
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
-       noise=st.one_of(st.none(), _noise), shape=st.sampled_from([(1,), (9,), (2, 3)]))
+       noise=st.one_of(st.just(cc.NoiseConfig()), _noise),
+       shape=st.sampled_from([(1,), (9,), (2, 3)]))
 def test_simulate_density_stack_matches_per_matrix_calls(n, seed, noise, shape):
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, n, 15)
@@ -591,6 +584,23 @@ def test_simulate_density_stack_matches_per_matrix_calls(n, seed, noise, shape):
     for idx in np.ndindex(shape):
         assert np.abs(got[idx] - cc.simulate_density(c, rho[idx], noise)).max() < 1e-12
         assert np.abs(got[idx] - _ref_simulate_density(c, rho[idx], noise)).max() < 1e-12
+
+
+def test_simulations_return_fresh_arrays():
+    # a write into the output must never reach the input, also when the
+    # circuit has no gates and the output equals the input
+    rng = np.random.default_rng(47)
+    for c in (cc.Circuit(2), random_circuit(rng, 2, 6)):
+        for shape in ((), (3,)):
+            psi, rho = _random_states(rng, shape, 4), _random_densities(rng, shape, 4)
+            runs = [(psi, cc.simulate_state(c, psi))]
+            runs += [(rho, cc.simulate_density(c, rho, noise))
+                     for noise in (cc.NoiseConfig(), cc.NoiseConfig(p1=0.1))]
+            for x, out in runs:
+                assert out.shape == x.shape
+                assert not np.shares_memory(out, x)
+                if not c.gates:
+                    assert np.abs(out - x).max() < 1e-15
 
 
 def test_simulate_stack_shape_and_normalization_errors():
@@ -604,7 +614,7 @@ def test_simulate_stack_shape_and_normalization_errors():
         cc.simulate_density(c, _random_densities(rng, (4,), 4))
     with pytest.raises(ValueError):
         cc.simulate_density(c, np.ones((3, 8, 4)) / 8)               # not square
-    for noise in (None, cc.NoiseConfig(p1=0.1)):
+    for noise in (cc.NoiseConfig(), cc.NoiseConfig(p1=0.1)):
         with pytest.raises(ValueError):
             cc.simulate_density(c, np.ones((2, 8)), noise)           # a state, not a density
     psi = _random_states(rng, (5,), 8)
@@ -616,6 +626,6 @@ def test_simulate_stack_shape_and_normalization_errors():
 def test_density_register_above_budget_raises_before_allocating():
     # the guard runs before the input is looked at, so a tiny input suffices
     c = cc.Circuit(cc.MAX_DENSE_QUBITS + 1)
-    for noise in (None, cc.NoiseConfig(p1=0.1)):
+    for noise in (cc.NoiseConfig(), cc.NoiseConfig(p1=0.1)):
         with pytest.raises(cc.ResourceError, match=f"{cc.MAX_DENSE_QUBITS + 1}-qubit"):
             cc.simulate_density(c, np.eye(2), noise)

@@ -497,6 +497,16 @@ def test_config_out_not_a_string_is_config_error(tmp_path, capsys, out):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["apply", "choi"])
+def test_config_out_with_nul_byte_is_config_error(tmp_path, capsys, command):
+    # os.makedirs raises ValueError, not OSError, for an embedded NUL
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"out": str(tmp_path / "a") + "\u0000b"}))
+    assert run([command, "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 # --- the nine basis inputs as one batch against the per-input loop ----------
 # _ref_circuit_outputs is the loop that choi.linear_outputs of the cached
 # table replaces: for each input, prep_i + channel as one circuit, routed
@@ -560,14 +570,14 @@ def test_exact_linear_on_ibmqx4_matches_analytic(tmp_path, name):
 @pytest.mark.parametrize("name", ["ls", "wh", "id"])
 def test_circuit_outputs_match_per_input_loop(name, layout):
     noisy = cc.NoiseConfig(p1=0.01, p2=0.05, gamma=0.02, readout_flip=0.02)
-    for noise in (cc.NoiseConfig.zero(), noisy):
+    for noise in (cc.NoiseConfig(), noisy):
         for shots in (0, 2048):
             _check_batched_outputs(name, layout, shots, 17, noise)
 
 
 @_property
 @given(name=st.sampled_from(["ls", "wh", "id"]), layout=st.sampled_from([None, "ibmqx4"]),
-       seed=st.integers(0, 2 ** 31 - 1), noise=st.one_of(st.just(cc.NoiseConfig.zero()), _noise),
+       seed=st.integers(0, 2 ** 31 - 1), noise=st.one_of(st.just(cc.NoiseConfig()), _noise),
        shots=st.sampled_from([0, 1, 512, 8192]))
 def test_circuit_outputs_match_per_input_loop_property(name, layout, seed, noise, shots):
     _check_batched_outputs(name, layout, shots, seed, noise)

@@ -10,18 +10,6 @@ from qutritsim import linalg as la
 from test_channels import basis_states, rand_density
 
 
-def test_embed_state():
-    e0 = np.array([1.0, 0, 0])
-    assert np.array_equal(enc.embed_state(e0), [1, 0, 0, 0])
-    v = np.ones(3) / np.sqrt(3)
-    out = enc.embed_state(v)
-    assert np.abs(out - np.array([1, 1, 1, 0]) / np.sqrt(3)).max() < 1e-12
-    e2 = np.array([0.0, 0, 1])
-    assert np.argmax(np.abs(enc.embed_state(e2))) == 2
-    with pytest.raises(ValueError):
-        enc.embed_state(np.array([1.0, 1.0, 0.0]))
-
-
 def test_embed_density():
     out = enc.embed_density(np.eye(3) / 3)
     assert np.abs(out - np.diag([1 / 3, 1 / 3, 1 / 3, 0])).max() < 1e-15
@@ -132,57 +120,29 @@ def test_induced_channel_identity_circuit():
         assert leak == 0.0
 
 
-def test_induced_channel_role_declaration():
-    with pytest.raises(ValueError):
-        enc.induced_channel(cc.Circuit(4), sys_qubits=(0, 1), env_qubits=(1, 2))
-    # swapped roles work: put the system on wires (0, 1) instead
-    c = dc.wh_channel_circuit()
-    # move every gate: wires (0,1,2,3) -> (2,3,0,1), so the system pair sits first
-    swapped = c.remapped([2, 3, 0, 1])
-    chan = enc.induced_channel(swapped, sys_qubits=(0, 1), env_qubits=(2, 3))
-    rho = dc.basis_density(1)
-    out, leak = chan(rho)
-    assert np.abs(out - ch.wh_apply(rho)).max() < 1e-9
-    assert abs(leak) < 1e-10
-
-
-# The per-input path induced_channel replaces: place the embedded qutrit
-# and the environment |00><00| on their wires, run one simulate_density per
-# input, trace the environment out and post-select.
-def _ref_place_pairs(rho_a, rho_b, wires_a, wires_b):
-    t = np.kron(rho_a, rho_b).reshape((2,) * 8)
-    inv = np.argsort(list(wires_a) + list(wires_b))
-    return t.transpose(list(inv) + [4 + p for p in inv]).reshape(16, 16)
-
-
-def _ref_induced_channel(c, noise, sys_qubits, env_qubits):
+# The per-input path induced_channel replaces: the environment |00><00| on
+# wires (0, 1) and the embedded qutrit on (2, 3), one simulate_density per
+# input, then trace the environment out and post-select.
+def _ref_induced_channel(c, noise):
     env = np.zeros((4, 4), dtype=complex)
     env[0, 0] = 1.0
 
     def channel(rho3):
-        full = _ref_place_pairs(enc.embed_density(rho3), env, sys_qubits, env_qubits)
-        out = cc.simulate_density(c, full, noise)
-        return enc.project_qutrit(la.partial_trace(out, [2, 2, 2, 2], list(sys_qubits)))
+        out = cc.simulate_density(c, np.kron(env, enc.embed_density(rho3)), noise)
+        return enc.project_qutrit(la.partial_trace(out, [2, 2, 2, 2], [2, 3]))
 
     return channel
 
 
-@pytest.mark.parametrize("sys_qubits, env_qubits",
-                         [((2, 3), (0, 1)), ((0, 1), (2, 3)), ((0, 2), (1, 3)),
-                          ((1, 2), (3, 0))])
-def test_induced_channel_matches_per_input_path(sys_qubits, env_qubits):
-    # the circuit's environment wires (0, 1) and system wires (2, 3) move
-    # onto the declared pairs; the last placement is a 4-cycle, whose wire
-    # map is not its own inverse
-    wires = list(env_qubits) + list(sys_qubits)
+def test_induced_channel_matches_per_input_path():
     noisy = cc.NoiseConfig(p1=0.01, p2=0.05, gamma=0.02)
     rng = np.random.default_rng(11)
     inputs = basis_states() + [rand_density(rng) for _ in range(5)]
     for build in (dc.ls_channel_circuit, dc.wh_channel_circuit, lambda: cc.Circuit(4)):
-        c = build().remapped(wires)
-        for noise in (None, noisy):
-            got = enc.induced_channel(c, noise, sys_qubits, env_qubits)
-            want = _ref_induced_channel(c, noise, sys_qubits, env_qubits)
+        c = build()
+        for noise in (cc.NoiseConfig(), noisy):
+            got = enc.induced_channel(c, noise)
+            want = _ref_induced_channel(c, noise)
             for rho in inputs:
                 (out, leak), (out_ref, leak_ref) = got(rho), want(rho)
                 assert np.abs(out - out_ref).max() < 1e-12

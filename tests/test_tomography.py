@@ -61,14 +61,21 @@ def test_collect_deterministic_and_order_independent():
     assert all(cc.histogram(x) == cc.histogram(y) for x, y in zip(a.table, b.table))
 
 
+def _prep_state(i):
+    """The embedded 4-vector prep_basis_circuit(i) makes from |00>."""
+    zero = np.zeros(4, dtype=complex)
+    zero[0] = 1.0
+    return cc.simulate_state(dc.prep_basis_circuit(i), zero)
+
+
 def test_reconstruct_exact_record():
     # exact-probability records invert exactly
     rng = np.random.default_rng(2)
     for i in (1, 4, 7, 9):
         c = dc.prep_basis_circuit(i)
         rec = tg.collect(c, shots=0, seed=0)
-        rho = tg.reconstruct_2q(rec)
-        psi = dc.basis_state_vector(i)
+        rho = tg.reconstruct_state(rec)
+        psi = _prep_state(i)
         want = np.outer(psi, psi.conj())
         assert np.abs(rho - want).max() < 1e-9, i
     # and on a mixed state from a noisy circuit; CNOT-only noise so the
@@ -76,7 +83,7 @@ def test_reconstruct_exact_record():
     c = cc.Circuit(2, [("u3", (0.7, 0.2, 1.1), (0,)), ("cnot", (), (0, 1))])
     noise = cc.NoiseConfig(p2=0.1)
     rec = tg.collect(c, shots=0, seed=0, noise=noise)
-    rho = tg.reconstruct_2q(rec)
+    rho = tg.reconstruct_state(rec)
     psi0 = np.zeros((4, 4), dtype=complex); psi0[0, 0] = 1
     want = cc.simulate_density(c, psi0, noise)
     assert np.abs(rho - want).max() < 1e-9
@@ -85,20 +92,20 @@ def test_reconstruct_exact_record():
 def test_reconstruct_projects_to_physical():
     # hand-build a record whose linear inversion has a negative eigenvalue
     rec = tg.collect(dc.prep_basis_circuit(4), shots=64, seed=1)
-    rho = tg.reconstruct_2q(rec)
+    rho = tg.reconstruct_state(rec)
     w, _ = la.hermitian_eig(rho)
     assert w[-1] >= -1e-12
     assert abs(np.trace(rho) - 1) < 1e-12
 
 
 def test_reconstruct_2q_shot_noise_fidelity():
-    psi = dc.basis_state_vector(6)
+    psi = _prep_state(6)
     target = np.outer(psi, psi.conj())
     c = dc.prep_basis_circuit(6)
     fids = []
     for seed in range(20):
         rec = tg.collect(c, shots=8192, seed=seed)
-        rho = tg.reconstruct_2q(rec)
+        rho = tg.reconstruct_state(rec)
         fids.append(tg.fidelity(rho, target))
     assert min(fids) >= 0.97
 
@@ -132,7 +139,7 @@ def test_incomplete_record_rejected():
     rec.settings = rec.settings[:-1]
     rec.table = rec.table[:-1]
     with pytest.raises(ValueError):
-        tg.reconstruct_2q(rec)
+        tg.reconstruct_state(rec)
 
 
 def test_fidelity_basic_values():
@@ -164,7 +171,7 @@ def test_fidelity_shape_error():
 
 
 def test_error_shrinks_with_shots():
-    psi = dc.basis_state_vector(7)
+    psi = _prep_state(7)
     target = np.outer(psi, psi.conj())
     c = dc.prep_basis_circuit(7)
 
@@ -172,7 +179,7 @@ def test_error_shrinks_with_shots():
         errs = []
         for seed in range(8):
             rec = tg.collect(c, shots=shots, seed=seed)
-            errs.append(1 - tg.fidelity(tg.reconstruct_2q(rec), target))
+            errs.append(1 - tg.fidelity(tg.reconstruct_state(rec), target))
         return np.mean(errs)
 
     assert mean_err(4096) > mean_err(262144)
@@ -235,19 +242,19 @@ def _ref_sample(probs, shots, seed, readout_flip=0.0):
     return raw
 
 
-def _ref_collect(c, shots, seed, noise=None, measure_qubits=None):
+def _ref_collect(c, shots, seed, noise=cc.NoiseConfig(), measure_qubits=None):
     n = c.n_qubits
     measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
     psi0 = np.zeros(2 ** n, dtype=complex)
     psi0[0] = 1.0
-    if noise is None or noise.is_zero():
+    if noise.is_zero():
         psi = cc.simulate_state(c, psi0)
         rho_full = np.outer(psi, psi.conj())
     else:
         rho_full = cc.simulate_density(c, np.outer(psi0, psi0.conj()), noise)
     rho_meas = la.partial_trace(rho_full, [2] * n, list(measure))
     k = len(measure)
-    flip = noise.readout_flip if noise is not None else 0.0
+    flip = noise.readout_flip
     settings_k = tg.settings_for(k)
     probs = []
     for s in settings_k:
@@ -375,7 +382,7 @@ def test_measured_states_equal_partial_trace_of_outer_product():
             psi0[0] = 1.0
             psi = cc.simulate_state(c, psi0)
             want = la.partial_trace(np.outer(psi, psi.conj()), [2] * n, list(measure))
-            got = tg.measured_states(c, [None], None, measure)
+            got = tg.measured_states(c, [None], cc.NoiseConfig(), measure)
             assert got.shape == (1,) + want.shape
             assert np.array_equal(got[0], want), (n, measure)
 
@@ -384,7 +391,7 @@ def test_reconstruct_state_stack_matches_per_record():
     recs = []
     for seed in range(6):
         c, measure = _random_register(2, seed)
-        noise = cc.NoiseConfig(p2=0.05, readout_flip=0.01) if seed % 2 else None
+        noise = cc.NoiseConfig(p2=0.05, readout_flip=0.01) if seed % 2 else cc.NoiseConfig()
         recs.append(tg.collect(c, (0, 64, 8192)[seed % 3], seed, noise, measure_qubits=measure))
     got = tg.reconstruct_state(recs)
     assert got.shape == (6, 4, 4)
@@ -397,14 +404,11 @@ def test_reconstruct_state_stack_matches_per_record():
         tg.reconstruct_state([recs[0], tg.collect(cc.Circuit(3), 0, 0)])
 
 
-def test_collect_batch_checks_before_simulating():
-    c = cc.Circuit(4)
+def test_collect_checks_before_simulating():
     with pytest.raises(ValueError):
-        tg.collect_batch(c, [None, None], 10, [1])
-    with pytest.raises(ValueError):
-        tg.collect_batch(c, [None], -1, [1])
+        tg.collect(cc.Circuit(4), -1, 1)
     big = cc.Circuit(cc.MAX_DENSE_QUBITS + 1)
-    for noise in (None, cc.NoiseConfig(p1=0.1)):
+    for noise in (cc.NoiseConfig(), cc.NoiseConfig(p1=0.1)):
         with pytest.raises(cc.ResourceError):
             tg.measured_states(big, [None], noise)
 
@@ -420,7 +424,7 @@ def test_seed_is_validated_and_not_masked():
         with pytest.raises(ValueError, match="seed"):
             cc.sample_counts(np.ones(4) / 2, 100, bad)
     with pytest.raises(ValueError, match="seed"):  # checked before simulating
-        tg.collect_batch(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), [None], 10, [-1])
+        tg.collect(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), 10, -1)
     # seeds equal modulo 2^63 draw different streams
     tables = [tg.collect(c, 1000, s).table for s in (5, 2 ** 63 + 5, 2 ** 63 - 1, 2 ** 64 - 1)]
     assert len({t.tobytes() for t in tables}) == len(tables)
@@ -430,7 +434,7 @@ def test_shots_are_bounded_by_int64():
     c = cc.Circuit(2, [("h", (), (0,))])
     for bad in (-1, 2 ** 63, 2 ** 64):
         with pytest.raises(ValueError, match="shots"):  # checked before simulating
-            tg.collect_batch(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), [None], bad, [0])
+            tg.collect(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), bad, 0)
         with pytest.raises(ValueError, match="shots"):
             tg.collect(c, bad, 0)
     rec = tg.collect(c, cc.MAX_SHOTS, 0)
@@ -455,7 +459,7 @@ def test_records_with_distinct_seeds_share_no_rows():
              for s in range(1, 4) for i in range(1, 10)]
     for seed in range(4):
         children = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
-        recs += tg.collect_batch(c, [None] * 9, shots, children, measure_qubits=measure)
+        recs += [tg.collect(c, shots, child, measure_qubits=measure) for child in children]
     rows = np.concatenate([rec.table for rec in recs])
     assert rows.shape == (len(recs) * 9, 4)
     assert len(np.unique(rows, axis=0)) == len(rows)
