@@ -22,7 +22,7 @@ for i in range(1, 10):
     full.extend(dc.prep_basis_circuit(i).remapped([2, 3], 4).gates)
     full.extend(circ.gates)
     rec = tg.collect(full, SHOTS, seed=100 + i, measure_qubits=(2, 3))
-    rho3, leak = tg.reconstruct_qutrit(rec)
+    rho3, leak = tg.reconstruct_qutrit(rec.table)
     target = ch.ls_apply(dc.basis_density(i))
     f = tg.fidelity(rho3, target)
     fids.append(f)
@@ -38,11 +38,11 @@ for shots in (1024, 8192, 65536):
     errs = []
     for seed in range(10):
         rec = tg.collect(full, shots, seed, measure_qubits=(2, 3))
-        rho3, _ = tg.reconstruct_qutrit(rec)
+        rho3, _ = tg.reconstruct_qutrit(rec.table)
         errs.append(1 - tg.fidelity(rho3, target))
     print(f"  {shots:6d} shots: mean infidelity {np.mean(errs):.2e}")
 
 print("\nexact mode (shots=0) inverts exactly:")
 rec = tg.collect(full, 0, seed=0, measure_qubits=(2, 3))
-rho3, _ = tg.reconstruct_qutrit(rec)
+rho3, _ = tg.reconstruct_qutrit(rec.table)
 print("deviation from analytic:", np.abs(rho3 - target).max())

@@ -9,7 +9,7 @@ quantifies implementation quality under configurable gate noise.
 from .linalg import (ATOL, as_matrix, equal_up_to_global_phase, hermitian_eig,
                      is_psd, is_unitary, kron, kron_all, partial_trace,
                      project_to_density, sqrtm_psd)
-from .circuits import (Circuit, Counts, Gate, NoiseConfig, gate_matrix,
+from .circuits import (Circuit, Gate, NoiseConfig, gate_matrix,
                        sample_counts, simulate_density, simulate_state,
                        unitary_of)
 from .channels import (ChannelRep, KrausSet, Ordering, SpinGenerators,

@@ -29,7 +29,7 @@ from .decompositions import basis_density, prep_basis_circuit, prep_superpositio
 from .encoding import project_qutrit, project_two_qutrits
 from .linalg import as_matrix
 from .tomography import (fidelity, measured_states, outcome_tables, reconstruct_state,
-                         sample_records)
+                         sample_tables)
 
 
 def analytic_choi(channel: ChannelRep) -> np.ndarray:
@@ -177,13 +177,14 @@ def linear_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
 
 def linear_outputs(tables: np.ndarray, shots: int, seed, readout_flip: float = 0.0) -> list:
     """(rho3, leakage) for the nine basis inputs from the exact table of
-    linear_tables: input i's record sampled from its own stream
+    linear_tables: input i's table sampled from its own stream
     SeedSequence(seed, spawn_key=(i,)) (shots = 0: exact, readout error
     included), the nine inverted and projected as one stack, and each 4x4
     state post-selected onto the qutrit."""
-    seeds = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(1, 10)]
-    recs = sample_records(tables, shots, [np.random.default_rng(s) for s in seeds], readout_flip)
-    return [project_qutrit(red) for red in reconstruct_state(recs)]
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            for i in range(1, 10)]
+    sampled = sample_tables(tables, shots, rngs, readout_flip)
+    return [project_qutrit(red) for red in reconstruct_state(sampled)]
 
 
 def direct_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
@@ -201,8 +202,8 @@ def estimate_direct(tables: np.ndarray, shots: int, seed, readout_flip: float = 
     seed (shots = 0: exact, readout error included), reconstruct the
     (ancilla, system) state, post-select both qutrit factors and project
     onto the density matrices."""
-    rec, = sample_records(tables, shots, [_rng(seed)], readout_flip)
-    omega, _leak = project_two_qutrits(reconstruct_state(rec))
+    sampled, = sample_tables(tables, shots, [_rng(seed)], readout_flip)
+    omega, _leak = project_two_qutrits(reconstruct_state(sampled))
     return la.project_to_density(omega)
 
 

@@ -366,18 +366,6 @@ def simulate_density(c: Circuit, input_density: np.ndarray,
     return np.moveaxis(t.reshape(d, d, -1), -1, 0).reshape(rho.shape)
 
 
-@dataclass
-class Counts:
-    """Measurement outcome histogram; bitstring keys, qubit 0 leftmost."""
-    counts: dict
-    shots: int
-    seed: int
-
-    def __post_init__(self):
-        if self.shots >= 1 and sum(self.counts.values()) != self.shots:
-            raise ValueError("counts must sum to shots")
-
-
 def born_probabilities(state_or_density: np.ndarray) -> np.ndarray:
     """Computational-basis probabilities of a state vector or density matrix."""
     a = np.asarray(state_or_density, dtype=complex)
@@ -453,31 +441,18 @@ def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None,
     return counts
 
 
-def histogram(row: np.ndarray) -> dict:
-    """Nonzero entries of one outcome row, keyed by bitstring (qubit 0
-    leftmost): ints for counts, floats for probabilities."""
-    n = int(round(math.log2(row.size)))
-    return {format(b, f"0{n}b"): row[b].item() for b in np.flatnonzero(row > 0)}
-
-
-def counts_from_probabilities(p: np.ndarray, shots: int, seed,
-                              readout_flip: float = 0.0) -> Counts:
-    """Counts from one normalized outcome distribution p over 2^n
-    bitstrings: a one-row sample_table on generator _rng(seed)."""
-    table = sample_table(p[None], shots, _rng(seed), readout_flip)
-    return Counts(histogram(table[0]), shots, int(seed))
-
-
-def sample_counts(state_or_density, shots: int, seed: int, readout_flip: float = 0.0) -> Counts:
-    """Draw i.i.d. Born-rule outcomes, then flip each outcome bit independently
-    with probability readout_flip.  Deterministic given the seed."""
+def sample_counts(state_or_density, shots: int, seed: int,
+                  readout_flip: float = 0.0) -> np.ndarray:
+    """Outcome counts (2^n,) of shots i.i.d. Born-rule draws, each outcome
+    bit then flipped independently with probability readout_flip: the one
+    row of sample_table on generator _rng(seed).  Deterministic given the seed."""
     check_shots(shots, 1)
-    return counts_from_probabilities(born_probabilities(state_or_density),
-                                     shots, seed, readout_flip)
+    return sample_table(born_probabilities(state_or_density)[None], shots, _rng(seed),
+                        readout_flip)[0]
 
 
-def exact_counts(state_or_density, seed: int = 0, readout_flip: float = 0.0) -> Counts:
-    """Exact-mode pseudo-counts: Born probabilities stored directly, shots=0.
-    Readout error is applied exactly as a per-bit binary symmetric channel."""
-    return counts_from_probabilities(born_probabilities(state_or_density),
-                                     0, seed, readout_flip)
+def exact_counts(state_or_density, readout_flip: float = 0.0) -> np.ndarray:
+    """Exact-mode pseudo-counts (2^n,): the Born probabilities with readout
+    error applied exactly as a per-bit binary symmetric channel, the one
+    row of sample_table at shots = 0."""
+    return sample_table(born_probabilities(state_or_density)[None], 0, None, readout_flip)[0]

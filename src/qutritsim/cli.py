@@ -100,7 +100,7 @@ def _int_option(cfg, key, minimum, maximum) -> None:
     v = cfg[key]
     try:
         iv = int(v)
-        if isinstance(v, bool) or (isinstance(v, float) and v != iv):
+        if isinstance(v, (bool, str)) or (isinstance(v, float) and v != iv):
             raise ValueError("not an integer")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be an integer, got {v!r}") from exc

@@ -62,7 +62,15 @@ class CouplingMap:
 
     @classmethod
     def from_json(cls, obj) -> "CouplingMap":
-        return cls(int(obj["n_qubits"]), [tuple(e) for e in obj["edges"]])
+        """Every number must be a JSON integer (an integral float included):
+        a bool, a string or a fraction raises ValueError, never truncates."""
+        return cls(_json_int(obj["n_qubits"]), [tuple(map(_json_int, e)) for e in obj["edges"]])
+
+
+def _json_int(v) -> int:
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"coupling JSON needs integers, got {v!r}")
+    return int(v)
 
 
 # Bundled maps.  The 5-qubit map mirrors a bow-tie device with one fixed CNOT

@@ -201,8 +201,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "re": [[float(x.real) for x in row] for row in m],
-        "im": [[float(x.imag) for x in row] for row in m],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 
@@ -215,6 +215,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if len(part) != rows or any(len(r) != cols for r in part):
             raise ShapeError("ragged or mis-sized matrix data")
     a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    if not np.all(np.isfinite(np.array(re))) or not np.all(np.isfinite(np.array(im))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a

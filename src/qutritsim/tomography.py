@@ -1,23 +1,23 @@
 """Shot-based measurement settings, state reconstruction, and fidelity.
 
-A complete record holds one outcome row per setting, 3^k settings for k
-measured qubits, as one (3^k, 2^k) table, with per-qubit bases Z, X, Y and
-pre-rotations Z: none, X: h, Y: u1(-pi/2) then h.  Every pre-rotation gate is a one-qubit gate and
+A measurement of k qubits is one (3^k, 2^k) outcome table: one row per
+setting, settings_for order, with per-qubit bases Z, X, Y and pre-rotations
+Z: none, X: h, Y: u1(-pi/2) then h.  Every pre-rotation gate is a one-qubit gate and
 gate noise acts only on the qubits a gate touches, so a setting's noisy
 pre-rotation is a tensor product of three possible one-qubit channels.
 Tomography has two stages.  ``outcome_tables`` reads all 3^k exact
 distributions off the measured reduced states of a stack of inputs with
 one per-qubit contraction; it depends only on the circuit and the noise.
-``sample_records`` then draws each record's table from its own generator,
-seeded by SeedSequence, so records with distinct seeds or spawn keys draw
+``sample_tables`` then draws each table of the stack from its own
+generator, seeded by SeedSequence, so distinct seeds or spawn keys draw
 independent streams.  ``collect`` runs both stages on one circuit started
 from |0...0>; the Choi experiments (choi.linear_tables, choi.direct_tables)
 run them over a stack of prepared inputs.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
-(eigenvalue simplex projection); a sequence of records is inverted and
-projected as one stack.
+(eigenvalue simplex projection); a stack of tables is inverted and
+projected as one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .circuits import (Circuit, Gate, NoiseConfig, _rng, check_dense_register, c
 from .encoding import project_qutrit
 
 BASES = ("Z", "X", "Y")
-_BASE_DIGIT = str.maketrans("ZXY", "012")
 
 # _ESTIMATOR[2 s + o] = (I/3 + (-1)^o sigma_s) / 2, flattened row-major
 _SIGMA = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
@@ -63,29 +62,23 @@ def prerotation_gates(setting: str) -> list:
     return gates
 
 
-@dataclass
+@dataclass(frozen=True)
 class TomographyRecord:
-    """Outcomes of every measurement setting of k qubits.
+    """The sampled outcome table of one collect run.
 
-    table[r] is the outcome row of settings[r] over the 2^k bitstrings
-    (qubit 0 the most significant bit): int counts summing to shots, or at
-    shots = 0 float probabilities.  A sampled table was drawn from the one
+    table[r] is the outcome row of settings_for(k)[r] over the 2^k
+    bitstrings (qubit 0 the most significant bit): int counts summing to
+    shots, or at shots = 0 float probabilities.  It was drawn from the one
     generator of SeedSequence(seed, spawn_key=spawn_key).
     """
-    settings: list
     table: np.ndarray
     shots: int
     seed: int
     spawn_key: tuple = ()
 
-    def __post_init__(self):
-        if not self.settings or np.shape(self.table) != (len(self.settings),
-                                                         2 ** self.n_qubits):
-            raise ValueError("one row of 2^k outcomes per setting required")
-
     @property
-    def n_qubits(self) -> int:
-        return len(self.settings[0])
+    def settings(self) -> list:
+        return settings_for(self.table.shape[-1].bit_length() - 1)
 
 
 def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
@@ -179,7 +172,7 @@ def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> 
     setting's noisy pre-rotation is a tensor product of one-qubit channels.
     Each row is clipped and normalized like born_probabilities.  The table
     depends on the circuit and the noise only, never on a seed, so a caller
-    may build it once and sample it many times (sample_records).
+    may build it once and sample it many times (sample_tables).
     """
     k = int(round(math.log2(rho_meas.shape[-1])))
     effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
@@ -189,82 +182,65 @@ def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> 
     return tables
 
 
-def sample_records(tables: np.ndarray, shots: int, rngs, readout_flip: float = 0.0) -> list:
-    """One TomographyRecord per table of the stack (B, 3^k, 2^k) of
+def sample_tables(tables: np.ndarray, shots: int, rngs, readout_flip: float = 0.0) -> np.ndarray:
+    """The stack (B, 3^k, 2^k) of sampled tables of the stack of
     outcome_tables: table b sampled by sample_table from generator rngs[b]
-    (at shots = 0 the exact table, readout error applied exactly), its
-    record carrying that generator's seed and spawn key."""
-    k = int(round(math.log2(tables.shape[-1])))
-    records = []
-    for table, rng in zip(tables, rngs):
-        seq = rng.bit_generator.seed_seq
-        counts = sample_table(table, shots, rng, readout_flip)
-        records.append(TomographyRecord(settings_for(k), counts, shots, seq.entropy,
-                                        seq.spawn_key))
-    return records
+    (at shots = 0 the exact table, readout error applied exactly)."""
+    return np.stack([sample_table(t, shots, rng, readout_flip) for t, rng in zip(tables, rngs)])
 
 
 def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
             measure_qubits=None) -> TomographyRecord:
     """Run the circuit once on |0...0> and sample every measurement setting
-    of the measured qubits: measured_states, outcome_tables, sample_records.
+    of the measured qubits: measured_states, outcome_tables, sample_table.
 
     shots = 0 is exact mode: the outcome distributions, with gate noise,
     noisy pre-rotations and readout error, are stored in place of sampled
-    counts, the infinite-shot limit of a sampled record.
+    counts, the infinite-shot limit of a sampled table.
 
     The whole (3^k, 2^k) table is drawn from one generator seeded by seed
     (a non-negative int or a SeedSequence), settings in settings_for
-    order, so distinct seeds give independent records.  Shots and seed are
+    order, so distinct seeds give independent tables.  Shots and seed are
     checked before anything is simulated.
     """
     check_shots(shots)
     rng = _rng(seed)
     tables = outcome_tables(measured_states(c, [None], noise, measure_qubits), noise)
-    return sample_records(tables, shots, [rng], noise.readout_flip)[0]
+    seq = rng.bit_generator.seed_seq
+    return TomographyRecord(sample_table(tables[0], shots, rng, noise.readout_flip), shots,
+                            seq.entropy, seq.spawn_key)
 
 
-def _linear_inversion(records) -> np.ndarray:
+def _linear_inversion(tables) -> np.ndarray:
     """Averaged Pauli expectation values assembled into a matrix estimate,
-    for one record, or a stack (B, 2^n, 2^n) for a sequence of records on
-    the same n qubits.
+    for one outcome table (3^n, 2^n) in settings_for order, or a stack
+    (B, 2^n, 2^n) for a stack of tables (B, 3^n, 2^n).
 
     Averaging each Pauli string's expectation over every setting that
     measures it factorizes per qubit: outcome o of basis s contributes
     R[s, o] = (I/3 + (-1)^o sigma_s) / 2 on that qubit.  The whole stack is
-    one per-qubit contraction over the normalized tables; a record whose
-    settings are not in settings_for order has its rows reordered first.
+    one per-qubit contraction over the normalized tables.
     """
-    one = isinstance(records, TomographyRecord)
-    recs = [records] if one else list(records)
-    if not recs:
-        raise ValueError("no tomography records")
-    n = recs[0].n_qubits
-    canonical = settings_for(n)
-    tables = np.empty((len(recs), 3 ** n, 2 ** n))
-    for table, rec in zip(tables, recs):
-        if rec.settings == canonical:
-            table[:] = rec.table
-        elif sorted(rec.settings) == sorted(canonical):
-            table[[int(s.translate(_BASE_DIGIT), 3) for s in rec.settings]] = rec.table
-        else:
-            raise ValueError("incomplete tomography record")
-    tables /= tables.sum(axis=-1, keepdims=True)
-    t = _per_qubit(tables.reshape((len(recs),) + (3,) * n + (2,) * n), n, _ESTIMATOR, (2, 2))
-    t = t.reshape(len(recs), 2 ** n, 2 ** n)
-    return t[0] if one else t
+    t = np.asarray(tables, dtype=float)
+    n = t.shape[-1].bit_length() - 1 if t.ndim in (2, 3) else 0
+    if n < 1 or t.shape[-2:] != (3 ** n, 2 ** n) or not len(t):
+        raise ValueError("one (3^n, 2^n) outcome table or a stack of them required")
+    t = t / t.sum(axis=-1, keepdims=True)
+    rho = _per_qubit(t.reshape((-1,) + (3,) * n + (2,) * n), n, _ESTIMATOR, (2, 2))
+    rho = rho.reshape(-1, 2 ** n, 2 ** n)
+    return rho[0] if t.ndim == 2 else rho
 
 
-def reconstruct_state(records) -> np.ndarray:
+def reconstruct_state(tables) -> np.ndarray:
     """Linear inversion then nearest-density projection; always a valid
-    state.  A sequence of records gives the stack (B, 2^n, 2^n), inverted
-    and projected as one."""
-    return la.project_to_density(_linear_inversion(records))
+    state.  A stack of tables gives the stack (B, 2^n, 2^n), inverted and
+    projected as one."""
+    return la.project_to_density(_linear_inversion(tables))
 
 
-def reconstruct_qutrit(rec: TomographyRecord):
-    """(rho3, leakage) from a two-qubit record via qutrit post-selection."""
-    return project_qutrit(reconstruct_state(rec))
+def reconstruct_qutrit(table: np.ndarray):
+    """(rho3, leakage) from a two-qubit outcome table via qutrit post-selection."""
+    return project_qutrit(reconstruct_state(table))
 
 
 def fidelity(s1: np.ndarray, s2: np.ndarray):

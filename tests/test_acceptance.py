@@ -100,7 +100,7 @@ def test_criterion_07_tomography_pipeline_fidelity():
                 for seed in range(20):
                     rec = tg.collect(full, shots, 1000 * seed + i,
                                      measure_qubits=(2, 3))
-                    rho3, _ = tg.reconstruct_qutrit(rec)
+                    rho3, _ = tg.reconstruct_qutrit(rec.table)
                     results[shots].append(tg.fidelity(rho3, target))
     mean_lo = float(np.mean(results[8192]))
     mean_hi = float(np.mean(results[65536]))

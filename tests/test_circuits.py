@@ -186,27 +186,27 @@ def test_purity_negative_noise_monotonicity():
 def test_sample_counts_deterministic_and_exact_cases():
     psi = np.array([1.0, 0.0])
     counts = cc.sample_counts(psi, 100, seed=1)
-    assert counts.counts == {"0": 100}
+    assert np.array_equal(counts, [100, 0])
     a = cc.sample_counts(np.ones(4) / 2, 1000, seed=42)
     b = cc.sample_counts(np.ones(4) / 2, 1000, seed=42)
-    assert a.counts == b.counts
+    assert np.array_equal(a, b)
     c2 = cc.sample_counts(np.ones(4) / 2, 1000, seed=43)
-    assert a.counts != c2.counts  # overwhelmingly likely
+    assert not np.array_equal(a, c2)  # overwhelmingly likely
 
 
 def test_sample_counts_frequencies():
     psi = np.array([1.0, 1.0]) / np.sqrt(2)
     counts = cc.sample_counts(psi, 10 ** 6, seed=7)
-    assert abs(counts.counts["0"] / 10 ** 6 - 0.5) < 0.005
+    assert abs(counts[0] / 10 ** 6 - 0.5) < 0.005
     counts = cc.sample_counts(np.array([1.0, 0.0]), 10 ** 6, seed=9, readout_flip=0.1)
-    assert abs(counts.counts["1"] / 10 ** 6 - 0.1) < 0.005
+    assert abs(counts[1] / 10 ** 6 - 0.1) < 0.005
 
 
 def test_exact_counts():
     psi = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     ec = cc.exact_counts(psi)
-    assert ec.shots == 0
-    assert abs(ec.counts["00"] - 0.5) < 1e-12 and abs(ec.counts["10"] - 0.5) < 1e-12
+    assert ec.dtype == float and ec[1] == ec[3] == 0.0
+    assert abs(ec[0b00] - 0.5) < 1e-12 and abs(ec[0b10] - 0.5) < 1e-12
 
 
 def test_circuit_remap():
@@ -328,8 +328,7 @@ def _ref_exact_readout(p, readout_flip):
     for q in range(n):
         t = np.tensordot(m, t, axes=([1], [q]))
         t = np.moveaxis(t, 0, q)
-    p = t.reshape(-1)
-    return {format(b, f"0{n}b"): float(p[b]) for b in range(p.size) if p[b] > 0}
+    return t.reshape(-1)
 
 
 def _routed_channel_circuits():
@@ -414,9 +413,9 @@ def test_exact_readout_matches_reference():
             p = rng.uniform(size=2 ** n) * (rng.uniform(size=2 ** n) < 0.7)
             p[0] += 0.1
             p /= p.sum()
-            got = cc.counts_from_probabilities(p, 0, 5, flip)
-            assert got.shots == 0 and got.seed == 5
-            assert got.counts == _ref_exact_readout(p, flip)
+            got = cc.sample_table(p[None], 0, None, flip)
+            assert got.shape == p[None].shape and got.dtype == float
+            assert np.array_equal(got[0], _ref_exact_readout(p, flip))
 
 
 # --- the gate kernel against tensordot + moveaxis ---------------------------

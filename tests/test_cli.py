@@ -154,9 +154,20 @@ def test_unwritable_out_path_is_a_config_error(tmp_path, capsys, command):
     assert afile.read_text() == ""
 
 
+_IBMQX4_EDGES = "[[1, 0], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]"
+
+
 @pytest.mark.parametrize("text", [
     '{"n_qubits": 5, "edges": 5}', "[1, 2]",
     '{"n_qubits": null, "edges": []}', '{"n_qubits": 5, "edges": [null]}',
+    # numbers that are not JSON integers are rejected, never truncated
+    f'{{"n_qubits": 5.9, "edges": {_IBMQX4_EDGES}}}',
+    f'{{"n_qubits": "5", "edges": {_IBMQX4_EDGES}}}',
+    '{"n_qubits": true, "edges": []}',
+    f'{{"n_qubits": 1e999, "edges": {_IBMQX4_EDGES}}}',
+    '{"n_qubits": 5, "edges": [[1.7, 0.2], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]}',
+    '{"n_qubits": 5, "edges": [["1", 0], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]}',
+    '{"n_qubits": 5, "edges": [[true, 0], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]}',
 ])
 def test_malformed_coupling_json_is_a_config_error(tmp_path, capsys, text):
     bad = tmp_path / "coupling.json"
@@ -230,13 +241,15 @@ def _run_config(tmp_path, capsys, obj, *extra):
 
 
 def test_config_shots_not_integer_is_config_error(tmp_path, capsys):
-    code, err = _run_config(tmp_path, capsys, {"shots": "x"})
-    assert code == cli.EXIT_CONFIG and "config error:" in err
+    for bad in ("x", "5"):  # a string holding an integer is still a string
+        code, err = _run_config(tmp_path, capsys, {"shots": bad})
+        assert code == cli.EXIT_CONFIG and "config error:" in err
 
 
 def test_config_seed_not_integer_is_config_error(tmp_path, capsys):
-    code, err = _run_config(tmp_path, capsys, {"seed": "x"})
-    assert code == cli.EXIT_CONFIG and "config error:" in err
+    for bad in ("x", "5"):
+        code, err = _run_config(tmp_path, capsys, {"seed": bad})
+        assert code == cli.EXIT_CONFIG and "config error:" in err
 
 
 def test_seed_negative_is_config_error_and_large_seeds_unmasked(tmp_path, capsys):
@@ -427,12 +440,13 @@ def test_config_grid_not_integer_is_config_error(tmp_path, capsys):
     assert run(["choi", "--channel", "ls", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"grid": "x"}))
-    code = run(["sweep", "--config", str(cfgfile), "--channel", "ls",
-                "--choi-file", str(tmp_path / "choi_ls_analytic.json"),
-                "--out", str(tmp_path)])
-    assert code == cli.EXIT_CONFIG
-    assert "config error:" in capsys.readouterr().err
+    for bad in ("x", "5"):
+        cfgfile.write_text(json.dumps({"grid": bad}))
+        code = run(["sweep", "--config", str(cfgfile), "--channel", "ls",
+                    "--choi-file", str(tmp_path / "choi_ls_analytic.json"),
+                    "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
 
 
 def test_config_unknown_key_is_config_error(tmp_path, capsys):
@@ -529,7 +543,7 @@ def _ref_circuit_outputs(name, cmap, shots, seed, noise):
     results = []
     for i in range(1, 10):
         rec = tg.collect(_full_circuit(name, i, cmap), shots, _input_seed(seed, i), noise, (2, 3))
-        results.append(tg.reconstruct_qutrit(rec))
+        results.append(tg.reconstruct_qutrit(rec.table))
     return results
 
 
@@ -546,15 +560,16 @@ def _check_batched_outputs(name, layout, shots, seed, noise):
         else:
             assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
     if shots > 0:
-        # the records behind them: same counts from the same streams
+        # the tables behind them: same counts from the same streams
         rngs = [np.random.default_rng(_input_seed(seed, i)) for i in range(1, 10)]
-        recs = tg.sample_records(table, shots, rngs, noise.readout_flip)
-        for i, rec in enumerate(recs, start=1):
+        sampled = tg.sample_tables(table, shots, rngs, noise.readout_flip)
+        assert sampled.shape == (9, 9, 4)
+        for i, got_table in enumerate(sampled, start=1):
             ref = tg.collect(_full_circuit(name, i, cmap), shots, _input_seed(seed, i), noise,
                              (2, 3))
-            assert rec.settings == ref.settings and rec.seed == ref.seed
-            assert rec.spawn_key == ref.spawn_key == (i,)
-            assert np.array_equal(rec.table, ref.table)
+            assert ref.settings == tg.settings_for(2) and ref.seed == seed
+            assert ref.spawn_key == (i,)
+            assert np.array_equal(got_table, ref.table)
 
 
 @pytest.mark.parametrize("name", ["ls", "wh"])
