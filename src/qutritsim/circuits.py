@@ -31,7 +31,7 @@ once per (name, params) and shared read-only (gate_matrix).
   each touched qubit's (row, col) pair.  Each superoperator is built once
   per process for each (noise, gate name, params) and shared read-only
   (gate_superops).
-* Exact readout: the 2x2 bit-flip matrix on each outcome axis.
+* Readout: the 2x2 bit-flip matrix on each outcome axis, before sampling.
 """
 
 from __future__ import annotations
@@ -270,7 +270,8 @@ def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:
 class NoiseConfig:
     """Gate-level noise: depolarizing p1 per one-qubit gate and p2 per CNOT
     (applied to every qubit the gate touches), amplitude damping gamma per
-    touched qubit, and a readout bit-flip probability used at sampling time."""
+    touched qubit, and a readout bit-flip probability per measured bit,
+    applied exactly to the outcome distributions (sample_table)."""
     p1: float = 0.0
     p2: float = 0.0
     gamma: float = 0.0
@@ -413,32 +414,23 @@ def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None,
     """Outcome table (m, 2^n) from m normalized distributions p over 2^n
     bitstrings, one per row.
 
-    shots >= 1 gives int counts drawn from the one generator rng: every
-    row's multinomial in row order, then one binomial thinning per bit
-    (qubit 0 first) over the whole table, moving the shots whose readout
-    flips that bit.  Flips are independent per bit, so this is the per-bit
-    binary symmetric channel applied to every shot.  shots = 0 is exact
-    mode: p with that channel applied exactly, as floats; rng is unused.
-    shots outside [0, MAX_SHOTS] raise ValueError.
+    Readout error flips each bit of each shot independently, so it is the
+    per-bit binary symmetric channel, applied exactly to p.  shots >= 1
+    gives int counts: one multinomial per flipped row, in row order, from
+    the one generator rng.  shots = 0 is exact mode: the flipped p itself,
+    as floats; rng is unused.  shots outside [0, MAX_SHOTS] raise ValueError.
     """
     check_shots(shots)
-    m, d = p.shape
-    n = int(round(math.log2(d)))
-    if shots == 0:
-        t = p.reshape((m,) + (2,) * n)
-        if readout_flip > 0.0:
-            flip = np.array([[1 - readout_flip, readout_flip],
-                             [readout_flip, 1 - readout_flip]])
-            for q in range(n):
-                t = _apply(t, flip, [1 + q])
-        return t.reshape(m, d).astype(float)
-    counts = rng.multinomial(shots, p)
     if readout_flip > 0.0:
-        outcome = np.arange(d)
-        for q in range(n):
-            moved = rng.binomial(counts, readout_flip)
-            counts += moved[:, outcome ^ (1 << (n - 1 - q))] - moved
-    return counts
+        m, d = p.shape
+        flip = np.array([[1 - readout_flip, readout_flip], [readout_flip, 1 - readout_flip]])
+        t = p.reshape((m,) + (2,) * int(round(math.log2(d))))
+        for q in range(t.ndim - 1):
+            t = _apply(t, flip, [1 + q])
+        p = t.reshape(m, d)
+    if shots == 0:
+        return p.astype(float)
+    return rng.multinomial(shots, p)
 
 
 def sample_counts(state_or_density, shots: int, seed: int,

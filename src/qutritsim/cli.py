@@ -162,7 +162,7 @@ def _write_output(cfg, filename, write) -> str:
 
 def _write_json(cfg, filename, obj) -> str:
     return _write_output(cfg, filename,
-                         lambda f: json.dump(obj, f, sort_keys=True, indent=1))
+                         lambda f: f.write(json.dumps(obj, sort_keys=True, indent=1)))
 
 
 def cmd_apply(cfg) -> str:

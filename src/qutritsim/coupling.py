@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
+from .linalg import json_int
 
 
 class RoutingError(ValueError):
@@ -64,13 +65,7 @@ class CouplingMap:
     def from_json(cls, obj) -> "CouplingMap":
         """Every number must be a JSON integer (an integral float included):
         a bool, a string or a fraction raises ValueError, never truncates."""
-        return cls(_json_int(obj["n_qubits"]), [tuple(map(_json_int, e)) for e in obj["edges"]])
-
-
-def _json_int(v) -> int:
-    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"coupling JSON needs integers, got {v!r}")
-    return int(v)
+        return cls(json_int(obj["n_qubits"]), [tuple(map(json_int, e)) for e in obj["edges"]])
 
 
 # Bundled maps.  The 5-qubit map mirrors a bow-tie device with one fixed CNOT

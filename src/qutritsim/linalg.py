@@ -206,14 +206,26 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def json_int(v) -> int:
+    """v as an int if it is a JSON integer (an integral float included): a
+    bool, a string or a fraction raises ValueError, never truncates."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"expected a JSON integer, got {v!r}")
+    return int(v)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    """The matrix of matrix_to_json.  rows and cols must be JSON integers and
+    every entry a JSON number: a bool or a string raises ValueError."""
+    rows, cols = json_int(obj["rows"]), json_int(obj["cols"])
     if rows < 1 or cols < 1:
         raise ShapeError("rows and cols must be positive")
     re, im = obj["re"], obj["im"]
     for part in (re, im):
         if len(part) != rows or any(len(r) != cols for r in part):
             raise ShapeError("ragged or mis-sized matrix data")
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for r in part for x in r):
+            raise ValueError("matrix entries must be JSON numbers")
     a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")

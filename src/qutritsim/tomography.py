@@ -10,9 +10,10 @@ distributions off the measured reduced states of a stack of inputs with
 one per-qubit contraction; it depends only on the circuit and the noise.
 ``sample_tables`` then draws each table of the stack from its own
 generator, seeded by SeedSequence, so distinct seeds or spawn keys draw
-independent streams.  ``collect`` runs both stages on one circuit started
-from |0...0>; the Choi experiments (choi.linear_tables, choi.direct_tables)
-run them over a stack of prepared inputs.
+independent streams (circuits.sample_table: readout error applied exactly,
+then one multinomial per setting).  ``collect`` runs both stages on one
+circuit started from |0...0>; the Choi experiments (choi.linear_tables,
+choi.direct_tables) run them over a stack of prepared inputs.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix

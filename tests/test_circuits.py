@@ -418,6 +418,59 @@ def test_exact_readout_matches_reference():
             assert np.array_equal(got[0], _ref_exact_readout(p, flip))
 
 
+def _chi2_sf(x, df):
+    """Upper tail P(X >= x) of a chi-square variable with df degrees of
+    freedom, by the closed-form series for integer df."""
+    h = x / 2
+    if df % 2 == 0:
+        return math.exp(-h) * sum(h ** i / math.factorial(i) for i in range(df // 2))
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * sum(
+        h ** (i + 0.5) / math.gamma(i + 1.5) for i in range((df - 1) // 2))
+
+
+def _compositions(shots, d):
+    """Every count vector of shots over d outcomes."""
+    if d == 1:
+        return [(shots,)]
+    return [(k,) + rest for k in range(shots + 1) for rest in _compositions(shots - k, d - 1)]
+
+
+def test_sampled_readout_follows_multinomial_of_flipped_distribution():
+    # Significance 0.001 per case, 20000 draws per case, 8 cases: the rows of
+    # one sample_table call must be i.i.d. Multinomial(shots, q) with
+    # q = (F (x) ... (x) F) p, F the 2x2 bit-flip matrix for flip 0.2.
+    alpha, draws, flip = 1e-3, 20000, 0.2
+    f = np.array([[1 - flip, flip], [flip, 1 - flip]])
+    rng = np.random.default_rng(2024)
+    for n in (1, 2):
+        p = rng.dirichlet(np.ones(2 ** n))
+        q = (f if n == 1 else np.kron(f, f)) @ p
+        for shots in range(1, 5):
+            table = cc.sample_table(np.tile(p, (draws, 1)), shots, rng, flip)
+            assert table.shape == (draws, 2 ** n) and np.all(table.sum(axis=1) == shots)
+            seen = {}
+            for row in map(tuple, table.tolist()):
+                seen[row] = seen.get(row, 0) + 1
+            cells = _compositions(shots, 2 ** n)
+            assert set(seen) <= set(cells)
+            pmf = [math.factorial(shots) * math.prod(qi ** k / math.factorial(k)
+                                                     for qi, k in zip(q, cell))
+                   for cell in cells]
+            # pool cells expected fewer than 5 times into one
+            obs, exp, rest_obs, rest_exp = [], [], 0, 0.0
+            for cell, pr in zip(cells, pmf):
+                if draws * pr < 5:
+                    rest_obs, rest_exp = rest_obs + seen.get(cell, 0), rest_exp + draws * pr
+                else:
+                    obs.append(seen.get(cell, 0))
+                    exp.append(draws * pr)
+            if rest_exp > 0:
+                obs.append(rest_obs)
+                exp.append(rest_exp)
+            stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
+            assert _chi2_sf(stat, len(obs) - 1) > alpha, (n, shots, stat, len(obs))
+
+
 # --- the gate kernel against tensordot + moveaxis ---------------------------
 # _ref_apply is the kernel as np.tensordot then np.moveaxis; circuits._apply
 # builds the same operands for the same BLAS product and must agree bit for

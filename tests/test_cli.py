@@ -330,6 +330,53 @@ def test_sweep_rejects_choi_file_that_is_not_a_state(tmp_path, capsys, omega):
     assert not (tmp_path / "sweep_ls.csv").exists()
 
 
+def _entry(part, value):
+    """Edit of the analytic ls Choi JSON with its first `part` entry set to value."""
+    def edit(obj):
+        obj[part][0][0] = value
+    return edit
+
+
+def _all_re_strings(obj):
+    obj["re"] = [[str(x) for x in row] for row in obj["re"]]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.update(rows=9.7),
+    lambda obj: obj.update(rows=True),
+    lambda obj: obj.update(rows="9"),
+    lambda obj: obj.update(cols=9.7),
+    lambda obj: obj.update(cols=True),
+    lambda obj: obj.update(cols="9"),
+    _entry("re", True),
+    _entry("re", "0.1"),
+    _entry("im", False),
+    _entry("im", "0"),
+    _all_re_strings,
+])
+def test_sweep_rejects_choi_file_with_non_number_fields(tmp_path, capsys, edit):
+    obj = {"channel": "ls", **la.matrix_to_json(cj.named_choi("ls"))}
+    edit(obj)
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps(obj))
+    code = run(["sweep", "--channel", "ls", "--choi-file", str(path),
+                "--grid", "3", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad choi file:")
+    assert not (tmp_path / "sweep_ls.csv").exists()
+
+
+def test_written_json_is_one_json_dumps_of_the_object(tmp_path):
+    assert run(["choi", "--channel", "wh", "--choi-method", "linear", "--shots", "100",
+                "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "choi_wh_linear.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
+    obj = {"b": [1.5, -0.0, 1e-300, None], "a": {"z": "ls", "y": True}, "c": 0}
+    path = cli._write_json({"out": str(tmp_path)}, "x.json", obj)
+    with open(path) as f:
+        assert f.read() == json.dumps(obj, sort_keys=True, indent=1)
+
+
 @pytest.mark.parametrize("noise", [{"p1": True}, {"p2": "0.1"}])
 def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, noise):
     path = tmp_path / "noise.json"

@@ -233,6 +233,11 @@ def test_matrix_json_rejects_bad():
         la.as_matrix([1, 2, 3])
 
 
+def test_matrix_json_reads_integral_float_sizes_and_int_entries():
+    got = la.matrix_from_json({"rows": 1.0, "cols": 2.0, "re": [[1, 0.5]], "im": [[0, -2]]})
+    assert np.array_equal(got, np.array([[1, 0.5 - 2j]]))
+
+
 # --- stacks (..., d, d) against the per-matrix reference ---------------------
 # _ref_hermitian_eig, _ref_sqrtm_psd and _ref_project_to_density are the 2-D
 # implementations (argsort ordering, per-matrix simplex projection) that the

@@ -209,11 +209,11 @@ def test_channel_fidelity_sweep_self():
 
 # --- equivalence with the per-setting reference implementation ---------------
 # _ref_collect runs one noisy pre-rotation fragment per setting, _ref_sample
-# draws a table from one generator with scalar loops (each row's multinomial
-# in settings order, then per bit, qubit 0 first, one binomial per entry),
-# and _ref_linear_inversion sums Pauli-string estimates in a dict and builds
-# each operator with kron.  The batched code in tomography and circuits must
-# agree.
+# flips each row's probabilities per bit with scalar loops (qubit 0 first)
+# and then draws one multinomial per row, in settings order, from one
+# generator, and _ref_linear_inversion sums Pauli-string estimates in a dict
+# and builds each operator with kron.  The batched code in tomography and
+# circuits must agree.
 
 _REF_PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -224,22 +224,18 @@ _REF_PAULI = {
 
 
 def _ref_sample(probs, shots, seed, readout_flip=0.0):
-    probs = np.atleast_2d(probs)
+    probs = np.array(probs, dtype=float, ndmin=2)
+    d = probs.shape[1]
+    n = int(round(math.log2(d)))
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        flipped = np.empty_like(probs)
+        for r in range(probs.shape[0]):
+            for b in range(d):
+                flipped[r, b] = (1 - readout_flip) * probs[r, b] + readout_flip * probs[r, b ^ bit]
+        probs = flipped
     rng = cc._rng(seed)
-    raw = np.array([rng.multinomial(shots, p) for p in probs])
-    n = int(round(math.log2(probs.shape[1])))
-    if readout_flip > 0.0:
-        for q in range(n):
-            bit = 1 << (n - 1 - q)
-            moved = np.zeros_like(raw)
-            for r in range(raw.shape[0]):
-                for b in range(raw.shape[1]):
-                    moved[r, b] = rng.binomial(int(raw[r, b]), readout_flip)
-            for r in range(raw.shape[0]):
-                for b in range(raw.shape[1]):
-                    raw[r, b] -= moved[r, b]
-                    raw[r, b ^ bit] += moved[r, b]
-    return raw
+    return np.array([rng.multinomial(shots, p) for p in probs])
 
 
 def _ref_collect(c, shots, seed, noise=cc.NoiseConfig(), measure_qubits=None):
