@@ -13,6 +13,11 @@ the channel circuit's system pair, direct_tables / estimate_direct the
 6-qubit direct Choi-state circuit.  Both tables come from one builder, the
 only place an experiment is routed onto a coupling map: it routes the
 channel circuit and the input preparations with the same placement.
+
+After sampling, an item works on stacks and per-channel constants: the
+nine linear outputs are post-selected and checked as one stack, and
+analytic_fidelity scores against a named channel's analytic side, built
+once per name.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from .channels import ChannelRep, choi_of, superop_from_choi
 from .circuits import Circuit, NoiseConfig, _rng, check_shots
 from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_basis_circuit, prep_superposition_circuit
-from .encoding import project_qutrit, project_two_qutrits
+from .encoding import _postselect, project_two_qutrits
 from .linalg import as_matrix
-from .tomography import (fidelity, measured_states, outcome_tables, reconstruct_state,
-                         sample_tables)
+from .tomography import (_fidelity_root, _uhlmann, fidelity, measured_states, outcome_tables,
+                         reconstruct_state, sample_tables)
 
 
 def analytic_choi(channel: ChannelRep) -> np.ndarray:
@@ -50,6 +55,16 @@ def named_choi(name: str) -> np.ndarray:
     """Analytic Choi matrix of the channel 'ls', 'wh' or 'id' (a copy of
     one built once per name)."""
     return _named_choi(name).copy()
+
+
+@functools.cache
+def _analytic_root(name: str) -> np.ndarray:
+    """The analytic side of choi_fidelity(named_choi(name), .): the state
+    side root of fidelity for the projected analytic Choi matrix, built once
+    per name, read-only."""
+    root = _fidelity_root(la.project_to_density(_named_choi(name)))
+    root.flags.writeable = False
+    return root
 
 
 # Coefficient matrix expressing each |i><j| in terms of the nine physical
@@ -95,16 +110,15 @@ def choi_linear(channel_on_basis) -> np.ndarray:
     """Assemble the Choi matrix from the channel's action on the nine
     physical basis states: Omega = (1/3) sum_ij E_ij (x) sum_k a_ij^k Phi(R_k),
     one contraction of COEFFICIENTS with the stack of the nine outputs."""
-    outs = [as_matrix(m) for m in channel_on_basis]
-    if len(outs) != 9:
+    if len(channel_on_basis) != 9:
         raise ValueError("choi_linear needs exactly nine output matrices")
-    for m in outs:
-        if m.shape != (3, 3):
-            raise la.ShapeError("each output must be 3x3")
-        if abs(np.trace(m) - 1) > 1e-6:
-            raise ValueError("outputs must have unit trace within 1e-6")
+    if any(np.shape(m) != (3, 3) for m in channel_on_basis):
+        raise la.ShapeError("each output must be 3x3")
+    outs = la.as_stack(channel_on_basis)
+    if np.abs(np.trace(outs, axis1=1, axis2=2) - 1).max() > 1e-6:
+        raise ValueError("outputs must have unit trace within 1e-6")
     # blocks[3 i + j] = sum_k a_ij^k Phi(R_k), the (i, j) block of 3 Omega
-    blocks = np.tensordot(COEFFICIENTS, np.stack(outs), axes=1)
+    blocks = np.tensordot(COEFFICIENTS, outs, axes=1)
     return blocks.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9) / 3.0
 
 
@@ -124,6 +138,15 @@ def choi_fidelity(th: np.ndarray, exp: np.ndarray) -> float:
     if th.shape != (9, 9) or exp.shape != (9, 9):
         raise la.ShapeError("choi_fidelity expects 9x9 matrices")
     return fidelity(la.project_to_density(th), la.project_to_density(exp))
+
+
+def analytic_fidelity(name: str, omega: np.ndarray) -> float:
+    """choi_fidelity(named_choi(name), omega), bit for bit, with the
+    analytic side (projection and square root) built once per name."""
+    omega = as_matrix(omega)
+    if omega.shape != (9, 9):
+        raise la.ShapeError("analytic_fidelity expects a 9x9 matrix")
+    return _uhlmann(_analytic_root(name), la.project_to_density(omega))
 
 
 def choi_direct_circuit(channel_circuit: Circuit) -> Circuit:
@@ -179,12 +202,15 @@ def linear_outputs(tables: np.ndarray, shots: int, seed, readout_flip: float = 0
     """(rho3, leakage) for the nine basis inputs from the exact table of
     linear_tables: input i's table sampled from its own stream
     SeedSequence(seed, spawn_key=(i,)) (shots = 0: exact, readout error
-    included), the nine inverted and projected as one stack, and each 4x4
-    state post-selected onto the qutrit."""
+    included), the nine inverted and projected as one stack, and the stack
+    of nine 4x4 states post-selected onto the qutrit in one call.  Each
+    pair equals project_qutrit of that input's state bit for bit, its
+    leakage a Python float; any input with no qutrit weight raises
+    DegenerateProjectionError."""
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             for i in range(1, 10)]
     sampled = sample_tables(tables, shots, rngs, readout_flip)
-    return [project_qutrit(red) for red in reconstruct_state(sampled)]
+    return list(zip(*_postselect(reconstruct_state(sampled), 1)))
 
 
 def direct_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),

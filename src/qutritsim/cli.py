@@ -193,9 +193,8 @@ def cmd_choi(cfg) -> str:
     shots = cfg["shots"]
     seed = cfg["seed"]
     method = cfg["choi_method"]
-    analytic = cj.named_choi(name)
     if method == "analytic":
-        omega = analytic
+        omega = cj.named_choi(name)
     elif method == "linear":
         results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise),
                                     shots, seed, noise.readout_flip)
@@ -207,7 +206,7 @@ def cmd_choi(cfg) -> str:
     obj = cj.choi_to_json(omega)
     obj["channel"] = name
     obj["method"] = method
-    obj["fidelity_vs_analytic"] = cj.choi_fidelity(analytic, omega)
+    obj["fidelity_vs_analytic"] = cj.analytic_fidelity(name, omega)
     obj["eigenvalues"] = [float(x) for x in w]
     return _write_json(cfg, f"choi_{name}_{method}.json", obj)
 
@@ -238,7 +237,7 @@ def cmd_sweep(cfg) -> str:
         for b in range(a + 1, 10):
             lo, hi, mean = tg.channel_fidelity_sweep(omega, reference, a, b, grid)
             rows.append([a, b, f"{lo:.10f}", f"{hi:.10f}", f"{mean:.10f}"])
-    overall = cj.choi_fidelity(cj.named_choi(name), omega)
+    overall = cj.analytic_fidelity(name, omega)
     rows.append(["choi", "choi", f"{overall:.10f}", f"{overall:.10f}", f"{overall:.10f}"])
     return _write_output(cfg, f"sweep_{name}.csv", lambda f: csv.writer(f).writerows(rows))
 

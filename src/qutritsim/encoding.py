@@ -7,6 +7,8 @@ discarded with renormalization (post-selection), coherences included.
 
 Qutrit states enter as densities (embed_density) and leave by
 post-selecting one or two pairs (project_qutrit, project_two_qutrits).
+Both call _postselect, which post-selects a whole stack in one call
+(choi.linear_outputs: the nine inputs), bit for bit as matrix by matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .linalg import as_matrix
 
 QUTRIT_IDX = (0, 1, 2)  # embedded positions inside a qubit pair
 POSTSELECT_ATOL = 1e-12  # least qutrit-block weight post-selection accepts
+# kept rows and columns of one pair (4x4) and of two pairs (16x16)
+_BLOCK_IDX = {1: np.array(QUTRIT_IDX),
+              2: np.array([4 * a + b for a in QUTRIT_IDX for b in QUTRIT_IDX])}
 
 
 class DegenerateProjectionError(ValueError):
@@ -37,40 +42,60 @@ def embed_density(rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _traces(stack: np.ndarray) -> np.ndarray:
+    """Real traces of a stack (B, d, d), each summed in the order np.trace
+    sums one matrix (its diagonal as one contiguous complex row), so every
+    trace equals the per-matrix np.trace(m).real bit for bit."""
+    return np.ascontiguousarray(stack.diagonal(axis1=1, axis2=2)).sum(axis=-1).real
+
+
+def _postselect(stack: np.ndarray, pairs: int):
+    """Post-select every state of a complex stack (B, 4^pairs, 4^pairs) of
+    one or two qubit pairs onto the qutrit block of each pair, as one call.
+
+    Returns (blocks, leakages): the fresh (B, 3^pairs, 3^pairs) blocks, each
+    divided by its trace (the weight), and the list of B leakages as Python
+    floats, clipped to [0, 1].  For one pair the leakage is the |11>
+    population rho4[3, 3], exact for trace-one input; for two pairs it is
+    the trace minus the weight.  A member with weight below POSTSELECT_ATOL
+    raises DegenerateProjectionError.
+    """
+    idx = _BLOCK_IDX[pairs]
+    block = stack[:, idx[:, None], idx]
+    weight = _traces(block)
+    if np.any(weight < POSTSELECT_ATOL):
+        raise DegenerateProjectionError("no weight left in the qutrit subspace" if pairs == 1
+                                        else "no weight left in the qutrit x qutrit subspace")
+    leakage = stack[:, 3, 3].real if pairs == 1 else _traces(stack) - weight
+    return block / weight[:, None, None], np.clip(leakage, 0.0, 1.0).tolist()
+
+
 def project_qutrit(rho4: np.ndarray):
     """Post-select the qutrit block: returns (rho3, leakage).
 
     rho3 = P rho4 P / Tr(P rho4 P) with P the projector onto
-    span{|00>,|01>,|10>}; leakage = 1 - Tr(P rho4 P).
+    span{|00>,|01>,|10>}; leakage = rho4[3, 3], the discarded weight
+    1 - Tr(P rho4 P) for trace-one input.
     """
     rho4 = as_matrix(rho4)
     if rho4.shape != (4, 4):
         raise la.ShapeError("project_qutrit needs a 4x4 matrix")
-    block = rho4[np.ix_(QUTRIT_IDX, QUTRIT_IDX)]
-    weight = np.trace(block).real
-    if weight < POSTSELECT_ATOL:
-        raise DegenerateProjectionError("no weight left in the qutrit subspace")
-    # the discarded weight is exactly the |11> population for trace-one input
-    leakage = float(np.clip(rho4[3, 3].real, 0.0, 1.0))
-    return block / weight, leakage
+    (rho3,), (leakage,) = _postselect(rho4[None], 1)
+    return rho3, leakage
 
 
 def project_two_qutrits(rho16: np.ndarray):
     """Post-select both qubit pairs of a 4-qubit state onto qutrit blocks.
 
     Input ordering: first pair = most significant.  Returns (rho9, leakage)
-    with 9x9 index 3 * m_first + m_second.
+    with 9x9 index 3 * m_first + m_second and leakage = Tr(rho16) minus the
+    kept weight.
     """
     rho16 = as_matrix(rho16)
     if rho16.shape != (16, 16):
         raise la.ShapeError("project_two_qutrits needs a 16x16 matrix")
-    idx = [4 * a + b for a in QUTRIT_IDX for b in QUTRIT_IDX]
-    block = rho16[np.ix_(idx, idx)]
-    weight = np.trace(block).real
-    if weight < POSTSELECT_ATOL:
-        raise DegenerateProjectionError("no weight left in the qutrit x qutrit subspace")
-    leakage = float(np.clip(np.trace(rho16).real - weight, 0.0, 1.0))
-    return block / weight, leakage
+    (rho9,), (leakage,) = _postselect(rho16[None], 2)
+    return rho9, leakage
 
 
 def embed_two_qutrit_unitary(u9: np.ndarray) -> np.ndarray:
@@ -80,8 +105,7 @@ def embed_two_qutrit_unitary(u9: np.ndarray) -> np.ndarray:
     if u9.shape != (9, 9):
         raise la.ShapeError("embed_two_qutrit_unitary needs a 9x9 matrix")
     out = np.eye(16, dtype=complex)
-    idx = [4 * a + b for a in QUTRIT_IDX for b in QUTRIT_IDX]
-    out[np.ix_(idx, idx)] = u9
+    out[np.ix_(_BLOCK_IDX[2], _BLOCK_IDX[2])] = u9
     return out
 
 

@@ -244,6 +244,21 @@ def reconstruct_qutrit(table: np.ndarray):
     return project_qutrit(reconstruct_state(table))
 
 
+def _fidelity_root(s1: np.ndarray) -> np.ndarray:
+    """sqrt(s1) as fidelity takes it: the PSD root of s1's Hermitian part."""
+    return la.sqrtm_psd((s1 + la.dagger(s1)) / 2, atol=1e-7)
+
+
+def _uhlmann(r: np.ndarray, s2: np.ndarray):
+    """The tail of fidelity, given r = _fidelity_root(s1): a caller with a
+    fixed s1 builds r once (choi.analytic_fidelity)."""
+    w = np.clip(np.linalg.eigvalsh(r @ s2 @ r), 0.0, None)  # ascending
+    # zero out eigenvalue dust: sqrt turns O(eps) noise into O(sqrt(eps))
+    w[w < w[..., -1:] * 1e-13] = 0.0
+    val = np.clip(np.sum(np.sqrt(w), axis=-1) ** 2, 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
+
+
 def fidelity(s1: np.ndarray, s2: np.ndarray):
     """Uhlmann fidelity (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, clamped to [0, 1].
 
@@ -253,12 +268,7 @@ def fidelity(s1: np.ndarray, s2: np.ndarray):
     s1, s2 = la.as_stack(s1), la.as_stack(s2)
     if s1.shape != s2.shape or s1.shape[-2] != s1.shape[-1]:
         raise la.ShapeError("fidelity needs equal-dimension square matrices")
-    r = la.sqrtm_psd((s1 + la.dagger(s1)) / 2, atol=1e-7)
-    w = np.clip(np.linalg.eigvalsh(r @ s2 @ r), 0.0, None)  # ascending
-    # zero out eigenvalue dust: sqrt turns O(eps) noise into O(sqrt(eps))
-    w[w < w[..., -1:] * 1e-13] = 0.0
-    val = np.clip(np.sum(np.sqrt(w), axis=-1) ** 2, 0.0, 1.0)
-    return float(val) if val.ndim == 0 else val
+    return _uhlmann(_fidelity_root(s1), s2)
 
 
 # Largest lambda grid of channel_fidelity_sweep, a memory budget: the sweep

@@ -346,3 +346,43 @@ def test_sweep_with_circuit_choi():
     omega = cj.choi_direct(dc.wh_channel_circuit(), shots=0, seed=0)
     lo, hi, mean = tg.channel_fidelity_sweep(omega, ch.wh_apply, 1, 6, grid=21)
     assert mean > 1 - 1e-6
+
+
+def _rank_deficient(rng, rank):
+    a = rng.normal(size=(9, rank)) + 1j * rng.normal(size=(9, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def test_analytic_fidelity_equals_choi_fidelity_exactly():
+    rng = np.random.default_rng(23)
+    for name in ("ls", "wh", "id"):
+        omegas = [cj.named_choi(n) for n in ("ls", "wh", "id")]
+        omegas += [rand_density(rng, 9) for _ in range(10)]
+        omegas += [_rank_deficient(rng, r) for r in (1, 2, 3, 5) for _ in range(3)]
+        # an unnormalized, non-Hermitian estimate goes through the same projection
+        omegas.append(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        for omega in omegas:
+            want = cj.choi_fidelity(cj.named_choi(name), omega)
+            got = cj.analytic_fidelity(name, omega)
+            assert type(got) is float and got == want, name
+    with pytest.raises(la.ShapeError):
+        cj.analytic_fidelity("ls", np.eye(3) / 3)
+
+
+def test_analytic_root_is_read_only_and_independent_of_named_choi_copies():
+    cj._analytic_root.cache_clear()
+    for name in ("ls", "wh", "id"):
+        first = cj.named_choi(name)
+        first[...] = 7.0  # before the root is built
+        root = cj._analytic_root(name)
+        want = tg._fidelity_root(la.project_to_density(cj.analytic_choi(
+            ch.ChannelRep.analytic(name))))
+        assert np.array_equal(root, want)
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0, 0] = 1.0
+        cj.named_choi(name)[...] = 7.0  # after
+        assert cj._analytic_root(name) is root and np.array_equal(root, want)
+        omega = cj.named_choi("wh")
+        assert cj.analytic_fidelity(name, omega) == cj.choi_fidelity(cj.named_choi(name), omega)

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import os
@@ -390,7 +391,8 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
 
 def _clear_caches():
     for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._named_choi,
-                   dc._basis_states, cc._gate_matrix, cc._plan, cp._legal_cnot):
+                   cj._analytic_root, dc._basis_states, cc._gate_matrix, cc._plan,
+                   cp._legal_cnot):
         cached.cache_clear()
 
 
@@ -404,6 +406,10 @@ def test_cold_and_warm_caches_write_identical_files(tmp_path):
             runs.append(["choi", "--channel", name, "--choi-method", method, *common])
         runs.append(["apply", "--channel", "ls", "--method", "circuit",
                      "--coupling", "ibmqx4", *common])
+    assert run(["choi", "--channel", "wh", "--choi-method", "direct", "--shots", "100000",
+                "--noise", str(noise), "--seed", "3", "--out", str(tmp_path / "in")]) == 0
+    runs.append(["sweep", "--channel", "wh", "--grid", "11",
+                 "--choi-file", str(tmp_path / "in" / "choi_wh_direct.json")])
     for k, args in enumerate(runs):
         _clear_caches()
         for state in ("cold", "warm"):
@@ -669,3 +675,31 @@ def test_register_above_dense_budget_is_resource_error(tmp_path, capsys, args):
     assert err.startswith("resource error: 20-qubit register") and err.count("\n") == 1
     assert peak < 2 ** 24  # a single 20-qubit state vector would be 16 MiB
     assert not any(tmp_path.glob("apply_*")) and not any(tmp_path.glob("choi_*"))
+
+
+# --- the reported fidelity against a recomputation from the written file ----
+# analytic_fidelity builds the analytic side once per channel; what a Choi
+# file and a sweep report must still be choi_fidelity of the written matrix
+# exactly, on every path that reaches it.
+
+
+@pytest.mark.parametrize("method, layout", [("linear", None), ("linear", "ibmqx4"),
+                                            ("direct", None), ("direct", "tokyo-6q")])
+def test_reported_fidelity_equals_recomputation_from_file(tmp_path, method, layout):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p1": 0.004, "p2": 0.04, "gamma": 0.004, "readout_flip": 0.02}))
+    for k, (name, shots, nz) in enumerate(itertools.product(
+            ("ls", "wh"), ("0", "8192"), ("zero", str(noise)))):
+        out = tmp_path / str(k)
+        args = ["--channel", name, "--shots", shots, "--noise", nz, "--seed", "5",
+                "--out", str(out)]
+        assert run(["choi", "--choi-method", method, *args]
+                   + (["--coupling", layout] if layout else [])) == 0
+        path = out / f"choi_{name}_{method}.json"
+        obj = json.loads(path.read_text())
+        want = cj.choi_fidelity(cj.named_choi(name), cj.choi_from_json(obj))
+        assert obj["fidelity_vs_analytic"] == want, (name, shots, nz)
+        assert run(["sweep", "--choi-file", str(path), "--grid", "3", *args]) == 0
+        with open(out / f"sweep_{name}.csv", newline="") as f:
+            summary = list(csv.reader(f))[-1]
+        assert summary == ["choi", "choi"] + [f"{want:.10f}"] * 3

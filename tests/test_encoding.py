@@ -176,3 +176,45 @@ def test_noiseless_paper_circuits_zero_leakage():
         for i in range(1, 10):
             _, leak = chan(dc.basis_density(i))
             assert abs(leak) < 1e-10
+
+
+def _leaky_states(rng, count, d):
+    """Random trace-one states of d x d with weight outside the qutrit blocks."""
+    out = []
+    for _ in range(count):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T
+        out.append(rho / np.trace(rho))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("pairs, single", [(1, enc.project_qutrit),
+                                           (2, enc.project_two_qutrits)])
+def test_stack_postselect_equals_per_matrix_loop_bit_for_bit(pairs, single):
+    rng = np.random.default_rng(40 + pairs)
+    d = 4 ** pairs
+    for count in (1, 2, 9, 17):
+        stack = _leaky_states(rng, count, d) * 10.0 ** rng.integers(-3, 3, size=(count, 1, 1))
+        before = stack.copy()
+        blocks, leaks = enc._postselect(stack, pairs)
+        assert blocks.shape == (count, 3 ** pairs, 3 ** pairs)
+        assert not np.shares_memory(blocks, stack)
+        assert np.array_equal(stack, before)
+        assert isinstance(leaks, list) and len(leaks) == count
+        for m, got, leak in zip(stack, blocks, leaks):
+            want, want_leak = single(m)
+            assert np.array_equal(got, want)
+            assert type(leak) is float and type(want_leak) is float and leak == want_leak
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_stack_postselect_raises_if_any_member_has_no_qutrit_weight(pairs):
+    rng = np.random.default_rng(50 + pairs)
+    d = 4 ** pairs
+    stack = _leaky_states(rng, 9, d)
+    for bad in (0, 4, 8):
+        s = stack.copy()
+        s[bad] = 0.0
+        s[bad, d - 1, d - 1] = 1.0  # all weight on |11>, resp. |11>|11>
+        with pytest.raises(enc.DegenerateProjectionError):
+            enc._postselect(s, pairs)
