@@ -7,7 +7,8 @@ superoperator is 3 times the reshuffled Choi matrix
 (channels.superop_from_choi), and Phi(rho) is one matvec with it.
 
 The two circuit experiments live here, each as its exact outcome table
-(seed-free, built once per configuration) and an estimator that samples it:
+(seed-free, readout error included, built once per configuration) and an
+estimator that samples it with no noise argument of its own:
 linear_tables / linear_outputs tomograph the nine basis inputs prepared on
 the channel circuit's system pair, direct_tables / estimate_direct the
 6-qubit direct Choi-state circuit.  Both tables come from one builder, the
@@ -198,18 +199,18 @@ def linear_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
     return _experiment_tables(channel_circuit, preps, (2, 3), noise, layout, None)
 
 
-def linear_outputs(tables: np.ndarray, shots: int, seed, readout_flip: float = 0.0) -> list:
+def linear_outputs(tables: np.ndarray, shots: int, seed) -> list:
     """(rho3, leakage) for the nine basis inputs from the exact table of
-    linear_tables: input i's table sampled from its own stream
-    SeedSequence(seed, spawn_key=(i,)) (shots = 0: exact, readout error
-    included), the nine inverted and projected as one stack, and the stack
+    linear_tables, readout error included: input i's table sampled from its
+    own stream SeedSequence(seed, spawn_key=(i,)) (shots = 0: the exact
+    table), the nine inverted and projected as one stack, and the stack
     of nine 4x4 states post-selected onto the qutrit in one call.  Each
     pair equals project_qutrit of that input's state bit for bit, its
     leakage a Python float; any input with no qutrit weight raises
     DegenerateProjectionError."""
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             for i in range(1, 10)]
-    sampled = sample_tables(tables, shots, rngs, readout_flip)
+    sampled = sample_tables(tables, shots, rngs)
     return list(zip(*_postselect(reconstruct_state(sampled), 1)))
 
 
@@ -222,13 +223,13 @@ def direct_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
                               noise, layout, placement)
 
 
-def estimate_direct(tables: np.ndarray, shots: int, seed, readout_flip: float = 0.0) -> np.ndarray:
+def estimate_direct(tables: np.ndarray, shots: int, seed) -> np.ndarray:
     """The 9x9 direct Choi estimate (input (x) output ordering) from the
-    exact table of direct_tables: sample it from one generator seeded by
-    seed (shots = 0: exact, readout error included), reconstruct the
+    exact table of direct_tables, readout error included: sample it from one
+    generator seeded by seed (shots = 0: the exact table), reconstruct the
     (ancilla, system) state, post-select both qutrit factors and project
     onto the density matrices."""
-    sampled, = sample_tables(tables, shots, [_rng(seed)], readout_flip)
+    sampled, = sample_tables(tables, shots, [_rng(seed)])
     omega, _leak = project_two_qutrits(reconstruct_state(sampled))
     return la.project_to_density(omega)
 
@@ -245,7 +246,7 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
     and system pairs.  Shots are checked before anything is simulated."""
     check_shots(shots)
     tables = direct_tables(channel_circuit, noise, layout, placement)
-    return estimate_direct(tables, shots, seed, noise.readout_flip)
+    return estimate_direct(tables, shots, seed)
 
 
 # --- Choi JSON ---------------------------------------------------------------

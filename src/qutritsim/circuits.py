@@ -31,7 +31,8 @@ once per (name, params) and shared read-only (gate_matrix).
   each touched qubit's (row, col) pair.  Each superoperator is built once
   per process for each (noise, gate name, params) and shared read-only
   (gate_superops).
-* Readout: the 2x2 bit-flip matrix on each outcome axis, before sampling.
+* Readout: the 2x2 bit-flip matrix on each outcome axis (apply_readout),
+  applied once to the exact outcome distributions; sampling adds none.
 """
 
 from __future__ import annotations
@@ -271,7 +272,8 @@ class NoiseConfig:
     """Gate-level noise: depolarizing p1 per one-qubit gate and p2 per CNOT
     (applied to every qubit the gate touches), amplitude damping gamma per
     touched qubit, and a readout bit-flip probability per measured bit,
-    applied exactly to the outcome distributions (sample_table)."""
+    applied exactly to the outcome distributions (apply_readout), once per
+    configuration when its outcome table is built."""
     p1: float = 0.0
     p2: float = 0.0
     gamma: float = 0.0
@@ -409,25 +411,29 @@ def check_shots(shots: int, minimum: int = 0) -> None:
         raise ValueError(f"shots must be in [{minimum}, {MAX_SHOTS}], got {shots}")
 
 
-def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None,
-                 readout_flip: float = 0.0) -> np.ndarray:
-    """Outcome table (m, 2^n) from m normalized distributions p over 2^n
-    bitstrings, one per row.
+def apply_readout(p: np.ndarray, readout_flip: float) -> np.ndarray:
+    """Distributions p (..., 2^n) over bitstrings with each bit flipped
+    independently with probability readout_flip: the per-bit binary
+    symmetric channel, applied exactly by the 2x2 bit-flip matrix on each
+    outcome axis.  Returns p itself when readout_flip is 0."""
+    if readout_flip == 0.0:
+        return p
+    flip = np.array([[1 - readout_flip, readout_flip], [readout_flip, 1 - readout_flip]])
+    t = p.reshape(p.shape[:-1] + (2,) * int(round(math.log2(p.shape[-1]))))
+    for q in range(p.ndim - 1, t.ndim):
+        t = _apply(t, flip, [q])
+    return t.reshape(p.shape)
 
-    Readout error flips each bit of each shot independently, so it is the
-    per-bit binary symmetric channel, applied exactly to p.  shots >= 1
-    gives int counts: one multinomial per flipped row, in row order, from
-    the one generator rng.  shots = 0 is exact mode: the flipped p itself,
-    as floats; rng is unused.  shots outside [0, MAX_SHOTS] raise ValueError.
+
+def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Outcome table (m, 2^n) from m normalized distributions p over 2^n
+    bitstrings, one per row, readout error already applied (apply_readout).
+
+    shots >= 1 gives int counts: one multinomial per row, in row order, from
+    the one generator rng.  shots = 0 is exact mode: a float copy of p; rng
+    is unused.  shots outside [0, MAX_SHOTS] raise ValueError.
     """
     check_shots(shots)
-    if readout_flip > 0.0:
-        m, d = p.shape
-        flip = np.array([[1 - readout_flip, readout_flip], [readout_flip, 1 - readout_flip]])
-        t = p.reshape((m,) + (2,) * int(round(math.log2(d))))
-        for q in range(t.ndim - 1):
-            t = _apply(t, flip, [1 + q])
-        p = t.reshape(m, d)
     if shots == 0:
         return p.astype(float)
     return rng.multinomial(shots, p)
@@ -437,14 +443,14 @@ def sample_counts(state_or_density, shots: int, seed: int,
                   readout_flip: float = 0.0) -> np.ndarray:
     """Outcome counts (2^n,) of shots i.i.d. Born-rule draws, each outcome
     bit then flipped independently with probability readout_flip: the one
-    row of sample_table on generator _rng(seed).  Deterministic given the seed."""
+    row of sample_table on generator _rng(seed) of the Born row through
+    apply_readout.  Deterministic given the seed."""
     check_shots(shots, 1)
-    return sample_table(born_probabilities(state_or_density)[None], shots, _rng(seed),
-                        readout_flip)[0]
+    p = apply_readout(born_probabilities(state_or_density), readout_flip)
+    return sample_table(p[None], shots, _rng(seed))[0]
 
 
 def exact_counts(state_or_density, readout_flip: float = 0.0) -> np.ndarray:
     """Exact-mode pseudo-counts (2^n,): the Born probabilities with readout
-    error applied exactly as a per-bit binary symmetric channel, the one
-    row of sample_table at shots = 0."""
-    return sample_table(born_probabilities(state_or_density)[None], 0, None, readout_flip)[0]
+    error applied exactly (apply_readout)."""
+    return apply_readout(born_probabilities(state_or_density), readout_flip)

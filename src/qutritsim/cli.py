@@ -57,11 +57,12 @@ MAX_CACHED_EXPERIMENTS = 64
 
 @functools.lru_cache(maxsize=MAX_CACHED_EXPERIMENTS)
 def _outcome_table(channel, method, layout, noise) -> np.ndarray:
-    """The exact, read-only outcome table of one configuration, built once
-    per process for each (channel, method, layout, noise); it depends on no
-    seed.  method "linear" (also behind apply --method circuit) is the
-    (9, 9, 4) table of choi.linear_tables, "direct" the (1, 81, 16) table
-    of choi.direct_tables.  noise is the NoiseConfig of _load_noise, which
+    """The exact, read-only outcome table of one configuration, readout
+    error included, built once per process for each (channel, method,
+    layout, noise); it depends on no seed, so an item only samples it.
+    method "linear" (also behind apply --method circuit) is the (9, 9, 4)
+    table of choi.linear_tables, "direct" the (1, 81, 16) table of
+    choi.direct_tables.  noise is the NoiseConfig of _load_noise, which
     reads no noise spec (None or "zero") as NoiseConfig(), so every
     noiseless item shares one entry.
     """
@@ -175,8 +176,7 @@ def cmd_apply(cfg) -> str:
     if cfg["method"] == "analytic":
         results = [(_ANALYTIC[name](dc.basis_density(i)), 0.0) for i in range(1, 10)]
     else:
-        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise),
-                                    shots, seed, noise.readout_flip)
+        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise), shots, seed)
     outputs = [{"input": i, "matrix": la.matrix_to_json(rho3), "leakage": leak}
                for i, (rho3, leak) in enumerate(results, start=1)]
     return _write_json(cfg, f"apply_{name}_{cfg['method']}.json",
@@ -196,12 +196,10 @@ def cmd_choi(cfg) -> str:
     if method == "analytic":
         omega = cj.named_choi(name)
     elif method == "linear":
-        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise),
-                                    shots, seed, noise.readout_flip)
+        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise), shots, seed)
         omega = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
     else:  # direct
-        omega = cj.estimate_direct(_outcome_table(name, "direct", layout, noise), shots, seed,
-                                   noise.readout_flip)
+        omega = cj.estimate_direct(_outcome_table(name, "direct", layout, noise), shots, seed)
     w, _ = la.hermitian_eig(omega)
     obj = cj.choi_to_json(omega)
     obj["channel"] = name

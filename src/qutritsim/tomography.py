@@ -7,13 +7,14 @@ gate noise acts only on the qubits a gate touches, so a setting's noisy
 pre-rotation is a tensor product of three possible one-qubit channels.
 Tomography has two stages.  ``outcome_tables`` reads all 3^k exact
 distributions off the measured reduced states of a stack of inputs with
-one per-qubit contraction; it depends only on the circuit and the noise.
-``sample_tables`` then draws each table of the stack from its own
-generator, seeded by SeedSequence, so distinct seeds or spawn keys draw
-independent streams (circuits.sample_table: readout error applied exactly,
-then one multinomial per setting).  ``collect`` runs both stages on one
-circuit started from |0...0>; the Choi experiments (choi.linear_tables,
-choi.direct_tables) run them over a stack of prepared inputs.
+one per-qubit contraction, then applies readout error to the whole stack
+once; it depends only on the circuit and the noise.  ``sample_tables``
+then draws each table of the stack from its own generator, seeded by
+SeedSequence, so distinct seeds or spawn keys draw independent streams
+(circuits.sample_table: one multinomial per setting, no noise of its
+own).  ``collect`` runs both stages on one circuit started from |0...0>;
+the Choi experiments (choi.linear_tables, choi.direct_tables) run them
+over a stack of prepared inputs.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .circuits import (Circuit, Gate, NoiseConfig, _rng, check_dense_register, check_shots,
-                       gate_superops, normalize_probabilities, sample_table, simulate_density,
-                       simulate_state)
+from .circuits import (Circuit, Gate, NoiseConfig, _rng, apply_readout, check_dense_register,
+                       check_shots, gate_superops, normalize_probabilities, sample_table,
+                       simulate_density, simulate_state)
 from .encoding import project_qutrit
 
 BASES = ("Z", "X", "Y")
@@ -145,12 +146,16 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
     the stack runs as state vectors and the reduced states are read
     straight from the amplitudes; with any noise, readout flips alone
     included, it runs as densities.  A register above
-    circuits.MAX_DENSE_QUBITS raises ResourceError on both paths, before
-    anything is allocated.
+    circuits.MAX_DENSE_QUBITS raises ResourceError on both paths, and
+    measure_qubits (default: every qubit) that are not non-empty, distinct
+    wires of the register raise ValueError, before anything is allocated.
     """
     n = c.n_qubits
     check_dense_register(n)
     measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
+    if not measure or len(set(measure)) != len(measure) or not all(0 <= q < n for q in measure):
+        raise ValueError(f"measure_qubits {measure} must be non-empty, distinct wires of the "
+                         f"{n}-qubit register")
     zero = np.zeros(2 ** n, dtype=complex)
     zero[0] = 1.0
     if noise.is_zero():
@@ -164,30 +169,33 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
 def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
     """The exact, read-only (B, 3^k, 2^k) table of outcome distributions of
     every setting, settings_for order, for each reduced state of the stack
-    (B, 2^k, 2^k), before readout error.
+    (B, 2^k, 2^k), readout error included.
 
     It comes from contracting the reduced states, one qubit at a time, with
     the effect tensor of the three noisy one-qubit pre-rotations.  This is
     exact, not an approximation: every pre-rotation gate is a one-qubit gate
     and NoiseConfig acts only on the qubits a gate touches, so each
     setting's noisy pre-rotation is a tensor product of one-qubit channels.
-    Each row is clipped and normalized like born_probabilities.  The table
-    depends on the circuit and the noise only, never on a seed, so a caller
-    may build it once and sample it many times (sample_tables).
+    Each row is clipped and normalized like born_probabilities, then the
+    whole stack goes through apply_readout once.  The table depends on the
+    circuit and the noise only, never on a seed, so a caller may build it
+    once and sample it many times (sample_tables).
     """
     k = int(round(math.log2(rho_meas.shape[-1])))
     effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
     t = _per_qubit(rho_meas.reshape((-1,) + (2,) * (2 * k)), k, effect, (3, 2))
-    tables = normalize_probabilities(t.real.reshape(-1, 3 ** k, 2 ** k))
+    tables = apply_readout(normalize_probabilities(t.real.reshape(-1, 3 ** k, 2 ** k)),
+                           noise.readout_flip)
     tables.flags.writeable = False
     return tables
 
 
-def sample_tables(tables: np.ndarray, shots: int, rngs, readout_flip: float = 0.0) -> np.ndarray:
+def sample_tables(tables: np.ndarray, shots: int, rngs) -> np.ndarray:
     """The stack (B, 3^k, 2^k) of sampled tables of the stack of
     outcome_tables: table b sampled by sample_table from generator rngs[b]
-    (at shots = 0 the exact table, readout error applied exactly)."""
-    return np.stack([sample_table(t, shots, rng, readout_flip) for t, rng in zip(tables, rngs)])
+    (at shots = 0 a copy of the exact table).  One generator per table, else
+    ValueError."""
+    return np.stack([sample_table(t, shots, rng) for t, rng in zip(tables, rngs, strict=True)])
 
 
 def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
@@ -208,8 +216,8 @@ def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
     rng = _rng(seed)
     tables = outcome_tables(measured_states(c, [None], noise, measure_qubits), noise)
     seq = rng.bit_generator.seed_seq
-    return TomographyRecord(sample_table(tables[0], shots, rng, noise.readout_flip), shots,
-                            seq.entropy, seq.spawn_key)
+    return TomographyRecord(sample_table(tables[0], shots, rng), shots, seq.entropy,
+                            seq.spawn_key)
 
 
 def _linear_inversion(tables) -> np.ndarray:

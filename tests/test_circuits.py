@@ -413,9 +413,38 @@ def test_exact_readout_matches_reference():
             p = rng.uniform(size=2 ** n) * (rng.uniform(size=2 ** n) < 0.7)
             p[0] += 0.1
             p /= p.sum()
-            got = cc.sample_table(p[None], 0, None, flip)
+            got = cc.sample_table(cc.apply_readout(p[None], flip), 0, None)
             assert got.shape == p[None].shape and got.dtype == float
             assert np.array_equal(got[0], _ref_exact_readout(p, flip))
+
+
+def test_outcome_tables_apply_readout_once_to_the_stack():
+    # The flip of outcome_tables, over the whole stack at once, is the flip
+    # of each row of the same table built without readout error, and bit for
+    # bit the flip of each table on its own, so no output depends on how many
+    # tables share the call.
+    # From 2 qubits on the reference's per-row product has at least 2
+    # columns and must be exact; a 1-qubit row is a matrix-vector product,
+    # which BLAS rounds through another kernel: there it may differ in the
+    # last bit.
+    rng = np.random.default_rng(41)
+    for k in range(1, 5):
+        a = rng.normal(size=(3, 2 ** k, 2 ** k)) + 1j * rng.normal(size=(3, 2 ** k, 2 ** k))
+        rho = a @ a.conj().transpose(0, 2, 1)
+        rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+        for gates in (cc.NoiseConfig(), cc.NoiseConfig(p1=0.02, gamma=0.01)):
+            clean = tg.outcome_tables(rho, gates)
+            for flip in (1e-3, 0.05, 0.5):
+                noise = cc.NoiseConfig(p1=gates.p1, gamma=gates.gamma, readout_flip=flip)
+                got = tg.outcome_tables(rho, noise)
+                assert got.shape == clean.shape == (3, 3 ** k, 2 ** k)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 0, 0] = 1.0
+                assert np.array_equal(got, [cc.apply_readout(t, flip) for t in clean])
+                want = np.array([[_ref_exact_readout(row, flip) for row in t] for t in clean])
+                diff = np.abs(got - want).max()
+                assert diff <= (0.0 if k >= 2 else np.finfo(float).eps), (k, flip, diff)
 
 
 def _chi2_sf(x, df):
@@ -437,8 +466,9 @@ def _compositions(shots, d):
 
 def test_sampled_readout_follows_multinomial_of_flipped_distribution():
     # Significance 0.001 per case, 20000 draws per case, 8 cases: the rows of
-    # one sample_table call must be i.i.d. Multinomial(shots, q) with
-    # q = (F (x) ... (x) F) p, F the 2x2 bit-flip matrix for flip 0.2.
+    # one sample_table call on apply_readout's rows must be i.i.d.
+    # Multinomial(shots, q) with q = (F (x) ... (x) F) p, F the 2x2 bit-flip
+    # matrix for flip 0.2.
     alpha, draws, flip = 1e-3, 20000, 0.2
     f = np.array([[1 - flip, flip], [flip, 1 - flip]])
     rng = np.random.default_rng(2024)
@@ -446,7 +476,7 @@ def test_sampled_readout_follows_multinomial_of_flipped_distribution():
         p = rng.dirichlet(np.ones(2 ** n))
         q = (f if n == 1 else np.kron(f, f)) @ p
         for shots in range(1, 5):
-            table = cc.sample_table(np.tile(p, (draws, 1)), shots, rng, flip)
+            table = cc.sample_table(cc.apply_readout(np.tile(p, (draws, 1)), flip), shots, rng)
             assert table.shape == (draws, 2 ** n) and np.all(table.sum(axis=1) == shots)
             seen = {}
             for row in map(tuple, table.tolist()):
@@ -594,7 +624,7 @@ def test_sampling_shots_bounded_by_int64():
             cc.sample_counts(np.ones(4) / 2, bad, 0)
     with pytest.raises(ValueError, match="shots"):
         cc.sample_counts(np.ones(4) / 2, 0, 0)
-    assert cc.sample_table(p, cc.MAX_SHOTS, rng, 0.01).sum() == cc.MAX_SHOTS
+    assert cc.sample_table(cc.apply_readout(p, 0.01), cc.MAX_SHOTS, rng).sum() == cc.MAX_SHOTS
 
 
 # --- stacks: one batched call against per-input calls ------------------------

@@ -472,6 +472,28 @@ def test_exact_linear_includes_readout_error(tmp_path):
     assert np.abs(cj.choi_from_json(obj) - want).max() < 1e-12
 
 
+def _readout_leakages(f):
+    """Exact leakage of the nine basis inputs through the identity channel
+    when each measured bit flips with probability f: |11> is reached
+    from |00> by two flips, from |01> or |10> by one, and a superposition
+    of two such basis states averages their leakages."""
+    one, two = f * (1 - f), f * f
+    return [two, one, one, f / 2, f / 2, one, f / 2, f / 2, one]
+
+
+@pytest.mark.parametrize("f", [0.01, 0.1, 0.3])
+def test_exact_readout_leakage_is_closed_form(tmp_path, f):
+    # readout error is applied exactly once: twice is one flip of 2 f (1 - f),
+    # so input 1 would leak (2 f (1 - f))^2, 0.0324 at f = 0.1
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"readout_flip": f}))
+    assert run(["apply", "--method", "circuit", "--channel", "id", "--shots", "0",
+                "--noise", str(noise), "--out", str(tmp_path)]) == 0
+    obj = json.loads((tmp_path / "apply_id_circuit.json").read_text())
+    got = [o["leakage"] for o in obj["outputs"]]
+    assert np.abs(np.array(got) - _readout_leakages(f)).max() < 1e-12
+
+
 @pytest.mark.parametrize("args", [
     ["apply", "--method", "circuit"],
     ["choi", "--choi-method", "linear"],
@@ -603,7 +625,7 @@ def _ref_circuit_outputs(name, cmap, shots, seed, noise):
 def _check_batched_outputs(name, layout, shots, seed, noise):
     cmap = cp.preset_map(layout) if layout else None
     table = cli._outcome_table(name, "linear", cmap, noise)
-    got = cj.linear_outputs(table, shots, seed, noise.readout_flip)
+    got = cj.linear_outputs(table, shots, seed)
     want = _ref_circuit_outputs(name, cmap, shots, seed, noise)
     assert len(got) == len(want) == 9
     for (rho_g, leak_g), (rho_w, leak_w) in zip(got, want):
@@ -615,7 +637,7 @@ def _check_batched_outputs(name, layout, shots, seed, noise):
     if shots > 0:
         # the tables behind them: same counts from the same streams
         rngs = [np.random.default_rng(_input_seed(seed, i)) for i in range(1, 10)]
-        sampled = tg.sample_tables(table, shots, rngs, noise.readout_flip)
+        sampled = tg.sample_tables(table, shots, rngs)
         assert sampled.shape == (9, 9, 4)
         for i, got_table in enumerate(sampled, start=1):
             ref = tg.collect(_full_circuit(name, i, cmap), shots, _input_seed(seed, i), noise,

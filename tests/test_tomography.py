@@ -399,6 +399,27 @@ def test_collect_checks_before_simulating():
             tg.measured_states(big, [None], noise)
 
 
+@pytest.mark.parametrize("noise", [cc.NoiseConfig(), cc.NoiseConfig(p2=0.05)])
+@pytest.mark.parametrize("bad", [(0, 0), (5,), (-1,), ()])
+def test_collect_rejects_bad_measure_qubits_on_both_paths(noise, bad):
+    # checked once, before the state-vector or the density path is picked
+    c = cc.Circuit(2, [("h", (), (0,)), ("cnot", (), (0, 1))])
+    with pytest.raises(ValueError, match=rf"measure_qubits \({', '.join(map(str, bad))}"):
+        tg.collect(c, 0, 0, noise, measure_qubits=bad)
+
+
+def test_sample_tables_needs_one_generator_per_table():
+    table = cj.linear_tables(cc.Circuit(4))
+    assert table.shape == (9, 9, 4)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    with pytest.raises(ValueError):
+        tg.sample_tables(table, 100, rngs)
+    with pytest.raises(ValueError):
+        tg.sample_tables(table, 0, rngs)
+    with pytest.raises(ValueError):  # nine streams, four tables
+        cj.linear_outputs(table[:4], 100, 0)
+
+
 # --- seeds and streams -----------------------------------------------------
 
 
