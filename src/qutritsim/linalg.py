@@ -3,9 +3,9 @@
 All matrices are plain ``numpy.ndarray`` of dtype complex128, row-major.
 Dimensions in this package never exceed 64x64, so everything is dense and
 exact to double precision.  ``partial_trace``, ``dagger``, ``is_hermitian``,
-``is_psd``, ``hermitian_eig``, ``sqrtm_psd`` and ``project_to_density`` also
-take a stack ``(..., d, d)`` and work on each matrix of it; a 2-D input is
-the stack with no leading axes.
+``is_psd``, ``hermitian_eig``, ``sqrtm_psd``, ``density_spectrum`` and
+``project_to_density`` also take a stack ``(..., d, d)`` and work on each
+matrix of it; a 2-D input is the stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -158,23 +158,31 @@ def is_density_matrix(m: np.ndarray, atol: float = 1e-8) -> bool:
     return abs(np.trace(m) - 1) <= atol and is_psd(m, atol)
 
 
-def project_to_density(m: np.ndarray) -> np.ndarray:
-    """Nearest density matrix: hermitize, then project the spectrum onto the
-    probability simplex (Euclidean projection), then reconstruct.  Works on
-    a matrix or on each matrix of a stack.
-
-    Idempotent on valid density matrices.
+def density_spectrum(m: np.ndarray):
+    """The spectrum of project_to_density(m), of a matrix or of each matrix
+    of a stack: (p, v) with v the eigenvectors of hermitian_eig(m) and p its
+    eigenvalues projected onto the probability simplex (Euclidean
+    projection): p >= 0, descending, summing to one to rounding.
     """
     w, v = hermitian_eig(m)
-    # simplex projection of each eigenvalue vector (sorted descending already)
     d = w.shape[-1]
     cum = np.cumsum(w, axis=-1)
     cond = w - (cum - 1.0) / np.arange(1, d + 1) > 0
     # k = 1 + the last index where cond holds; cond[..., 0] is always true
     k = d - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
     theta = (np.take_along_axis(cum, k - 1, axis=-1) - 1.0) / k
-    w = np.clip(w - theta, 0.0, None)
-    return (v * w[..., None, :]) @ dagger(v)
+    return np.clip(w - theta, 0.0, None), v
+
+
+def project_to_density(m: np.ndarray) -> np.ndarray:
+    """Nearest density matrix: hermitize, then project the spectrum onto the
+    probability simplex (density_spectrum), then reconstruct.  Works on a
+    matrix or on each matrix of a stack.
+
+    Idempotent on valid density matrices.
+    """
+    p, v = density_spectrum(m)
+    return (v * p[..., None, :]) @ dagger(v)
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:

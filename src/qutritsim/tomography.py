@@ -20,6 +20,11 @@ Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
 (eigenvalue simplex projection); a stack of tables is inverted and
 projected as one.
+
+``fidelity`` is Uhlmann's, (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, through the PSD
+root of s1.  ``channel_fidelity_sweep`` scores a projected stack in the
+eigenbasis its projection already has (linalg.density_spectrum), so it
+needs one eigendecomposition of each projected output, not two.
 """
 
 from __future__ import annotations
@@ -257,14 +262,20 @@ def _fidelity_root(s1: np.ndarray) -> np.ndarray:
     return la.sqrtm_psd((s1 + la.dagger(s1)) / 2, atol=1e-7)
 
 
-def _uhlmann(r: np.ndarray, s2: np.ndarray):
-    """The tail of fidelity, given r = _fidelity_root(s1): a caller with a
-    fixed s1 builds r once (choi.analytic_fidelity)."""
-    w = np.clip(np.linalg.eigvalsh(r @ s2 @ r), 0.0, None)  # ascending
+def _uhlmann_from_eigvals(w: np.ndarray):
+    """(sum sqrt(w))^2 clamped to [0, 1], from the ascending eigenvalues w
+    (..., d) of sqrt(s1) s2 sqrt(s1) or of any matrix similar to it."""
+    w = np.clip(w, 0.0, None)
     # zero out eigenvalue dust: sqrt turns O(eps) noise into O(sqrt(eps))
     w[w < w[..., -1:] * 1e-13] = 0.0
     val = np.clip(np.sum(np.sqrt(w), axis=-1) ** 2, 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
+
+
+def _uhlmann(r: np.ndarray, s2: np.ndarray):
+    """The tail of fidelity, given r = _fidelity_root(s1): a caller with a
+    fixed s1 builds r once (choi.analytic_fidelity)."""
+    return _uhlmann_from_eigvals(np.linalg.eigvalsh(r @ s2 @ r))  # ascending
 
 
 def fidelity(s1: np.ndarray, s2: np.ndarray):
@@ -296,6 +307,14 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     the same affine combination of the two endpoint outputs, and the whole
     grid is scored as one stack.  Returns (min, max, mean) of
     fidelity(project_to_density(channel_from_choi(omega, rho)), reference(rho)).
+
+    The fidelity is read in the eigenbasis the projection already has: with
+    (p, v) = density_spectrum(got), sqrt(got) = v diag(sqrt(p)) v+, so
+    sqrt(got) want sqrt(got) = v M v+ with M = diag(sqrt(p)) v+ want v
+    diag(sqrt(p)), which has the same eigenvalues.  p >= 0 by construction,
+    so no PSD check is needed.  As in fidelity, a non-finite reference
+    output raises ValueError and one not of the Choi output's shape
+    ShapeError.
     """
     from .choi import channel_from_choi
     from .decompositions import basis_density
@@ -306,6 +325,12 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     lam = np.linspace(0.0, 1.0, grid)[:, None, None]
     got_a, got_b = channel_from_choi(omega, rho_a), channel_from_choi(omega, rho_b)
     want_a, want_b = reference(rho_a), reference(rho_b)
-    got = la.project_to_density(lam * got_a + (1 - lam) * got_b)
-    vals = fidelity(got, lam * want_a + (1 - lam) * want_b)
+    p, v = la.density_spectrum(lam * got_a + (1 - lam) * got_b)
+    want = la.as_stack(lam * want_a + (1 - lam) * want_b)
+    if want.shape != v.shape:
+        raise la.ShapeError(f"reference output has shape {want.shape[1:]}, "
+                            f"not {v.shape[1:]}")
+    root = np.sqrt(p)
+    m = root[..., :, None] * (la.dagger(v) @ want @ v) * root[..., None, :]
+    vals = _uhlmann_from_eigvals(np.linalg.eigvalsh(m))
     return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))

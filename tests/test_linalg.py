@@ -308,6 +308,15 @@ def test_project_to_density_stack_matches_per_matrix(stack):
 
 
 @_stack_property
+@given(stack=hermitian_stacks())
+def test_density_spectrum_rebuilds_project_to_density(stack):
+    p, v = la.density_spectrum(stack)
+    assert np.array_equal((v * p[..., None, :]) @ la.dagger(v), la.project_to_density(stack))
+    assert np.all(p >= 0)
+    assert np.abs(p.sum(axis=-1) - 1).max() < 1e-12
+
+
+@_stack_property
 @given(stack=hermitian_stacks(psd=True))
 def test_sqrtm_psd_stack_matches_per_matrix(stack):
     got = la.sqrtm_psd(stack)

@@ -199,12 +199,27 @@ def test_channel_fidelity_sweep_grid_bounded_before_allocating(grid):
 
 
 def test_channel_fidelity_sweep_self():
-    omega = ch.choi_of(ch.ChannelRep.analytic("wh"))
-    lo, hi, mean = tg.channel_fidelity_sweep(omega, ch.wh_apply, 1, 2, grid=11)
-    assert min(lo, hi, mean) > 1 - 1e-9
-    # swap symmetry of the statistics
-    lo2, hi2, mean2 = tg.channel_fidelity_sweep(omega, ch.wh_apply, 2, 1, grid=11)
-    assert abs(mean - mean2) < 1e-12
+    for name, reference in (("ls", ch.ls_apply), ("wh", ch.wh_apply), ("id", np.copy)):
+        omega = cj.analytic_choi(ch.ChannelRep.analytic(name))
+        for a, b in itertools.combinations(range(1, 10), 2):
+            lo, hi, mean = tg.channel_fidelity_sweep(omega, reference, a, b, grid=101)
+            assert lo >= 1 - 1e-13 and lo <= mean <= hi <= 1.0, (name, a, b, lo)
+        # swap symmetry of the statistics
+        mean12 = tg.channel_fidelity_sweep(omega, reference, 1, 2, grid=11)[2]
+        mean21 = tg.channel_fidelity_sweep(omega, reference, 2, 1, grid=11)[2]
+        assert abs(mean12 - mean21) < 1e-12, name
+
+
+@pytest.mark.parametrize("out, error, match", [
+    (lambda rho: np.eye(2) / 2, la.ShapeError, None),
+    (lambda rho: np.full(3, 1 / 3), la.ShapeError, None),
+    (lambda rho: np.full((3, 3), np.nan), ValueError, "finite"),
+    (lambda rho: np.diag([np.inf, 0, 0]), ValueError, "finite"),
+], ids=["2x2", "vector", "nan", "inf"])
+def test_channel_fidelity_sweep_rejects_bad_reference_outputs(out, error, match):
+    omega = cj.analytic_choi(ch.ChannelRep.analytic("wh"))
+    with pytest.raises(error, match=match):
+        tg.channel_fidelity_sweep(omega, out, 1, 2, grid=5)
 
 
 # --- equivalence with the per-setting reference implementation ---------------
@@ -534,8 +549,10 @@ def _sweep_chois():
     return {
         "analytic ls": (cj.analytic_choi(ch.ChannelRep.analytic("ls")), ch.ls_apply),
         "analytic wh": (cj.analytic_choi(ch.ChannelRep.analytic("wh")), ch.wh_apply),
+        "analytic id": (cj.analytic_choi(ch.ChannelRep.analytic("id")), np.copy),
         "noisy direct ls": (cj.choi_direct(dc.ls_channel_circuit(), 100000, 21, noise),
                             ch.ls_apply),
+        "1000-shot direct wh": (cj.choi_direct(dc.wh_channel_circuit(), 1000, 22), ch.wh_apply),
     }
 
 
