@@ -7,18 +7,17 @@ superoperator is 3 times the reshuffled Choi matrix
 (channels.superop_from_choi), and Phi(rho) is one matvec with it.
 
 The two circuit experiments live here, each as its exact outcome table
-(seed-free, readout error included, built once per configuration) and an
-estimator that samples it with no noise argument of its own:
-linear_tables / linear_outputs tomograph the nine basis inputs prepared on
-the channel circuit's system pair, direct_tables / estimate_direct the
-6-qubit direct Choi-state circuit.  Both tables come from one builder, the
-only place an experiment is routed onto a coupling map: it routes the
-channel circuit and the input preparations with the same placement.
-
-After sampling, an item works on stacks and per-channel constants: the
-nine linear outputs are post-selected and checked as one stack, and
-analytic_fidelity scores against a named channel's analytic side, built
-once per name.
+(seed-free, readout error included, built once per configuration):
+linear_tables tomographs the nine basis inputs prepared on the channel
+circuit's system pair, direct_tables the 6-qubit direct Choi-state
+circuit.  Both tables come from one builder, the only place an experiment
+is routed onto a coupling map: it routes the channel circuit and the input
+preparations with the same placement.  One estimator, estimate, samples
+either stack with no noise argument of its own: table b is input b + 1 and
+draws from SeedSequence(seed, spawn_key=(b + 1,)), the whole stack is
+inverted and projected as one, then post-selected onto its qubit pairs in
+one call, leakages kept.  analytic_fidelity scores against a named
+channel's analytic side, built once per name.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelRep, choi_of, superop_from_choi
-from .circuits import Circuit, NoiseConfig, _rng, check_shots
+from .circuits import Circuit, NoiseConfig, check_shots
 from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_basis_circuit, prep_superposition_circuit
-from .encoding import _postselect, project_two_qutrits
+from .encoding import _postselect
 from .linalg import as_matrix
 from .tomography import (_fidelity_root, _uhlmann, fidelity, measured_states, outcome_tables,
                          reconstruct_state, sample_tables)
@@ -45,17 +44,10 @@ def analytic_choi(channel: ChannelRep) -> np.ndarray:
     return choi_of(channel)
 
 
-@functools.cache
-def _named_choi(name: str) -> np.ndarray:
-    omega = analytic_choi(ChannelRep.analytic(name))
-    omega.flags.writeable = False
-    return omega
-
-
 def named_choi(name: str) -> np.ndarray:
-    """Analytic Choi matrix of the channel 'ls', 'wh' or 'id' (a copy of
-    one built once per name)."""
-    return _named_choi(name).copy()
+    """Analytic Choi matrix of the channel 'ls', 'wh' or 'id', fresh on
+    each call."""
+    return analytic_choi(ChannelRep.analytic(name))
 
 
 @functools.cache
@@ -63,7 +55,7 @@ def _analytic_root(name: str) -> np.ndarray:
     """The analytic side of choi_fidelity(named_choi(name), .): the state
     side root of fidelity for the projected analytic Choi matrix, built once
     per name, read-only."""
-    root = _fidelity_root(la.project_to_density(_named_choi(name)))
+    root = _fidelity_root(la.project_to_density(named_choi(name)))
     root.flags.writeable = False
     return root
 
@@ -199,21 +191,6 @@ def linear_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
     return _experiment_tables(channel_circuit, preps, (2, 3), noise, layout, None)
 
 
-def linear_outputs(tables: np.ndarray, shots: int, seed) -> list:
-    """(rho3, leakage) for the nine basis inputs from the exact table of
-    linear_tables, readout error included: input i's table sampled from its
-    own stream SeedSequence(seed, spawn_key=(i,)) (shots = 0: the exact
-    table), the nine inverted and projected as one stack, and the stack
-    of nine 4x4 states post-selected onto the qutrit in one call.  Each
-    pair equals project_qutrit of that input's state bit for bit, its
-    leakage a Python float; any input with no qutrit weight raises
-    DegenerateProjectionError."""
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            for i in range(1, 10)]
-    sampled = sample_tables(tables, shots, rngs)
-    return list(zip(*_postselect(reconstruct_state(sampled), 1)))
-
-
 def direct_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
                   layout: CouplingMap | None = None, placement=None) -> np.ndarray:
     """The exact (1, 81, 16) outcome table of the direct Choi experiment:
@@ -223,15 +200,25 @@ def direct_tables(channel_circuit: Circuit, noise: NoiseConfig = NoiseConfig(),
                               noise, layout, placement)
 
 
-def estimate_direct(tables: np.ndarray, shots: int, seed) -> np.ndarray:
-    """The 9x9 direct Choi estimate (input (x) output ordering) from the
-    exact table of direct_tables, readout error included: sample it from one
-    generator seeded by seed (shots = 0: the exact table), reconstruct the
-    (ancilla, system) state, post-select both qutrit factors and project
-    onto the density matrices."""
-    sampled, = sample_tables(tables, shots, [_rng(seed)])
-    omega, _leak = project_two_qutrits(reconstruct_state(sampled))
-    return la.project_to_density(omega)
+def estimate(tables: np.ndarray, shots: int, seed):
+    """(states, leakages) from an exact stack (B, 3^k, 2^k) of linear_tables
+    or direct_tables, readout error included.
+
+    Table b is input b + 1, sampled from its own stream
+    SeedSequence(seed, spawn_key=(b + 1,)) (shots = 0: the exact table);
+    the stack is inverted and projected as one, then post-selected onto its
+    k/2 qubit pairs in one call: states is the fresh (B, 3^(k/2), 3^(k/2))
+    stack, leakages the list of B Python floats.  Tables of any k but 2 or
+    4 raise ShapeError before anything is sampled; an input with no qutrit
+    weight raises DegenerateProjectionError.
+    """
+    k = tables.shape[-1].bit_length() - 1
+    if tables.ndim != 3 or k not in (2, 4):
+        raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
+                            f"shape {tables.shape} ({k} qubits)")
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+            for b in range(1, len(tables) + 1)]
+    return _postselect(reconstruct_state(sample_tables(tables, shots, rngs)), k // 2)
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
@@ -241,12 +228,13 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
     """Direct Choi-state estimate: build the 6-qubit circuit, tomograph the
     (ancilla, system) register over 81 settings, post-select both qutrit
     factors, and return the 9x9 estimate (input (x) output ordering):
-    direct_tables then estimate_direct.  With a layout and placement, the
-    measured wires are the physical wires the placement gives the ancilla
-    and system pairs.  Shots are checked before anything is simulated."""
+    direct_tables, estimate, then project_to_density.  With a layout and
+    placement, the measured wires are the physical wires the placement
+    gives the ancilla and system pairs.  Shots are checked before anything
+    is simulated."""
     check_shots(shots)
-    tables = direct_tables(channel_circuit, noise, layout, placement)
-    return estimate_direct(tables, shots, seed)
+    states, _ = estimate(direct_tables(channel_circuit, noise, layout, placement), shots, seed)
+    return la.project_to_density(states[0])
 
 
 # --- Choi JSON ---------------------------------------------------------------

@@ -3,9 +3,8 @@ matrices, sweep pairwise fidelities, and run the invariant suite.
 
 The driver merges the configuration, picks the channel circuit and caches
 each configuration's exact outcome table; the experiments themselves (input
-preparation, routing, readout wires, sampling and reconstruction) are
-choi.linear_tables / linear_outputs and choi.direct_tables /
-estimate_direct.
+preparation, routing and readout wires) are choi.linear_tables and
+choi.direct_tables, and choi.estimate samples and reconstructs either.
 
 All outputs are JSON or CSV, deterministic given (config, seed).  Exit
 codes: 0 success, 1 verification failure, 2 configuration error (a
@@ -176,7 +175,7 @@ def cmd_apply(cfg) -> str:
     if cfg["method"] == "analytic":
         results = [(_ANALYTIC[name](dc.basis_density(i)), 0.0) for i in range(1, 10)]
     else:
-        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise), shots, seed)
+        results = zip(*cj.estimate(_outcome_table(name, "linear", layout, noise), shots, seed))
     outputs = [{"input": i, "matrix": la.matrix_to_json(rho3), "leakage": leak}
                for i, (rho3, leak) in enumerate(results, start=1)]
     return _write_json(cfg, f"apply_{name}_{cfg['method']}.json",
@@ -195,11 +194,9 @@ def cmd_choi(cfg) -> str:
     method = cfg["choi_method"]
     if method == "analytic":
         omega = cj.named_choi(name)
-    elif method == "linear":
-        results = cj.linear_outputs(_outcome_table(name, "linear", layout, noise), shots, seed)
-        omega = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
-    else:  # direct
-        omega = cj.estimate_direct(_outcome_table(name, "direct", layout, noise), shots, seed)
+    else:
+        states, _ = cj.estimate(_outcome_table(name, method, layout, noise), shots, seed)
+        omega = la.project_to_density(cj.choi_linear(states) if method == "linear" else states[0])
     w, _ = la.hermitian_eig(omega)
     obj = cj.choi_to_json(omega)
     obj["channel"] = name

@@ -8,7 +8,8 @@ discarded with renormalization (post-selection), coherences included.
 Qutrit states enter as densities (embed_density) and leave by
 post-selecting one or two pairs (project_qutrit, project_two_qutrits).
 Both call _postselect, which post-selects a whole stack in one call
-(choi.linear_outputs: the nine inputs), bit for bit as matrix by matrix.
+(choi.estimate: every input of either Choi experiment), bit for bit as
+matrix by matrix.
 """
 
 from __future__ import annotations

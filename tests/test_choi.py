@@ -325,6 +325,17 @@ def test_choi_direct_rejects_placement_without_layout():
         cj.choi_direct(dc.wh_channel_circuit(), 0, 0, placement=placement)
 
 
+@pytest.mark.parametrize("k, inputs", [(1, 9), (3, 9), (6, 1)])
+def test_estimate_rejects_tables_not_of_one_or_two_qubit_pairs(monkeypatch, k, inputs):
+    # nine 3-qubit tables must not come back as 3x3 blocks cut from 8x8
+    # estimates: any size but 2 or 4 qubits is refused before sampling
+    tables = tg.outcome_tables(tg.measured_states(cc.Circuit(k), [None] * inputs))
+    assert tables.shape == (inputs, 3 ** k, 2 ** k)
+    monkeypatch.setattr(cj, "sample_tables", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(la.ShapeError, match=rf"\({k} qubits\)"):
+        cj.estimate(tables, 100, 0)
+
+
 def test_choi_physicality_from_pipelines():
     omega = cj.choi_direct(dc.ls_channel_circuit(), shots=0, seed=0)
     assert la.is_hermitian(omega, 1e-8)

@@ -17,6 +17,7 @@ from qutritsim import circuits as cc
 from qutritsim import cli
 from qutritsim import coupling as cp
 from qutritsim import decompositions as dc
+from qutritsim import encoding as enc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
 
@@ -390,9 +391,8 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
 
 
 def _clear_caches():
-    for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._named_choi,
-                   cj._analytic_root, dc._basis_states, cc._gate_matrix, cc._plan,
-                   cp._legal_cnot):
+    for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._analytic_root,
+                   dc._basis_states, cc._gate_matrix, cc._plan, cp._legal_cnot):
         cached.cache_clear()
 
 
@@ -596,55 +596,69 @@ def test_config_out_with_nul_byte_is_config_error(tmp_path, capsys, command):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-# --- the nine basis inputs as one batch against the per-input loop ----------
-# _ref_circuit_outputs is the loop that choi.linear_outputs of the cached
-# table replaces: for each input, prep_i + channel as one circuit, routed
-# onto the coupling map as a whole, then collect and reconstruct_qutrit
-# (shots = 0 included: the exact record, readout error and all).
+# --- both Choi experiments as one batch against the per-input loop ---------
+# _ref_circuits are the circuits that choi.estimate of the cached table
+# replaces, each routed onto the coupling map as a whole: for the linear
+# experiment prep_i + channel for each of the nine inputs, read out on
+# (2, 3); for the direct one the 6-qubit Choi-state circuit, read out on
+# (0, 1, 2, 3).  Input i is collected from SeedSequence(seed, spawn_key=(i,)),
+# then reconstructed and post-selected on its own (shots = 0 included: the
+# exact record, readout error and all).  The direct circuit needs six wires,
+# so where the linear check routes onto ibmqx4 the direct one routes onto
+# tokyo-6q.
+_DIRECT_LAYOUT = {None: None, "ibmqx4": "tokyo-6q"}
 
 
-def _full_circuit(name, i, cmap):
-    full = cc.Circuit(4)
-    full.extend(dc.prep_basis_circuit(i).remapped([2, 3], 4).gates)
-    full.extend(cli._CHANNEL_CIRCUITS[name]().gates)
-    return full if cmap is None else cp.route_circuit(full, cmap)
+def _ref_circuits(name, method, cmap):
+    channel = cli._CHANNEL_CIRCUITS[name]()
+    if method == "linear":
+        circuits, measure = [], (2, 3)
+        for i in range(1, 10):
+            full = cc.Circuit(4)
+            full.extend(dc.prep_basis_circuit(i).remapped([2, 3], 4).gates)
+            full.extend(channel.gates)
+            circuits.append(full)
+    else:
+        circuits, measure = [cj.choi_direct_circuit(channel)], (0, 1, 2, 3)
+    return [c if cmap is None else cp.route_circuit(c, cmap) for c in circuits], measure
 
 
 def _input_seed(seed, i):
     return np.random.SeedSequence(seed, spawn_key=(i,))
 
 
-def _ref_circuit_outputs(name, cmap, shots, seed, noise):
-    results = []
-    for i in range(1, 10):
-        rec = tg.collect(_full_circuit(name, i, cmap), shots, _input_seed(seed, i), noise, (2, 3))
-        results.append(tg.reconstruct_qutrit(rec.table))
-    return results
+def _ref_circuit_outputs(name, cmap, shots, seed, noise, method="linear"):
+    circuits, measure = _ref_circuits(name, method, cmap)
+    project = enc.project_qutrit if method == "linear" else enc.project_two_qutrits
+    return [project(tg.reconstruct_state(
+        tg.collect(c, shots, _input_seed(seed, i), noise, measure).table))
+        for i, c in enumerate(circuits, start=1)]
 
 
 def _check_batched_outputs(name, layout, shots, seed, noise):
-    cmap = cp.preset_map(layout) if layout else None
-    table = cli._outcome_table(name, "linear", cmap, noise)
-    got = cj.linear_outputs(table, shots, seed)
-    want = _ref_circuit_outputs(name, cmap, shots, seed, noise)
-    assert len(got) == len(want) == 9
-    for (rho_g, leak_g), (rho_w, leak_w) in zip(got, want):
-        if shots == 0:
-            assert np.abs(rho_g - rho_w).max() < 1e-12
-            assert abs(leak_g - leak_w) < 1e-12
-        else:
-            assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
-    if shots > 0:
-        # the tables behind them: same counts from the same streams
-        rngs = [np.random.default_rng(_input_seed(seed, i)) for i in range(1, 10)]
-        sampled = tg.sample_tables(table, shots, rngs)
-        assert sampled.shape == (9, 9, 4)
-        for i, got_table in enumerate(sampled, start=1):
-            ref = tg.collect(_full_circuit(name, i, cmap), shots, _input_seed(seed, i), noise,
-                             (2, 3))
-            assert ref.settings == tg.settings_for(2) and ref.seed == seed
-            assert ref.spawn_key == (i,)
-            assert np.array_equal(got_table, ref.table)
+    for method, lay in (("linear", layout), ("direct", _DIRECT_LAYOUT[layout])):
+        cmap = cp.preset_map(lay) if lay else None
+        table = cli._outcome_table(name, method, cmap, noise)
+        states, leakages = cj.estimate(table, shots, seed)
+        want = _ref_circuit_outputs(name, cmap, shots, seed, noise, method)
+        assert len(states) == len(leakages) == len(want) == len(table)
+        for rho_g, leak_g, (rho_w, leak_w) in zip(states, leakages, want):
+            if shots == 0:
+                assert np.abs(rho_g - rho_w).max() < 1e-12
+                assert abs(leak_g - leak_w) < 1e-12
+            else:
+                assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
+        if shots > 0:
+            # the tables behind them: same counts from the same streams
+            rngs = [np.random.default_rng(_input_seed(seed, i)) for i in range(1, len(table) + 1)]
+            sampled = tg.sample_tables(table, shots, rngs)
+            assert sampled.shape == table.shape
+            circuits, measure = _ref_circuits(name, method, cmap)
+            for i, (got_table, c) in enumerate(zip(sampled, circuits, strict=True), start=1):
+                ref = tg.collect(c, shots, _input_seed(seed, i), noise, measure)
+                assert ref.settings == tg.settings_for(len(measure)) and ref.seed == seed
+                assert ref.spawn_key == (i,)
+                assert np.array_equal(got_table, ref.table)
 
 
 @pytest.mark.parametrize("name", ["ls", "wh"])

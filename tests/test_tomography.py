@@ -431,8 +431,6 @@ def test_sample_tables_needs_one_generator_per_table():
         tg.sample_tables(table, 100, rngs)
     with pytest.raises(ValueError):
         tg.sample_tables(table, 0, rngs)
-    with pytest.raises(ValueError):  # nine streams, four tables
-        cj.linear_outputs(table[:4], 100, 0)
 
 
 # --- seeds and streams -----------------------------------------------------
