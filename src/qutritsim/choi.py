@@ -247,7 +247,16 @@ def choi_to_json(omega: np.ndarray) -> dict:
     return obj
 
 
-def choi_from_json(obj: dict) -> np.ndarray:
+def choi_from_json(obj) -> np.ndarray:
+    """The matrix of a choi_to_json object: anything but an object holding
+    a 9x9 state (PSD within 1e-8) in input_output order is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"Choi JSON must be an object, not {type(obj).__name__}")
     if obj.get("ordering", "input_output") != "input_output":
         raise ValueError("unsupported Choi ordering")
-    return la.matrix_from_json(obj)
+    omega = la.matrix_from_json(obj)
+    if omega.shape != (9, 9):
+        raise la.ShapeError(f"Choi matrix has shape {omega.shape}, not (9, 9)")
+    if not la.is_density_matrix(omega, 1e-8):
+        raise ValueError("Choi matrix is not a state (trace one, Hermitian, PSD within 1e-8)")
+    return omega

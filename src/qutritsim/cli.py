@@ -9,7 +9,9 @@ choi.direct_tables, and choi.estimate samples and reconstructs either.
 All outputs are JSON or CSV, deterministic given (config, seed).  Exit
 codes: 0 success, 1 verification failure, 2 configuration error (a
 reconstructed state with no weight in the qutrit subspace included) or a
-register above the dense simulation budget, 3 routing error.
+register above the dense simulation budget, 3 routing error.  An input
+file over 64 KiB, not UTF-8, not JSON, or nested past the decoder's depth
+is a configuration error too: one reader, _read_json, reads all four.
 """
 
 from __future__ import annotations
@@ -69,24 +71,39 @@ def _outcome_table(channel, method, layout, noise) -> np.ndarray:
         _CHANNEL_CIRCUITS[channel](), noise, layout)
 
 
+# Largest input file, a memory budget: the largest valid input, a CLI-written
+# 9x9 Choi file, is under 5 KiB (the tokyo map under 1 KiB).  A 256 KiB read
+# request makes reading a small noise file 2.5 times slower: keep it small.
+MAX_INPUT_BYTES = 2 ** 16
+
+
+def _read_json(path, what, parse):
+    """parse(JSON value of the file at path), read in one call of at most
+    MAX_INPUT_BYTES + 1 bytes, strict UTF-8.  Any failure to read, decode or
+    parse it is ConfigError("bad <what>: ...")."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise ValueError(f"file is larger than {MAX_INPUT_BYTES} bytes")
+        return parse(json.loads(data.decode("utf-8")))
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def _load_noise(spec) -> cc.NoiseConfig:
     if spec is None or spec == "zero":
         return cc.NoiseConfig()
-    try:
-        with open(spec) as f:
-            obj = json.load(f)
-        return cc.NoiseConfig(**obj)
-    except (OSError, TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad noise spec {spec!r}: {exc}") from exc
+    return _read_json(spec, f"noise spec {spec!r}", lambda obj: cc.NoiseConfig(**obj))
 
 
 def _load_coupling(spec):
     if spec is None:
         return None
     try:
-        return cp.load_map(spec)
-    except (OSError, TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad coupling spec {spec!r}: {exc}") from exc
+        return cp.preset_map(spec)
+    except ValueError:
+        return _read_json(spec, f"coupling spec {spec!r}", cp.CouplingMap.from_json)
 
 
 _DEFAULTS = {
@@ -113,12 +130,8 @@ def _int_option(cfg, key, minimum, maximum) -> None:
 
 def _merge_config(args) -> dict:
     cfg = dict(_DEFAULTS)
-    if args.config:
-        try:
-            with open(args.config) as f:
-                loaded = json.load(f)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad config file: {exc}") from exc
+    if args.config is not None:
+        loaded = _read_json(args.config, "config file", lambda obj: obj)
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(loaded) - set(_DEFAULTS))
@@ -212,17 +225,8 @@ def cmd_sweep(cfg) -> str:
     name = cfg["channel"]
     if not cfg.get("choi_file"):
         raise ConfigError("sweep needs --choi-file (output of the choi command)")
-    try:
-        with open(cfg["choi_file"]) as f:
-            obj = json.load(f)
-        omega = cj.choi_from_json(obj)
-        if omega.shape != (9, 9):
-            raise la.ShapeError(f"Choi matrix has shape {omega.shape}, not (9, 9)")
-        if not la.is_density_matrix(omega, 1e-8):
-            raise ValueError("Choi matrix is not a state (trace one, Hermitian, PSD "
-                             "within 1e-8)")
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"bad choi file: {exc}") from exc
+    obj, omega = _read_json(cfg["choi_file"], "choi file",
+                            lambda obj: (obj, cj.choi_from_json(obj)))
     if obj.get("channel", name) != name:
         raise ConfigError(f"choi file is for channel {obj['channel']!r}, not {name!r}")
     reference = _ANALYTIC[name]
@@ -287,19 +291,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if args.command == "apply":
-            path = cmd_apply(cfg)
-            print(path)
-        elif args.command == "choi":
-            path = cmd_choi(cfg)
-            print(path)
-        elif args.command == "sweep":
-            path = cmd_sweep(cfg)
-            print(path)
-        elif args.command == "verify":
+        if args.command == "verify":
             return cmd_verify(cfg)
+        print({"apply": cmd_apply, "choi": cmd_choi, "sweep": cmd_sweep}[args.command](cfg))
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, enc.DegenerateProjectionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except cp.RoutingError as exc:
@@ -307,9 +303,6 @@ def main(argv=None) -> int:
         return EXIT_ROUTING
     except cc.ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except enc.DegenerateProjectionError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -19,7 +19,6 @@ Multi-hop routing (no common neighbour) is out of scope and raises.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
@@ -109,16 +108,6 @@ def preset_map(name: str) -> CouplingMap:
                if a in relabel and b in relabel]
         return CouplingMap(6, sub)
     raise ValueError(f"unknown coupling preset {name!r}")
-
-
-def load_map(name_or_path: str) -> CouplingMap:
-    """Preset name or a JSON file in the CouplingMap format."""
-    try:
-        return preset_map(name_or_path)
-    except ValueError:
-        pass
-    with open(name_or_path) as f:
-        return CouplingMap.from_json(json.load(f))
 
 
 def reverse_cnot(control: int, target: int) -> list:

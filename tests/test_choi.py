@@ -353,6 +353,17 @@ def test_choi_json_roundtrip(tmp_path):
     assert np.abs(back - omega).max() == 0
 
 
+@pytest.mark.parametrize("obj", [
+    [1, 2], "choi", None, 3,                     # not a JSON object
+    la.matrix_to_json(np.eye(3) / 3),            # a state, but 3x3
+    la.matrix_to_json(2 * np.eye(9) / 9),        # 9x9, trace two
+    dict(cj.choi_to_json(cj.named_choi("ls")), ordering="output_input"),
+])
+def test_choi_from_json_rejects_anything_but_a_9x9_state(obj):
+    with pytest.raises(ValueError):
+        cj.choi_from_json(obj)
+
+
 def test_sweep_with_circuit_choi():
     omega = cj.choi_direct(dc.wh_channel_circuit(), shots=0, seed=0)
     lo, hi, mean = tg.channel_fidelity_sweep(omega, ch.wh_apply, 1, 6, grid=21)

@@ -596,6 +596,66 @@ def test_config_out_with_nul_byte_is_config_error(tmp_path, capsys, command):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+# --- one reader for the four input files, within a memory budget ----------
+# each argv reads its input file before any experiment runs
+_INPUTS = {
+    "config": (["choi", "--config"], "config error: bad config file:"),
+    "noise": (["choi", "--choi-method", "linear", "--noise"], "config error: bad noise spec"),
+    "coupling": (["choi", "--choi-method", "linear", "--coupling"],
+                 "config error: bad coupling spec"),
+    "choi_file": (["sweep", "--grid", "3", "--choi-file"], "config error: bad choi file:"),
+}
+_MALFORMED = {
+    "deep": b"[" * 2 ** 15 + b"]" * 2 ** 15,
+    "oversize": b"[" + b"0," * 2 ** 22 + b"0]",  # 8 MiB: reading it whole breaks the peak
+    "not_utf8": b'{"p1": "\xff"}',
+    "empty": b"",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("kind", _MALFORMED)
+@pytest.mark.parametrize("option", _INPUTS)
+def test_malformed_input_file_exits_2_within_budget(tmp_path, capsys, option, kind):
+    argv, message = _INPUTS[option]
+    path = tmp_path / "input"
+    if _MALFORMED[kind] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(_MALFORMED[kind])
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(argv + [str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+    assert peak < 4 * 2 ** 20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [cli.MAX_INPUT_BYTES, cli.MAX_INPUT_BYTES + 1])
+def test_input_file_budget_is_exact(tmp_path, capsys, size):
+    text = json.dumps({"channel": "wh"})
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text + " " * (size - len(text)))
+    code = run(["choi", "--config", str(cfgfile), "--out", str(tmp_path)])
+    if size <= cli.MAX_INPUT_BYTES:
+        assert code == 0 and (tmp_path / "choi_wh_analytic.json").exists()
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: bad config file: file is larger")
+
+
+def test_empty_config_path_is_config_error(tmp_path, capsys):
+    assert run(["choi", "--config", "", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad config file:")
+    assert os.listdir(tmp_path) == []
+
+
 # --- both Choi experiments as one batch against the per-input loop ---------
 # _ref_circuits are the circuits that choi.estimate of the cached table
 # replaces, each routed onto the coupling map as a whole: for the linear

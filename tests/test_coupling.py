@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qutritsim import cli
 from qutritsim import coupling as cp
 from qutritsim import circuits as cc
 from qutritsim import decompositions as dc
@@ -126,7 +127,7 @@ def test_map_json_roundtrip(tmp_path):
     m = cp.preset_map("ibmqx4")
     p = tmp_path / "map.json"
     p.write_text(__import__("json").dumps(m.to_json()))
-    back = cp.load_map(str(p))
+    back = cli._load_coupling(str(p))
     assert back.edges == m.edges and back.n_qubits == m.n_qubits
 
 
@@ -134,7 +135,7 @@ def test_equal_maps_share_legalizations_and_outputs_stay_apart(tmp_path):
     preset = cp.preset_map("ibmqx4")
     path = tmp_path / "map.json"
     path.write_text(json.dumps(preset.to_json()))
-    loaded = cp.load_map(str(path))
+    loaded = cli._load_coupling(str(path))
     assert loaded is not preset and loaded == preset
     c = dc.ls_channel_circuit()
     placement = {0: 2, 1: 1, 2: 3, 3: 0}
