@@ -1,9 +1,11 @@
 """Experiment driver: apply channels to the basis inputs, build Choi
 matrices, sweep pairwise fidelities, and run the invariant suite.
 
-The driver merges the configuration, picks the channel circuit and caches
-each configuration's exact outcome table; the experiments themselves (input
-preparation, routing and readout wires) are choi.linear_tables and
+_merge_config decides what a valid run is, for every subcommand alike: it
+checks each option and resolves --noise to a NoiseConfig and --coupling to
+a CouplingMap or None, so each cmd_* only reads the typed cfg.  The driver
+caches each configuration's exact outcome table; the experiments themselves
+(input preparation, routing and readout wires) are choi.linear_tables and
 choi.direct_tables, and choi.estimate samples and reconstructs either.
 
 All outputs are JSON or CSV, deterministic given (config, seed).  Exit
@@ -12,6 +14,7 @@ reconstructed state with no weight in the qutrit subspace included) or a
 register above the dense simulation budget, 3 routing error.  An input
 file over 64 KiB, not UTF-8, not JSON, or nested past the decoder's depth
 is a configuration error too: one reader, _read_json, reads all four.
+Every error is one stderr line of at most MAX_ERROR_CHARS characters.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ _ANALYTIC = {"ls": ch.ls_apply, "wh": ch.wh_apply, "id": lambda rho: rho.copy()}
 _CHANNEL_CIRCUITS = {"ls": dc.ls_channel_circuit, "wh": dc.wh_channel_circuit,
                      "id": lambda: cc.Circuit(4)}
 
+# Allowed values of each choice option, for the parser and a config file alike
+_CHOICES = {"channel": tuple(_CHANNEL_CIRCUITS), "method": ("analytic", "circuit"),
+            "choi_method": ("analytic", "linear", "direct")}
+
 # Largest number of cached outcome tables, a memory budget: an entry is at
 # most one (1, 81, 16) float64 table, about 10 KiB, so 64 take under 1 MiB.
 MAX_CACHED_EXPERIMENTS = 64
@@ -63,9 +70,8 @@ def _outcome_table(channel, method, layout, noise) -> np.ndarray:
     layout, noise); it depends on no seed, so an item only samples it.
     method "linear" (also behind apply --method circuit) is the (9, 9, 4)
     table of choi.linear_tables, "direct" the (1, 81, 16) table of
-    choi.direct_tables.  noise is the NoiseConfig of _load_noise, which
-    reads no noise spec (None or "zero") as NoiseConfig(), so every
-    noiseless item shares one entry.
+    choi.direct_tables.  noise is the NoiseConfig that _merge_config resolved
+    (NoiseConfig() for None or "zero"), so every noiseless item shares one entry.
     """
     return {"linear": cj.linear_tables, "direct": cj.direct_tables}[method](
         _CHANNEL_CIRCUITS[channel](), noise, layout)
@@ -114,18 +120,14 @@ _DEFAULTS = {
 
 
 def _int_option(cfg, key, minimum, maximum) -> None:
-    v = cfg[key]
     try:
-        iv = int(v)
-        if isinstance(v, (bool, str)) or (isinstance(v, float) and v != iv):
-            raise ValueError("not an integer")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {v!r}") from exc
+        iv = cfg[key] = la.json_int(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
     if iv < minimum:
         raise ConfigError(f"{key} must be >= {minimum}")
     if maximum is not None and iv > maximum:
         raise ConfigError(f"{key} must be <= {maximum}")
-    cfg[key] = iv
 
 
 def _merge_config(args) -> dict:
@@ -142,12 +144,9 @@ def _merge_config(args) -> dict:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
-    if cfg["channel"] not in ("ls", "wh", "id"):
-        raise ConfigError(f"unknown channel {cfg['channel']!r}")
-    if cfg["method"] not in ("analytic", "circuit"):
-        raise ConfigError(f"unknown method {cfg['method']!r}")
-    if cfg["choi_method"] not in ("analytic", "linear", "direct"):
-        raise ConfigError(f"unknown choi method {cfg['choi_method']!r}")
+    for key, allowed in _CHOICES.items():
+        if cfg[key] not in allowed:
+            raise ConfigError(f"unknown {key.replace('_', ' ')} {cfg[key]!r}")
     _int_option(cfg, "shots", 0, cc.MAX_SHOTS)
     _int_option(cfg, "seed", 0, None)
     _int_option(cfg, "grid", 2, tg.MAX_SWEEP_GRID)
@@ -156,6 +155,8 @@ def _merge_config(args) -> dict:
         # open() takes an int as a file descriptor: only strings are paths
         if not isinstance(v, str) and (v is not None or key == "out"):
             raise ConfigError(f"{key} must be a string, got {v!r}")
+    cfg["noise"] = _load_noise(cfg["noise"])
+    cfg["coupling"] = _load_coupling(cfg["coupling"])
     return cfg
 
 
@@ -178,37 +179,35 @@ def _write_json(cfg, filename, obj) -> str:
                          lambda f: f.write(json.dumps(obj, sort_keys=True, indent=1)))
 
 
+def _estimate(cfg, method):
+    """cj.estimate of the cached outcome table of cfg and method (linear, direct)."""
+    return cj.estimate(_outcome_table(cfg["channel"], method, cfg["coupling"], cfg["noise"]),
+                       cfg["shots"], cfg["seed"])
+
+
 def cmd_apply(cfg) -> str:
     """Write Phi(rho_i) for the nine basis inputs, with leakage values."""
     name = cfg["channel"]
-    noise = _load_noise(cfg["noise"])
-    layout = _load_coupling(cfg["coupling"])
-    shots = cfg["shots"]
-    seed = cfg["seed"]
     if cfg["method"] == "analytic":
         results = [(_ANALYTIC[name](dc.basis_density(i)), 0.0) for i in range(1, 10)]
     else:
-        results = zip(*cj.estimate(_outcome_table(name, "linear", layout, noise), shots, seed))
+        results = zip(*_estimate(cfg, "linear"))
     outputs = [{"input": i, "matrix": la.matrix_to_json(rho3), "leakage": leak}
                for i, (rho3, leak) in enumerate(results, start=1)]
     return _write_json(cfg, f"apply_{name}_{cfg['method']}.json",
                        {"channel": name, "method": cfg["method"],
-                        "shots": shots, "seed": seed, "outputs": outputs})
+                        "shots": cfg["shots"], "seed": cfg["seed"], "outputs": outputs})
 
 
 def cmd_choi(cfg) -> str:
     """Write the Choi matrix, its fidelity against the analytic one, and its
     eigenvalues."""
     name = cfg["channel"]
-    noise = _load_noise(cfg["noise"])
-    layout = _load_coupling(cfg["coupling"])
-    shots = cfg["shots"]
-    seed = cfg["seed"]
     method = cfg["choi_method"]
     if method == "analytic":
         omega = cj.named_choi(name)
     else:
-        states, _ = cj.estimate(_outcome_table(name, method, layout, noise), shots, seed)
+        states, _ = _estimate(cfg, method)
         omega = la.project_to_density(cj.choi_linear(states) if method == "linear" else states[0])
     w, _ = la.hermitian_eig(omega)
     obj = cj.choi_to_json(omega)
@@ -242,13 +241,10 @@ def cmd_sweep(cfg) -> str:
 
 
 def cmd_verify(cfg) -> int:
-    coupling = _load_coupling(cfg["coupling"])
-    results = vf.run_all(coupling)
-    failed = 0
+    results = vf.run_all(cfg["coupling"])
     for name, ok, detail in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        if not ok:
-            failed += 1
+    failed = sum(not ok for _, ok, _ in results)
     print(f"{len(results) - failed}/{len(results)} invariants passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
@@ -257,34 +253,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qutritsim",
                                 description="Qutrit channel experiments")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--channel", choices=["ls", "wh", "id"])
-        sp.add_argument("--method", choices=["analytic", "circuit"])
-        sp.add_argument("--choi-method", dest="choi_method",
-                        choices=["analytic", "linear", "direct"])
+    for command, text in (("apply", "channel outputs on the nine basis inputs"),
+                          ("choi", "Choi matrix construction"),
+                          ("sweep", "pairwise fidelity sweep from a Choi file"),
+                          ("verify", "run the invariant suite")):
+        sp = sub.add_parser(command, help=text)
+        for key, allowed in _CHOICES.items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, choices=allowed)
         sp.add_argument("--shots", type=int)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--noise", help="noise JSON file or 'zero'")
         sp.add_argument("--coupling", help="preset name or coupling JSON file")
         sp.add_argument("--config", help="consolidated config JSON")
         sp.add_argument("--out", help="output directory")
-
-    sp = sub.add_parser("apply", help="channel outputs on the nine basis inputs")
-    common(sp)
-    sp = sub.add_parser("choi", help="Choi matrix construction")
-    common(sp)
-    sp = sub.add_parser("sweep", help="pairwise fidelity sweep from a Choi file")
-    common(sp)
-    sp.add_argument("--choi-file", dest="choi_file", help="Choi JSON input")
-    sp.add_argument("--grid", type=int, help="lambda grid size (default 101)")
-    sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp)
+        if command == "sweep":
+            sp.add_argument("--choi-file", dest="choi_file", help="Choi JSON input")
+            sp.add_argument("--grid", type=int, help="lambda grid size (default 101)")
     return p
 
 
 # parse_args leaves the parser as it was, so one parser serves every main()
 _parser = functools.cache(build_parser)
+
+# Longest error message printed.  Messages echo input values (a channel name,
+# a noise value, a key, a path) that may fill the whole 64 KiB input budget
+# or hold a line break; one short line stays readable and greppable.
+MAX_ERROR_CHARS = 500
+
+
+def _fail(kind, exc, code) -> int:
+    """Print exc as one stderr line '<kind> error: ...'; return code."""
+    text = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+    cut = text[:MAX_ERROR_CHARS - 3] + "..." if len(text) > MAX_ERROR_CHARS else text
+    print(f"{kind} error: {cut}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -296,14 +298,11 @@ def main(argv=None) -> int:
         print({"apply": cmd_apply, "choi": cmd_choi, "sweep": cmd_sweep}[args.command](cfg))
         return EXIT_OK
     except (ConfigError, enc.DegenerateProjectionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config", exc, EXIT_CONFIG)
     except cp.RoutingError as exc:
-        print(f"routing error: {exc}", file=sys.stderr)
-        return EXIT_ROUTING
+        return _fail("routing", exc, EXIT_ROUTING)
     except cc.ResourceError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("resource", exc, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -597,14 +597,28 @@ def test_config_out_with_nul_byte_is_config_error(tmp_path, capsys, command):
 
 
 # --- one reader for the four input files, within a memory budget ----------
-# each argv reads its input file before any experiment runs
+# each argv reads its input file before any experiment runs; every subcommand
+# reads and checks --noise and --coupling, sweep and verify included.  _CHOI
+# stands for a valid analytic Choi file, so only the input under test is bad.
+_CHOI = "<analytic choi file>"
 _INPUTS = {
     "config": (["choi", "--config"], "config error: bad config file:"),
     "noise": (["choi", "--choi-method", "linear", "--noise"], "config error: bad noise spec"),
     "coupling": (["choi", "--choi-method", "linear", "--coupling"],
                  "config error: bad coupling spec"),
     "choi_file": (["sweep", "--grid", "3", "--choi-file"], "config error: bad choi file:"),
+    "sweep_noise": (["sweep", "--grid", "3", "--choi-file", _CHOI, "--noise"],
+                    "config error: bad noise spec"),
+    "sweep_coupling": (["sweep", "--grid", "3", "--choi-file", _CHOI, "--coupling"],
+                       "config error: bad coupling spec"),
+    "verify_noise": (["verify", "--noise"], "config error: bad noise spec"),
 }
+
+
+def _analytic_choi_file(tmp_path):
+    path = tmp_path / "choi_ls_analytic.json"
+    path.write_text(json.dumps(dict(cj.choi_to_json(cj.named_choi("ls")), channel="ls")))
+    return str(path)
 _MALFORMED = {
     "deep": b"[" * 2 ** 15 + b"]" * 2 ** 15,
     "oversize": b"[" + b"0," * 2 ** 22 + b"0]",  # 8 MiB: reading it whole breaks the peak
@@ -618,6 +632,7 @@ _MALFORMED = {
 @pytest.mark.parametrize("option", _INPUTS)
 def test_malformed_input_file_exits_2_within_budget(tmp_path, capsys, option, kind):
     argv, message = _INPUTS[option]
+    argv = [_analytic_choi_file(tmp_path) if a == _CHOI else a for a in argv]
     path = tmp_path / "input"
     if _MALFORMED[kind] is None:
         path.mkdir()
@@ -654,6 +669,43 @@ def test_empty_config_path_is_config_error(tmp_path, capsys):
     assert run(["choi", "--config", "", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: bad config file:")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("key", ["noise", "coupling"])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_nonexistent_noise_or_coupling_is_config_error(tmp_path, capsys, command, key,
+                                                       via_config):
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    if command == "sweep":
+        args += ["--grid", "3", "--choi-file", _analytic_choi_file(tmp_path)]
+    if via_config:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: missing}))
+        args += ["--config", str(cfgfile)]
+    else:
+        args += ["--" + key, missing]
+    assert run(args) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: bad {key} spec")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, obj", [
+    ("--config", {"channel": "x" * 60000}),
+    ("--noise", {"p1": "x" * 60000}),
+    ("--noise", {"p1\nsecond line": 0.1}),  # a key with a line break
+])
+def test_config_error_is_one_bounded_line(tmp_path, capsys, option, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run(["choi", option, str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert len(err) <= len("config error: ") + cli.MAX_ERROR_CHARS + 1
 
 
 # --- both Choi experiments as one batch against the per-input loop ---------
