@@ -208,12 +208,15 @@ def estimate(tables: np.ndarray, shots: int, seed):
     SeedSequence(seed, spawn_key=(b + 1,)) (shots = 0: the exact table);
     the stack is inverted and projected as one, then post-selected onto its
     k/2 qubit pairs in one call: states is the fresh (B, 3^(k/2), 3^(k/2))
-    stack, leakages the list of B Python floats.  Tables of any k but 2 or
-    4 raise ShapeError before anything is sampled; an input with no qutrit
-    weight raises DegenerateProjectionError.
+    stack, leakages the list of B Python floats.  An array that is not a
+    3-d stack, or tables of any k but 2 or 4, raise ShapeError before
+    anything is sampled; an input with no qutrit weight raises
+    DegenerateProjectionError.
     """
+    if tables.ndim != 3:
+        raise la.ShapeError(f"estimate needs a stack of outcome tables, got shape {tables.shape}")
     k = tables.shape[-1].bit_length() - 1
-    if tables.ndim != 3 or k not in (2, 4):
+    if k not in (2, 4):
         raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
                             f"shape {tables.shape} ({k} qubits)")
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))

@@ -8,7 +8,10 @@ caches each configuration's exact outcome table; the experiments themselves
 (input preparation, routing and readout wires) are choi.linear_tables and
 choi.direct_tables, and choi.estimate samples and reconstructs either.
 
-All outputs are JSON or CSV, deterministic given (config, seed).  Exit
+All outputs are JSON or CSV, deterministic given (config, seed).  A JSON
+output is one line, keys sorted, floats as repr (each parses back to the
+same double), finite values only; what it promises is its parsed value,
+not its bytes.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error (a
 reconstructed state with no weight in the qutrit subspace included) or a
 register above the dense simulation budget, 3 routing error.  An input
@@ -175,8 +178,14 @@ def _write_output(cfg, filename, write) -> str:
 
 
 def _write_json(cfg, filename, obj) -> str:
-    return _write_output(cfg, filename,
-                         lambda f: f.write(json.dumps(obj, sort_keys=True, indent=1)))
+    """Write obj as one line of JSON, keys sorted, floats as repr (no indent,
+    so CPython's C encoder runs).  obj is encoded before the file is opened:
+    a non-finite value is a config error and leaves no file."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"cannot write {filename!r}: {exc}") from exc
+    return _write_output(cfg, filename, lambda f: f.write(text))
 
 
 def _estimate(cfg, method):
@@ -200,21 +209,25 @@ def cmd_apply(cfg) -> str:
 
 
 def cmd_choi(cfg) -> str:
-    """Write the Choi matrix, its fidelity against the analytic one, and its
-    eigenvalues."""
+    """Write the Choi matrix, its fidelity against the analytic one, its
+    eigenvalues and the leakages of its estimate (none for analytic).  One
+    density_spectrum gives an estimate's projection (project_to_density,
+    bit for bit) and its eigenvalues."""
     name = cfg["channel"]
     method = cfg["choi_method"]
     if method == "analytic":
-        omega = cj.named_choi(name)
+        omega, leakages = cj.named_choi(name), []
+        p, _ = la.density_spectrum(omega)
     else:
-        states, _ = _estimate(cfg, method)
-        omega = la.project_to_density(cj.choi_linear(states) if method == "linear" else states[0])
-    w, _ = la.hermitian_eig(omega)
+        states, leakages = _estimate(cfg, method)
+        p, v = la.density_spectrum(cj.choi_linear(states) if method == "linear" else states[0])
+        omega = (v * p) @ la.dagger(v)
     obj = cj.choi_to_json(omega)
     obj["channel"] = name
     obj["method"] = method
     obj["fidelity_vs_analytic"] = cj.analytic_fidelity(name, omega)
-    obj["eigenvalues"] = [float(x) for x in w]
+    obj["eigenvalues"] = p.tolist()
+    obj["leakages"] = leakages
     return _write_json(cfg, f"choi_{name}_{method}.json", obj)
 
 

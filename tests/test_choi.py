@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -325,14 +327,20 @@ def test_choi_direct_rejects_placement_without_layout():
         cj.choi_direct(dc.wh_channel_circuit(), 0, 0, placement=placement)
 
 
-@pytest.mark.parametrize("k, inputs", [(1, 9), (3, 9), (6, 1)])
+@pytest.mark.parametrize("k, inputs", [(1, 9), (3, 9), (6, 1), (0, None), (1, None)])
 def test_estimate_rejects_tables_not_of_one_or_two_qubit_pairs(monkeypatch, k, inputs):
     # nine 3-qubit tables must not come back as 3x3 blocks cut from 8x8
-    # estimates: any size but 2 or 4 qubits is refused before sampling
-    tables = tg.outcome_tables(tg.measured_states(cc.Circuit(k), [None] * inputs))
-    assert tables.shape == (inputs, 3 ** k, 2 ** k)
+    # estimates: any size but 2 or 4 qubits is refused before sampling, and
+    # so is an array that is not a stack of tables (inputs None: a k-d array)
     monkeypatch.setattr(cj, "sample_tables", lambda *args: pytest.fail("sampled"))
-    with pytest.raises(la.ShapeError, match=rf"\({k} qubits\)"):
+    if inputs is None:
+        tables = np.zeros((16,) * k)
+        match = re.escape(f"got shape {tables.shape}") + "$"
+    else:
+        tables = tg.outcome_tables(tg.measured_states(cc.Circuit(k), [None] * inputs))
+        assert tables.shape == (inputs, 3 ** k, 2 ** k)
+        match = rf"\({k} qubits\)"
+    with pytest.raises(la.ShapeError, match=match):
         cj.estimate(tables, 100, 0)
 
 

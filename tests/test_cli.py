@@ -372,11 +372,60 @@ def test_written_json_is_one_json_dumps_of_the_object(tmp_path):
     assert run(["choi", "--channel", "wh", "--choi-method", "linear", "--shots", "100",
                 "--out", str(tmp_path)]) == 0
     text = (tmp_path / "choi_wh_linear.json").read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
+    assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False)
     obj = {"b": [1.5, -0.0, 1e-300, None], "a": {"z": "ls", "y": True}, "c": 0}
     path = cli._write_json({"out": str(tmp_path)}, "x.json", obj)
     with open(path) as f:
-        assert f.read() == json.dumps(obj, sort_keys=True, indent=1)
+        assert f.read() == '{"a": {"y": true, "z": "ls"}, "b": [1.5, -0.0, 1e-300, null], "c": 0}'
+
+
+_entries = st.lists(st.floats(-1, 1), min_size=81, max_size=81)
+
+
+@_property
+@given(re=_entries, im=_entries, bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       part=st.sampled_from(["re", "im"]), i=st.integers(0, 8), j=st.integers(0, 8))
+def test_written_choi_state_reads_back_bit_identical_and_non_finite_is_refused(
+        tmp_path_factory, re, im, bad, part, i, j):
+    a = np.reshape(re, (9, 9)) + 1j * np.reshape(im, (9, 9))
+    rho = a @ la.dagger(a) + np.eye(9)
+    rho /= np.trace(rho).real
+    out = tmp_path_factory.mktemp("json")
+    obj = cj.choi_to_json(rho)
+    with open(cli._write_json({"out": str(out)}, "choi.json", obj)) as f:
+        loaded = json.load(f)
+    assert repr(loaded["re"]) == repr(obj["re"]) and repr(loaded["im"]) == repr(obj["im"])
+    back = cj.choi_from_json(loaded)
+    assert np.array_equal(back.real, rho.real) and np.array_equal(back.imag, rho.imag)
+    obj[part][i][j] = bad
+    with pytest.raises(cli.ConfigError, match="not JSON compliant"):
+        cli._write_json({"out": str(out)}, "bad.json", obj)
+    assert not (out / "bad.json").exists()
+
+
+@pytest.mark.parametrize("method", ["analytic", "linear", "direct"])
+def test_choi_eigenvalues_and_leakages_come_from_the_one_estimate(tmp_path, monkeypatch,
+                                                                  method):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p1": 0.004, "p2": 0.04, "gamma": 0.004, "readout_flip": 0.02}))
+    calls, estimate = [], cj.estimate
+    monkeypatch.setattr(cj, "estimate", lambda *args: calls.append(args) or estimate(*args))
+    for k, (name, shots, nz) in enumerate(itertools.product(
+            ("ls", "wh"), ("0", "8192"), ("zero", str(noise)))):
+        out = tmp_path / str(k)
+        calls.clear()
+        assert run(["choi", "--choi-method", method, "--channel", name, "--shots", shots,
+                    "--noise", nz, "--seed", "5", "--out", str(out)]) == 0
+        obj = json.loads((out / f"choi_{name}_{method}.json").read_text())
+        omega = cj.choi_from_json(obj)
+        w = np.array(obj["eigenvalues"])
+        assert np.all(np.diff(w) <= 0) and abs(w.sum() - 1) < 1e-12
+        assert np.abs(w - np.linalg.eigvalsh(omega)[::-1]).max() < 1e-12
+        assert len(calls) == (method != "analytic")
+        want = [] if method == "analytic" else estimate(*calls[0])[1]
+        assert obj["leakages"] == want and len(want) == {"analytic": 0, "linear": 9,
+                                                         "direct": 1}[method]
+        assert all(0 <= x <= 1 for x in want)
 
 
 @pytest.mark.parametrize("noise", [{"p1": True}, {"p2": "0.1"}])
