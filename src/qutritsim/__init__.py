@@ -12,10 +12,10 @@ from .linalg import (ATOL, as_matrix, equal_up_to_global_phase, hermitian_eig,
 from .circuits import (Circuit, Gate, NoiseConfig, gate_matrix,
                        sample_counts, simulate_density, simulate_state,
                        unitary_of)
-from .channels import (ChannelRep, KrausSet, Ordering, SpinGenerators,
+from .channels import (ChannelRep, Ordering, SpinGenerators,
                        StinespringDilation, apply_channel, choi_of,
                        covariance_unitary, is_cptp, ls_apply, ls_stinespring,
-                       spin1_generators, wh_apply, wh_kraus, wh_stinespring)
+                       spin1_generators, wh_apply, wh_stinespring)
 from .coupling import CouplingMap, RoutingError, preset_map, reverse_cnot, route_circuit, validate
 from .encoding import (embed_density, embed_two_qutrit_unitary, induced_channel,
                        project_qutrit, project_two_qutrits)

@@ -11,9 +11,11 @@ The two channels of interest:
 Both are unital, CPTP, and have Kraus rank 3 with a flat Choi spectrum.
 
 A ``ChannelRep`` holds one matrix S with vec(Phi(m)) = S vec(m), vec
-row-major.  Its four constructors (analytic, for the three qutrit channels;
-kraus; stinespring; choi) build S once; applying the channel is one matvec
-and its trace-one Choi matrix is the inverse reshuffle of S divided by d.
+row-major.  ``ChannelRep.analytic`` builds S for the three qutrit channels;
+any other S (superop_from_choi of a Choi matrix, say) is wrapped as it is.
+Applying the channel is one matvec and its trace-one Choi matrix is the
+inverse reshuffle of S divided by d.  The two dilations are 9x9 unitaries
+on a qutrit system and a qutrit environment (``StinespringDilation``).
 There is no channel file format; the CLI writes Choi matrices (choi).
 """
 
@@ -26,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg as la
-from .linalg import as_matrix, dagger
+from .linalg import as_matrix
 
 _S2 = np.sqrt(2.0)
 
@@ -92,50 +94,20 @@ class Ordering(Enum):
 
 @dataclass(frozen=True)
 class StinespringDilation:
+    """A qutrit channel Phi(rho) = Tr_env(U (rho (x) rho_env) U+): u is a 9x9
+    unitary on a qutrit system and a qutrit environment, in the factor
+    order ``ordering``, and rho_env a 3x3 environment state."""
     u: np.ndarray
     rho_env: np.ndarray
     ordering: Ordering
-    sys_dim: int
-    env_dim: int
 
     def __post_init__(self):
         u = as_matrix(self.u)
-        if not la.is_unitary(u, 1e-10):
-            raise ValueError("dilation matrix is not unitary")
-        if self.sys_dim * self.env_dim != u.shape[0]:
-            raise ValueError("sys_dim * env_dim must match the dilation size")
-        if not la.is_density_matrix(self.rho_env, 1e-10):
-            raise ValueError("rho_env is not a density matrix")
-
-    def kraus(self) -> "KrausSet":
-        """Kraus operators, assuming rho_env is pure |e0><e0|."""
-        w, v = la.hermitian_eig(self.rho_env)
-        if abs(w[0] - 1.0) > 1e-10:
-            raise ValueError("kraus extraction needs a pure environment state")
-        e0 = v[:, 0]
-        ds, de = self.sys_dim, self.env_dim
-        u = as_matrix(self.u)
-        if self.ordering is Ordering.SYSTEM_FIRST:
-            t = u.reshape(ds, de, ds, de)
-            col = np.tensordot(t, e0, axes=([3], [0]))  # (s_out, e_out, s_in)
-            return KrausSet([col[:, e, :] for e in range(de)])
-        t = u.reshape(de, ds, de, ds)
-        col = np.tensordot(t, e0, axes=([2], [0]))  # (e_out, s_out, s_in)
-        return KrausSet([col[e, :, :] for e in range(de)])
-
-
-@dataclass
-class KrausSet:
-    operators: list
-
-    def __post_init__(self):
-        ops = [as_matrix(k) for k in self.operators]
-        if not ops:
-            raise ValueError("a Kraus set needs at least one operator")
-        self.operators = ops
-        s = sum(dagger(k) @ k for k in ops)
-        if np.abs(s - np.eye(s.shape[0])).max() > 1e-10:
-            raise ValueError("Kraus operators do not satisfy sum K+ K = I")
+        if u.shape != (9, 9) or not la.is_unitary(u, 1e-10):
+            raise ValueError("dilation matrix is not a 9x9 unitary")
+        rho_env = as_matrix(self.rho_env)
+        if rho_env.shape != (3, 3) or not la.is_density_matrix(rho_env, 1e-10):
+            raise ValueError("rho_env is not a 3x3 density matrix")
 
 
 _EQ5_BLOCKS = {
@@ -167,7 +139,7 @@ def ls_stinespring() -> StinespringDilation:
     """Exact dilation of ls_apply with env = |0><0| and system-first ordering."""
     env = np.zeros((3, 3), dtype=complex)
     env[0, 0] = 1.0
-    return StinespringDilation(ls_dilation_matrix(), env, Ordering.SYSTEM_FIRST, 3, 3)
+    return StinespringDilation(ls_dilation_matrix(), env, Ordering.SYSTEM_FIRST)
 
 
 _WH_FIXED_BLOCKS = [
@@ -176,11 +148,6 @@ _WH_FIXED_BLOCKS = [
     np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=complex),
     np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=complex),
 ]
-
-
-def wh_kraus() -> KrausSet:
-    """The antisymmetric Kraus triple of wh_apply for d = 3."""
-    return KrausSet([b / _S2 for b in _WH_FIXED_BLOCKS])
 
 
 def wh_dilation_matrix() -> np.ndarray:
@@ -213,7 +180,7 @@ def wh_stinespring() -> StinespringDilation:
     """Dilation of wh_apply with env = |0><0| and env-first ordering."""
     env = np.zeros((3, 3), dtype=complex)
     env[0, 0] = 1.0
-    return StinespringDilation(wh_dilation_matrix(), env, Ordering.ENV_FIRST, 3, 3)
+    return StinespringDilation(wh_dilation_matrix(), env, Ordering.ENV_FIRST)
 
 
 def superop_from_choi(omega: np.ndarray) -> np.ndarray:
@@ -229,7 +196,7 @@ def superop_from_choi(omega: np.ndarray) -> np.ndarray:
 @dataclass
 class ChannelRep:
     """A channel as its d^2 x d^2 superoperator: vec(Phi(m)) = S vec(m),
-    vec row-major.  The four constructors build S once."""
+    vec row-major.  ``analytic`` builds S for a named qutrit channel."""
     superop: np.ndarray
 
     @property
@@ -245,22 +212,6 @@ class ChannelRep:
             raise ValueError(f"unknown analytic channel {name!r}")
         units = np.eye(9, dtype=complex).reshape(9, 3, 3)
         return cls(np.stack([linear(e).reshape(-1) for e in units], axis=1))
-
-    @classmethod
-    def kraus(cls, ops) -> "ChannelRep":
-        """S = sum_K K (x) conj(K)."""
-        ks = ops if isinstance(ops, KrausSet) else KrausSet(list(ops))
-        return cls(sum(np.kron(k, k.conj()) for k in ks.operators))
-
-    @classmethod
-    def stinespring(cls, dil: StinespringDilation) -> "ChannelRep":
-        """Through the dilation's Kraus operators (a pure environment only)."""
-        return cls.kraus(dil.kraus())
-
-    @classmethod
-    def choi(cls, omega: np.ndarray) -> "ChannelRep":
-        """From a trace-one Choi matrix, input (x) output ordering."""
-        return cls(superop_from_choi(omega))
 
 
 def apply_linear(rep: ChannelRep, m: np.ndarray) -> np.ndarray:

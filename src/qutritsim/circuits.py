@@ -347,7 +347,8 @@ def simulate_density(c: Circuit, input_density: np.ndarray,
     Q, of the (2,)*2n density tensor (gate_superops): u (x) conj(u), then
     per-touched-qubit depolarizing (p1 for one-qubit gates, p2 for CNOT),
     then amplitude damping gamma; a stack rides along as a trailing batch
-    axis.  Readout error is not applied here; it belongs to sampling.
+    axis.  Readout error is not applied here: tomography.outcome_tables
+    applies it once to the exact table (apply_readout).
 
     Registers above MAX_DENSE_QUBITS (10) qubits raise ResourceError before
     anything is allocated.  The result never shares memory with the input.

@@ -314,7 +314,7 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     diag(sqrt(p)), which has the same eigenvalues.  p >= 0 by construction,
     so no PSD check is needed.  As in fidelity, a non-finite reference
     output raises ValueError and one not of the Choi output's shape
-    ShapeError.
+    ShapeError; both endpoint outputs are checked before the grid is built.
     """
     from .choi import channel_from_choi
     from .decompositions import basis_density
@@ -322,14 +322,16 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     if not 2 <= grid <= MAX_SWEEP_GRID:
         raise ValueError(f"grid must be in [2, {MAX_SWEEP_GRID}]")
     rho_a, rho_b = basis_density(a), basis_density(b)
-    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
     got_a, got_b = channel_from_choi(omega, rho_a), channel_from_choi(omega, rho_b)
-    want_a, want_b = reference(rho_a), reference(rho_b)
+    # atleast_2d: a scalar or vector output's ShapeError names it as one row
+    want_a, want_b = (la.as_stack(np.atleast_2d(reference(rho))) for rho in (rho_a, rho_b))
+    for want in (want_a, want_b):
+        if want.shape != got_a.shape:
+            raise la.ShapeError(f"reference output has shape {want.shape}, "
+                                f"not {got_a.shape}")
+    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
     p, v = la.density_spectrum(lam * got_a + (1 - lam) * got_b)
-    want = la.as_stack(lam * want_a + (1 - lam) * want_b)
-    if want.shape != v.shape:
-        raise la.ShapeError(f"reference output has shape {want.shape[1:]}, "
-                            f"not {v.shape[1:]}")
+    want = lam * want_a + (1 - lam) * want_b
     root = np.sqrt(p)
     m = root[..., :, None] * (la.dagger(v) @ want @ v) * root[..., None, :]
     vals = _uhlmann_from_eigvals(np.linalg.eigvalsh(m))

@@ -34,6 +34,46 @@ def basis_states():
     return out
 
 
+# Per-kind formulas the one superoperator replaces: a Kraus sum, the
+# dilation's partial trace and the Choi partial-trace formula.
+def _ref_ls(m):
+    j = ch.spin1_generators()
+    return (j.jx @ m @ j.jx + j.jy @ m @ j.jy + j.jz @ m @ j.jz) / 2
+
+
+def _ref_wh(m):
+    return (np.trace(m) * I3 - m.T) / 2
+
+
+def _ref_kraus(ops, m):
+    return sum(k @ m @ k.conj().T for k in ops)
+
+
+def _ref_dilation(dil, m):
+    """Tr_env(U (m (x) rho_env) U+), in the dilation's factor order."""
+    if dil.ordering is ch.Ordering.SYSTEM_FIRST:
+        full, keep = np.kron(m, dil.rho_env), [0]
+    else:
+        full, keep = np.kron(dil.rho_env, m), [1]
+    return la.partial_trace(dil.u @ full @ dil.u.conj().T, [3, 3], keep)
+
+
+def _ref_choi(omega, m):
+    return 3 * la.partial_trace(np.kron(m.T, I3) @ omega, [3, 3], [1])
+
+
+def _ls_kraus():
+    """J / sqrt2 for the three spin-1 generators."""
+    j = ch.spin1_generators()
+    return [j.jx / np.sqrt(2), j.jy / np.sqrt(2), j.jz / np.sqrt(2)]
+
+
+def _wh_kraus():
+    """The env-in = 0 block column of the WH dilation (env (x) system)."""
+    u = ch.wh_dilation_matrix()
+    return [u[3 * e:3 * e + 3, :3] for e in range(3)]
+
+
 def test_spin1_generator_entries():
     j = ch.spin1_generators()
     assert j.jz[0, 0] == 1 and j.jz[1, 1] == 0 and j.jz[2, 2] == -1
@@ -150,33 +190,27 @@ def test_wh_stinespring_reproduces_channel():
     assert np.abs(out0 - np.diag([0.0, 0.5, 0.5])).max() < 1e-12
 
 
-def test_kraus_set_validation():
-    with pytest.raises(ValueError):
-        ch.KrausSet([np.eye(2), np.eye(2)])  # sums to 2I
-    ks = ch.wh_kraus()
-    assert len(ks.operators) == 3
-
-
 def test_representation_consistency():
     rng = np.random.default_rng(5)
-    j = ch.spin1_generators()
-    reps_ls = [
-        ch.ChannelRep.analytic("ls"),
-        ch.ChannelRep.kraus([j.jx / np.sqrt(2), j.jy / np.sqrt(2), j.jz / np.sqrt(2)]),
-        ch.ChannelRep.stinespring(ch.ls_stinespring()),
-        ch.ChannelRep.choi(ch.choi_of(ch.ChannelRep.analytic("ls"))),
+    omega_ls = ch.choi_of(ch.ChannelRep.analytic("ls"))
+    omega_wh = ch.choi_of(ch.ChannelRep.analytic("wh"))
+    forms_ls = [
+        lambda rho: ch.apply_channel(ch.ChannelRep.analytic("ls"), rho),
+        lambda rho: _ref_kraus(_ls_kraus(), rho),
+        lambda rho: _ref_dilation(ch.ls_stinespring(), rho),
+        lambda rho: ch.apply_channel(ch.ChannelRep(ch.superop_from_choi(omega_ls)), rho),
     ]
-    reps_wh = [
-        ch.ChannelRep.analytic("wh"),
-        ch.ChannelRep.kraus(ch.wh_kraus()),
-        ch.ChannelRep.stinespring(ch.wh_stinespring()),
-        ch.ChannelRep.choi(ch.choi_of(ch.ChannelRep.analytic("wh"))),
+    forms_wh = [
+        lambda rho: ch.apply_channel(ch.ChannelRep.analytic("wh"), rho),
+        lambda rho: _ref_kraus(_wh_kraus(), rho),
+        lambda rho: _ref_dilation(ch.wh_stinespring(), rho),
+        lambda rho: ch.apply_channel(ch.ChannelRep(ch.superop_from_choi(omega_wh)), rho),
     ]
-    for reps, oracle in ((reps_ls, ch.ls_apply), (reps_wh, ch.wh_apply)):
+    for forms, oracle in ((forms_ls, ch.ls_apply), (forms_wh, ch.wh_apply)):
         for rho in basis_states() + [rand_density(rng) for _ in range(10)]:
             want = oracle(rho)
-            for rep in reps:
-                assert np.abs(ch.apply_channel(rep, rho) - want).max() < 1e-9
+            for form in forms:
+                assert np.abs(form(rho) - want).max() < 1e-9
 
 
 def test_apply_channel_identity_and_shape_error():
@@ -184,7 +218,7 @@ def test_apply_channel_identity_and_shape_error():
     rho = rand_density(rng)
     assert np.abs(ch.apply_channel(ch.ChannelRep.analytic("id"), rho) - rho).max() == 0
     with pytest.raises(la.ShapeError):
-        ch.apply_channel(ch.ChannelRep.kraus([np.eye(4)]), rho)
+        ch.apply_channel(ch.ChannelRep(np.eye(16, dtype=complex)), rho)
 
 
 def test_outputs_are_density_matrices():
@@ -207,10 +241,9 @@ def test_is_cptp():
         for k in range(3):
             e = np.zeros((3, 3)); e[i, k] = 1
             swap += np.kron(e, e.T)
-    assert not ch.is_cptp(ch.ChannelRep.choi(swap / 3))
-    # trace-increasing Kraus pair is rejected at construction
-    with pytest.raises(ValueError):
-        ch.ChannelRep.kraus([np.eye(3), np.eye(3)])
+    assert not ch.is_cptp(ch.ChannelRep(ch.superop_from_choi(swap / 3)))
+    # twice the identity: Choi PSD, but Tr_out = 2 I/d
+    assert not ch.is_cptp(ch.ChannelRep(2 * ch.ChannelRep.analytic("id").superop))
 
 
 def test_kraus_rank_three_flat_spectrum():
@@ -221,61 +254,43 @@ def test_kraus_rank_three_flat_spectrum():
         assert np.abs(w[3:]).max() < 1e-9
 
 
-def test_stinespring_with_mixed_environment_rejected_at_construction():
-    dil = ch.ls_stinespring()
-    mixed = ch.StinespringDilation(dil.u, np.eye(3) / 3, dil.ordering, 3, 3)
-    with pytest.raises(ValueError):
-        ch.ChannelRep.stinespring(mixed)
-
-
-# Per-kind formulas the one superoperator replaces.
-def _ref_ls(m):
-    j = ch.spin1_generators()
-    return (j.jx @ m @ j.jx + j.jy @ m @ j.jy + j.jz @ m @ j.jz) / 2
-
-
-def _ref_wh(m):
-    return (np.trace(m) * I3 - m.T) / 2
-
-
-def _ref_kraus(ops, m):
-    return sum(k @ m @ k.conj().T for k in ops)
-
-
-def _ref_dilation(dil, m):
-    """Tr_env(U (m (x) rho_env) U+), in the dilation's factor order."""
-    if dil.ordering is ch.Ordering.SYSTEM_FIRST:
-        full, keep = np.kron(m, dil.rho_env), [0]
-    else:
-        full, keep = np.kron(dil.rho_env, m), [1]
-    return la.partial_trace(dil.u @ full @ dil.u.conj().T, [3, 3], keep)
-
-
-def _ref_choi(omega, m):
-    return 3 * la.partial_trace(np.kron(m.T, I3) @ omega, [3, 3], [1])
+def test_stinespring_dilation_checks_its_matrices():
+    built = [(ch.ls_stinespring(), ch.ls_dilation_matrix(), ch.Ordering.SYSTEM_FIRST),
+             (ch.wh_stinespring(), ch.wh_dilation_matrix(), ch.Ordering.ENV_FIRST)]
+    for dil, u, ordering in built:
+        assert np.array_equal(dil.u, u) and dil.ordering is ordering
+        assert np.array_equal(dil.rho_env, proj(0))
+    u = ch.ls_dilation_matrix()
+    # a mixed environment is a state
+    ch.StinespringDilation(u, I3 / 3, ch.Ordering.SYSTEM_FIRST)
+    bad = [
+        (2 * u, proj(0)),                          # 9x9, not unitary
+        (np.eye(4, dtype=complex), proj(0)),       # unitary, not 9x9
+        (u, I3),                                   # trace 3
+        (u, np.diag([2.0, -1.0, 0.0])),            # not PSD
+        (u, np.eye(2) / 2),                        # a qubit state
+    ]
+    for u_bad, env in bad:
+        with pytest.raises(ValueError):
+            ch.StinespringDilation(u_bad, env, ch.Ordering.SYSTEM_FIRST)
 
 
 def test_apply_linear_matches_per_kind_formulas():
     rng = np.random.default_rng(12)
-    j = ch.spin1_generators()
-    ls_ops = [j.jx / np.sqrt(2), j.jy / np.sqrt(2), j.jz / np.sqrt(2)]
-    omega_ls = ch.choi_of(ch.ChannelRep.analytic("ls"))
-    omega_wh = ch.choi_of(ch.ChannelRep.analytic("wh"))
+    ls, wh = ch.ChannelRep.analytic("ls"), ch.ChannelRep.analytic("wh")
+    omega_ls, omega_wh = ch.choi_of(ls), ch.choi_of(wh)
     cases = [
-        (ch.ChannelRep.analytic("ls"), _ref_ls),
-        (ch.ChannelRep.analytic("wh"), _ref_wh),
+        (ls, _ref_ls),
+        (wh, _ref_wh),
         (ch.ChannelRep.analytic("id"), lambda m: m),
-        (ch.ChannelRep.kraus(ls_ops), lambda m: _ref_kraus(ls_ops, m)),
-        (ch.ChannelRep.kraus(ch.wh_kraus()), lambda m: _ref_kraus(ch.wh_kraus().operators, m)),
-        (ch.ChannelRep.stinespring(ch.ls_stinespring()),
-         lambda m: _ref_dilation(ch.ls_stinespring(), m)),
-        (ch.ChannelRep.stinespring(ch.wh_stinespring()),
-         lambda m: _ref_dilation(ch.wh_stinespring(), m)),
-        (ch.ChannelRep.choi(omega_ls), lambda m: _ref_choi(omega_ls, m)),
-        (ch.ChannelRep.choi(omega_wh), lambda m: _ref_choi(omega_wh, m)),
+        (ls, lambda m: _ref_kraus(_ls_kraus(), m)),
+        (wh, lambda m: _ref_kraus(_wh_kraus(), m)),
+        (ls, lambda m: _ref_dilation(ch.ls_stinespring(), m)),
+        (wh, lambda m: _ref_dilation(ch.wh_stinespring(), m)),
+        (ch.ChannelRep(ch.superop_from_choi(omega_ls)), lambda m: _ref_choi(omega_ls, m)),
+        (ch.ChannelRep(ch.superop_from_choi(omega_wh)), lambda m: _ref_choi(omega_wh, m)),
     ]
     for _ in range(10):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         for rep, ref in cases:
             assert np.abs(ch.apply_linear(rep, m) - ref(m)).max() < 1e-12
-

@@ -216,6 +216,7 @@ def test_channel_fidelity_sweep_self():
     (lambda rho: np.full((3, 3), np.nan), ValueError, "finite"),
     (lambda rho: np.diag([np.inf, 0, 0]), ValueError, "finite"),
 ], ids=["2x2", "vector", "nan", "inf"])
+@pytest.mark.filterwarnings("error")
 def test_channel_fidelity_sweep_rejects_bad_reference_outputs(out, error, match):
     omega = cj.analytic_choi(ch.ChannelRep.analytic("wh"))
     with pytest.raises(error, match=match):
