@@ -16,8 +16,10 @@ preparations with the same placement.  One estimator, estimate, samples
 either stack with no noise argument of its own: table b is input b + 1 and
 draws from SeedSequence(seed, spawn_key=(b + 1,)), the whole stack is
 inverted and projected as one, then post-selected onto its qubit pairs in
-one call, leakages kept.  analytic_fidelity scores against a named
-channel's analytic side, built once per name.
+one call, leakages kept.  choi_fidelity scores in the eigenbasis of the
+theoretical side's projection (tomography._uhlmann on its density_spectrum);
+analytic_fidelity does the same against a named channel, whose spectrum is
+built once per name.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_basis_circuit, prep_superposition_circuit
 from .encoding import _postselect
 from .linalg import as_matrix
-from .tomography import (_fidelity_root, _uhlmann, fidelity, measured_states, outcome_tables,
-                         reconstruct_state, sample_tables)
+from .tomography import _uhlmann, measured_states, outcome_tables, reconstruct_state, sample_tables
 
 
 def analytic_choi(channel: ChannelRep) -> np.ndarray:
@@ -51,13 +52,14 @@ def named_choi(name: str) -> np.ndarray:
 
 
 @functools.cache
-def _analytic_root(name: str) -> np.ndarray:
-    """The analytic side of choi_fidelity(named_choi(name), .): the state
-    side root of fidelity for the projected analytic Choi matrix, built once
-    per name, read-only."""
-    root = _fidelity_root(la.project_to_density(named_choi(name)))
-    root.flags.writeable = False
-    return root
+def _analytic_spectrum(name: str) -> tuple:
+    """The analytic side of choi_fidelity(named_choi(name), .): the
+    density_spectrum (p, v) of the analytic Choi matrix, built once per
+    name, both arrays read-only."""
+    spectrum = la.density_spectrum(named_choi(name))
+    for a in spectrum:
+        a.flags.writeable = False
+    return spectrum
 
 
 # Coefficient matrix expressing each |i><j| in terms of the nine physical
@@ -125,21 +127,22 @@ def channel_from_choi(omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def choi_fidelity(th: np.ndarray, exp: np.ndarray) -> float:
-    """Uhlmann fidelity between Choi states; estimates are projected to the
-    nearest density matrix first (idempotent on valid states)."""
+    """Uhlmann fidelity between Choi states; both are projected to the
+    nearest density matrix first (idempotent on valid states), th read in
+    the eigenbasis of its projection (tomography._uhlmann)."""
     th, exp = as_matrix(th), as_matrix(exp)
     if th.shape != (9, 9) or exp.shape != (9, 9):
         raise la.ShapeError("choi_fidelity expects 9x9 matrices")
-    return fidelity(la.project_to_density(th), la.project_to_density(exp))
+    return _uhlmann(*la.density_spectrum(th), la.project_to_density(exp))
 
 
 def analytic_fidelity(name: str, omega: np.ndarray) -> float:
     """choi_fidelity(named_choi(name), omega), bit for bit, with the
-    analytic side (projection and square root) built once per name."""
+    analytic side's density_spectrum built once per name."""
     omega = as_matrix(omega)
     if omega.shape != (9, 9):
         raise la.ShapeError("analytic_fidelity expects a 9x9 matrix")
-    return _uhlmann(_analytic_root(name), la.project_to_density(omega))
+    return _uhlmann(*_analytic_spectrum(name), la.project_to_density(omega))
 
 
 def choi_direct_circuit(channel_circuit: Circuit) -> Circuit:

@@ -23,14 +23,15 @@ once per (name, params) and shared read-only (gate_matrix).
   data instead of multiplying: a copy of t with the target axis reversed
   inside the control's 1 slab, or with the qubit's axis reversed.  Only
   the signs of zeros can differ from the product (np.array_equal holds).
-* Noiseless densities: U rho U+, U built as in unitary_of.
-* Noisy densities: t has axes (row q_0..q_{n-1}, col q_0..q_{n-1}, batch).
+* Densities: t has axes (row q_0..q_{n-1}, col q_0..q_{n-1}, batch).
   A gate on qubits (a, b) is one 4^k x 4^k superoperator on axes
   (a, b, n+a, n+b), row-major over those axes: N (u (x) conj(u)), where N
   applies the 4x4 per-qubit noise (depolarizing, then amplitude damping) to
-  each touched qubit's (row, col) pair.  Each superoperator is built once
-  per process for each (noise, gate name, params) and shared read-only
-  (gate_superops).
+  each touched qubit's (row, col) pair; without gate noise N is the
+  identity, so the superoperator is exactly u (x) conj(u).  Each
+  superoperator is built once per process for each (noise, gate name,
+  params) and shared read-only (gate_superops).  Without gate noise a
+  caller runs state vectors instead (tomography.measured_states).
 * Readout: the 2x2 bit-flip matrix on each outcome axis (apply_readout),
   applied once to the exact outcome distributions; sampling adds none.
 """
@@ -238,17 +239,13 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _unitary(c: Circuit) -> np.ndarray:
-    d = 2 ** c.n_qubits
-    return _run(c, np.eye(d, dtype=complex).reshape((2,) * c.n_qubits + (d,))).reshape(d, d)
-
-
 def unitary_of(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary of a circuit (n <= 6): the circuit run once on
     the batch of all 2^n basis columns."""
     if c.n_qubits > 6:
         raise ResourceError("unitary_of supports at most 6 qubits")
-    return _unitary(c)
+    d = 2 ** c.n_qubits
+    return _run(c, np.eye(d, dtype=complex).reshape((2,) * c.n_qubits + (d,))).reshape(d, d)
 
 
 def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:
@@ -271,9 +268,10 @@ def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:
 class NoiseConfig:
     """Gate-level noise: depolarizing p1 per one-qubit gate and p2 per CNOT
     (applied to every qubit the gate touches), amplitude damping gamma per
-    touched qubit, and a readout bit-flip probability per measured bit,
-    applied exactly to the outcome distributions (apply_readout), once per
-    configuration when its outcome table is built."""
+    touched qubit, and a readout bit-flip probability per measured bit.
+    Only p1, p2 and gamma act on the state (simulate_density); the readout
+    flip is applied exactly to the outcome distributions (apply_readout),
+    once per configuration when its outcome table is built."""
     p1: float = 0.0
     p2: float = 0.0
     gamma: float = 0.0
@@ -289,9 +287,6 @@ class NoiseConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
             object.__setattr__(self, name, v)
-
-    def is_zero(self) -> bool:
-        return self.p1 == self.p2 == self.gamma == self.readout_flip == 0.0
 
 
 def _qubit_noise(p: float, gamma: float) -> np.ndarray:
@@ -339,16 +334,15 @@ def gate_superops(gates, noise: NoiseConfig) -> list:
 def simulate_density(c: Circuit, input_density: np.ndarray,
                      noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
     """Evolve a density matrix, or every matrix of a stack (..., 2^n, 2^n),
-    through a circuit.
+    through a circuit, gate by gate.
 
-    Without gate noise this is U rho U+, with U built as in unitary_of but
-    without its 6-qubit limit (U is no larger than rho).  With noise, each
-    gate on qubits Q is one superoperator on the axes (q.., n + q..), q in
-    Q, of the (2,)*2n density tensor (gate_superops): u (x) conj(u), then
-    per-touched-qubit depolarizing (p1 for one-qubit gates, p2 for CNOT),
-    then amplitude damping gamma; a stack rides along as a trailing batch
-    axis.  Readout error is not applied here: tomography.outcome_tables
-    applies it once to the exact table (apply_readout).
+    Each gate on qubits Q is one superoperator on the axes (q.., n + q..),
+    q in Q, of the (2,)*2n density tensor (gate_superops): u (x) conj(u),
+    then per-touched-qubit depolarizing (p1 for one-qubit gates, p2 for
+    CNOT), then amplitude damping gamma; without gate noise it is exactly
+    u (x) conj(u).  A stack rides along as a trailing batch axis.  Readout
+    error is not applied here: tomography.outcome_tables applies it once to
+    the exact table (apply_readout).
 
     Registers above MAX_DENSE_QUBITS (10) qubits raise ResourceError before
     anything is allocated.  The result never shares memory with the input.
@@ -358,9 +352,6 @@ def simulate_density(c: Circuit, input_density: np.ndarray,
     d = 2 ** c.n_qubits
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"density has shape {rho.shape}, circuit needs (..., {d}, {d})")
-    if noise.p1 == noise.p2 == noise.gamma == 0.0:
-        u = _unitary(c)
-        return u @ rho @ u.conj().T
     if not c.gates:
         return rho.copy()
     n = c.n_qubits

@@ -21,10 +21,12 @@ contraction, followed by projection onto the nearest density matrix
 (eigenvalue simplex projection); a stack of tables is inverted and
 projected as one.
 
-``fidelity`` is Uhlmann's, (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, through the PSD
-root of s1.  ``channel_fidelity_sweep`` scores a projected stack in the
-eigenbasis its projection already has (linalg.density_spectrum), so it
-needs one eigendecomposition of each projected output, not two.
+``fidelity`` is Uhlmann's, (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, read in the
+eigenbasis of s1 by one formula, _uhlmann: with s1 = v diag(p) v+, the
+matrix sqrt(s1) s2 sqrt(s1) is similar to diag(sqrt(p)) v+ s2 v
+diag(sqrt(p)).  ``channel_fidelity_sweep`` and choi.choi_fidelity take
+(p, v) from the density_spectrum their projection already has, so they
+need one eigendecomposition of each projected matrix, not two.
 """
 
 from __future__ import annotations
@@ -147,10 +149,12 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
     one run of c over a stack of B inputs.
 
     Input b is |0...0> on c's register run through the prep circuit
-    preps[b] (None: no prep), with the same noise as c.  Without any noise
-    the stack runs as state vectors and the reduced states are read
-    straight from the amplitudes; with any noise, readout flips alone
-    included, it runs as densities.  A register above
+    preps[b] (None: no prep), with the same noise as c.  This is the one
+    place the gate-noise decision is made: without gate noise (p1 = p2 =
+    gamma = 0) the stack runs as state vectors and the reduced states are
+    read straight from the amplitudes; with gate noise it runs as densities
+    (simulate_density).  Readout error never touches the state:
+    outcome_tables applies it to the exact table.  A register above
     circuits.MAX_DENSE_QUBITS raises ResourceError on both paths, and
     measure_qubits (default: every qubit) that are not non-empty, distinct
     wires of the register raise ValueError, before anything is allocated.
@@ -163,7 +167,7 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
                          f"{n}-qubit register")
     zero = np.zeros(2 ** n, dtype=complex)
     zero[0] = 1.0
-    if noise.is_zero():
+    if noise.p1 == noise.p2 == noise.gamma == 0.0:
         inputs = [zero if p is None else simulate_state(p, zero) for p in preps]
         return _reduced_states(simulate_state(c, np.stack(inputs)), measure)
     rho0 = np.outer(zero, zero)
@@ -257,37 +261,36 @@ def reconstruct_qutrit(table: np.ndarray):
     return project_qutrit(reconstruct_state(table))
 
 
-def _fidelity_root(s1: np.ndarray) -> np.ndarray:
-    """sqrt(s1) as fidelity takes it: the PSD root of s1's Hermitian part."""
-    return la.sqrtm_psd((s1 + la.dagger(s1)) / 2, atol=1e-7)
-
-
-def _uhlmann_from_eigvals(w: np.ndarray):
-    """(sum sqrt(w))^2 clamped to [0, 1], from the ascending eigenvalues w
-    (..., d) of sqrt(s1) s2 sqrt(s1) or of any matrix similar to it."""
-    w = np.clip(w, 0.0, None)
+def _uhlmann(p: np.ndarray, v: np.ndarray, s2: np.ndarray):
+    """Uhlmann fidelity of s1 = v diag(p) v+ (p >= 0) and s2, of a pair or
+    of each pair of a stack: (sum sqrt(w))^2 clamped to [0, 1], w the
+    eigenvalues of diag(sqrt(p)) v+ s2 v diag(sqrt(p)), which is similar to
+    sqrt(s1) s2 sqrt(s1)."""
+    root = np.sqrt(p)
+    m = root[..., :, None] * (la.dagger(v) @ s2 @ v) * root[..., None, :]
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)  # ascending
     # zero out eigenvalue dust: sqrt turns O(eps) noise into O(sqrt(eps))
     w[w < w[..., -1:] * 1e-13] = 0.0
     val = np.clip(np.sum(np.sqrt(w), axis=-1) ** 2, 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 
-def _uhlmann(r: np.ndarray, s2: np.ndarray):
-    """The tail of fidelity, given r = _fidelity_root(s1): a caller with a
-    fixed s1 builds r once (choi.analytic_fidelity)."""
-    return _uhlmann_from_eigvals(np.linalg.eigvalsh(r @ s2 @ r))  # ascending
-
-
 def fidelity(s1: np.ndarray, s2: np.ndarray):
     """Uhlmann fidelity (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, clamped to [0, 1].
 
     A float for two matrices; for two stacks (..., d, d) of equal shape, the
-    array (...) of fidelities of matching matrices.
+    array (...) of fidelities of matching matrices.  s1 is read through the
+    eigendecomposition of its Hermitian part: an eigenvalue below -1e-7
+    raises NotPSDError, one in [-1e-7, 0) is clipped to zero.
     """
     s1, s2 = la.as_stack(s1), la.as_stack(s2)
     if s1.shape != s2.shape or s1.shape[-2] != s1.shape[-1]:
         raise la.ShapeError("fidelity needs equal-dimension square matrices")
-    return _uhlmann(_fidelity_root(s1), s2)
+    p, v = la.hermitian_eig(s1)
+    lowest = p[..., -1].min()
+    if lowest < -1e-7:
+        raise la.NotPSDError(f"eigenvalue {lowest:.3e} below -1.0e-07")
+    return _uhlmann(np.clip(p, 0.0, None), v, s2)
 
 
 # Largest lambda grid of channel_fidelity_sweep, a memory budget: the sweep
@@ -308,10 +311,8 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     grid is scored as one stack.  Returns (min, max, mean) of
     fidelity(project_to_density(channel_from_choi(omega, rho)), reference(rho)).
 
-    The fidelity is read in the eigenbasis the projection already has: with
-    (p, v) = density_spectrum(got), sqrt(got) = v diag(sqrt(p)) v+, so
-    sqrt(got) want sqrt(got) = v M v+ with M = diag(sqrt(p)) v+ want v
-    diag(sqrt(p)), which has the same eigenvalues.  p >= 0 by construction,
+    The fidelity is read in the eigenbasis the projection already has:
+    _uhlmann of (p, v) = density_spectrum(got), and p >= 0 by construction,
     so no PSD check is needed.  As in fidelity, a non-finite reference
     output raises ValueError and one not of the Choi output's shape
     ShapeError; both endpoint outputs are checked before the grid is built.
@@ -331,8 +332,5 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
                                 f"not {got_a.shape}")
     lam = np.linspace(0.0, 1.0, grid)[:, None, None]
     p, v = la.density_spectrum(lam * got_a + (1 - lam) * got_b)
-    want = lam * want_a + (1 - lam) * want_b
-    root = np.sqrt(p)
-    m = root[..., :, None] * (la.dagger(v) @ want @ v) * root[..., None, :]
-    vals = _uhlmann_from_eigvals(np.linalg.eigvalsh(m))
+    vals = _uhlmann(p, v, lam * want_a + (1 - lam) * want_b)
     return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))

@@ -400,19 +400,21 @@ def test_analytic_fidelity_equals_choi_fidelity_exactly():
         cj.analytic_fidelity("ls", np.eye(3) / 3)
 
 
-def test_analytic_root_is_read_only_and_independent_of_named_choi_copies():
-    cj._analytic_root.cache_clear()
+def test_analytic_spectrum_is_read_only_and_independent_of_named_choi_copies():
+    cj._analytic_spectrum.cache_clear()
     for name in ("ls", "wh", "id"):
         first = cj.named_choi(name)
-        first[...] = 7.0  # before the root is built
-        root = cj._analytic_root(name)
-        want = tg._fidelity_root(la.project_to_density(cj.analytic_choi(
-            ch.ChannelRep.analytic(name))))
-        assert np.array_equal(root, want)
-        assert not root.flags.writeable
-        with pytest.raises(ValueError):
-            root[0, 0] = 1.0
+        first[...] = 7.0  # before the spectrum is built
+        spectrum = cj._analytic_spectrum(name)
+        want = la.density_spectrum(cj.analytic_choi(ch.ChannelRep.analytic(name)))
+        for got, exact in zip(spectrum, want, strict=True):
+            assert np.array_equal(got, exact)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
         cj.named_choi(name)[...] = 7.0  # after
-        assert cj._analytic_root(name) is root and np.array_equal(root, want)
+        again = cj._analytic_spectrum(name)
+        assert again is spectrum
+        assert all(np.array_equal(got, exact) for got, exact in zip(again, want))
         omega = cj.named_choi("wh")
         assert cj.analytic_fidelity(name, omega) == cj.choi_fidelity(cj.named_choi(name), omega)

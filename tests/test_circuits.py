@@ -312,7 +312,7 @@ def _ref_simulate_density(c, rho, noise=cc.NoiseConfig()):
     n = c.n_qubits
     for g in c.gates:
         rho = _ref_apply_gate_density(rho, g, n)
-        if not noise.is_zero():
+        if not noise.p1 == noise.p2 == noise.gamma == 0.0:
             p = noise.p2 if g.name == "cnot" else noise.p1
             for q in g.qubits:
                 rho = _ref_depolarize(rho, q, n, p)
@@ -396,8 +396,8 @@ def test_noisy_routed_density_matches_gate_by_gate_reference():
 
 
 def test_noiseless_density_beyond_unitary_of_limit():
-    # U rho U+ needs no more memory than rho, so unitary_of's 6-qubit limit
-    # does not apply to densities
+    # the per-gate superoperators need no 2^n x 2^n unitary, so unitary_of's
+    # 6-qubit limit does not apply to densities
     rng = np.random.default_rng(37)
     c = random_circuit(rng, 7, 12)
     rho = np.zeros((128, 128), dtype=complex)

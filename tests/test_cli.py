@@ -440,7 +440,7 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
 
 
 def _clear_caches():
-    for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._analytic_root,
+    for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._analytic_spectrum,
                    dc._basis_states, cc._gate_matrix, cc._plan, cp._legal_cnot):
         cached.cache_clear()
 
@@ -497,6 +497,55 @@ def test_repeated_configuration_simulates_nothing(tmp_path, monkeypatch, method,
     # apply --method circuit reads the linear table
     assert run(["apply", "--channel", "wh", "--method", "circuit"] + args[5:]) == 0
     assert (calls == []) == (method == "linear")
+
+
+@pytest.mark.parametrize("noise, simulator", [
+    (None, cc.simulate_state),
+    ({"readout_flip": 0.03}, cc.simulate_state),
+    ({"p1": 0.003, "p2": 0.03, "gamma": 0.003, "readout_flip": 0.01}, cc.simulate_density),
+], ids=["zero", "readout_only", "gate"])
+@pytest.mark.parametrize("method", ["linear", "direct"])
+def test_cold_item_runs_state_vectors_unless_a_gate_is_noisy(tmp_path, monkeypatch, method,
+                                                             noise, simulator):
+    # readout error never touches the state, so only gate noise runs densities
+    spec = "zero"
+    if noise is not None:
+        spec = tmp_path / "noise.json"
+        spec.write_text(json.dumps(noise))
+    cli._outcome_table.cache_clear()
+    calls = _count_simulations(monkeypatch)
+    assert run(["choi", "--channel", "wh", "--choi-method", method, "--shots", "1000",
+                "--noise", str(spec), "--out", str(tmp_path)]) == 0
+    assert calls and set(calls) == {simulator}
+
+
+def _density_route_table(circuit, preps, measure, noise):
+    """The exact table through the noiseless density route: U rho U+ of each
+    prep and then of the circuit on |0...0><0...0|, the partial trace onto
+    the measured wires, then outcome_tables."""
+    n = circuit.n_qubits
+    rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho0[0, 0] = 1.0
+
+    def evolve(c, rho):
+        u = cc.unitary_of(c)
+        return u @ rho @ u.conj().T
+
+    inputs = np.stack([rho0 if p is None else evolve(p, rho0) for p in preps])
+    return tg.outcome_tables(la.partial_trace(evolve(circuit, inputs), [2] * n, measure), noise)
+
+
+@pytest.mark.parametrize("name", ["ls", "wh"])
+def test_readout_only_table_equals_density_route(name):
+    noise = cc.NoiseConfig(readout_flip=0.03)
+    circuit = cli._CHANNEL_CIRCUITS[name]()
+    preps = [dc.prep_basis_circuit(i).remapped([2, 3], 4) for i in range(1, 10)]
+    for got, c, p, measure in (
+            (cj.linear_tables(circuit, noise), circuit, preps, (2, 3)),
+            (cj.direct_tables(circuit, noise), cj.choi_direct_circuit(circuit), [None],
+             (0, 1, 2, 3))):
+        want = _density_route_table(c, p, measure, noise)
+        assert got.shape == want.shape and np.abs(got - want).max() < 2e-15
 
 
 def test_cached_outcome_table_is_read_only():

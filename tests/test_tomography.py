@@ -259,7 +259,7 @@ def _ref_collect(c, shots, seed, noise=cc.NoiseConfig(), measure_qubits=None):
     measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
     psi0 = np.zeros(2 ** n, dtype=complex)
     psi0[0] = 1.0
-    if noise.is_zero():
+    if noise.p1 == noise.p2 == noise.gamma == 0.0:
         psi = cc.simulate_state(c, psi0)
         rho_full = np.outer(psi, psi.conj())
     else:
@@ -579,6 +579,28 @@ def test_fidelity_stack_matches_per_matrix(s1, seed):
         assert isinstance(one, float)
         assert abs(f - one) < 1e-12
         assert abs(f - _ref_fidelity(a, b)) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [(), (4,)])
+def test_fidelity_refuses_a_non_psd_first_argument(batch):
+    # an eigenvalue of s1 below -1e-7 is an error, one above it is clipped
+    rng = np.random.default_rng(41)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    s2 = np.broadcast_to(rand_density(rng, 3), batch + (3, 3))
+
+    def s1(lowest, clip=False):
+        m = u @ np.diag([0.5, 0.5 - lowest, 0.0 if clip else lowest]) @ u.conj().T
+        return np.broadcast_to(m, batch + (3, 3)).copy()
+
+    with pytest.raises(la.NotPSDError, match="below -1.0e-07"):
+        tg.fidelity(s1(-1e-3), s2)
+    if batch:
+        one_bad = s1(0.0)
+        one_bad[-1] = s1(-1e-3)[-1]
+        with pytest.raises(la.NotPSDError):
+            tg.fidelity(one_bad, s2)
+    got, clipped = tg.fidelity(s1(-1e-8), s2), tg.fidelity(s1(-1e-8, clip=True), s2)
+    assert np.shape(got) == batch and np.abs(np.subtract(got, clipped)).max() < 1e-12
 
 
 @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
