@@ -13,13 +13,13 @@ circuit's system pair, direct_tables the 6-qubit direct Choi-state
 circuit.  Both tables come from one builder, the only place an experiment
 is routed onto a coupling map: it routes the channel circuit and the input
 preparations with the same placement.  One estimator, estimate, samples
-either stack with no noise argument of its own: table b is input b + 1 and
-draws from SeedSequence(seed, spawn_key=(b + 1,)), the whole stack is
-inverted and projected as one, then post-selected onto its qubit pairs in
-one call, leakages kept.  choi_fidelity scores in the eigenbasis of the
-theoretical side's projection (tomography._uhlmann on its density_spectrum);
-analytic_fidelity does the same against a named channel, whose spectrum is
-built once per name.
+either stack with no noise argument of its own: one stream per estimate,
+tables in input order, from SeedSequence(seed, spawn_key=(1,)); the whole
+stack is inverted and projected as one, then post-selected onto its qubit
+pairs in one call, leakages kept.  choi_fidelity scores in the eigenbasis
+of the theoretical side's projection (tomography._uhlmann on its
+density_spectrum); analytic_fidelity does the same against a named
+channel, whose spectrum is built once per name.
 """
 
 from __future__ import annotations
@@ -207,9 +207,9 @@ def estimate(tables: np.ndarray, shots: int, seed):
     """(states, leakages) from an exact stack (B, 3^k, 2^k) of linear_tables
     or direct_tables, readout error included.
 
-    Table b is input b + 1, sampled from its own stream
-    SeedSequence(seed, spawn_key=(b + 1,)) (shots = 0: the exact table);
-    the stack is inverted and projected as one, then post-selected onto its
+    One stream per estimate, tables in input order: sample_tables on the
+    generator of SeedSequence(seed, spawn_key=(1,)) (shots = 0: the exact
+    tables), inverted and projected as one, then post-selected onto the
     k/2 qubit pairs in one call: states is the fresh (B, 3^(k/2), 3^(k/2))
     stack, leakages the list of B Python floats.  An array that is not a
     3-d stack, or tables of any k but 2 or 4, raise ShapeError before
@@ -222,9 +222,8 @@ def estimate(tables: np.ndarray, shots: int, seed):
     if k not in (2, 4):
         raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
                             f"shape {tables.shape} ({k} qubits)")
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-            for b in range(1, len(tables) + 1)]
-    return _postselect(reconstruct_state(sample_tables(tables, shots, rngs)), k // 2)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    return _postselect(reconstruct_state(sample_tables(tables, shots, rng)), k // 2)
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,

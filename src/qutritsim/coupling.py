@@ -152,15 +152,17 @@ def _legal_cnot(c: int, t: int, cmap: CouplingMap) -> tuple:
 def route_circuit(c: Circuit, cmap: CouplingMap, placement=None) -> Circuit:
     """Rewrite a circuit so every CNOT is a directed edge of the map.
 
-    ``placement`` optionally maps logical wires to physical qubits (defaults
-    to the identity).  It is checked once, up front: it must place every
-    logical wire on its own qubit of the map, else RoutingError.
+    ``placement`` optionally maps logical wires to physical qubits, as a dict
+    or a list or tuple indexed by wire (default: identity), checked up front:
+    each logical wire must sit on its own qubit of the map, else RoutingError.
     Single-qubit gates are always legal.  The output acts on the map's full
     register; its unitary equals the input's (tensored with identity on
     unused wires) exactly.
     """
     if placement is None:
         placement = {q: q for q in range(c.n_qubits)}
+    elif isinstance(placement, (list, tuple)):
+        placement = dict(enumerate(placement))
     if sorted(placement) != list(range(c.n_qubits)):
         raise RoutingError("placement must cover every logical wire")
     phys = [int(placement[q]) for q in range(c.n_qubits)]

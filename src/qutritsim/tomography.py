@@ -9,10 +9,9 @@ Tomography has two stages.  ``outcome_tables`` reads all 3^k exact
 distributions off the measured reduced states of a stack of inputs with
 one per-qubit contraction, then applies readout error to the whole stack
 once; it depends only on the circuit and the noise.  ``sample_tables``
-then draws each table of the stack from its own generator, seeded by
-SeedSequence, so distinct seeds or spawn keys draw independent streams
-(circuits.sample_table: one multinomial per setting, no noise of its
-own).  ``collect`` runs both stages on one circuit started from |0...0>;
+then draws the whole stack from one generator, tables in input order, in
+one circuits.sample_table call (one multinomial per setting, no noise of
+its own).  ``collect`` runs both stages on one circuit started from |0...0>;
 the Choi experiments (choi.linear_tables, choi.direct_tables) run them
 over a stack of prepared inputs.
 
@@ -199,12 +198,12 @@ def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> 
     return tables
 
 
-def sample_tables(tables: np.ndarray, shots: int, rngs) -> np.ndarray:
+def sample_tables(tables: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """The stack (B, 3^k, 2^k) of sampled tables of the stack of
-    outcome_tables: table b sampled by sample_table from generator rngs[b]
-    (at shots = 0 a copy of the exact table).  One generator per table, else
-    ValueError."""
-    return np.stack([sample_table(t, shots, rng) for t, rng in zip(tables, rngs, strict=True)])
+    outcome_tables in one sample_table call on the one generator rng: bit
+    for bit table 1, then table 2, ... drawn from rng, rows in settings_for
+    order (at shots = 0 a fresh float copy of the exact stack)."""
+    return sample_table(tables.reshape(-1, tables.shape[-1]), shots, rng).reshape(tables.shape)
 
 
 def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),

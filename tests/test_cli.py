@@ -565,7 +565,8 @@ def test_exact_linear_includes_readout_error(tmp_path):
                 "--noise", str(path), "--out", str(tmp_path)]) == 0
     obj = json.loads((tmp_path / "choi_ls_linear.json").read_text())
     assert obj["fidelity_vs_analytic"] < 1 - 1e-3
-    results = _ref_circuit_outputs("ls", None, 0, 0, cc.NoiseConfig(readout_flip=0.05))
+    noise = cc.NoiseConfig(readout_flip=0.05)
+    results = _ref_outputs(_ref_circuit_tables("ls", None, 0, 0, noise)[0], "linear")
     want = la.project_to_density(cj.choi_linear([rho3 for rho3, _ in results]))
     assert np.abs(cj.choi_from_json(obj) - want).max() < 1e-12
 
@@ -811,11 +812,11 @@ def test_config_error_is_one_bounded_line(tmp_path, capsys, option, obj):
 # replaces, each routed onto the coupling map as a whole: for the linear
 # experiment prep_i + channel for each of the nine inputs, read out on
 # (2, 3); for the direct one the 6-qubit Choi-state circuit, read out on
-# (0, 1, 2, 3).  Input i is collected from SeedSequence(seed, spawn_key=(i,)),
-# then reconstructed and post-selected on its own (shots = 0 included: the
-# exact record, readout error and all).  The direct circuit needs six wires,
-# so where the linear check routes onto ibmqx4 the direct one routes onto
-# tokyo-6q.
+# (0, 1, 2, 3).  Each circuit's exact record is sampled in input order from
+# the one stream of SeedSequence(seed, spawn_key=(1,)), then reconstructed
+# and post-selected on its own (shots = 0: the exact record, readout error
+# and all).  The direct circuit needs six wires, so where the linear check
+# routes onto ibmqx4 the direct one routes onto tokyo-6q.
 _DIRECT_LAYOUT = {None: None, "ibmqx4": "tokyo-6q"}
 
 
@@ -833,16 +834,22 @@ def _ref_circuits(name, method, cmap):
     return [c if cmap is None else cp.route_circuit(c, cmap) for c in circuits], measure
 
 
-def _input_seed(seed, i):
-    return np.random.SeedSequence(seed, spawn_key=(i,))
+def _estimate_stream(seed):
+    return np.random.SeedSequence(seed, spawn_key=(1,))
 
 
-def _ref_circuit_outputs(name, cmap, shots, seed, noise, method="linear"):
+def _ref_circuit_tables(name, cmap, shots, seed, noise, method="linear"):
+    """Per circuit: the exact collect record, sampled table by table from
+    the one estimate stream."""
     circuits, measure = _ref_circuits(name, method, cmap)
+    rng = np.random.default_rng(_estimate_stream(seed))
+    return [cc.sample_table(tg.collect(c, 0, seed, noise, measure).table, shots, rng)
+            for c in circuits], circuits, measure
+
+
+def _ref_outputs(tables, method):
     project = enc.project_qutrit if method == "linear" else enc.project_two_qutrits
-    return [project(tg.reconstruct_state(
-        tg.collect(c, shots, _input_seed(seed, i), noise, measure).table))
-        for i, c in enumerate(circuits, start=1)]
+    return [project(tg.reconstruct_state(t)) for t in tables]
 
 
 def _check_batched_outputs(name, layout, shots, seed, noise):
@@ -850,7 +857,8 @@ def _check_batched_outputs(name, layout, shots, seed, noise):
         cmap = cp.preset_map(lay) if lay else None
         table = cli._outcome_table(name, method, cmap, noise)
         states, leakages = cj.estimate(table, shots, seed)
-        want = _ref_circuit_outputs(name, cmap, shots, seed, noise, method)
+        tables, circuits, measure = _ref_circuit_tables(name, cmap, shots, seed, noise, method)
+        want = _ref_outputs(tables, method)
         assert len(states) == len(leakages) == len(want) == len(table)
         for rho_g, leak_g, (rho_w, leak_w) in zip(states, leakages, want):
             if shots == 0:
@@ -859,16 +867,15 @@ def _check_batched_outputs(name, layout, shots, seed, noise):
             else:
                 assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
         if shots > 0:
-            # the tables behind them: same counts from the same streams
-            rngs = [np.random.default_rng(_input_seed(seed, i)) for i in range(1, len(table) + 1)]
-            sampled = tg.sample_tables(table, shots, rngs)
+            # the tables behind them: same counts from the same stream
+            sampled = tg.sample_tables(table, shots, np.random.default_rng(_estimate_stream(seed)))
             assert sampled.shape == table.shape
-            circuits, measure = _ref_circuits(name, method, cmap)
-            for i, (got_table, c) in enumerate(zip(sampled, circuits, strict=True), start=1):
-                ref = tg.collect(c, shots, _input_seed(seed, i), noise, measure)
-                assert ref.settings == tg.settings_for(len(measure)) and ref.seed == seed
-                assert ref.spawn_key == (i,)
-                assert np.array_equal(got_table, ref.table)
+            assert np.array_equal(sampled, np.stack(tables))
+            # input 1 draws the stream it had as its own: a collect record of it
+            ref = tg.collect(circuits[0], shots, _estimate_stream(seed), noise, measure)
+            assert ref.settings == tg.settings_for(len(measure)) and ref.seed == seed
+            assert ref.spawn_key == (1,)
+            assert np.array_equal(sampled[0], ref.table)
 
 
 @pytest.mark.parametrize("name", ["ls", "wh"])

@@ -123,6 +123,24 @@ def test_placement():
         cp.route_circuit(c, m, placement={0: -1, 1: 0})
 
 
+def test_sequence_placement_is_the_equal_dict():
+    # entry q of a list or tuple places wire q, as key q of a dict does
+    m, c = cp.preset_map("ibmqx4"), dc.ls_channel_circuit()
+    want = cp.route_circuit(c, m, {0: 4, 1: 0, 2: 1, 3: 2})
+    assert len(want.gates) == 68 and cp.validate(want, m) == []
+    for placement in ([4, 0, 1, 2], (4, 0, 1, 2)):
+        assert cp.route_circuit(c, m, placement).gates == want.gates
+    for bad, message in (([4, 0, 1], "cover every logical wire"),
+                         ((4, 0, 1, 2, 3), "cover every logical wire"),
+                         ([4, 0, 0, 2], "injective"),
+                         ((4, 0, 1, 5), "outside the coupling map"),
+                         ([4, 0, -1, 2], "outside the coupling map")):
+        with pytest.raises(cp.RoutingError, match=message):
+            cp.route_circuit(c, m, bad)
+        with pytest.raises(cp.RoutingError, match=message):  # as the equal dict
+            cp.route_circuit(c, m, dict(enumerate(bad)))
+
+
 def test_map_json_roundtrip(tmp_path):
     m = cp.preset_map("ibmqx4")
     p = tmp_path / "map.json"

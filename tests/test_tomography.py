@@ -424,14 +424,45 @@ def test_collect_rejects_bad_measure_qubits_on_both_paths(noise, bad):
         tg.collect(c, 0, 0, noise, measure_qubits=bad)
 
 
-def test_sample_tables_needs_one_generator_per_table():
-    table = cj.linear_tables(cc.Circuit(4))
-    assert table.shape == (9, 9, 4)
-    rngs = [np.random.default_rng(i) for i in range(3)]
-    with pytest.raises(ValueError):
-        tg.sample_tables(table, 100, rngs)
-    with pytest.raises(ValueError):
-        tg.sample_tables(table, 0, rngs)
+@_property
+@given(b=st.integers(1, 9), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       shots=st.sampled_from([0, 1, 8192]))
+def test_sample_tables_is_the_table_by_table_loop_on_one_stream(b, k, seed, shots):
+    rng = np.random.default_rng(seed)
+    p = rng.random((b, 3 ** k, 2 ** k))
+    p[rng.random(p.shape) < 0.2] = 0.0  # zero-probability outcomes too
+    p[..., 0] += 1e-3
+    tables = p / p.sum(axis=-1, keepdims=True)
+    tables.flags.writeable = False
+    got = tg.sample_tables(tables, shots, np.random.default_rng(seed + 1))
+    ref = np.random.default_rng(seed + 1)
+    want = np.stack([cc.sample_table(t, shots, ref) for t in tables])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if shots == 0:  # a fresh float copy of the exact stack
+        assert got.dtype == float and got.flags.writeable
+        assert not np.shares_memory(got, tables) and np.array_equal(got, tables)
+    else:
+        assert (got.sum(axis=-1) == shots).all()
+    for bad in (-1, cc.MAX_SHOTS + 1):  # checked before anything is drawn
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="shots"):
+            tg.sample_tables(tables, bad, rng)
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("noise", [cc.NoiseConfig(), cc.NoiseConfig(p2=0.05, readout_flip=0.02)])
+@pytest.mark.parametrize("shots", [0, 1, 8192])
+def test_estimate_of_direct_tables_draws_input_one_stream(shots, noise):
+    # a one-table stack samples the stream input 1 always had, so direct
+    # outputs are those of the per-input reference
+    table = cj.direct_tables(dc.ls_channel_circuit(), noise)
+    for seed in (0, 3, 2 ** 40 + 1):
+        states, leakages = cj.estimate(table, shots, seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        rho, leak = enc.project_two_qutrits(
+            tg.reconstruct_state(cc.sample_table(table[0], shots, rng)))
+        assert np.array_equal(states[0], rho) and leakages == [leak]
 
 
 # --- seeds and streams -----------------------------------------------------
@@ -486,6 +517,22 @@ def test_records_with_distinct_seeds_share_no_rows():
     assert len(np.unique(rows, axis=0)) == len(rows)
 
 
+def test_estimate_stacks_and_records_share_no_rows():
+    # estimate draws a whole stack from SeedSequence(seed, spawn_key=(1,));
+    # collect draws from the root stream SeedSequence(seed).  With one
+    # outcome distribution for every setting of every input, overlapping
+    # streams would repeat rows, within a stack or across seeds and routes.
+    c, shots, measure = _mixed_pair(), 10 ** 6, (0, 1)
+    exact = tg.collect(c, 0, 0, measure_qubits=measure).table
+    stack = np.repeat(exact[None], 9, axis=0)
+    rows = [tg.sample_tables(stack, shots, np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(1,)))).reshape(-1, 4) for seed in range(40)]
+    rows += [tg.collect(c, shots, seed, measure_qubits=measure).table for seed in range(40)]
+    rows = np.concatenate(rows)
+    assert rows.shape == (40 * 81 + 40 * 9, 4)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+
+
 def _chi2_upper(df, z=3.090):
     """Wilson-Hilferty approximation of the chi-square quantile z standard
     normal deviations above the mean; z = 3.090 is the one-sided 1e-3 point."""
@@ -504,6 +551,12 @@ def test_sampled_table_fits_exact_table(k, flip):
     shots = 20000
     exact = tg.collect(c, 0, 0, noise, measure_qubits=measure).table
     got = tg.collect(c, shots, 700 + k, noise, measure_qubits=measure).table
+    _assert_fits(got, exact, shots)
+
+
+def _assert_fits(got, exact, shots):
+    """Pearson chi-square of sampled rows against their exact rows below the
+    1e-3 point; per row, cells expecting fewer than 5 shots are pooled."""
     assert np.all(got.sum(axis=1) == shots)
     stat, df = 0.0, 0
     for obs, p in zip(got, exact):
@@ -516,6 +569,17 @@ def test_sampled_table_fits_exact_table(k, flip):
         stat += float(np.sum((o - e) ** 2 / e))
         df += len(e) - 1
     assert stat < _chi2_upper(df), (stat, df)
+
+
+@pytest.mark.parametrize("noise", [cc.NoiseConfig(), cc.NoiseConfig(p2=0.02, readout_flip=0.05)])
+def test_sampled_linear_stack_fits_exact_table(noise):
+    # the nine inputs of one estimate share a stream: together they must
+    # still fit their exact tables, setting by setting
+    table = cj.linear_tables(dc.ls_channel_circuit(), noise)
+    shots = 8192
+    got = tg.sample_tables(table, shots, np.random.default_rng(
+        np.random.SeedSequence(11, spawn_key=(1,))))
+    _assert_fits(got.reshape(-1, 4), table.reshape(-1, 4), shots)
 
 
 # --- the batched sweep against the per-lambda loop ----------------------------
