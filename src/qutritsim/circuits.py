@@ -83,6 +83,18 @@ def check_dense_register(n_qubits: int) -> None:
                             f"budget of {MAX_DENSE_QUBITS} qubits")
 
 
+def wire_index(v) -> int:
+    """v as a wire number: an int or a numpy integer.  A bool, a float (an
+    integral one included) or anything else raises ValueError, where int()
+    would read 4.9 as wire 4 and True as wire 1."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"a wire must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     name: str
@@ -93,7 +105,7 @@ class Gate:
         name = self.name.lower()
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(map(wire_index, self.qubits)))
         if name not in GATE_ARITY:
             raise ValueError(f"unknown gate {name!r}")
         n_par, n_q = GATE_ARITY[name]
@@ -147,10 +159,10 @@ class Circuit:
     def remapped(self, wires, n_qubits=None) -> "Circuit":
         """Copy with qubit i renamed to wires[i], on a possibly larger
         register.  wires must name distinct qubits of that register, one
-        for each qubit of this circuit, else ValueError."""
+        integer (wire_index) for each qubit of this circuit, else ValueError."""
         n = self.n_qubits if n_qubits is None else n_qubits
         try:
-            phys = [int(wires[q]) for q in range(self.n_qubits)]
+            phys = [wire_index(wires[q]) for q in range(self.n_qubits)]
         except (IndexError, KeyError):
             raise ValueError(f"wires {wires!r} do not name a wire for each of "
                              f"{self.n_qubits} qubits") from None

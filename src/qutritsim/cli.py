@@ -11,7 +11,9 @@ choi.direct_tables, and choi.estimate samples and reconstructs either.
 All outputs are JSON or CSV, deterministic given (config, seed).  A JSON
 output is one line, keys sorted, floats as repr (each parses back to the
 same double), finite values only; what it promises is its parsed value,
-not its bytes.  Exit
+not its bytes.  An existing output file is rewritten in place and cut to
+the new length (_write_output); a write that fails part way can leave a
+torn file, as truncating it first could.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error (a
 reconstructed state with no weight in the qutrit subspace included) or a
 register above the dense simulation budget, 3 routing error.  An input
@@ -27,6 +29,7 @@ import csv
 import functools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -166,12 +169,22 @@ def _merge_config(args) -> dict:
 def _write_output(cfg, filename, write) -> str:
     """Create the out directory, open filename in it and hand the file to
     write; an out path that cannot hold it (an existing file, a path under
-    a file, no permission, a NUL byte) is a config error.  Returns the path."""
+    a file, a directory at the file's name, no permission, a NUL byte) is a
+    config error.  Returns the path.
+
+    An existing file is rewritten in place and then cut to the new length,
+    not truncated to zero first: on ext4 closing a file truncated to zero
+    and rewritten starts writeback, which costs more than the whole write.
+    A new file gets mode 0o666 less the umask, as open(path, "w") gives;
+    a device or a pipe at the path (/dev/null, a FIFO) is written, not cut.
+    A write that fails part way can leave a torn file, as truncating could."""
     path = os.path.join(cfg["out"], filename)
     try:
         os.makedirs(cfg["out"], exist_ok=True)
-        with open(path, "w", newline="") as f:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
             write(f)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or pipe has no length
+                f.truncate()
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     return path

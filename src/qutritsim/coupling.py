@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, wire_index
 from .linalg import json_int
 
 
@@ -154,7 +154,8 @@ def route_circuit(c: Circuit, cmap: CouplingMap, placement=None) -> Circuit:
 
     ``placement`` optionally maps logical wires to physical qubits, as a dict
     or a list or tuple indexed by wire (default: identity), checked up front:
-    each logical wire must sit on its own qubit of the map, else RoutingError.
+    each logical wire must sit on its own qubit of the map, named by an
+    integer (circuits.wire_index: no float, no bool), else RoutingError.
     Single-qubit gates are always legal.  The output acts on the map's full
     register; its unitary equals the input's (tensored with identity on
     unused wires) exactly.
@@ -165,7 +166,10 @@ def route_circuit(c: Circuit, cmap: CouplingMap, placement=None) -> Circuit:
         placement = dict(enumerate(placement))
     if sorted(placement) != list(range(c.n_qubits)):
         raise RoutingError("placement must cover every logical wire")
-    phys = [int(placement[q]) for q in range(c.n_qubits)]
+    try:
+        phys = [wire_index(placement[q]) for q in range(c.n_qubits)]
+    except ValueError as exc:
+        raise RoutingError(f"placement: {exc}") from None
     if len(set(phys)) != c.n_qubits:
         raise RoutingError("placement must be injective")
     for q, p in enumerate(phys):

@@ -224,6 +224,27 @@ def test_circuit_remap_rejects_bad_wires(wires, n):
         c.remapped(wires, n)
 
 
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, False, np.True_, np.float64(1), "1", None])
+def test_wires_must_be_integers(bad):
+    # int() read 1.9 as wire 1 and True as wire 1
+    c = cc.Circuit(2, [("h", (), (0,)), ("cnot", (), (0, 1))])
+    with pytest.raises(ValueError, match="a wire must be an integer"):
+        c.remapped([2, bad], 4)
+    with pytest.raises(ValueError, match="a wire must be an integer"):
+        c.remapped({0: 2, 1: bad}, 4)
+    with pytest.raises(ValueError, match="a wire must be an integer"):
+        cc.Gate("cnot", (), (0, bad))
+    with pytest.raises(ValueError, match="a wire must be an integer"):
+        cc.Gate("h", (), (bad,))
+
+
+def test_numpy_integer_wires_become_ints():
+    c = cc.Circuit(2, [("h", (), (np.int64(0),)), ("cnot", (), np.array([0, 1]))])
+    r = c.remapped(np.array([3, 1], dtype=np.uint8), 4)
+    assert [g.qubits for g in r.gates] == [(3,), (3, 1)]
+    assert all(type(q) is int for g in c.gates + r.gates for q in g.qubits)
+
+
 def test_gate_matrices_are_shared_and_read_only():
     params = {"u1": (0.3,), "u2": (0.1, 0.2), "u3": (0.1, 0.2, 0.3)}
     for name, (_, arity) in cc.GATE_ARITY.items():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -956,3 +957,174 @@ def test_reported_fidelity_equals_recomputation_from_file(tmp_path, method, layo
         with open(out / f"sweep_{name}.csv", newline="") as f:
             summary = list(csv.reader(f))[-1]
         assert summary == ["choi", "choi"] + [f"{want:.10f}"] * 3
+
+
+# --- rewriting an existing output ------------------------------------------
+# _write_output overwrites an existing file in place and cuts it to the new
+# length instead of truncating it to zero first.  Whatever sat at the output
+# path before, the result must be byte for byte the output of a fresh run.
+
+_WRITERS = {
+    "apply": (["apply", "--method", "circuit", "--channel", "ls", "--shots", "8192",
+               "--seed", "3"], "apply_ls_circuit.json"),
+    "choi_linear": (["choi", "--choi-method", "linear", "--channel", "ls", "--shots", "8192",
+                     "--seed", "3"], "choi_ls_linear.json"),
+    "choi_direct": (["choi", "--choi-method", "direct", "--channel", "wh",
+                     "--shots", "100000", "--seed", "3"], "choi_wh_direct.json"),
+    "sweep": (["sweep", "--channel", "ls", "--grid", "5"], "sweep_ls.csv"),
+}
+
+
+def _writer_args(tmp_path, writer):
+    """The arguments (without --out) and output name of one writer; a sweep
+    reads a sampled linear Choi file written under tmp_path/in."""
+    args, name = _WRITERS[writer]
+    if writer == "sweep":
+        choi_args, choi_name = _WRITERS["choi_linear"]
+        assert run(choi_args + ["--out", str(tmp_path / "in")]) == 0
+        args = args + ["--choi-file", str(tmp_path / "in" / choi_name)]
+    return args, name
+
+
+def _longer_valid(text: bytes, writer) -> bytes:
+    """A valid output of the same kind, longer than text: the JSON object
+    indented, or the CSV with its data rows twice."""
+    if writer == "sweep":
+        header, _, rows = text.partition(b"\r\n")
+        return header + b"\r\n" + rows + rows
+    return json.dumps(json.loads(text), sort_keys=True, indent=2).encode()
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_existing_output_is_rewritten_to_the_fresh_bytes(tmp_path, writer):
+    args, name = _writer_args(tmp_path, writer)
+    assert run(args + ["--out", str(tmp_path / "fresh")]) == 0
+    fresh = tmp_path / "fresh" / name
+    want = fresh.read_bytes()
+    junk = bytes(range(256)) * 256  # 64 KiB, no line ends of the output's kind
+    for k, old in enumerate([junk, _longer_valid(want, writer), b"x"]):
+        assert len(old) != len(want)
+        path = tmp_path / str(k) / name
+        path.parent.mkdir()
+        path.write_bytes(old)
+        path.chmod(0o600)
+        inode = os.stat(path).st_ino
+        assert run(args + ["--out", str(path.parent)]) == 0
+        assert path.read_bytes() == want, (k, len(old))
+        st = os.stat(path)
+        assert st.st_ino == inode and st.st_mode & 0o777 == 0o600  # the same file
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_new_output_has_mode_0o666_less_umask(tmp_path, writer):
+    args, name = _writer_args(tmp_path, writer)
+    for k, mask in enumerate((0o022, 0o077, 0o027, 0o000)):
+        old = os.umask(mask)
+        try:
+            assert run(args + ["--out", str(tmp_path / str(k))]) == 0
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / str(k) / name).st_mode & 0o777 == 0o666 & ~mask
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_directory_at_output_path_is_a_config_error_and_left_alone(tmp_path, capsys, writer):
+    args, name = _writer_args(tmp_path, writer)
+    target = tmp_path / "out" / name
+    target.mkdir(parents=True)
+    (target / "kept").write_bytes(b"kept")
+    capsys.readouterr()
+    assert run(args + ["--out", str(target.parent)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write") and "Is a directory" in err
+    assert err.count("\n") == 1
+    assert [p.name for p in target.iterdir()] == ["kept"]
+    assert (target / "kept").read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_output_through_a_device_or_a_pipe_is_written(tmp_path, writer):
+    # a device or a FIFO has no length to cut: writing to it still succeeds
+    args, name = _writer_args(tmp_path, writer)
+    assert run(args + ["--out", str(tmp_path / "fresh")]) == 0
+    os.makedirs(tmp_path / "null")
+    os.symlink(os.devnull, tmp_path / "null" / name)
+    assert run(args + ["--out", str(tmp_path / "null")]) == 0
+    os.makedirs(tmp_path / "fifo")
+    os.mkfifo(tmp_path / "fifo" / name)
+    got = []
+    reader = threading.Thread(target=lambda: got.append((tmp_path / "fifo" / name).read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        assert run(args + ["--out", str(tmp_path / "fifo")]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "fresh" / name).read_bytes()]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_non_finite_value_leaves_an_older_output_unchanged(tmp_path, capsys, monkeypatch,
+                                                           writer):
+    args, name = _writer_args(tmp_path, writer)
+    path = tmp_path / "out" / name
+    path.parent.mkdir()
+    path.write_bytes(b"older output")
+    os.utime(path, ns=(10 ** 9, 10 ** 9))
+    if writer == "sweep":  # a Choi file with a NaN entry is refused on reading
+        choi_file = tmp_path / "nan_choi.json"
+        obj = json.loads((tmp_path / "in" / _WRITERS["choi_linear"][1]).read_text())
+        obj["re"][2][3] = float("nan")
+        choi_file.write_text(json.dumps(obj))
+        args = args[:-1] + [str(choi_file)]
+        message = "config error: bad choi file"
+    else:  # every sampled estimate reports NaN leakages
+        estimate = cj.estimate
+        monkeypatch.setattr(cj, "estimate", lambda *a: (estimate(*a)[0], [float("nan")] * 9))
+        message = f"config error: cannot write {name!r}: Out of range float values"
+    capsys.readouterr()
+    assert run(args + ["--out", str(path.parent)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message)
+    assert path.read_bytes() == b"older output"
+    assert os.stat(path).st_mtime_ns == 10 ** 9
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),
+                    reason="needs /proc/self/fd and /dev/full")
+def test_repeated_runs_leak_no_file_descriptors(tmp_path, monkeypatch):
+    assert run(["choi", "--channel", "ls", "--out", str(tmp_path / "in")]) == 0
+    choi_file = str(tmp_path / "in" / "choi_ls_analytic.json")
+    (tmp_path / "dir" / "choi_ls_analytic.json").mkdir(parents=True)
+    (tmp_path / "afile").write_text("")
+    full = tmp_path / "full"  # the file opens, then writing it fails with ENOSPC
+    full.mkdir()
+    os.symlink("/dev/full", full / "apply_ls_circuit.json")
+    nan = tmp_path / "nan"
+    nan.mkdir()
+    calls = [
+        (["choi", "--channel", "ls", "--out", str(tmp_path / "ok")], 0),
+        (["choi", "--channel", "ls", "--choi-method", "linear", "--shots", "64",
+          "--out", str(tmp_path / "ok")], 0),
+        (["apply", "--channel", "ls", "--method", "circuit", "--shots", "64",
+          "--out", str(tmp_path / "ok")], 0),
+        (["sweep", "--channel", "ls", "--grid", "2", "--choi-file", choi_file,
+          "--out", str(tmp_path / "ok")], 0),
+        (["choi", "--channel", "ls", "--out", str(tmp_path / "dir")], cli.EXIT_CONFIG),
+        (["choi", "--channel", "ls", "--out", str(tmp_path / "afile")], cli.EXIT_CONFIG),
+        (["apply", "--channel", "ls", "--method", "circuit", "--shots", "64",
+          "--out", str(full)], cli.EXIT_CONFIG),
+        (["choi", "--channel", "wh", "--choi-method", "direct", "--shots", "64",
+          "--out", str(nan)], cli.EXIT_CONFIG),
+    ]
+    fidelity = cj.analytic_fidelity  # NaN for wh, the last call's channel only
+    monkeypatch.setattr(cj, "analytic_fidelity",
+                        lambda name, omega: float("nan") if name == "wh" else fidelity(name, omega))
+    for args, code in calls:  # warm every cache before counting
+        assert run(args) == code, args
+    before = len(os.listdir("/proc/self/fd"))
+    for k in range(200):
+        args, code = calls[k % len(calls)]
+        assert run(args) == code, args
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert not any(nan.iterdir())

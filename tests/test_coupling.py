@@ -141,6 +141,27 @@ def test_sequence_placement_is_the_equal_dict():
             cp.route_circuit(c, m, dict(enumerate(bad)))
 
 
+@pytest.mark.parametrize("bad", [[4.9, 0.2, 1.0, 2.7], [4.0, 0, 1, 2], [4, False, True, 2],
+                                 [4, 0, 1, "2"], [4, 0, 1, None], [4, 0, 1, np.float64(2)]])
+def test_placement_values_must_be_integers(bad):
+    # int() read [4.9, 0.2, 1.0, 2.7] as [4, 0, 1, 2] and True as qubit 1
+    m, c = cp.preset_map("ibmqx4"), dc.ls_channel_circuit()
+    for placement in (bad, tuple(bad), dict(enumerate(bad))):
+        with pytest.raises(cp.RoutingError, match="placement: a wire must be an integer"):
+            cp.route_circuit(c, m, placement)
+
+
+def test_numpy_integer_placements_route_as_ints():
+    m, c = cp.preset_map("ibmqx4"), dc.ls_channel_circuit()
+    want = cp.route_circuit(c, m, [4, 0, 1, 2])
+    for dtype in (np.int64, np.int32, np.uint8):
+        placement = np.array([4, 0, 1, 2], dtype=dtype)
+        for p in (list(placement), dict(enumerate(placement))):
+            got = cp.route_circuit(c, m, p)
+            assert got.gates == want.gates
+            assert all(type(q) is int for g in got.gates for q in g.qubits)
+
+
 def test_map_json_roundtrip(tmp_path):
     m = cp.preset_map("ibmqx4")
     p = tmp_path / "map.json"
