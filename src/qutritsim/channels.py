@@ -214,19 +214,12 @@ class ChannelRep:
         return cls(np.stack([linear(e).reshape(-1) for e in units], axis=1))
 
 
-def apply_linear(rep: ChannelRep, m: np.ndarray) -> np.ndarray:
-    """Apply the channel's linear extension to an arbitrary matrix (no
-    density-matrix validation); needed when acting on |i><k| basis elements."""
-    m = as_matrix(m)
-    return (rep.superop @ m.reshape(-1)).reshape(m.shape)
-
-
 def apply_channel(rep: ChannelRep, rho: np.ndarray) -> np.ndarray:
     """Apply a channel to a density matrix of matching dimension."""
     rho = _require_density(rho)
     if rho.shape[0] != rep.dim:
         raise la.ShapeError(f"state dim {rho.shape[0]} != channel dim {rep.dim}")
-    return apply_linear(rep, rho)
+    return (rep.superop @ rho.reshape(-1)).reshape(rho.shape)
 
 
 def choi_of(rep: ChannelRep) -> np.ndarray:

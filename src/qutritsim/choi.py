@@ -30,12 +30,12 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelRep, choi_of, superop_from_choi
-from .circuits import Circuit, NoiseConfig, check_shots
+from .circuits import Circuit, NoiseConfig, check_shots, sample_table
 from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_basis_circuit, prep_superposition_circuit
 from .encoding import _postselect
 from .linalg import as_matrix
-from .tomography import _uhlmann, measured_states, outcome_tables, reconstruct_state, sample_tables
+from .tomography import _uhlmann, measured_states, outcome_tables, reconstruct_state
 
 
 def analytic_choi(channel: ChannelRep) -> np.ndarray:
@@ -207,10 +207,10 @@ def estimate(tables: np.ndarray, shots: int, seed):
     """(states, leakages) from an exact stack (B, 3^k, 2^k) of linear_tables
     or direct_tables, readout error included.
 
-    One stream per estimate, tables in input order: sample_tables on the
-    generator of SeedSequence(seed, spawn_key=(1,)) (shots = 0: the exact
-    tables), inverted and projected as one, then post-selected onto the
-    k/2 qubit pairs in one call: states is the fresh (B, 3^(k/2), 3^(k/2))
+    One stream per estimate, tables in input order: sample_table of the
+    stack on the generator of SeedSequence(seed, spawn_key=(1,)) (shots =
+    0: the exact tables), inverted and projected as one, then post-selected
+    onto the k/2 qubit pairs in one call: states is the fresh (B, 3^(k/2), 3^(k/2))
     stack, leakages the list of B Python floats.  An array that is not a
     3-d stack, or tables of any k but 2 or 4, raise ShapeError before
     anything is sampled; an input with no qutrit weight raises
@@ -223,7 +223,7 @@ def estimate(tables: np.ndarray, shots: int, seed):
         raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
                             f"shape {tables.shape} ({k} qubits)")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    return _postselect(reconstruct_state(sample_tables(tables, shots, rng)), k // 2)
+    return _postselect(reconstruct_state(sample_table(tables, shots, rng)), k // 2)
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,

@@ -83,16 +83,17 @@ def check_dense_register(n_qubits: int) -> None:
                             f"budget of {MAX_DENSE_QUBITS} qubits")
 
 
-def wire_index(v) -> int:
-    """v as a wire number: an int or a numpy integer.  A bool, a float (an
-    integral one included) or anything else raises ValueError, where int()
-    would read 4.9 as wire 4 and True as wire 1."""
+def wire_index(v, what: str = "a wire") -> int:
+    """v as a wire number or register size: an int or a numpy integer.  A
+    bool, a float (an integral one included) or anything else raises
+    ValueError naming ``what``, where int() would read 4.9 as wire 4 and
+    True as wire 1."""
     if not isinstance(v, bool):
         try:
             return operator.index(v)
         except TypeError:
             pass
-    raise ValueError(f"a wire must be an integer, got {v!r}")
+    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,7 @@ class Circuit:
     gates: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.n_qubits = wire_index(self.n_qubits, "n_qubits")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         self.gates = [g if isinstance(g, Gate) else Gate(*g) for g in self.gates]
@@ -430,12 +432,15 @@ def apply_readout(p: np.ndarray, readout_flip: float) -> np.ndarray:
 
 
 def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Outcome table (m, 2^n) from m normalized distributions p over 2^n
-    bitstrings, one per row, readout error already applied (apply_readout).
+    """Outcome table, or stack of tables, (..., 2^n) from normalized
+    distributions p (..., 2^n) over 2^n bitstrings, one per row, readout
+    error already applied (apply_readout).
 
-    shots >= 1 gives int counts: one multinomial per row, in row order, from
-    the one generator rng.  shots = 0 is exact mode: a float copy of p; rng
-    is unused.  shots outside [0, MAX_SHOTS] raise ValueError.
+    shots >= 1 gives int counts: one multinomial per row, rows in C order
+    (table 1, then table 2, ... of a stack, bit for bit the flattened
+    (-1, 2^n) call), from the one generator rng.  shots = 0 is exact mode: a
+    fresh float copy of p; rng is unused.  shots outside [0, MAX_SHOTS]
+    raise ValueError before anything is drawn.
     """
     check_shots(shots)
     if shots == 0:

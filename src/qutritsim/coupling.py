@@ -35,7 +35,10 @@ class CouplingMap:
     edges: frozenset
 
     def __init__(self, n_qubits: int, edges):
-        es = frozenset((int(c), int(t)) for c, t in edges)
+        """n_qubits and every edge endpoint must be integers (wire_index: no
+        float, no bool), else ValueError."""
+        n_qubits = wire_index(n_qubits, "n_qubits")
+        es = frozenset((wire_index(c), wire_index(t)) for c, t in edges)
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         for c, t in es:
@@ -43,7 +46,7 @@ class CouplingMap:
                 raise ValueError(f"self-loop ({c},{t})")
             if not (0 <= c < n_qubits and 0 <= t < n_qubits):
                 raise ValueError(f"edge ({c},{t}) outside register")
-        object.__setattr__(self, "n_qubits", int(n_qubits))
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "edges", es)
 
     def has(self, c: int, t: int) -> bool:
@@ -153,23 +156,25 @@ def route_circuit(c: Circuit, cmap: CouplingMap, placement=None) -> Circuit:
     """Rewrite a circuit so every CNOT is a directed edge of the map.
 
     ``placement`` optionally maps logical wires to physical qubits, as a dict
-    or a list or tuple indexed by wire (default: identity), checked up front:
-    each logical wire must sit on its own qubit of the map, named by an
-    integer (circuits.wire_index: no float, no bool), else RoutingError.
+    or a sequence indexed by wire (default: identity), checked up front:
+    each logical wire, an integer key, must sit on its own qubit of the map,
+    an integer value (circuits.wire_index: no float, no bool), else
+    RoutingError.
     Single-qubit gates are always legal.  The output acts on the map's full
     register; its unitary equals the input's (tensored with identity on
     unused wires) exactly.
     """
     if placement is None:
         placement = {q: q for q in range(c.n_qubits)}
-    elif isinstance(placement, (list, tuple)):
+    elif not isinstance(placement, dict):
         placement = dict(enumerate(placement))
-    if sorted(placement) != list(range(c.n_qubits)):
-        raise RoutingError("placement must cover every logical wire")
     try:
-        phys = [wire_index(placement[q]) for q in range(c.n_qubits)]
+        placement = {wire_index(q): wire_index(p) for q, p in placement.items()}
     except ValueError as exc:
         raise RoutingError(f"placement: {exc}") from None
+    if sorted(placement) != list(range(c.n_qubits)):
+        raise RoutingError("placement must cover every logical wire")
+    phys = [placement[q] for q in range(c.n_qubits)]
     if len(set(phys)) != c.n_qubits:
         raise RoutingError("placement must be injective")
     for q, p in enumerate(phys):

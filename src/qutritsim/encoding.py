@@ -99,17 +99,6 @@ def project_two_qutrits(rho16: np.ndarray):
     return rho9, leakage
 
 
-def embed_two_qutrit_unitary(u9: np.ndarray) -> np.ndarray:
-    """Lift a qutrit (x) qutrit unitary to 4 qubits, acting trivially on the
-    non-qutrit states.  Factor order is preserved (first qutrit = first pair)."""
-    u9 = as_matrix(u9)
-    if u9.shape != (9, 9):
-        raise la.ShapeError("embed_two_qutrit_unitary needs a 9x9 matrix")
-    out = np.eye(16, dtype=complex)
-    out[np.ix_(_BLOCK_IDX[2], _BLOCK_IDX[2])] = u9
-    return out
-
-
 def induced_channel(c: Circuit, noise: NoiseConfig = NoiseConfig()):
     """Qutrit channel induced by a 4-qubit circuit.
 

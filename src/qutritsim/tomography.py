@@ -8,12 +8,12 @@ pre-rotation is a tensor product of three possible one-qubit channels.
 Tomography has two stages.  ``outcome_tables`` reads all 3^k exact
 distributions off the measured reduced states of a stack of inputs with
 one per-qubit contraction, then applies readout error to the whole stack
-once; it depends only on the circuit and the noise.  ``sample_tables``
-then draws the whole stack from one generator, tables in input order, in
-one circuits.sample_table call (one multinomial per setting, no noise of
-its own).  ``collect`` runs both stages on one circuit started from |0...0>;
-the Choi experiments (choi.linear_tables, choi.direct_tables) run them
-over a stack of prepared inputs.
+once; it depends only on the circuit and the noise.  circuits.sample_table
+then draws the whole stack from one generator, tables in input order (one
+multinomial per setting, no noise of its own).  ``collect`` runs both
+stages on one circuit started from |0...0>; the Choi experiments
+(choi.linear_tables, choi.direct_tables) run them over a stack of prepared
+inputs.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
@@ -40,7 +40,6 @@ from . import linalg as la
 from .circuits import (Circuit, Gate, NoiseConfig, _rng, apply_readout, check_dense_register,
                        check_shots, gate_superops, normalize_probabilities, sample_table,
                        simulate_density, simulate_state)
-from .encoding import project_qutrit
 
 BASES = ("Z", "X", "Y")
 
@@ -187,7 +186,7 @@ def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> 
     Each row is clipped and normalized like born_probabilities, then the
     whole stack goes through apply_readout once.  The table depends on the
     circuit and the noise only, never on a seed, so a caller may build it
-    once and sample it many times (sample_tables).
+    once and sample it many times (circuits.sample_table).
     """
     k = int(round(math.log2(rho_meas.shape[-1])))
     effect = _effect_tensor(noise).reshape(6, 4).T       # (i, j) -> (b, o)
@@ -196,14 +195,6 @@ def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> 
                            noise.readout_flip)
     tables.flags.writeable = False
     return tables
-
-
-def sample_tables(tables: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """The stack (B, 3^k, 2^k) of sampled tables of the stack of
-    outcome_tables in one sample_table call on the one generator rng: bit
-    for bit table 1, then table 2, ... drawn from rng, rows in settings_for
-    order (at shots = 0 a fresh float copy of the exact stack)."""
-    return sample_table(tables.reshape(-1, tables.shape[-1]), shots, rng).reshape(tables.shape)
 
 
 def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
@@ -253,11 +244,6 @@ def reconstruct_state(tables) -> np.ndarray:
     state.  A stack of tables gives the stack (B, 2^n, 2^n), inverted and
     projected as one."""
     return la.project_to_density(_linear_inversion(tables))
-
-
-def reconstruct_qutrit(table: np.ndarray):
-    """(rho3, leakage) from a two-qubit outcome table via qutrit post-selection."""
-    return project_qutrit(reconstruct_state(table))
 
 
 def _uhlmann(p: np.ndarray, v: np.ndarray, s2: np.ndarray):

@@ -11,6 +11,7 @@ from qutritsim import channels as ch
 from qutritsim import choi as cj
 from qutritsim import circuits as cc
 from qutritsim import decompositions as dc
+from qutritsim import encoding as enc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
 from qutritsim import verify as vf
@@ -100,7 +101,7 @@ def test_criterion_07_tomography_pipeline_fidelity():
                 for seed in range(20):
                     rec = tg.collect(full, shots, 1000 * seed + i,
                                      measure_qubits=(2, 3))
-                    rho3, _ = tg.reconstruct_qutrit(rec.table)
+                    rho3, _ = enc.project_qutrit(tg.reconstruct_state(rec.table))
                     results[shots].append(tg.fidelity(rho3, target))
     mean_lo = float(np.mean(results[8192]))
     mean_hi = float(np.mean(results[65536]))

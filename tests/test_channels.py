@@ -275,7 +275,7 @@ def test_stinespring_dilation_checks_its_matrices():
             ch.StinespringDilation(u_bad, env, ch.Ordering.SYSTEM_FIRST)
 
 
-def test_apply_linear_matches_per_kind_formulas():
+def test_superop_matches_per_kind_formulas_off_states():
     rng = np.random.default_rng(12)
     ls, wh = ch.ChannelRep.analytic("ls"), ch.ChannelRep.analytic("wh")
     omega_ls, omega_wh = ch.choi_of(ls), ch.choi_of(wh)
@@ -293,4 +293,5 @@ def test_apply_linear_matches_per_kind_formulas():
     for _ in range(10):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         for rep, ref in cases:
-            assert np.abs(ch.apply_linear(rep, m) - ref(m)).max() < 1e-12
+            got = (rep.superop @ m.reshape(-1)).reshape(3, 3)
+            assert np.abs(got - ref(m)).max() < 1e-12

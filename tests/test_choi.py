@@ -332,7 +332,7 @@ def test_estimate_rejects_tables_not_of_one_or_two_qubit_pairs(monkeypatch, k, i
     # nine 3-qubit tables must not come back as 3x3 blocks cut from 8x8
     # estimates: any size but 2 or 4 qubits is refused before sampling, and
     # so is an array that is not a stack of tables (inputs None: a k-d array)
-    monkeypatch.setattr(cj, "sample_tables", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(cj, "sample_table", lambda *args: pytest.fail("sampled"))
     if inputs is None:
         tables = np.zeros((16,) * k)
         match = re.escape(f"got shape {tables.shape}") + "$"

@@ -238,6 +238,22 @@ def test_wires_must_be_integers(bad):
         cc.Gate("h", (), (bad,))
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_register_size_must_be_an_integer(bad):
+    # Circuit(2.5) and Circuit(3.0) used to fail later inside unitary_of,
+    # and Circuit(True) built a 1-qubit register
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        cc.Circuit(bad)
+
+
+def test_numpy_integer_register_size_becomes_an_int():
+    c = cc.Circuit(np.int64(3))
+    assert c.n_qubits == 3 and type(c.n_qubits) is int
+    assert cc.unitary_of(c).shape == (8, 8)
+    with pytest.raises(ValueError, match="positive"):
+        cc.Circuit(np.int64(0))
+
+
 def test_numpy_integer_wires_become_ints():
     c = cc.Circuit(2, [("h", (), (np.int64(0),)), ("cnot", (), np.array([0, 1]))])
     r = c.remapped(np.array([3, 1], dtype=np.uint8), 4)

@@ -869,7 +869,7 @@ def _check_batched_outputs(name, layout, shots, seed, noise):
                 assert np.array_equal(rho_g, rho_w) and leak_g == leak_w
         if shots > 0:
             # the tables behind them: same counts from the same stream
-            sampled = tg.sample_tables(table, shots, np.random.default_rng(_estimate_stream(seed)))
+            sampled = cc.sample_table(table, shots, np.random.default_rng(_estimate_stream(seed)))
             assert sampled.shape == table.shape
             assert np.array_equal(sampled, np.stack(tables))
             # input 1 draws the stream it had as its own: a collect record of it

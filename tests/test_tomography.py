@@ -114,7 +114,7 @@ def test_reconstruct_2q_shot_noise_fidelity():
 
 def test_reconstruct_qutrit():
     rec = tg.collect(dc.prep_basis_circuit(3), shots=0, seed=0)
-    rho3, leak = tg.reconstruct_qutrit(rec.table)
+    rho3, leak = enc.project_qutrit(tg.reconstruct_state(rec.table))
     assert np.abs(rho3 - np.diag([0, 0, 1.0])).max() < 1e-9
     assert abs(leak) < 1e-9
 
@@ -122,7 +122,7 @@ def test_reconstruct_qutrit():
 def test_reconstruct_qutrit_readout_leakage():
     noise = cc.NoiseConfig(readout_flip=0.05)
     rec = tg.collect(dc.prep_basis_circuit(1), shots=0, seed=0, noise=noise)
-    _, leak = tg.reconstruct_qutrit(rec.table)
+    _, leak = enc.project_qutrit(tg.reconstruct_state(rec.table))
     assert 0.0 < leak < 0.02  # double flip onto |11> is ~flip^2
 
 
@@ -132,7 +132,7 @@ def test_reconstruct_channel_output_high_shots():
     full.extend(dc.prep_basis_circuit(1).remapped([2, 3], 4).gates)
     full.extend(circ.gates)
     rec = tg.collect(full, shots=10 ** 6, seed=42, measure_qubits=(2, 3))
-    rho3, _ = tg.reconstruct_qutrit(rec.table)
+    rho3, _ = enc.project_qutrit(tg.reconstruct_state(rec.table))
     assert tg.fidelity(rho3, np.diag([0.5, 0.5, 0.0]).astype(complex)) >= 0.999
 
 
@@ -427,14 +427,14 @@ def test_collect_rejects_bad_measure_qubits_on_both_paths(noise, bad):
 @_property
 @given(b=st.integers(1, 9), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        shots=st.sampled_from([0, 1, 8192]))
-def test_sample_tables_is_the_table_by_table_loop_on_one_stream(b, k, seed, shots):
+def test_sample_table_of_a_stack_is_the_table_by_table_loop_on_one_stream(b, k, seed, shots):
     rng = np.random.default_rng(seed)
     p = rng.random((b, 3 ** k, 2 ** k))
     p[rng.random(p.shape) < 0.2] = 0.0  # zero-probability outcomes too
     p[..., 0] += 1e-3
     tables = p / p.sum(axis=-1, keepdims=True)
     tables.flags.writeable = False
-    got = tg.sample_tables(tables, shots, np.random.default_rng(seed + 1))
+    got = cc.sample_table(tables, shots, np.random.default_rng(seed + 1))
     ref = np.random.default_rng(seed + 1)
     want = np.stack([cc.sample_table(t, shots, ref) for t in tables])
     assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -447,7 +447,7 @@ def test_sample_tables_is_the_table_by_table_loop_on_one_stream(b, k, seed, shot
         rng = np.random.default_rng(seed)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="shots"):
-            tg.sample_tables(tables, bad, rng)
+            cc.sample_table(tables, bad, rng)
         assert rng.bit_generator.state == state
 
 
@@ -525,7 +525,7 @@ def test_estimate_stacks_and_records_share_no_rows():
     c, shots, measure = _mixed_pair(), 10 ** 6, (0, 1)
     exact = tg.collect(c, 0, 0, measure_qubits=measure).table
     stack = np.repeat(exact[None], 9, axis=0)
-    rows = [tg.sample_tables(stack, shots, np.random.default_rng(
+    rows = [cc.sample_table(stack, shots, np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(1,)))).reshape(-1, 4) for seed in range(40)]
     rows += [tg.collect(c, shots, seed, measure_qubits=measure).table for seed in range(40)]
     rows = np.concatenate(rows)
@@ -577,7 +577,7 @@ def test_sampled_linear_stack_fits_exact_table(noise):
     # still fit their exact tables, setting by setting
     table = cj.linear_tables(dc.ls_channel_circuit(), noise)
     shots = 8192
-    got = tg.sample_tables(table, shots, np.random.default_rng(
+    got = cc.sample_table(table, shots, np.random.default_rng(
         np.random.SeedSequence(11, spawn_key=(1,))))
     _assert_fits(got.reshape(-1, 4), table.reshape(-1, 4), shots)
 
