@@ -32,18 +32,18 @@ rho /= np.trace(rho)
 print("max deviation on a random state:",
       np.abs(ch.ls_apply(rho) - ch.wh_apply(w @ rho @ w.conj().T)).max())
 
-print("\n== exact dilations ==")
-dil = ch.ls_stinespring()
+print("\n== exact dilations, environment started in |0><0| ==")
+u = ch.ls_dilation_matrix()  # system (x) environment
 print("9x9 dilation unitary within:",
-      np.abs(la.dagger(dil.u) @ dil.u - np.eye(9)).max())
+      np.abs(la.dagger(u) @ u - np.eye(9)).max())
 env = np.zeros((3, 3), dtype=complex)
 env[0, 0] = 1
-full = dil.u @ la.kron(rho, env) @ la.dagger(dil.u)
+full = u @ la.kron(rho, env) @ la.dagger(u)
 out = la.partial_trace(full, [3, 3], [0])
 print("dilation vs analytic:", np.abs(out - ch.ls_apply(rho)).max())
 
-dil_wh = ch.wh_stinespring()
-full = dil_wh.u @ la.kron(env, rho) @ la.dagger(dil_wh.u)
+u_wh = ch.wh_dilation_matrix()  # environment (x) system
+full = u_wh @ la.kron(env, rho) @ la.dagger(u_wh)
 out = la.partial_trace(full, [3, 3], [1])
 print("completed dilation vs analytic:", np.abs(out - ch.wh_apply(rho)).max())
 

@@ -17,7 +17,7 @@ m = dc.quasi_toffoli_matrix()
 print("matrix (real part):")
 print(m.real)
 for v in ("a", "b"):
-    c = dc.quasi_toffoli_circuit(dc.QuasiToffoliVariant(v))
+    c = dc.quasi_toffoli_circuit(v)
     dev = np.abs(cc.unitary_of(c) - m).max()
     print(f"variant {v}: {len(c.gates)} gates, {c.cnot_count()} CNOTs, dev {dev:.1e}")
 print("(three CNOTs is minimal for this matrix; a Toffoli costs six)")
@@ -32,7 +32,7 @@ print("\n== line permutations and the factorized layer ==")
 for k in (1, 2, 3, 4):
     cfg = dc.SConfig(k)
     s = cc.unitary_of(dc.s_permutation_circuit(cfg))
-    u_tilde = dc.wh_embedded_unitary(cfg)
+    u_tilde = cc.unitary_of(dc.wh_channel_circuit(cfg))
     t = dc.s_config_unitary(cfg)
     print(f"configuration {k}: |S U~| == |one-qubit layer| within",
           f"{np.abs(np.abs(s @ u_tilde) - np.abs(t)).max():.1e}")

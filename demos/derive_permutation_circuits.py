@@ -128,7 +128,7 @@ def verify_frozen():
     for k in (1, 2, 3, 4):
         cfg = dc.SConfig(k)
         s = cc.unitary_of(dc.s_permutation_circuit(cfg))
-        u_tilde = dc.wh_embedded_unitary(cfg)
+        u_tilde = cc.unitary_of(dc.wh_channel_circuit(cfg))
         t = dc.s_config_unitary(cfg)
         pattern = np.abs(np.abs(s @ u_tilde) - np.abs(t)).max()
         chan = enc.induced_channel(dc.wh_channel_circuit(cfg))

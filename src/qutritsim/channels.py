@@ -1,5 +1,5 @@
-"""Analytic qutrit channels, their Stinespring dilations, and the one
-channel form: a d^2 x d^2 superoperator.
+"""Analytic qutrit channels, their Stinespring dilation matrices, and the
+one channel form: a d^2 x d^2 superoperator.
 
 The two channels of interest:
 
@@ -15,7 +15,8 @@ row-major.  ``ChannelRep.analytic`` builds S for the three qutrit channels;
 any other S (superop_from_choi of a Choi matrix, say) is wrapped as it is.
 Applying the channel is one matvec and its trace-one Choi matrix is the
 inverse reshuffle of S divided by d.  The two dilations are 9x9 unitaries
-on a qutrit system and a qutrit environment (``StinespringDilation``).
+on a qutrit system and a qutrit environment in |0><0|, ``ls_dilation_matrix``
+(system (x) environment) and ``wh_dilation_matrix`` (environment (x) system).
 There is no channel file format; the CLI writes Choi matrices (choi).
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -87,29 +87,6 @@ def covariance_unitary() -> np.ndarray:
     return np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
 
 
-class Ordering(Enum):
-    SYSTEM_FIRST = "system_first"   # U acts on system (x) env
-    ENV_FIRST = "env_first"         # U acts on env (x) system
-
-
-@dataclass(frozen=True)
-class StinespringDilation:
-    """A qutrit channel Phi(rho) = Tr_env(U (rho (x) rho_env) U+): u is a 9x9
-    unitary on a qutrit system and a qutrit environment, in the factor
-    order ``ordering``, and rho_env a 3x3 environment state."""
-    u: np.ndarray
-    rho_env: np.ndarray
-    ordering: Ordering
-
-    def __post_init__(self):
-        u = as_matrix(self.u)
-        if u.shape != (9, 9) or not la.is_unitary(u, 1e-10):
-            raise ValueError("dilation matrix is not a 9x9 unitary")
-        rho_env = as_matrix(self.rho_env)
-        if rho_env.shape != (3, 3) or not la.is_density_matrix(rho_env, 1e-10):
-            raise ValueError("rho_env is not a 3x3 density matrix")
-
-
 _EQ5_BLOCKS = {
     # 3x3 blocks of the 9x9 spin-1 dilation; row block = system out,
     # inner row = environment out, column block = system in (env in = inner col)
@@ -128,18 +105,12 @@ _EQ5_BLOCKS = {
 
 
 def ls_dilation_matrix() -> np.ndarray:
-    """The fixed 9x9 unitary of the spin-1 dilation, system (x) env ordering."""
+    """The fixed 9x9 unitary U of the spin-1 dilation, system (x) environment
+    order: ls_apply(rho) = Tr_env(U (rho (x) |0><0|) U+)."""
     u = np.zeros((9, 9), dtype=complex)
     for (bi, bj), block in _EQ5_BLOCKS.items():
         u[3 * bi:3 * bi + 3, 3 * bj:3 * bj + 3] = np.array(block)
     return u
-
-
-def ls_stinespring() -> StinespringDilation:
-    """Exact dilation of ls_apply with env = |0><0| and system-first ordering."""
-    env = np.zeros((3, 3), dtype=complex)
-    env[0, 0] = 1.0
-    return StinespringDilation(ls_dilation_matrix(), env, Ordering.SYSTEM_FIRST)
 
 
 _WH_FIXED_BLOCKS = [
@@ -151,22 +122,19 @@ _WH_FIXED_BLOCKS = [
 
 
 def wh_dilation_matrix() -> np.ndarray:
-    """A 9x9 unitary dilating wh_apply, env (x) system ordering.
+    """A 9x9 unitary U dilating wh_apply, environment (x) system order:
+    wh_apply(rho) = Tr_env(U (|0><0| (x) rho) U+).
 
     Only the first block-column (the env-in = 0 columns) is fixed; the free
     columns are completed to a unitary by Gram-Schmidt over the standard
     basis, in index order, which makes the completion deterministic.  Any
     completion induces the same channel.
     """
-    u = np.zeros((9, 9), dtype=complex)
-    for e in range(3):
-        u[3 * e:3 * e + 3, 0:3] = _WH_FIXED_BLOCKS[e] / _S2
-    basis = [u[:, j] for j in range(3)]
-    for cand_idx in range(9):
+    fixed = np.concatenate(_WH_FIXED_BLOCKS) / _S2
+    basis = [fixed[:, j] for j in range(3)]
+    for v in np.eye(9, dtype=complex):
         if len(basis) == 9:
             break
-        v = np.zeros(9, dtype=complex)
-        v[cand_idx] = 1.0
         for b in basis:
             v = v - b * (np.conj(b) @ v)
         norm = np.linalg.norm(v)
@@ -174,13 +142,6 @@ def wh_dilation_matrix() -> np.ndarray:
             basis.append(v / norm)
     # fixed columns are the env-in = 0 columns: indices 0..2 in env-first order
     return np.column_stack(basis)
-
-
-def wh_stinespring() -> StinespringDilation:
-    """Dilation of wh_apply with env = |0><0| and env-first ordering."""
-    env = np.zeros((3, 3), dtype=complex)
-    env[0, 0] = 1.0
-    return StinespringDilation(wh_dilation_matrix(), env, Ordering.ENV_FIRST)
 
 
 def superop_from_choi(omega: np.ndarray) -> np.ndarray:

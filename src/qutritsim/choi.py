@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelRep, choi_of, superop_from_choi
-from .circuits import Circuit, NoiseConfig, check_shots, sample_table
+from .circuits import Circuit, NoiseConfig, check_seed, check_shots, sample_table
 from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_basis_circuit, prep_superposition_circuit
 from .encoding import _postselect
@@ -212,9 +212,9 @@ def estimate(tables: np.ndarray, shots: int, seed):
     0: the exact tables), inverted and projected as one, then post-selected
     onto the k/2 qubit pairs in one call: states is the fresh (B, 3^(k/2), 3^(k/2))
     stack, leakages the list of B Python floats.  An array that is not a
-    3-d stack, or tables of any k but 2 or 4, raise ShapeError before
-    anything is sampled; an input with no qutrit weight raises
-    DegenerateProjectionError.
+    3-d stack, or tables of any k but 2 or 4, raise ShapeError and a bad
+    seed (check_seed) ValueError before anything is sampled; an input with
+    no qutrit weight raises DegenerateProjectionError.
     """
     if tables.ndim != 3:
         raise la.ShapeError(f"estimate needs a stack of outcome tables, got shape {tables.shape}")
@@ -222,7 +222,7 @@ def estimate(tables: np.ndarray, shots: int, seed):
     if k not in (2, 4):
         raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
                             f"shape {tables.shape} ({k} qubits)")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=(1,)))
     return _postselect(reconstruct_state(sample_table(tables, shots, rng)), k // 2)
 
 

@@ -394,16 +394,21 @@ def normalize_probabilities(p: np.ndarray) -> np.ndarray:
     return p / s
 
 
+def check_seed(seed) -> int:
+    """seed as an int (wire_index), else ValueError; ValueError also if negative."""
+    seed = wire_index(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _rng(seed) -> np.random.Generator:
-    """PCG64 seeded through SeedSequence.  ``seed`` is a non-negative int,
-    used unmasked as SeedSequence(seed), or a SeedSequence such as a
-    spawned child; distinct seeds or spawn keys give independent streams.
-    A negative seed raises ValueError."""
+    """PCG64 seeded through SeedSequence.  ``seed`` is a non-negative int
+    (check_seed), used unmasked as SeedSequence(seed), or a SeedSequence
+    such as a spawned child; distinct seeds or spawn keys give independent
+    streams."""
     if not isinstance(seed, np.random.SeedSequence):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        seed = np.random.SeedSequence(seed)
+        seed = np.random.SeedSequence(check_seed(seed))
     return np.random.default_rng(seed)
 
 
@@ -411,10 +416,13 @@ def _rng(seed) -> np.random.Generator:
 MAX_SHOTS = 2 ** 63 - 1
 
 
-def check_shots(shots: int, minimum: int = 0) -> None:
-    """Raise ValueError unless minimum <= shots <= MAX_SHOTS."""
+def check_shots(shots, minimum: int = 0) -> int:
+    """shots as an int (wire_index: a multinomial would draw 7 for 7.9), else
+    ValueError; ValueError also unless minimum <= shots <= MAX_SHOTS."""
+    shots = wire_index(shots, "shots")
     if not minimum <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [{minimum}, {MAX_SHOTS}], got {shots}")
+    return shots
 
 
 def apply_readout(p: np.ndarray, readout_flip: float) -> np.ndarray:
@@ -439,10 +447,10 @@ def sample_table(p: np.ndarray, shots: int, rng: np.random.Generator | None) -> 
     shots >= 1 gives int counts: one multinomial per row, rows in C order
     (table 1, then table 2, ... of a stack, bit for bit the flattened
     (-1, 2^n) call), from the one generator rng.  shots = 0 is exact mode: a
-    fresh float copy of p; rng is unused.  shots outside [0, MAX_SHOTS]
-    raise ValueError before anything is drawn.
+    fresh float copy of p; rng is unused.  Bad shots (check_shots) raise
+    ValueError before anything is drawn.
     """
-    check_shots(shots)
+    shots = check_shots(shots)
     if shots == 0:
         return p.astype(float)
     return rng.multinomial(shots, p)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, simulate_state, unitary_of
+from .circuits import Circuit, Gate, simulate_state
 from .linalg import kron_all
 
 _S2 = math.sqrt(2.0)
@@ -59,8 +59,11 @@ def quasi_toffoli_gates(c1: int, c2: int, t: int, variant: str = "a") -> list:
     The -1 phase sits at (c1, c2, t) = (1, 0, 0).  Three CNOTs and four ry
     rotations; two CNOTs are provably insufficient for this matrix (each of
     the two possible CNOT placements forces a product-operator contradiction),
-    so three is minimal.  Both variants produce identical matrices.
+    so three is minimal.  Both variants, "a" and "b", produce identical
+    matrices; any other variant raises ValueError.
     """
+    if variant not in ("a", "b"):
+        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     a = math.pi / 4 if variant == "a" else -3 * math.pi / 4
     ry = lambda ang: ("u3", (ang, 0.0, 0.0), (t,))
     return [Gate(*g) for g in (
@@ -70,18 +73,9 @@ def quasi_toffoli_gates(c1: int, c2: int, t: int, variant: str = "a") -> list:
     )]
 
 
-@dataclass(frozen=True)
-class QuasiToffoliVariant:
-    variant: str = "a"
-
-    def __post_init__(self):
-        if self.variant not in ("a", "b"):
-            raise ValueError("variant must be 'a' or 'b'")
-
-
-def quasi_toffoli_circuit(v: QuasiToffoliVariant = QuasiToffoliVariant("a")) -> Circuit:
+def quasi_toffoli_circuit(variant: str = "a") -> Circuit:
     """3-qubit circuit equal to quasi_toffoli_matrix (controls 0, 1; target 2)."""
-    return Circuit(3, quasi_toffoli_gates(0, 1, 2, v.variant))
+    return Circuit(3, quasi_toffoli_gates(0, 1, 2, variant))
 
 
 # --- encoded covariance unitary ----------------------------------------------
@@ -170,7 +164,10 @@ def wh_channel_circuit(cfg: SConfig = SConfig(4)) -> Circuit:
     trace out wires 0-1, post-select wires 2-3) is the transpose-depolarizer.
 
     The circuit is the one-qubit layer followed by the inverse permutation
-    circuit.  coupling.route_circuit legalizes it on a coupling map.
+    circuit.  Of its 16x16 unitary (unitary_of), the environment-in |00>
+    columns carry the channel's Kraus operators; the rest are the unitary
+    completion the circuit happens to define.  coupling.route_circuit
+    legalizes it on a coupling map.
     """
     gates = _one_qubit_layer_gates(cfg)
     gates += _abstract_to_gates(list(reversed(_S_GATES[cfg.k])))
@@ -183,13 +180,6 @@ def ls_channel_circuit(cfg: SConfig = SConfig(4)) -> Circuit:
     gates = list(w_tilde_circuit().remapped([2, 3], 4).gates)
     gates += wh_channel_circuit(cfg).gates
     return Circuit(4, gates)
-
-
-def wh_embedded_unitary(cfg: SConfig = SConfig(4)) -> np.ndarray:
-    """The 16x16 unitary realized by the channel circuit; its environment-in
-    |00> columns carry the channel's Kraus operators, the rest are the
-    unitary completion the circuit happens to define."""
-    return unitary_of(wh_channel_circuit(cfg))
 
 
 # --- state preparation ---------------------------------------------------------

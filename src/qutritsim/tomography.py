@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg as la
 from .circuits import (Circuit, Gate, NoiseConfig, _rng, apply_readout, check_dense_register,
                        check_shots, gate_superops, normalize_probabilities, sample_table,
-                       simulate_density, simulate_state)
+                       simulate_density, simulate_state, wire_index)
 
 BASES = ("Z", "X", "Y")
 
@@ -155,13 +155,18 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
     outcome_tables applies it to the exact table.  A register above
     circuits.MAX_DENSE_QUBITS raises ResourceError on both paths, and
     measure_qubits (default: every qubit) that are not non-empty, distinct
-    wires of the register raise ValueError, before anything is allocated.
+    integer wires (circuits.wire_index) of the register raise ValueError,
+    before anything is allocated.
     """
     n = c.n_qubits
     check_dense_register(n)
-    measure = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
+    given = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
+    try:
+        measure = tuple(wire_index(q) for q in given)
+    except ValueError:
+        measure = ()
     if not measure or len(set(measure)) != len(measure) or not all(0 <= q < n for q in measure):
-        raise ValueError(f"measure_qubits {measure} must be non-empty, distinct wires of the "
+        raise ValueError(f"measure_qubits {given} must be non-empty, distinct wires of the "
                          f"{n}-qubit register")
     zero = np.zeros(2 ** n, dtype=complex)
     zero[0] = 1.0
@@ -211,7 +216,7 @@ def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
     order, so distinct seeds give independent tables.  Shots and seed are
     checked before anything is simulated.
     """
-    check_shots(shots)
+    shots = check_shots(shots)
     rng = _rng(seed)
     tables = outcome_tables(measured_states(c, [None], noise, measure_qubits), noise)
     seq = rng.bit_generator.seed_seq

@@ -49,13 +49,14 @@ def _ref_kraus(ops, m):
     return sum(k @ m @ k.conj().T for k in ops)
 
 
-def _ref_dilation(dil, m):
-    """Tr_env(U (m (x) rho_env) U+), in the dilation's factor order."""
-    if dil.ordering is ch.Ordering.SYSTEM_FIRST:
-        full, keep = np.kron(m, dil.rho_env), [0]
+def _ref_dilation(u, m, system_first):
+    """Tr_env(U (m (x) |0><0|) U+) in the dilation's factor order: system
+    first for ls_dilation_matrix, environment first for wh_dilation_matrix."""
+    if system_first:
+        full, keep = np.kron(m, proj(0)), [0]
     else:
-        full, keep = np.kron(dil.rho_env, m), [1]
-    return la.partial_trace(dil.u @ full @ dil.u.conj().T, [3, 3], keep)
+        full, keep = np.kron(proj(0), m), [1]
+    return la.partial_trace(u @ full @ u.conj().T, [3, 3], keep)
 
 
 def _ref_choi(omega, m):
@@ -154,15 +155,15 @@ def test_ls_dilation_matrix_is_unitary_and_entries():
 
 
 def test_ls_stinespring_reproduces_channel():
-    dil = ch.ls_stinespring()
+    u = ch.ls_dilation_matrix()  # system (x) environment
     env = np.zeros((3, 3)); env[0, 0] = 1
     rng = np.random.default_rng(21)
     for rho in basis_states() + [rand_density(rng) for _ in range(20)]:
-        full = dil.u @ la.kron(rho, env) @ la.dagger(dil.u)
+        full = u @ la.kron(rho, env) @ la.dagger(u)
         out = la.partial_trace(full, [3, 3], [0])
         assert np.abs(out - ch.ls_apply(rho)).max() < 1e-10
     out0 = la.partial_trace(
-        dil.u @ la.kron(proj(0), env) @ la.dagger(dil.u), [3, 3], [0])
+        u @ la.kron(proj(0), env) @ la.dagger(u), [3, 3], [0])
     assert np.abs(out0 - np.diag([0.5, 0.5, 0.0])).max() < 1e-12
 
 
@@ -178,15 +179,15 @@ def test_wh_stinespring_first_block_column():
 
 
 def test_wh_stinespring_reproduces_channel():
-    dil = ch.wh_stinespring()
+    u = ch.wh_dilation_matrix()  # environment (x) system
     env = np.zeros((3, 3)); env[0, 0] = 1
     rng = np.random.default_rng(22)
     for rho in basis_states() + [rand_density(rng) for _ in range(20)]:
-        full = dil.u @ la.kron(env, rho) @ la.dagger(dil.u)
+        full = u @ la.kron(env, rho) @ la.dagger(u)
         out = la.partial_trace(full, [3, 3], [1])
         assert np.abs(out - ch.wh_apply(rho)).max() < 1e-10
     out0 = la.partial_trace(
-        dil.u @ la.kron(env, proj(0)) @ la.dagger(dil.u), [3, 3], [1])
+        u @ la.kron(env, proj(0)) @ la.dagger(u), [3, 3], [1])
     assert np.abs(out0 - np.diag([0.0, 0.5, 0.5])).max() < 1e-12
 
 
@@ -197,13 +198,13 @@ def test_representation_consistency():
     forms_ls = [
         lambda rho: ch.apply_channel(ch.ChannelRep.analytic("ls"), rho),
         lambda rho: _ref_kraus(_ls_kraus(), rho),
-        lambda rho: _ref_dilation(ch.ls_stinespring(), rho),
+        lambda rho: _ref_dilation(ch.ls_dilation_matrix(), rho, system_first=True),
         lambda rho: ch.apply_channel(ch.ChannelRep(ch.superop_from_choi(omega_ls)), rho),
     ]
     forms_wh = [
         lambda rho: ch.apply_channel(ch.ChannelRep.analytic("wh"), rho),
         lambda rho: _ref_kraus(_wh_kraus(), rho),
-        lambda rho: _ref_dilation(ch.wh_stinespring(), rho),
+        lambda rho: _ref_dilation(ch.wh_dilation_matrix(), rho, system_first=False),
         lambda rho: ch.apply_channel(ch.ChannelRep(ch.superop_from_choi(omega_wh)), rho),
     ]
     for forms, oracle in ((forms_ls, ch.ls_apply), (forms_wh, ch.wh_apply)):
@@ -254,27 +255,6 @@ def test_kraus_rank_three_flat_spectrum():
         assert np.abs(w[3:]).max() < 1e-9
 
 
-def test_stinespring_dilation_checks_its_matrices():
-    built = [(ch.ls_stinespring(), ch.ls_dilation_matrix(), ch.Ordering.SYSTEM_FIRST),
-             (ch.wh_stinespring(), ch.wh_dilation_matrix(), ch.Ordering.ENV_FIRST)]
-    for dil, u, ordering in built:
-        assert np.array_equal(dil.u, u) and dil.ordering is ordering
-        assert np.array_equal(dil.rho_env, proj(0))
-    u = ch.ls_dilation_matrix()
-    # a mixed environment is a state
-    ch.StinespringDilation(u, I3 / 3, ch.Ordering.SYSTEM_FIRST)
-    bad = [
-        (2 * u, proj(0)),                          # 9x9, not unitary
-        (np.eye(4, dtype=complex), proj(0)),       # unitary, not 9x9
-        (u, I3),                                   # trace 3
-        (u, np.diag([2.0, -1.0, 0.0])),            # not PSD
-        (u, np.eye(2) / 2),                        # a qubit state
-    ]
-    for u_bad, env in bad:
-        with pytest.raises(ValueError):
-            ch.StinespringDilation(u_bad, env, ch.Ordering.SYSTEM_FIRST)
-
-
 def test_superop_matches_per_kind_formulas_off_states():
     rng = np.random.default_rng(12)
     ls, wh = ch.ChannelRep.analytic("ls"), ch.ChannelRep.analytic("wh")
@@ -285,8 +265,8 @@ def test_superop_matches_per_kind_formulas_off_states():
         (ch.ChannelRep.analytic("id"), lambda m: m),
         (ls, lambda m: _ref_kraus(_ls_kraus(), m)),
         (wh, lambda m: _ref_kraus(_wh_kraus(), m)),
-        (ls, lambda m: _ref_dilation(ch.ls_stinespring(), m)),
-        (wh, lambda m: _ref_dilation(ch.wh_stinespring(), m)),
+        (ls, lambda m: _ref_dilation(ch.ls_dilation_matrix(), m, system_first=True)),
+        (wh, lambda m: _ref_dilation(ch.wh_dilation_matrix(), m, system_first=False)),
         (ch.ChannelRep(ch.superop_from_choi(omega_ls)), lambda m: _ref_choi(omega_ls, m)),
         (ch.ChannelRep(ch.superop_from_choi(omega_wh)), lambda m: _ref_choi(omega_wh, m)),
     ]

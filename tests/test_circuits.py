@@ -654,7 +654,8 @@ def test_effect_tensor_matches_two_qubit_density_reference(noise):
 def test_sampling_shots_bounded_by_int64():
     p = np.ones((1, 4)) / 4
     rng = np.random.default_rng(0)
-    for bad in (-1, 2 ** 63, 2 ** 64):
+    # a multinomial would truncate a fractional count (0.5 draws nothing)
+    for bad in (-1, 2 ** 63, 2 ** 64, 0.5, 2.5, 7.9, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="shots"):
             cc.sample_table(p, bad, rng)
         with pytest.raises(ValueError, match="shots"):
@@ -662,6 +663,11 @@ def test_sampling_shots_bounded_by_int64():
     with pytest.raises(ValueError, match="shots"):
         cc.sample_counts(np.ones(4) / 2, 0, 0)
     assert cc.sample_table(cc.apply_readout(p, 0.01), cc.MAX_SHOTS, rng).sum() == cc.MAX_SHOTS
+    for shots in (np.int64(7), np.uint8(7)):  # numpy integers are shot counts
+        assert np.array_equal(cc.sample_table(p, shots, np.random.default_rng(1)),
+                              cc.sample_table(p, 7, np.random.default_rng(1)))
+        assert np.array_equal(cc.sample_counts(np.ones(4) / 2, shots, 1),
+                              cc.sample_counts(np.ones(4) / 2, 7, 1))
 
 
 # --- stacks: one batched call against per-input calls ------------------------

@@ -21,8 +21,8 @@ def test_quasi_toffoli_matrix_entries():
 
 def test_quasi_toffoli_circuits_match_matrix():
     m = dc.quasi_toffoli_matrix()
-    ua = cc.unitary_of(dc.quasi_toffoli_circuit(dc.QuasiToffoliVariant("a")))
-    ub = cc.unitary_of(dc.quasi_toffoli_circuit(dc.QuasiToffoliVariant("b")))
+    ua = cc.unitary_of(dc.quasi_toffoli_circuit("a"))
+    ub = cc.unitary_of(dc.quasi_toffoli_circuit("b"))
     assert la.equal_up_to_global_phase(ua, m, 1e-12)
     assert la.equal_up_to_global_phase(ub, m, 1e-12)
     assert la.equal_up_to_global_phase(ua, ub, 1e-12)
@@ -30,11 +30,14 @@ def test_quasi_toffoli_circuits_match_matrix():
 
 
 def test_quasi_toffoli_cnot_count():
-    ca = dc.quasi_toffoli_circuit(dc.QuasiToffoliVariant("a"))
-    cb = dc.quasi_toffoli_circuit(dc.QuasiToffoliVariant("b"))
+    ca = dc.quasi_toffoli_circuit("a")
+    cb = dc.quasi_toffoli_circuit("b")
     assert ca.cnot_count() < 6  # cheaper than the 6-CNOT Toffoli decomposition
     assert ca.cnot_count() == cb.cnot_count() == 3  # provably minimal here
     assert ca.gates != cb.gates
+    for bad in ("c", "A", None):  # no silent fallback to variant b
+        with pytest.raises(ValueError, match="variant"):
+            dc.quasi_toffoli_gates(0, 1, 2, bad)
 
 
 def test_w_tilde_matrix():
@@ -98,7 +101,7 @@ def test_s_permutation_is_signed_permutation():
 def test_s_times_embedded_unitary_has_factorized_pattern():
     for k in (1, 2, 3, 4):
         s = cc.unitary_of(dc.s_permutation_circuit(dc.SConfig(k)))
-        u_tilde = dc.wh_embedded_unitary(dc.SConfig(k))
+        u_tilde = cc.unitary_of(dc.wh_channel_circuit(dc.SConfig(k)))
         t = dc.s_config_unitary(dc.SConfig(k))
         assert np.abs(np.abs(s @ u_tilde) - np.abs(t)).max() < 1e-9
 

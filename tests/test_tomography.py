@@ -416,7 +416,7 @@ def test_collect_checks_before_simulating():
 
 
 @pytest.mark.parametrize("noise", [cc.NoiseConfig(), cc.NoiseConfig(p2=0.05)])
-@pytest.mark.parametrize("bad", [(0, 0), (5,), (-1,), ()])
+@pytest.mark.parametrize("bad", [(0, 0), (5,), (-1,), (), (True, 0), (0.0, 1.0)])
 def test_collect_rejects_bad_measure_qubits_on_both_paths(noise, bad):
     # checked once, before the state-vector or the density path is picked
     c = cc.Circuit(2, [("h", (), (0,)), ("cnot", (), (0, 1))])
@@ -470,11 +470,14 @@ def test_estimate_of_direct_tables_draws_input_one_stream(shots, noise):
 
 def test_seed_is_validated_and_not_masked():
     c = cc.Circuit(2, [("h", (), (0,)), ("h", (), (1,))])
-    for bad in (-1, -2 ** 63):
+    exact = tg.collect(c, 0, 0).table[None]
+    for bad in (-1, -2 ** 63, True, 2.5):
         with pytest.raises(ValueError, match="seed"):
             tg.collect(c, 100, bad)
         with pytest.raises(ValueError, match="seed"):
             cc.sample_counts(np.ones(4) / 2, 100, bad)
+        with pytest.raises(ValueError, match="seed"):
+            cj.estimate(exact, 100, bad)
     with pytest.raises(ValueError, match="seed"):  # checked before simulating
         tg.collect(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), 10, -1)
     # seeds equal modulo 2^63 draw different streams
@@ -484,13 +487,18 @@ def test_seed_is_validated_and_not_masked():
 
 def test_shots_are_bounded_by_int64():
     c = cc.Circuit(2, [("h", (), (0,))])
-    for bad in (-1, 2 ** 63, 2 ** 64):
+    # a fractional count would be truncated by the multinomial, True read as 1
+    for bad in (-1, 2 ** 63, 2 ** 64, 2.5, 7.9, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="shots"):  # checked before simulating
             tg.collect(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), bad, 0)
         with pytest.raises(ValueError, match="shots"):
             tg.collect(c, bad, 0)
+        with pytest.raises(ValueError, match="shots"):
+            cj.choi_direct(dc.ls_channel_circuit(), bad, 0)
     rec = tg.collect(c, cc.MAX_SHOTS, 0)
     assert (rec.table.sum(axis=1) == cc.MAX_SHOTS).all()
+    rec = tg.collect(c, np.int64(8), 3)  # numpy integers are shot counts
+    assert type(rec.shots) is int and np.array_equal(rec.table, tg.collect(c, 8, 3).table)
 
 
 def _mixed_pair():
