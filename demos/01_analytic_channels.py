@@ -38,12 +38,12 @@ print("9x9 dilation unitary within:",
       np.abs(la.dagger(u) @ u - np.eye(9)).max())
 env = np.zeros((3, 3), dtype=complex)
 env[0, 0] = 1
-full = u @ la.kron(rho, env) @ la.dagger(u)
+full = u @ np.kron(rho, env) @ la.dagger(u)
 out = la.partial_trace(full, [3, 3], [0])
 print("dilation vs analytic:", np.abs(out - ch.ls_apply(rho)).max())
 
 u_wh = ch.wh_dilation_matrix()  # environment (x) system
-full = u_wh @ la.kron(env, rho) @ la.dagger(u_wh)
+full = u_wh @ np.kron(env, rho) @ la.dagger(u_wh)
 out = la.partial_trace(full, [3, 3], [1])
 print("completed dilation vs analytic:", np.abs(out - ch.wh_apply(rho)).max())
 

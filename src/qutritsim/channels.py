@@ -189,12 +189,3 @@ def choi_of(rep: ChannelRep) -> np.ndarray:
     d = rep.dim
     return rep.superop.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
 
-
-def is_cptp(rep: ChannelRep, atol: float = 1e-8) -> bool:
-    """Complete positivity (Choi PSD) and trace preservation (Tr_out = I/d)."""
-    omega = choi_of(rep)
-    if not la.is_psd(omega, atol):
-        return False
-    d = rep.dim
-    tr_out = la.partial_trace(omega, [d, d], [0])
-    return np.abs(tr_out - np.eye(d) / d).max() <= atol

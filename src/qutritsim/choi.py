@@ -235,9 +235,10 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
     factors, and return the 9x9 estimate (input (x) output ordering):
     direct_tables, estimate, then project_to_density.  With a layout and
     placement, the measured wires are the physical wires the placement
-    gives the ancilla and system pairs.  Shots are checked before anything
-    is simulated."""
+    gives the ancilla and system pairs.  Shots and seed are checked before
+    anything is simulated."""
     check_shots(shots)
+    check_seed(seed)
     states, _ = estimate(direct_tables(channel_circuit, noise, layout, placement), shots, seed)
     return la.project_to_density(states[0])
 

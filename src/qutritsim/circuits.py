@@ -41,12 +41,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_stack
+from .linalg import as_stack, wire_index
 
 GATE_ARITY = {
     "u1": (1, 1), "u2": (2, 1), "u3": (3, 1),
@@ -70,8 +69,8 @@ class ResourceError(ValueError):
     """Register too large for the requested dense operation."""
 
 
-# Largest register a dense density path may simulate: a 10-qubit density is
-# 1024 x 1024 complex128, 16 MiB.
+# Largest register of any dense 2^n x 2^n array, a density or a unitary: at
+# 10 qubits one is 1024 x 1024 complex128, 16 MiB.
 MAX_DENSE_QUBITS = 10
 
 
@@ -81,19 +80,6 @@ def check_dense_register(n_qubits: int) -> None:
     if n_qubits > MAX_DENSE_QUBITS:
         raise ResourceError(f"{n_qubits}-qubit register is above the dense simulation "
                             f"budget of {MAX_DENSE_QUBITS} qubits")
-
-
-def wire_index(v, what: str = "a wire") -> int:
-    """v as a wire number or register size: an int or a numpy integer.  A
-    bool, a float (an integral one included) or anything else raises
-    ValueError naming ``what``, where int() would read 4.9 as wire 4 and
-    True as wire 1."""
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -254,10 +240,10 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary of a circuit (n <= 6): the circuit run once on
-    the batch of all 2^n basis columns."""
-    if c.n_qubits > 6:
-        raise ResourceError("unitary_of supports at most 6 qubits")
+    """Full 2^n x 2^n unitary of a circuit: the circuit run once on the
+    batch of all 2^n basis columns.  Registers above MAX_DENSE_QUBITS raise
+    ResourceError before anything is allocated."""
+    check_dense_register(c.n_qubits)
     d = 2 ** c.n_qubits
     return _run(c, np.eye(d, dtype=complex).reshape((2,) * c.n_qubits + (d,))).reshape(d, d)
 
@@ -403,13 +389,9 @@ def check_seed(seed) -> int:
 
 
 def _rng(seed) -> np.random.Generator:
-    """PCG64 seeded through SeedSequence.  ``seed`` is a non-negative int
-    (check_seed), used unmasked as SeedSequence(seed), or a SeedSequence
-    such as a spawned child; distinct seeds or spawn keys give independent
-    streams."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(check_seed(seed))
-    return np.random.default_rng(seed)
+    """PCG64 seeded through SeedSequence(seed), seed a non-negative int
+    (check_seed) used unmasked; distinct seeds give independent streams."""
+    return np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
 
 
 # Counts are int64, so a table holds at most 2^63 - 1 shots.

@@ -158,7 +158,7 @@ def route_circuit(c: Circuit, cmap: CouplingMap, placement=None) -> Circuit:
     ``placement`` optionally maps logical wires to physical qubits, as a dict
     or a sequence indexed by wire (default: identity), checked up front:
     each logical wire, an integer key, must sit on its own qubit of the map,
-    an integer value (circuits.wire_index: no float, no bool), else
+    an integer value (linalg.wire_index: no float, no bool), else
     RoutingError.
     Single-qubit gates are always legal.  The output acts on the map's full
     register; its unitary equals the input's (tensored with identity on

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate, simulate_state
-from .linalg import kron_all
 
 _S2 = math.sqrt(2.0)
 _I2 = np.eye(2, dtype=complex)
@@ -149,7 +148,7 @@ def s_config_unitary(cfg: SConfig) -> np.ndarray:
     """The factorized 16x16 one-qubit-gate tensor product S_k applied to the
     embedded channel unitary collapses to (first factor on the top
     environment wire, identity, sx, and a +/- ry(pi) rotation)."""
-    return kron_all(*_S_FACTORS[cfg.k])
+    return functools.reduce(np.kron, _S_FACTORS[cfg.k])
 
 
 def _one_qubit_layer_gates(cfg: SConfig) -> list:

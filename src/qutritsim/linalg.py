@@ -1,16 +1,18 @@
 """Dense complex linear algebra primitives shared by the whole package.
 
 All matrices are plain ``numpy.ndarray`` of dtype complex128, row-major.
-Dimensions in this package never exceed 64x64, so everything is dense and
-exact to double precision.  ``partial_trace``, ``dagger``, ``is_hermitian``,
-``is_psd``, ``hermitian_eig``, ``sqrtm_psd``, ``density_spectrum`` and
-``project_to_density`` also take a stack ``(..., d, d)`` and work on each
-matrix of it; a 2-D input is the stack with no leading axes.
+Registers stay within circuits.MAX_DENSE_QUBITS, so everything is dense
+and exact to double precision.  ``partial_trace``, ``dagger``,
+``is_hermitian``, ``is_psd``, ``hermitian_eig``, ``sqrtm_psd``,
+``density_spectrum`` and ``project_to_density`` also take a stack
+``(..., d, d)`` and work on each matrix of it; a 2-D input is the stack
+with no leading axes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -44,35 +46,24 @@ def as_matrix(m) -> np.ndarray:
     return as_stack(a)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (i1*br+i2, j1*bc+j2) = a[i1,j1] b[i2,j2]."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def kron_all(*ops) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left factor most significant."""
-    out = as_matrix(ops[0])
-    for o in ops[1:]:
-        out = np.kron(out, as_matrix(o))
-    return out
-
-
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out all subsystems not in ``keep``, of a matrix or of each
     matrix of a stack.
 
-    ``dims`` lists the subsystem dimensions (product must match m); ``keep``
-    is an ordered collection of subsystem indices.  The result's factors
-    appear in ``keep`` order, so this doubles as a subsystem reordering.
+    ``dims`` lists the positive subsystem dimensions (product must match
+    m); ``keep`` is an ordered collection of subsystem indices.  Both are
+    integers (wire_index): a float or a bool raises ValueError.  The
+    result's factors appear in ``keep`` order, so this doubles as a
+    subsystem reordering.
     """
     m = as_stack(m)
-    dims = [int(d) for d in dims]
+    dims = [wire_index(d, "a subsystem dimension") for d in dims]
     n = len(dims)
     if m.shape[-2] != m.shape[-1]:
         raise ShapeError("partial_trace needs a square matrix")
-    if math.prod(dims) != m.shape[-1]:
-        raise ShapeError(f"dims {dims} do not multiply to {m.shape[-1]}")
-    keep = [int(k) for k in keep]
+    if math.prod(dims) != m.shape[-1] or any(d < 1 for d in dims):
+        raise ShapeError(f"dims {dims} are not positive sizes multiplying to {m.shape[-1]}")
+    keep = [wire_index(k, "a subsystem index") for k in keep]
     if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
         raise ShapeError(f"bad keep set {keep} for {n} subsystems")
     batch = m.shape[:-2]
@@ -220,6 +211,19 @@ def json_int(v) -> int:
     if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
         raise ValueError(f"expected a JSON integer, got {v!r}")
     return int(v)
+
+
+def wire_index(v, what: str = "a wire") -> int:
+    """v as a wire number, register size or subsystem index: an int or a
+    numpy integer.  A bool, a float (an integral one included) or anything
+    else raises ValueError naming ``what``, where int() would read 4.9 as
+    wire 4 and True as wire 1."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import linalg as la
 from .circuits import (Circuit, Gate, NoiseConfig, _rng, apply_readout, check_dense_register,
-                       check_shots, gate_superops, normalize_probabilities, sample_table,
-                       simulate_density, simulate_state, wire_index)
+                       check_seed, check_shots, gate_superops, normalize_probabilities,
+                       sample_table, simulate_density, simulate_state)
 
 BASES = ("Z", "X", "Y")
 
@@ -76,12 +76,11 @@ class TomographyRecord:
     table[r] is the outcome row of settings_for(k)[r] over the 2^k
     bitstrings (qubit 0 the most significant bit): int counts summing to
     shots, or at shots = 0 float probabilities.  It was drawn from the one
-    generator of SeedSequence(seed, spawn_key=spawn_key).
+    generator of SeedSequence(seed).
     """
     table: np.ndarray
     shots: int
     seed: int
-    spawn_key: tuple = ()
 
     @property
     def settings(self) -> list:
@@ -124,23 +123,6 @@ def _effect_tensor(noise: NoiseConfig) -> np.ndarray:
     return e
 
 
-def _reduced_states(psi: np.ndarray, measure: tuple) -> np.ndarray:
-    """Reduced density matrices of the measured qubits of a stack of states
-    (B, 2^n), without a 2^n x 2^n matrix: the outer products of the measured
-    amplitudes, one per setting of the unmeasured qubits, summed over those
-    settings in the order partial_trace uses (last qubit first).  Equal bit
-    for bit to partial_trace of the full density."""
-    n = int(round(math.log2(psi.shape[-1])))
-    traced = [q for q in range(n) if q not in measure]
-    amps = psi.reshape((-1,) + (2,) * n).transpose(
-        [0] + [1 + q for q in traced] + [1 + q for q in measure])
-    amps = amps.reshape(amps.shape[:1 + len(traced)] + (2 ** len(measure),))
-    t = amps[..., :, None] * amps.conj()[..., None, :]
-    for _ in traced:
-        t = t[..., 0, :, :] + t[..., 1, :, :]
-    return t
-
-
 def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
                     measure_qubits=None) -> np.ndarray:
     """Reduced density matrices (B, 2^k, 2^k) of the measured qubits after
@@ -149,20 +131,20 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
     Input b is |0...0> on c's register run through the prep circuit
     preps[b] (None: no prep), with the same noise as c.  This is the one
     place the gate-noise decision is made: without gate noise (p1 = p2 =
-    gamma = 0) the stack runs as state vectors and the reduced states are
-    read straight from the amplitudes; with gate noise it runs as densities
-    (simulate_density).  Readout error never touches the state:
-    outcome_tables applies it to the exact table.  A register above
-    circuits.MAX_DENSE_QUBITS raises ResourceError on both paths, and
-    measure_qubits (default: every qubit) that are not non-empty, distinct
-    integer wires (circuits.wire_index) of the register raise ValueError,
-    before anything is allocated.
+    gamma = 0) the stack runs as state vectors (simulate_state), whose
+    outer products |psi><psi| form the density stack; with gate noise it
+    runs as densities (simulate_density).  Both end in one partial_trace.
+    Readout error never touches the state: outcome_tables applies it to the
+    exact table.  A register above circuits.MAX_DENSE_QUBITS raises
+    ResourceError on both paths, and measure_qubits (default: every qubit)
+    that are not non-empty, distinct integer wires (linalg.wire_index) of
+    the register raise ValueError, before anything is allocated.
     """
     n = c.n_qubits
     check_dense_register(n)
     given = tuple(measure_qubits) if measure_qubits is not None else tuple(range(n))
     try:
-        measure = tuple(wire_index(q) for q in given)
+        measure = tuple(la.wire_index(q) for q in given)
     except ValueError:
         measure = ()
     if not measure or len(set(measure)) != len(measure) or not all(0 <= q < n for q in measure):
@@ -172,10 +154,13 @@ def measured_states(c: Circuit, preps, noise: NoiseConfig = NoiseConfig(),
     zero[0] = 1.0
     if noise.p1 == noise.p2 == noise.gamma == 0.0:
         inputs = [zero if p is None else simulate_state(p, zero) for p in preps]
-        return _reduced_states(simulate_state(c, np.stack(inputs)), measure)
-    rho0 = np.outer(zero, zero)
-    inputs = [rho0 if p is None else simulate_density(p, rho0, noise) for p in preps]
-    return la.partial_trace(simulate_density(c, np.stack(inputs), noise), [2] * n, measure)
+        psi = simulate_state(c, np.stack(inputs))
+        rho = psi[:, :, None] * psi.conj()[:, None, :]
+    else:
+        rho0 = np.outer(zero, zero)
+        inputs = [rho0 if p is None else simulate_density(p, rho0, noise) for p in preps]
+        rho = simulate_density(c, np.stack(inputs), noise)
+    return la.partial_trace(rho, [2] * n, measure)
 
 
 def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
@@ -212,16 +197,13 @@ def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
     counts, the infinite-shot limit of a sampled table.
 
     The whole (3^k, 2^k) table is drawn from one generator seeded by seed
-    (a non-negative int or a SeedSequence), settings in settings_for
-    order, so distinct seeds give independent tables.  Shots and seed are
-    checked before anything is simulated.
+    (a non-negative int, circuits._rng), settings in settings_for order, so
+    distinct seeds give independent tables.  Shots and seed are checked
+    before anything is simulated.
     """
-    shots = check_shots(shots)
-    rng = _rng(seed)
+    shots, seed = check_shots(shots), check_seed(seed)
     tables = outcome_tables(measured_states(c, [None], noise, measure_qubits), noise)
-    seq = rng.bit_generator.seed_seq
-    return TomographyRecord(sample_table(tables[0], shots, rng), shots, seq.entropy,
-                            seq.spawn_key)
+    return TomographyRecord(sample_table(tables[0], shots, _rng(seed)), shots, seed)
 
 
 def _linear_inversion(tables) -> np.ndarray:

@@ -41,7 +41,7 @@ def check_dilation_reproduces_channel():
     u, env = ch.ls_dilation_matrix(), np.diag([1.0, 0.0, 0.0])  # system (x) env
     worst = 0.0
     for rho in _inputs(np.random.default_rng(0), 20):
-        full = u @ la.kron(rho, env) @ la.dagger(u)
+        full = u @ np.kron(rho, env) @ la.dagger(u)
         out = la.partial_trace(full, [3, 3], [0])
         worst = max(worst, np.abs(out - ch.ls_apply(rho)).max())
     return "spin1_dilation_channel", worst < 1e-10, f"max dev {worst:.2e}"

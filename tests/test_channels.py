@@ -159,11 +159,11 @@ def test_ls_stinespring_reproduces_channel():
     env = np.zeros((3, 3)); env[0, 0] = 1
     rng = np.random.default_rng(21)
     for rho in basis_states() + [rand_density(rng) for _ in range(20)]:
-        full = u @ la.kron(rho, env) @ la.dagger(u)
+        full = u @ np.kron(rho, env) @ la.dagger(u)
         out = la.partial_trace(full, [3, 3], [0])
         assert np.abs(out - ch.ls_apply(rho)).max() < 1e-10
     out0 = la.partial_trace(
-        u @ la.kron(proj(0), env) @ la.dagger(u), [3, 3], [0])
+        u @ np.kron(proj(0), env) @ la.dagger(u), [3, 3], [0])
     assert np.abs(out0 - np.diag([0.5, 0.5, 0.0])).max() < 1e-12
 
 
@@ -183,11 +183,11 @@ def test_wh_stinespring_reproduces_channel():
     env = np.zeros((3, 3)); env[0, 0] = 1
     rng = np.random.default_rng(22)
     for rho in basis_states() + [rand_density(rng) for _ in range(20)]:
-        full = u @ la.kron(env, rho) @ la.dagger(u)
+        full = u @ np.kron(env, rho) @ la.dagger(u)
         out = la.partial_trace(full, [3, 3], [1])
         assert np.abs(out - ch.wh_apply(rho)).max() < 1e-10
     out0 = la.partial_trace(
-        u @ la.kron(env, proj(0)) @ la.dagger(u), [3, 3], [1])
+        u @ np.kron(env, proj(0)) @ la.dagger(u), [3, 3], [1])
     assert np.abs(out0 - np.diag([0.0, 0.5, 0.5])).max() < 1e-12
 
 
@@ -230,21 +230,6 @@ def test_outputs_are_density_matrices():
             assert abs(np.trace(out) - 1) < 1e-12
             assert np.abs(out - out.conj().T).max() < 1e-12
             assert la.is_psd(out, 1e-10)
-
-
-def test_is_cptp():
-    assert ch.is_cptp(ch.ChannelRep.analytic("ls"))
-    assert ch.is_cptp(ch.ChannelRep.analytic("wh"))
-    assert ch.is_cptp(ch.ChannelRep.analytic("id"))
-    # transpose map: Choi = SWAP/3, not PSD
-    swap = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for k in range(3):
-            e = np.zeros((3, 3)); e[i, k] = 1
-            swap += np.kron(e, e.T)
-    assert not ch.is_cptp(ch.ChannelRep(ch.superop_from_choi(swap / 3)))
-    # twice the identity: Choi PSD, but Tr_out = 2 I/d
-    assert not ch.is_cptp(ch.ChannelRep(2 * ch.ChannelRep.analytic("id").superop))
 
 
 def test_kraus_rank_three_flat_spectrum():

@@ -12,6 +12,7 @@ from qutritsim import linalg as la
 from qutritsim import tomography as tg
 
 from test_channels import rand_density
+from test_cli import _count_simulations
 
 
 def brute_choi(apply_linear):
@@ -325,6 +326,18 @@ def test_choi_direct_rejects_placement_without_layout():
         cj.direct_tables(dc.wh_channel_circuit(), placement=placement)
     with pytest.raises(ValueError, match="layout"):
         cj.choi_direct(dc.wh_channel_circuit(), 0, 0, placement=placement)
+
+
+def test_choi_direct_checks_seed_before_simulating(monkeypatch):
+    # a bad seed is refused before the 6-qubit circuit is simulated, not by
+    # estimate after it
+    calls = _count_simulations(monkeypatch)
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            cj.choi_direct(dc.ls_channel_circuit(), 100, seed)
+    assert calls == []
+    cj.choi_direct(dc.ls_channel_circuit(), 100, 0)
+    assert calls
 
 
 @pytest.mark.parametrize("k, inputs", [(1, 9), (3, 9), (6, 1), (0, None), (1, None)])

