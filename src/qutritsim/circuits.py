@@ -89,12 +89,15 @@ class Gate:
     qubits: tuple = ()
 
     def __post_init__(self):
-        name = self.name.lower()
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "qubits", tuple(map(wire_index, self.qubits)))
+        name, params = self.name.lower(), tuple(self.params)
         if name not in GATE_ARITY:
             raise ValueError(f"unknown gate {name!r}")
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) and math.isfinite(p)
+                   for p in params):
+            raise ValueError(f"{name} angles must be finite real numbers, got {params!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", tuple(map(float, params)))
+        object.__setattr__(self, "qubits", tuple(map(wire_index, self.qubits)))
         n_par, n_q = GATE_ARITY[name]
         if len(self.params) != n_par:
             raise ValueError(f"{name} takes {n_par} params, got {len(self.params)}")
@@ -120,24 +123,19 @@ class Circuit:
         self.n_qubits = wire_index(self.n_qubits, "n_qubits")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        self.gates = [g if isinstance(g, Gate) else Gate(*g) for g in self.gates]
-        for g in self.gates:
-            self._check(g)
-
-    def _check(self, g: Gate):
-        if any(q >= self.n_qubits or q < 0 for q in g.qubits):
-            raise ValueError(f"gate {g} outside register of {self.n_qubits} qubits")
+        gates, self.gates = self.gates, []
+        self.extend(gates)
 
     def add(self, name, params=(), qubits=()):
-        g = Gate(name, tuple(params), tuple(qubits))
-        self._check(g)
-        self.gates.append(g)
-        return self
+        return self.extend([Gate(name, params, qubits)])
 
     def extend(self, gates):
+        """Append gates (or (name, params, qubits) tuples), each checked to
+        lie inside the register, else ValueError."""
         for g in gates:
             g = g if isinstance(g, Gate) else Gate(*g)
-            self._check(g)
+            if any(q >= self.n_qubits or q < 0 for q in g.qubits):
+                raise ValueError(f"gate {g} outside register of {self.n_qubits} qubits")
             self.gates.append(g)
         return self
 
@@ -146,21 +144,31 @@ class Circuit:
 
     def remapped(self, wires, n_qubits=None) -> "Circuit":
         """Copy with qubit i renamed to wires[i], on a possibly larger
-        register.  wires must name distinct qubits of that register, one
-        integer (wire_index) for each qubit of this circuit, else ValueError."""
+        register: wires is a placement (placed_wires) whose wires lie in
+        that register, else ValueError."""
         n = self.n_qubits if n_qubits is None else n_qubits
-        try:
-            phys = [wire_index(wires[q]) for q in range(self.n_qubits)]
-        except (IndexError, KeyError):
-            raise ValueError(f"wires {wires!r} do not name a wire for each of "
-                             f"{self.n_qubits} qubits") from None
-        if len(set(phys)) != len(phys):
-            raise ValueError(f"wires {phys} are not distinct")
+        phys = placed_wires(wires, self.n_qubits)
         if not all(0 <= w < n for w in phys):
             raise ValueError(f"wires {phys} outside register of {n} qubits")
         out = Circuit(n)
         out.gates = [g._on(tuple(phys[q] for q in g.qubits)) for g in self.gates]
         return out
+
+
+def placed_wires(wires, n: int) -> list:
+    """The physical wire of each of n logical wires under a placement, the
+    one placement rule of remapped and coupling.route_circuit: a sequence
+    indexed by logical wire or a dict keyed by it, every key and wire an
+    integer (wire_index), the keys exactly 0..n-1 and the wires distinct,
+    else ValueError.  Whether the wires fit a register is the caller's check."""
+    placed = {wire_index(q): wire_index(w)
+              for q, w in (wires.items() if isinstance(wires, dict) else enumerate(wires))}
+    if sorted(placed) != list(range(n)):
+        raise ValueError(f"wires {wires!r} do not cover every logical wire 0..{n - 1}")
+    phys = [placed[q] for q in range(n)]
+    if len(set(phys)) != n:
+        raise ValueError(f"wires {phys} are not injective")
+    return phys
 
 
 # Largest number of cached gate matrices, a memory budget: an entry is at

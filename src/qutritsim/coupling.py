@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .circuits import Circuit, Gate, wire_index
+from .circuits import Circuit, Gate, placed_wires, wire_index
 from .linalg import json_int
 
 
@@ -143,40 +143,23 @@ def _legal_cnot(c: int, t: int, cmap: CouplingMap) -> tuple:
     if not common:
         raise RoutingError(f"no common neighbour for CNOT ({c},{t})")
     m = common[0]
-    frag = []
-    for cc, tt in ((m, t), (c, m), (m, t), (c, m)):
-        if cmap.has(cc, tt):
-            frag.append(Gate("cnot", (), (cc, tt)))
-        else:
-            frag.extend(reverse_cnot(cc, tt))
-    return tuple(frag)
+    return sum((_legal_cnot(a, b, cmap) for a, b in ((m, t), (c, m), (m, t), (c, m))), ())
 
 
 def route_circuit(c: Circuit, cmap: CouplingMap, placement=None) -> Circuit:
     """Rewrite a circuit so every CNOT is a directed edge of the map.
 
-    ``placement`` optionally maps logical wires to physical qubits, as a dict
-    or a sequence indexed by wire (default: identity), checked up front:
-    each logical wire, an integer key, must sit on its own qubit of the map,
-    an integer value (linalg.wire_index: no float, no bool), else
-    RoutingError.
+    ``placement`` optionally places logical wires on physical qubits, as
+    circuits.placed_wires reads it (default: identity); a placement that
+    breaks its rule or leaves the map raises RoutingError up front.
     Single-qubit gates are always legal.  The output acts on the map's full
     register; its unitary equals the input's (tensored with identity on
     unused wires) exactly.
     """
-    if placement is None:
-        placement = {q: q for q in range(c.n_qubits)}
-    elif not isinstance(placement, dict):
-        placement = dict(enumerate(placement))
     try:
-        placement = {wire_index(q): wire_index(p) for q, p in placement.items()}
+        phys = placed_wires(range(c.n_qubits) if placement is None else placement, c.n_qubits)
     except ValueError as exc:
         raise RoutingError(f"placement: {exc}") from None
-    if sorted(placement) != list(range(c.n_qubits)):
-        raise RoutingError("placement must cover every logical wire")
-    phys = [placement[q] for q in range(c.n_qubits)]
-    if len(set(phys)) != c.n_qubits:
-        raise RoutingError("placement must be injective")
     for q, p in enumerate(phys):
         if not 0 <= p < cmap.n_qubits:
             fits = "" if c.n_qubits <= cmap.n_qubits else "; no placement fits"

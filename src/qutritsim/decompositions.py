@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, simulate_state
+from .circuits import Circuit, Gate, simulate_state, wire_index
 
 _S2 = math.sqrt(2.0)
 _I2 = np.eye(2, dtype=complex)
@@ -106,7 +106,7 @@ class SConfig:
     k: int = 4
 
     def __post_init__(self):
-        if self.k not in (1, 2, 3, 4):
+        if wire_index(self.k, "configuration index k") not in (1, 2, 3, 4):
             raise ValueError("configuration index must be 1..4")
 
 
@@ -201,7 +201,7 @@ def prep_basis_circuit(i: int) -> Circuit:
     """2-qubit circuit preparing the i-th rank-1 input state from |00>,
     i = 1..9: three basis kets, three (+) superpositions, three (+i)
     superpositions, in the fixed pair order (0,1), (0,2), (1,2)."""
-    if i not in _PREP_GATES:
+    if (i := wire_index(i, "state index i")) not in _PREP_GATES:
         raise ValueError("state index must be 1..9")
     return Circuit(2, list(_PREP_GATES[i]))
 
@@ -220,7 +220,7 @@ def _basis_states() -> np.ndarray:
 
 def basis_density(i: int) -> np.ndarray:
     """The 3x3 density matrix rho_i of the i-th input state (a copy)."""
-    if i not in _PREP_GATES:
+    if (i := wire_index(i, "state index i")) not in _PREP_GATES:
         raise ValueError("state index must be 1..9")
     return _basis_states()[i - 1].copy()
 

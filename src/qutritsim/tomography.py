@@ -292,7 +292,7 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     from .choi import channel_from_choi
     from .decompositions import basis_density
 
-    if not 2 <= grid <= MAX_SWEEP_GRID:
+    if not 2 <= la.wire_index(grid, "grid") <= MAX_SWEEP_GRID:
         raise ValueError(f"grid must be in [2, {MAX_SWEEP_GRID}]")
     rho_a, rho_b = basis_density(a), basis_density(b)
     got_a, got_b = channel_from_choi(omega, rho_a), channel_from_choi(omega, rho_b)

@@ -23,6 +23,14 @@ def test_gate_validation():
         cc.Gate("frobnicate", (), (0,))
     with pytest.raises(ValueError):
         cc.Circuit(2, [("x", (), (5,))])     # out of register
+    for bad in ("1.5", True, np.True_, math.nan, math.inf, -np.inf, 1j, None):
+        # "1.5" and True were read as 1.5 and 1.0; a NaN angle made a NaN unitary
+        with pytest.raises(ValueError, match="u1 angles must be finite real numbers"):
+            cc.Gate("u1", (bad,), (0,))
+        with pytest.raises(ValueError, match="u3 angles must be finite real numbers"):
+            cc.Circuit(1).add("u3", (0.1, bad, 0.2), (0,))
+    g = cc.Gate("u2", (np.float32(0.5), np.int64(2)), (0,))
+    assert g.params == (0.5, 2.0) and all(type(p) is float for p in g.params)
 
 
 def test_gate_matrix_u3_quarter_rotation():
@@ -216,9 +224,11 @@ def test_circuit_remap():
 
 
 @pytest.mark.parametrize("wires, n", [([0, 0], 2), ([1], 2), ([0, 2], 2), ([-1, 0], 2),
-                                      ({0: 1}, 3)])
+                                      ({0: 1}, 3), ([2, 3, 0], 4), ({0.0: 2, True: 3}, 4),
+                                      ({0: 2, 1: 3, 7: 1}, 4)])
 def test_circuit_remap_rejects_bad_wires(wires, n):
-    # not injective, too short (list and dict), outside the new register
+    # not injective, too short (list and dict), outside the new register,
+    # too long, float and bool keys, an extra key (circuits.placed_wires)
     c = cc.Circuit(2, [("h", (), (0,)), ("x", (), (1,))])
     with pytest.raises(ValueError):
         c.remapped(wires, n)

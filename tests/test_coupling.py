@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutritsim import cli
 from qutritsim import coupling as cp
@@ -192,6 +194,57 @@ def test_numpy_integer_placements_route_as_ints():
             got = cp.route_circuit(c, m, p)
             assert got.gates == want.gates
             assert all(type(q) is int for g in got.gates for q in g.qubits)
+
+
+@st.composite
+def placements(draw):
+    """A random circuit of 2-4 wires, a valid placement of it on the 5
+    qubits of ibmqx4 and a variant of that placement: the same, or short,
+    long, repeated, negative, outside the map, with a float or bool entry,
+    or a dict with an extra key.  Both come as a list, tuple, dict or numpy
+    array (the extra key as a dict)."""
+    n = draw(st.integers(2, 4))
+    c = random_circuit(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n,
+                       draw(st.integers(0, 12)))
+    valid = list(draw(st.permutations(range(5)))[:n])
+    wires, j = list(valid), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["same", "short", "long", "repeated", "negative", "outside",
+                                 "float", "bool", "extra key"]))
+    if kind == "short":
+        wires = wires[:-1]
+    elif kind == "long":
+        wires.append(draw(st.integers(0, 4)))
+    elif kind not in ("same", "extra key"):
+        wires[j] = {"repeated": wires[j - 1], "negative": -1 - j, "outside": 5 + j,
+                    "float": draw(st.sampled_from([float(wires[j]), wires[j] + 0.5])),
+                    "bool": draw(st.booleans())}[kind]
+    form = draw(st.sampled_from([list, tuple, lambda w: dict(enumerate(w)), np.array]))
+    if kind == "extra key":
+        return c, form(valid), {**dict(enumerate(wires)), n + j: draw(st.integers(0, 4))}
+    return c, form(valid), form(wires)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(placements())
+def test_route_circuit_and_remapped_share_one_placement_rule(case):
+    # route_circuit rejects exactly the placements remapped rejects
+    # (circuits.placed_wires); where both accept, they agree on the unitary
+    c, valid, variant = case
+    m = cp.preset_map("ibmqx4")
+    for placement in (valid, variant):
+        try:
+            routed = cp.route_circuit(c, m, placement)
+        except cp.RoutingError:
+            routed = None
+        try:
+            ref = c.remapped(placement, m.n_qubits)
+        except ValueError:
+            ref = None
+        assert (routed is None) == (ref is None), placement
+        assert routed is not None or placement is not valid
+        if routed is not None:
+            assert cp.validate(routed, m) == []
+            assert la.equal_up_to_global_phase(cc.unitary_of(routed), cc.unitary_of(ref), 1e-9)
 
 
 def test_map_json_roundtrip(tmp_path):

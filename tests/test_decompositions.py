@@ -192,6 +192,20 @@ def test_basis_density_matches_published_inputs():
     assert np.abs(dc.basis_density(9) - r9).max() < 1e-12
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, np.float64(2), "2", None])
+def test_input_and_configuration_indices_must_be_integers(bad):
+    # basis_density(True) read input 1, basis_density(2.0) raised numpy's
+    # IndexError, prep_basis_circuit(2.0) built input 2 and SConfig(True) built 1
+    with pytest.raises(ValueError, match="state index i must be an integer"):
+        dc.basis_density(bad)
+    with pytest.raises(ValueError, match="state index i must be an integer"):
+        dc.prep_basis_circuit(bad)
+    with pytest.raises(ValueError, match="configuration index k must be an integer"):
+        dc.SConfig(bad)
+    assert np.array_equal(dc.basis_density(np.int64(2)), dc.basis_density(2))
+    assert [dc.SConfig(k).k for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
+
+
 def test_basis_states_are_fresh_copies():
     # the nine states are built once; a caller mutating its copy must not
     # change what the next caller gets

@@ -185,7 +185,7 @@ def test_error_shrinks_with_shots():
     assert mean_err(4096) > mean_err(262144)
 
 
-@pytest.mark.parametrize("grid", [1, tg.MAX_SWEEP_GRID + 1, 10 ** 12])
+@pytest.mark.parametrize("grid", [1, tg.MAX_SWEEP_GRID + 1, 10 ** 12, 101.0, np.float64(3.0)])
 def test_channel_fidelity_sweep_grid_bounded_before_allocating(grid):
     omega = ch.choi_of(ch.ChannelRep.analytic("wh"))
     tracemalloc.start()
