@@ -41,11 +41,18 @@ class SpinGenerators:
 
 
 def spin1_generators() -> SpinGenerators:
-    """The three spin-1 generator matrices (hbar = 1)."""
+    """The three spin-1 generator matrices (hbar = 1), fresh and writable
+    on each call."""
     jx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _S2
     jy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / _S2
     jz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     return SpinGenerators(jx, jy, jz)
+
+
+# the generators _ls_linear reads, built once and read-only
+_J = spin1_generators()
+for _a in (_J.jx, _J.jy, _J.jz):
+    _a.flags.writeable = False
 
 
 def _require_density(rho: np.ndarray, atol: float = 1e-8) -> np.ndarray:
@@ -64,7 +71,7 @@ def ls_apply(rho: np.ndarray) -> np.ndarray:
 
 
 def _ls_linear(m: np.ndarray) -> np.ndarray:
-    j = spin1_generators()
+    j = _J
     return (j.jx @ m @ j.jx + j.jy @ m @ j.jy + j.jz @ m @ j.jz) / 2.0
 
 

@@ -107,13 +107,18 @@ def choi_linear(channel_on_basis) -> np.ndarray:
     one contraction of COEFFICIENTS with the stack of the nine outputs."""
     if len(channel_on_basis) != 9:
         raise ValueError("choi_linear needs exactly nine output matrices")
-    if any(np.shape(m) != (3, 3) for m in channel_on_basis):
+    try:
+        outs = np.asarray(channel_on_basis, dtype=complex)
+    except ValueError as exc:  # members of different shapes, or not numbers
+        raise la.ShapeError(f"each output must be a 3x3 matrix: {exc}") from exc
+    if outs.shape != (9, 3, 3):
         raise la.ShapeError("each output must be 3x3")
-    outs = la.as_stack(channel_on_basis)
-    if np.abs(np.trace(outs, axis1=1, axis2=2) - 1).max() > 1e-6:
+    outs = la.as_stack(outs)
+    if np.abs(outs.trace(axis1=1, axis2=2) - 1).max() > 1e-6:
         raise ValueError("outputs must have unit trace within 1e-6")
-    # blocks[3 i + j] = sum_k a_ij^k Phi(R_k), the (i, j) block of 3 Omega
-    blocks = np.tensordot(COEFFICIENTS, outs, axes=1)
+    # row 3 i + j = sum_k a_ij^k Phi(R_k), the (i, j) block of 3 Omega: the
+    # one np.dot that np.tensordot(COEFFICIENTS, outs, axes=1) builds
+    blocks = np.dot(COEFFICIENTS, outs.reshape(9, 9))
     return blocks.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9) / 3.0
 
 

@@ -151,7 +151,8 @@ class Circuit:
         if not all(0 <= w < n for w in phys):
             raise ValueError(f"wires {phys} outside register of {n} qubits")
         out = Circuit(n)
-        out.gates = [g._on(tuple(phys[q] for q in g.qubits)) for g in self.gates]
+        out.gates = [g._on((phys[g.qubits[0]], phys[g.qubits[1]]) if g.name == "cnot"
+                           else (phys[g.qubits[0]],)) for g in self.gates]
         return out
 
 

@@ -11,9 +11,11 @@ choi.direct_tables, and choi.estimate samples and reconstructs either.
 All outputs are JSON or CSV, deterministic given (config, seed).  A JSON
 output is one line, keys sorted, floats as repr (each parses back to the
 same double), finite values only; what it promises is its parsed value,
-not its bytes.  An existing output file is rewritten in place and cut to
-the new length (_write_output); a write that fails part way can leave a
-torn file, as truncating it first could.  Exit
+not its bytes.  Each output is encoded to bytes before its file is
+opened; the out directory is created only when it is missing, and an
+existing output file is rewritten in place and cut to the new length
+(_write_output); a write that fails part way can leave a torn file, as
+truncating it first could.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error (a
 reconstructed state with no weight in the qutrit subspace included) or a
 register above the dense simulation budget, 3 routing error.  An input
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import stat
@@ -77,7 +80,8 @@ def _outcome_table(channel, method, layout, noise) -> np.ndarray:
     method "linear" (also behind apply --method circuit) is the (9, 9, 4)
     table of choi.linear_tables, "direct" the (1, 81, 16) table of
     choi.direct_tables.  noise is the NoiseConfig that _merge_config resolved
-    (NoiseConfig() for None or "zero"), so every noiseless item shares one entry.
+    (one shared NoiseConfig() for None or "zero"), so every noiseless item
+    shares one entry.
     """
     return {"linear": cj.linear_tables, "direct": cj.direct_tables}[method](
         _CHANNEL_CIRCUITS[channel](), noise, layout)
@@ -103,9 +107,12 @@ def _read_json(path, what, parse):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+_NO_NOISE = cc.NoiseConfig()
+
+
 def _load_noise(spec) -> cc.NoiseConfig:
     if spec is None or spec == "zero":
-        return cc.NoiseConfig()
+        return _NO_NOISE
     return _read_json(spec, f"noise spec {spec!r}", lambda obj: cc.NoiseConfig(**obj))
 
 
@@ -166,11 +173,12 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-def _write_output(cfg, filename, write) -> str:
-    """Create the out directory, open filename in it and hand the file to
-    write; an out path that cannot hold it (an existing file, a path under
-    a file, a directory at the file's name, no permission, a NUL byte) is a
-    config error.  Returns the path.
+def _write_output(cfg, filename, data: bytes) -> str:
+    """Write data to filename in the out directory, creating the directory
+    only when opening the file finds it missing; an out path that cannot
+    hold it (an existing file, a path under a file, a directory at the
+    file's name, no permission, a NUL byte, a full device) is a config
+    error.  Returns the path.
 
     An existing file is rewritten in place and then cut to the new length,
     not truncated to zero first: on ext4 closing a file truncated to zero
@@ -179,12 +187,23 @@ def _write_output(cfg, filename, write) -> str:
     a device or a pipe at the path (/dev/null, a FIFO) is written, not cut.
     A write that fails part way can leave a torn file, as truncating could."""
     path = os.path.join(cfg["out"], filename)
+    flags = os.O_WRONLY | os.O_CREAT
     try:
-        os.makedirs(cfg["out"], exist_ok=True)
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
-            write(f)
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or pipe has no length
-                f.truncate()
+        try:
+            # an empty out names no directory: "" fails to open, and so
+            # does os.makedirs("")
+            fd = os.open(path if cfg["out"] else "", flags, 0o666)
+        except FileNotFoundError:
+            os.makedirs(cfg["out"], exist_ok=True)
+            fd = os.open(path, flags, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a device or pipe has no length
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     return path
@@ -198,7 +217,7 @@ def _write_json(cfg, filename, obj) -> str:
         text = json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ConfigError(f"cannot write {filename!r}: {exc}") from exc
-    return _write_output(cfg, filename, lambda f: f.write(text))
+    return _write_output(cfg, filename, text.encode())
 
 
 def _estimate(cfg, method):
@@ -263,7 +282,9 @@ def cmd_sweep(cfg) -> str:
             rows.append([a, b, f"{lo:.10f}", f"{hi:.10f}", f"{mean:.10f}"])
     overall = cj.analytic_fidelity(name, omega)
     rows.append(["choi", "choi", f"{overall:.10f}", f"{overall:.10f}", f"{overall:.10f}"])
-    return _write_output(cfg, f"sweep_{name}.csv", lambda f: csv.writer(f).writerows(rows))
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return _write_output(cfg, f"sweep_{name}.csv", buf.getvalue().encode())
 
 
 def cmd_verify(cfg) -> int:

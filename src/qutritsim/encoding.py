@@ -64,7 +64,7 @@ def _postselect(stack: np.ndarray, pairs: int):
     idx = _BLOCK_IDX[pairs]
     block = stack[:, idx[:, None], idx]
     weight = _traces(block)
-    if np.any(weight < POSTSELECT_ATOL):
+    if (weight < POSTSELECT_ATOL).any():
         raise DegenerateProjectionError("no weight left in the qutrit subspace" if pairs == 1
                                         else "no weight left in the qutrit x qutrit subspace")
     leakage = stack[:, 3, 3].real if pairs == 1 else _traces(stack) - weight

@@ -33,7 +33,7 @@ def as_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ShapeError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -116,11 +116,14 @@ def hermitian_eig(m: np.ndarray):
 
 def is_psd(m: np.ndarray, atol: float = ATOL) -> bool:
     """True iff Hermitian within atol and min eigenvalue >= -atol (for a
-    stack, every matrix)."""
-    if not is_hermitian(m, atol):
+    stack, every matrix): the eigenvalues of the Hermitian part only."""
+    m = as_stack(m)
+    if m.shape[-2] != m.shape[-1]:
         return False
-    w, _ = hermitian_eig(m)
-    return np.all(w[..., -1] >= -atol)
+    h = dagger(m)
+    if np.abs(m - h).max() > atol:
+        return False
+    return bool((np.linalg.eigvalsh((m + h) / 2)[..., 0] >= -atol).all())  # ascending
 
 
 def sqrtm_psd(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
@@ -157,12 +160,12 @@ def density_spectrum(m: np.ndarray):
     """
     w, v = hermitian_eig(m)
     d = w.shape[-1]
-    cum = np.cumsum(w, axis=-1)
-    cond = w - (cum - 1.0) / np.arange(1, d + 1) > 0
-    # k = 1 + the last index where cond holds; cond[..., 0] is always true
-    k = d - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
-    theta = (np.take_along_axis(cum, k - 1, axis=-1) - 1.0) / k
-    return np.clip(w - theta, 0.0, None), v
+    t = (w.cumsum(-1) - 1.0) / np.arange(1, d + 1)  # the threshold of each k
+    # theta is t at the last index where w > t, which index 0 always is
+    last = d - 1 - (w - t > 0)[..., ::-1].argmax(-1)
+    theta = t.reshape(-1)[last.reshape(-1) + np.arange(0, t.size, d)]
+    # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its dispatch
+    return np.maximum(w - theta.reshape(last.shape + (1,)), 0.0), v
 
 
 def project_to_density(m: np.ndarray) -> np.ndarray:

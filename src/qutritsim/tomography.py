@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
+from .channels import superop_from_choi
 from .circuits import (Circuit, Gate, NoiseConfig, _rng, apply_readout, check_dense_register,
                        check_seed, check_shots, gate_superops, normalize_probabilities,
                        sample_table, simulate_density, simulate_state)
@@ -99,9 +100,12 @@ def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
     batch, lead = t.shape[:nb], list(range(nb))
     pairs = [nb + a for q in range(k) for a in (q, k + q)]
     t = t.transpose(lead + pairs).reshape(batch + (m.shape[0],) * k)
+    last = lead + list(range(nb + 1, nb + k)) + [nb]  # the leading qubit's axis last
     for _ in range(k):
-        # contract the leading qubit, append its image at the end
-        t = np.tensordot(t, m, axes=([nb], [0]))
+        # contract the leading qubit, append its image at the end: the
+        # operands and the one np.dot that np.tensordot(t, m, ([nb], [0])) builds
+        t = np.dot(t.transpose(last).reshape(-1, m.shape[0]), m).reshape(
+            t.shape[:nb] + t.shape[nb + 1:] + m.shape[1:])
     return t.reshape(batch + out * k).transpose(
         lead + [nb + a for a in range(0, 2 * k, 2)] + [nb + a for a in range(1, 2 * k, 2)])
 
@@ -240,10 +244,10 @@ def _uhlmann(p: np.ndarray, v: np.ndarray, s2: np.ndarray):
     sqrt(s1) s2 sqrt(s1)."""
     root = np.sqrt(p)
     m = root[..., :, None] * (la.dagger(v) @ s2 @ v) * root[..., None, :]
-    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)  # ascending
+    w = np.maximum(np.linalg.eigvalsh(m), 0.0)  # ascending; np.clip(., 0.0, None)
     # zero out eigenvalue dust: sqrt turns O(eps) noise into O(sqrt(eps))
     w[w < w[..., -1:] * 1e-13] = 0.0
-    val = np.clip(np.sum(np.sqrt(w), axis=-1) ** 2, 0.0, 1.0)
+    val = np.clip(np.sqrt(w).sum(-1) ** 2, 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 
@@ -281,7 +285,8 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     only.  Both channels are linear, so every output along the segment is
     the same affine combination of the two endpoint outputs, and the whole
     grid is scored as one stack.  Returns (min, max, mean) of
-    fidelity(project_to_density(channel_from_choi(omega, rho)), reference(rho)).
+    fidelity(project_to_density(channel_from_choi(omega, rho)), reference(rho)),
+    with superop_from_choi(omega) built once for both endpoints.
 
     The fidelity is read in the eigenbasis the projection already has:
     _uhlmann of (p, v) = density_spectrum(got), and p >= 0 by construction,
@@ -289,13 +294,17 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     output raises ValueError and one not of the Choi output's shape
     ShapeError; both endpoint outputs are checked before the grid is built.
     """
-    from .choi import channel_from_choi
     from .decompositions import basis_density
 
     if not 2 <= la.wire_index(grid, "grid") <= MAX_SWEEP_GRID:
         raise ValueError(f"grid must be in [2, {MAX_SWEEP_GRID}]")
     rho_a, rho_b = basis_density(a), basis_density(b)
-    got_a, got_b = channel_from_choi(omega, rho_a), channel_from_choi(omega, rho_b)
+    # channel_from_choi of both endpoints, with one reshuffle of omega
+    superop = superop_from_choi(omega)
+    if superop.shape != (9, 9):
+        raise la.ShapeError(f"channel_fidelity_sweep expects a 9x9 Choi matrix, got shape "
+                            f"{superop.shape}")
+    got_a, got_b = ((superop @ rho.reshape(9)).reshape(3, 3) for rho in (rho_a, rho_b))
     # atleast_2d: a scalar or vector output's ShapeError names it as one row
     want_a, want_b = (la.as_stack(np.atleast_2d(reference(rho))) for rho in (rho_a, rho_b))
     for want in (want_a, want_b):

@@ -82,6 +82,19 @@ def test_spin1_generator_entries():
     assert abs(j.jy[1, 0] - 1j / np.sqrt(2)) < 1e-15
 
 
+def test_spin1_generators_are_fresh_and_writable():
+    # ls_apply reads one shared read-only triple; a caller's copy is its own
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    want = ch.ls_apply(rho)
+    j = ch.spin1_generators()
+    assert j.jx is not ch.spin1_generators().jx
+    for m in (j.jx, j.jy, j.jz):
+        assert m.flags.writeable
+        m[:] = 0
+    assert np.array_equal(ch.ls_apply(rho), want)
+    assert ch.spin1_generators().jz[0, 0] == 1
+
+
 def test_spin1_casimir_and_commutators():
     j = ch.spin1_generators()
     total = j.jx @ j.jx + j.jy @ j.jy + j.jz @ j.jz

@@ -183,6 +183,12 @@ def test_choi_linear_validation():
         cj.choi_linear([np.eye(3)] * 9)  # trace 3
     with pytest.raises(la.ShapeError):
         cj.choi_linear([np.eye(3) / 3] * 8 + [np.eye(4) / 4])
+    with pytest.raises(la.ShapeError):  # ragged: one member a vector
+        cj.choi_linear([np.eye(3) / 3] * 8 + [np.full(3, 1 / 3)])
+    with pytest.raises(la.ShapeError):  # every member 2x2
+        cj.choi_linear([np.eye(2) / 2] * 9)
+    with pytest.raises(ValueError, match="finite"):
+        cj.choi_linear([np.eye(3) / 3] * 8 + [np.diag([np.nan, 0, 0])])
 
 
 def test_analytic_choi_equals_kron_loop_exactly():

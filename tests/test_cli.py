@@ -1132,3 +1132,32 @@ def test_repeated_runs_leak_no_file_descriptors(tmp_path, monkeypatch):
         assert run(args) == code, args
     assert len(os.listdir("/proc/self/fd")) == before
     assert not any(nan.iterdir())
+
+
+# --- the out directory is created only when it is missing --------------------
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_out_directory_is_created_only_when_missing(tmp_path, monkeypatch, writer):
+    args, name = _writer_args(tmp_path, writer)
+    makedirs, made = os.makedirs, []
+
+    def spy(path, *a, **kw):
+        made.append(path)
+        return makedirs(path, *a, **kw)
+
+    monkeypatch.setattr(os, "makedirs", spy)
+    nested = tmp_path / "new" / "a" / "b"
+    assert run(args + ["--out", str(nested)]) == 0
+    assert made[0] == str(nested)  # makedirs then calls itself for each parent
+    want = (nested / name).read_bytes()
+    made.clear()
+    assert run(args + ["--out", str(nested)]) == 0  # the directory exists now
+    assert made == []
+    assert (nested / name).read_bytes() == want
+
+
+@pytest.mark.parametrize("command", ["apply", "choi"])
+def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--channel", "ls", "--out", ""]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert os.listdir(tmp_path) == []

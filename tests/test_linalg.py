@@ -166,6 +166,8 @@ def test_is_unitary():
 def test_is_psd():
     assert la.is_psd(I3 / 3)
     assert not la.is_psd(SZ)
+    assert not la.is_psd(np.ones((2, 3)))  # not square
+    assert not la.is_psd(np.array([[1, 1], [0, 1]]))  # not Hermitian
 
 
 def test_project_to_density_idempotent():
@@ -338,3 +340,106 @@ def test_sqrtm_psd_stack_rejects_like_2d(batch):
         skew[where] = np.array([[0, 1], [0, 0]])
         with pytest.raises(la.ShapeError):
             la.sqrtm_psd(skew)
+
+
+# --- density_spectrum and is_psd against the code they replace ---------------
+# _ref_density_spectrum reads theta with np.take_along_axis and clips with
+# np.clip; density_spectrum must give the same bits.  _ref_is_psd checks
+# Hermiticity and then takes a full eigh; is_psd reads eigenvalues only.
+
+
+def _ref_density_spectrum(m):
+    w, v = la.hermitian_eig(m)
+    d = w.shape[-1]
+    cum = np.cumsum(w, axis=-1)
+    cond = w - (cum - 1.0) / np.arange(1, d + 1) > 0
+    k = d - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    theta = (np.take_along_axis(cum, k - 1, axis=-1) - 1.0) / k
+    return np.clip(w - theta, 0.0, None), v
+
+
+def _ref_is_psd(m, atol=la.ATOL):
+    m = np.asarray(m, dtype=complex)
+    h = m.conj().swapaxes(-1, -2)
+    if m.shape[-2] != m.shape[-1] or np.abs(m - h).max() > atol:
+        return False
+    w, _ = np.linalg.eigh((m + h) / 2)
+    return bool(np.all(w[..., 0] >= -atol))
+
+
+def _random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+@st.composite
+def tied_spectrum_stacks(draw):
+    """(n, d, d) Hermitian stacks with tied and zero eigenvalues.  Each
+    matrix is one of: eigenvalues from a few values, diagonal or rotated;
+    a rotated flat rank-r state (eigenvalue r times 1/r); the projection of
+    a random Hermitian matrix.  The last two are trace-one and rank
+    deficient, their zero eigenvalues come back from eigh as dust of about
+    1e-17, and there the simplex threshold ties with a clipped eigenvalue."""
+    d = draw(st.integers(1, 9))
+    values = st.sampled_from([-0.5, -0.25, 0.0, 0.0, 0.125, 0.25, 1 / 3, 0.5, 1.0, 2.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["values", "flat", "projected"]))
+        u = _random_unitary(rng, d)
+        if kind == "projected":
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            out.append(_ref_project_to_density(g + g.conj().T))
+            continue
+        if kind == "flat":
+            r = draw(st.integers(1, d))
+            w = np.r_[np.full(r, 1 / r), np.zeros(d - r)]
+        else:
+            w = np.array(draw(st.lists(values, min_size=d, max_size=d)))
+            u = u if draw(st.booleans()) else np.eye(d)
+        out.append((u * w) @ u.conj().T)
+    return np.array(out)
+
+
+@_stack_property
+@given(stack=st.one_of(tied_spectrum_stacks(), hermitian_stacks()))
+def test_density_spectrum_equals_take_along_axis_version_bit_for_bit(stack):
+    for m in (stack, stack[0]):
+        p, v = la.density_spectrum(m)
+        p_ref, v_ref = _ref_density_spectrum(m)
+        assert p.shape == p_ref.shape and p.tobytes() == p_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
+
+@st.composite
+def psd_boundary_stacks(draw):
+    """(stack, atol): each matrix's lowest eigenvalue sits 1e-12 above or
+    below -atol, or the stack is a random Hermitian one, optionally with a
+    skew part near atol."""
+    atol = draw(st.sampled_from([la.ATOL, 1e-8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        stack = draw(hermitian_stacks())
+        skew = draw(st.sampled_from([0.0, 0.4 * atol, 2.5 * atol]))
+        noise = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+        return stack + skew * (noise - noise.conj().swapaxes(-1, -2)) / 2, atol
+    d = draw(st.integers(1, 9))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = rng.uniform(0.0, 1.0, d)
+        w[rng.integers(d)] = -atol + draw(st.sampled_from([-1e-12, 1e-12]))
+        u = _random_unitary(rng, d)
+        out.append((u * w) @ u.conj().T)
+    return np.array(out), atol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=psd_boundary_stacks())
+def test_is_psd_equals_full_eigh_reference(case):
+    stack, atol = case
+    got = la.is_psd(stack, atol)
+    assert type(got) is bool
+    assert got == _ref_is_psd(stack, atol)
+    assert got == all(la.is_psd(m, atol) for m in stack)
+    for m in stack:
+        assert la.is_psd(m, atol) == _ref_is_psd(m, atol)

@@ -688,3 +688,53 @@ def test_fidelity_stack_errors_match_2d(batch):
         tg.fidelity(good, good[..., :2, :2])
     with pytest.raises(la.ShapeError):
         tg.fidelity(good, np.broadcast_to(good, (5,) + good.shape))
+
+
+def _two_call_sweep(omega, reference, a, b, grid):
+    """channel_fidelity_sweep with one channel_from_choi per endpoint."""
+    rho_a, rho_b = dc.basis_density(a), dc.basis_density(b)
+    got_a, got_b = cj.channel_from_choi(omega, rho_a), cj.channel_from_choi(omega, rho_b)
+    want_a, want_b = (la.as_stack(np.atleast_2d(reference(rho))) for rho in (rho_a, rho_b))
+    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
+    p, v = la.density_spectrum(lam * got_a + (1 - lam) * got_b)
+    vals = tg._uhlmann(p, v, lam * want_a + (1 - lam) * want_b)
+    return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
+
+
+def test_channel_fidelity_sweep_equals_per_endpoint_channel_from_choi():
+    for key, (omega, reference) in _sweep_chois().items():
+        for a, b in ((1, 2), (3, 7), (9, 4)):
+            assert (tg.channel_fidelity_sweep(omega, reference, a, b, 11)
+                    == _two_call_sweep(omega, reference, a, b, 11)), (key, a, b)
+    for bad in (np.eye(4) / 4, np.eye(9)[:, :3] / 3):
+        with pytest.raises(la.ShapeError):
+            tg.channel_fidelity_sweep(bad, ch.ls_apply, 1, 2, 5)
+
+
+# --- _per_qubit against the np.tensordot loop it replaces --------------------
+def _ref_per_qubit(t, k, m, out):
+    nb = t.ndim - 2 * k
+    batch, lead = t.shape[:nb], list(range(nb))
+    pairs = [nb + a for q in range(k) for a in (q, k + q)]
+    t = t.transpose(lead + pairs).reshape(batch + (m.shape[0],) * k)
+    for _ in range(k):
+        t = np.tensordot(t, m, axes=([nb], [0]))
+    return t.reshape(batch + out * k).transpose(
+        lead + [nb + a for a in range(0, 2 * k, 2)] + [nb + a for a in range(1, 2 * k, 2)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_per_qubit_equals_tensordot_loop_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    noise = cc.NoiseConfig(p1=0.01, p2=0.05, gamma=0.02, readout_flip=0.03)
+    effect = tg._effect_tensor(noise).reshape(6, 4).T
+    cases = [  # (input axes per qubit, m, output pair): an outcome table, a state
+        ((3, 2), tg._ESTIMATOR, (2, 2)),
+        ((2, 2), effect, (3, 2)),
+    ]
+    for batch, ((x, y), m, out) in itertools.product(range(1, 10), cases):
+        shape = (batch,) + (x,) * k + (y,) * k
+        for t in (rng.uniform(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            got, want = tg._per_qubit(t, k, m, out), _ref_per_qubit(t, k, m, out)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
