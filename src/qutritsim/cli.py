@@ -1,32 +1,31 @@
 """Experiment driver: apply channels to the basis inputs, build Choi
 matrices, sweep pairwise fidelities, and run the invariant suite.
 
-_merge_config decides what a valid run is, for every subcommand alike: it
-checks each option and resolves --noise to a NoiseConfig and --coupling to
-a CouplingMap or None, so each cmd_* only reads the typed cfg.  The driver
+argv is a command and its flags, each --flag VALUE or --flag=VALUE under
+its exact name in one flag table, _FLAGS; the last of a repeated flag wins.
+_parse_argv splits it, and _merge_config decides what a valid run is, for
+every subcommand alike: it merges the flags over a --config file, checks
+each option and resolves --noise to a NoiseConfig and --coupling to a
+CouplingMap or None, so each cmd_* only reads the typed cfg.  The driver
 caches each configuration's exact outcome table; the experiments themselves
 (input preparation, routing and readout wires) are choi.linear_tables and
 choi.direct_tables, and choi.estimate samples and reconstructs either.
 
-All outputs are JSON or CSV, deterministic given (config, seed).  A JSON
-output is one line, keys sorted, floats as repr (each parses back to the
-same double), finite values only; what it promises is its parsed value,
-not its bytes.  Each output is encoded to bytes before its file is
-opened; the out directory is created only when it is missing, and an
-existing output file is rewritten in place and cut to the new length
-(_write_output); a write that fails part way can leave a torn file, as
-truncating it first could.  Exit
-codes: 0 success, 1 verification failure, 2 configuration error (a
-reconstructed state with no weight in the qutrit subspace included) or a
-register above the dense simulation budget, 3 routing error.  An input
-file over 64 KiB, not UTF-8, not JSON, or nested past the decoder's depth
-is a configuration error too: one reader, _read_json, reads all four.
-Every error is one stderr line of at most MAX_ERROR_CHARS characters.
+All outputs are JSON or CSV, deterministic given (config, seed), and
+written by _write_output.  A JSON output is one line, keys sorted, floats
+as repr (each parses back to the same double), finite values only; what it
+promises is its parsed value, not its bytes.  Exit codes: 0 success, 1
+verification failure, 2 configuration error (an argv that _parse_argv
+cannot read and a reconstructed state with no weight in the qutrit
+subspace included) or a register above the dense simulation budget, 3
+routing error.  An input file over 64 KiB, not UTF-8, not JSON, or nested
+past the decoder's depth is a configuration error too: one reader,
+_read_json, reads all four.  Every error is one stderr line of at most
+MAX_ERROR_CHARS characters.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -59,11 +58,10 @@ class ConfigError(ValueError):
 
 _ANALYTIC = {"ls": ch.ls_apply, "wh": ch.wh_apply, "id": lambda rho: rho.copy()}
 
-
 _CHANNEL_CIRCUITS = {"ls": dc.ls_channel_circuit, "wh": dc.wh_channel_circuit,
                      "id": lambda: cc.Circuit(4)}
 
-# Allowed values of each choice option, for the parser and a config file alike
+# Allowed values of each choice option, for _merge_config and --help
 _CHOICES = {"channel": tuple(_CHANNEL_CIRCUITS), "method": ("analytic", "circuit"),
             "choi_method": ("analytic", "linear", "direct")}
 
@@ -145,18 +143,16 @@ def _int_option(cfg, key, minimum, maximum) -> None:
 
 def _merge_config(args) -> dict:
     cfg = dict(_DEFAULTS)
-    if args.config is not None:
-        loaded = _read_json(args.config, "config file", lambda obj: obj)
+    config = args.pop("config", None)
+    if config is not None:
+        loaded = _read_json(config, "config file", lambda obj: obj)
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(loaded) - set(_DEFAULTS))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
         cfg.update(loaded)
-    for key in _DEFAULTS:
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
+    cfg.update(args)
     for key, allowed in _CHOICES.items():
         if cfg[key] not in allowed:
             raise ConfigError(f"unknown {key.replace('_', ' ')} {cfg[key]!r}")
@@ -296,31 +292,47 @@ def cmd_verify(cfg) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qutritsim",
-                                description="Qutrit channel experiments")
-    sub = p.add_subparsers(dest="command", required=True)
-    for command, text in (("apply", "channel outputs on the nine basis inputs"),
-                          ("choi", "Choi matrix construction"),
-                          ("sweep", "pairwise fidelity sweep from a Choi file"),
-                          ("verify", "run the invariant suite")):
-        sp = sub.add_parser(command, help=text)
-        for key, allowed in _CHOICES.items():
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, choices=allowed)
-        sp.add_argument("--shots", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--noise", help="noise JSON file or 'zero'")
-        sp.add_argument("--coupling", help="preset name or coupling JSON file")
-        sp.add_argument("--config", help="consolidated config JSON")
-        sp.add_argument("--out", help="output directory")
-        if command == "sweep":
-            sp.add_argument("--choi-file", dest="choi_file", help="Choi JSON input")
-            sp.add_argument("--grid", type=int, help="lambda grid size (default 101)")
-    return p
+# The flag table, {command: {--flag: config key}}: only sweep takes choi_file and grid
+_FLAGS = {command: {"--" + key.replace("_", "-"): key for key in (*_DEFAULTS, "config")
+                    if command == "sweep" or key not in ("choi_file", "grid")}
+          for command in ("apply", "choi", "sweep", "verify")}
 
 
-# parse_args leaves the parser as it was, so one parser serves every main()
-_parser = functools.cache(build_parser)
+def _help(command) -> str:
+    """The --help text of command, or of qutritsim for None, from the flag table."""
+    flags = [f"  {flag} {'{' + ','.join(_CHOICES[key]) + '}' if key in _CHOICES else key.upper()}"
+             for flag, key in _FLAGS.get(command, {}).items()] or ["COMMAND -h lists its flags"]
+    return "\n".join([f"usage: qutritsim {command or '{' + ','.join(_FLAGS) + '}'}"
+                      " [--FLAG VALUE | --FLAG=VALUE]...", "  -h, --help", *flags])
+
+
+def _parse_argv(argv):
+    """(command, {config key: value}) of argv, the dict None for -h or --help
+    (the command too, before a command).  A VALUE that looks like a flag ("-"
+    then a non-digit) is missing; int() converts shots, seed and grid."""
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _FLAGS:
+        raise ConfigError(f"command must be one of {', '.join(_FLAGS)}, got {command!r}")
+    flags, args, tokens = _FLAGS[command], {}, iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ConfigError(f"{command} does not take {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or len(value) > 1 and value[0] == "-" and not value[1].isdecimal():
+                raise ConfigError(f"{flag} needs a value")
+        key = flags[flag]
+        try:
+            args[key] = int(value) if key in ("shots", "seed", "grid") else value
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    return command, args
+
 
 # Longest error message printed.  Messages echo input values (a channel name,
 # a noise value, a key, a path) that may fill the whole 64 KiB input budget
@@ -337,12 +349,15 @@ def _fail(kind, exc, code) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        command, args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help(command))
+            return EXIT_OK
         cfg = _merge_config(args)
-        if args.command == "verify":
+        if command == "verify":
             return cmd_verify(cfg)
-        print({"apply": cmd_apply, "choi": cmd_choi, "sweep": cmd_sweep}[args.command](cfg))
+        print({"apply": cmd_apply, "choi": cmd_choi, "sweep": cmd_sweep}[command](cfg))
         return EXIT_OK
     except (ConfigError, enc.DegenerateProjectionError) as exc:
         return _fail("config", exc, EXIT_CONFIG)

@@ -437,3 +437,49 @@ def test_analytic_spectrum_is_read_only_and_independent_of_named_choi_copies():
         assert all(np.array_equal(got, exact) for got, exact in zip(again, want))
         omega = cj.named_choi("wh")
         assert cj.analytic_fidelity(name, omega) == cj.choi_fidelity(cj.named_choi(name), omega)
+
+
+# --- an asymmetric, complex test channel through both Choi routes ---------
+# ls, wh and id have real Choi matrices that a swap of input and output
+# leaves unchanged, so they cannot see a route that reads the direct
+# circuit as output (x) input or conjugates its estimate.  This 4-gate
+# circuit on the system pair (2, 3) fixes |11> and maps the qutrit levels
+# 0 -> e^{0.7i} 1, 1 -> 2, 2 -> 0: a unitary channel rho -> U rho U^dag
+# whose Choi matrix |U>><<U|/3 is complex and not swap-symmetric.
+_CYCLE_PHASE = 0.7
+
+
+def _cycle_circuit():
+    return cc.Circuit(4, [("x", (), (2,)), ("cnot", (), (2, 3)), ("cnot", (), (3, 2)),
+                          ("u1", (_CYCLE_PHASE,), (3,))])
+
+
+def _cycle_choi():
+    u = np.zeros((3, 3), dtype=complex)
+    u[1, 0], u[2, 1], u[0, 2] = np.exp(1j * _CYCLE_PHASE), 1, 1
+    ket = sum(np.kron(np.eye(3)[i], u[:, i]) for i in range(3))  # sum_i |i> (x) U|i>
+    return np.outer(ket, ket.conj()) / 3
+
+
+def test_cycle_choi_is_complex_and_not_swap_symmetric():
+    omega = _cycle_choi()
+    swapped = omega.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
+    assert np.abs(omega.imag).max() > 0.2
+    assert np.abs(omega - swapped).max() > 0.3
+    assert np.abs(omega - omega.conj()).max() > 0.4
+
+
+@pytest.mark.parametrize("layout", [None, "ibmqx4", "tokyo-6q"])
+def test_exact_choi_routes_reproduce_an_asymmetric_complex_channel(layout):
+    # the linear route unrouted and on ibmqx4, the 6-wire direct route
+    # unrouted and on tokyo-6q
+    cmap = None if layout is None else cp.preset_map(layout)
+    want = _cycle_choi()
+    if layout != "tokyo-6q":
+        states, leakages = cj.estimate(cj.linear_tables(_cycle_circuit(), layout=cmap), 0, 0)
+        assert np.abs(cj.choi_linear(states) - want).max() < 1e-12
+        assert max(leakages) < 1e-12
+    if layout != "ibmqx4":
+        states, leakages = cj.estimate(cj.direct_tables(_cycle_circuit(), layout=cmap), 0, 0)
+        assert np.abs(states[0] - want).max() < 1e-12
+        assert max(leakages) < 1e-12

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -9,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qutritsim import channels as ch
@@ -441,7 +442,7 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
 
 
 def _clear_caches():
-    for cached in (cli._parser, cli._outcome_table, cc._gate_superop, cj._analytic_spectrum,
+    for cached in (cli._outcome_table, cc._gate_superop, cj._analytic_spectrum,
                    dc._basis_states, cc._gate_matrix, cc._plan, cp._legal_cnot):
         cached.cache_clear()
 
@@ -803,18 +804,208 @@ def test_nonexistent_noise_or_coupling_is_config_error(tmp_path, capsys, command
     assert not out.exists()
 
 
+# argv-borne config errors, each caught before any file is read or written
+_ARGV_ERRORS = {
+    "long_channel": ["choi", "--channel", "x" * 60000],
+    "seed_line_break": ["choi", "--seed", "a\nb"],
+    "unknown_flag": ["choi", "--bogus", "1"],
+    "sweep_flag_on_choi": ["choi", "--grid", "3"],
+    "trailing_flag": ["choi", "--out"],
+    "flag_as_value": ["choi", "--out", "--seed", "3"],
+    "stray_positional": ["choi", "stray"],
+    "unknown_command": ["bogus"],
+    "no_command": [],
+    "float_shots": ["choi", "--shots", "1e3"],
+}
+
+
 @pytest.mark.parametrize("option, obj", [
     ("--config", {"channel": "x" * 60000}),
     ("--noise", {"p1": "x" * 60000}),
     ("--noise", {"p1\nsecond line": 0.1}),  # a key with a line break
+    *(pytest.param(None, argv, id=f"argv-{name}") for name, argv in _ARGV_ERRORS.items()),
 ])
-def test_config_error_is_one_bounded_line(tmp_path, capsys, option, obj):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(obj))
-    assert run(["choi", option, str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
+def test_config_error_is_one_bounded_line(tmp_path, capsys, monkeypatch, option, obj):
+    # option None: obj is the whole argv, run where the default out "." is tmp_path
+    monkeypatch.chdir(tmp_path)
+    argv = obj
+    if option is not None:
+        (tmp_path / "input.json").write_text(json.dumps(obj))
+        argv = ["choi", option, "input.json", "--out", "out"]
+    assert run(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("config error: ") and err.endswith("\n") and err.count("\n") == 1
     assert len(err) <= len("config error: ") + cli.MAX_ERROR_CHARS + 1
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ([] if option is None else ["input.json"])
+
+
+# --- the argv grammar: one flag table for argv, --config files and --help ---
+_COMMON_FLAGS = {"--channel", "--method", "--choi-method", "--shots", "--seed", "--noise",
+                 "--coupling", "--out", "--config"}
+_COMMAND_FLAGS = {"apply": _COMMON_FLAGS, "choi": _COMMON_FLAGS, "verify": _COMMON_FLAGS,
+                  "sweep": _COMMON_FLAGS | {"--choi-file", "--grid"}}
+
+
+def _flag_cases(tmp_path):
+    """{config key: (argv before the flag, value)} for every key of the flag
+    table, each run where the value shows in the output file: file values
+    are absolute paths, int values JSON ints.  The Choi file is a sampled
+    one, so the sweep grid shows in its sweep."""
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p2": 0.05, "readout_flip": 0.01}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"channel": "wh"}))
+    assert run(["choi", "--choi-method", "linear", "--shots", "100", "--out", str(tmp_path)]) == 0
+    choi_file = str(tmp_path / "choi_ls_linear.json")
+    linear = ["choi", "--choi-method", "linear"]
+    return {
+        "channel": (["choi"], "wh"),
+        "method": (["apply", "--shots", "0"], "circuit"),
+        "choi_method": (["choi", "--shots", "100"], "linear"),
+        "shots": (linear, 100),
+        "seed": (linear, 7),
+        "noise": (linear, str(noise)),
+        "coupling": (linear + ["--shots", "0"], "ibmqx4"),
+        "out": (["choi"], "sub"),
+        "grid": (["sweep", "--choi-file", choi_file], 3),
+        "choi_file": (["sweep", "--grid", "3"], choi_file),
+        "config": (["choi"], str(config)),
+    }
+
+
+def _outputs(directory):
+    """{relative path: bytes} of every file under directory."""
+    return {os.path.relpath(os.path.join(root, name), directory):
+            open(os.path.join(root, name), "rb").read()
+            for root, _, names in os.walk(directory) for name in names}
+
+
+def _run_in(path, monkeypatch, argv):
+    """run(argv) with path, a fresh directory, as the working directory."""
+    path.mkdir()
+    monkeypatch.chdir(path)
+    return run(argv)
+
+
+def test_flag_cases_cover_the_flag_table(tmp_path):
+    assert set(_flag_cases(tmp_path)) == set(cli._FLAGS["sweep"].values())
+    assert {c: set(flags) for c, flags in cli._FLAGS.items()} == _COMMAND_FLAGS
+
+
+@pytest.mark.parametrize("key", sorted(set(cli._FLAGS["sweep"].values())))
+def test_flag_forms_and_config_file_write_identical_files(tmp_path, monkeypatch, key):
+    before, value = _flag_cases(tmp_path)[key]
+    flag = "--" + key.replace("_", "-")
+    forms = {"spaced": before + [flag, str(value)], "equals": before + [f"{flag}={value}"]}
+    if key != "config":
+        config = tmp_path / f"config_{key}.json"
+        config.write_text(json.dumps({key: value}))
+        forms["config"] = before + ["--config", str(config)]
+    outputs = []
+    for form, argv in forms.items():
+        assert _run_in(tmp_path / form, monkeypatch, argv) == 0
+        outputs.append(_outputs(tmp_path / form))
+    assert outputs[0] and all(o == outputs[0] for o in outputs)
+    # and the flag changes the output: the run without it writes other
+    # bytes (sweep needs a Choi file)
+    assert _run_in(tmp_path / "without", monkeypatch, before) == (2 if key == "choi_file" else 0)
+    assert _outputs(tmp_path / "without") != outputs[0]
+
+
+@pytest.mark.parametrize("first, last", [
+    (["--channel", "wh"], ["--channel", "ls"]),
+    (["--shots", "5"], ["--shots=100"]),
+    (["--seed=3"], ["--seed", "7"]),
+])
+def test_repeated_flag_last_one_wins(tmp_path, monkeypatch, first, last):
+    argv = ["choi", "--choi-method", "linear"]
+    assert _run_in(tmp_path / "both", monkeypatch, argv + first + last) == 0
+    assert _run_in(tmp_path / "last", monkeypatch, argv + last) == 0
+    assert _outputs(tmp_path / "both") == _outputs(tmp_path / "last")
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+def test_explicit_flag_beats_config_file(tmp_path, monkeypatch, flag_first):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"channel": "wh", "shots": 5, "choi_method": "linear"}))
+    flags, from_file = ["--channel", "ls", "--shots", "100"], ["--config", str(config)]
+    argv = ["choi", *(flags + from_file if flag_first else from_file + flags)]
+    assert _run_in(tmp_path / "merged", monkeypatch, argv) == 0
+    assert _run_in(tmp_path / "flags", monkeypatch,
+                   ["choi", "--choi-method", "linear", "--channel", "ls", "--shots", "100"]) == 0
+    assert _outputs(tmp_path / "merged") == _outputs(tmp_path / "flags")
+    assert list(_outputs(tmp_path / "merged")) == ["choi_ls_linear.json"]
+
+
+@pytest.mark.parametrize("command", [None, *_COMMAND_FLAGS])
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+def test_help_exits_0_and_lists_exactly_the_accepted_flags(tmp_path, monkeypatch, capsys,
+                                                           command, help_flag):
+    monkeypatch.chdir(tmp_path)
+    prefix = [] if command is None else [command, "--channel", "wh"]
+    assert run(prefix + [help_flag, "--bogus"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: qutritsim ")
+    listed = set(re.findall(r"--[a-z][a-z-]*", captured.out))
+    assert listed == {"--help"} | _COMMAND_FLAGS.get(command, set())
+    if command is None:
+        assert all(c in captured.out for c in _COMMAND_FLAGS)
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_and_argv_errors_through_python_m_qutritsim(tmp_path):
+    proc = _run_process(["--help"], module="qutritsim")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: qutritsim ")
+    assert proc.stderr == ""
+    proc = _run_process(["choi", "--bogus", "1", "--out", str(tmp_path)], module="qutritsim")
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and os.listdir(tmp_path) == []
+
+
+# Values and flags the argv fuzz draws from: every flag of the table, the
+# help flags and near misses, valid values and boundary tokens.  Never the
+# 20-qubit --coupling tokyo, which is a resource error after routing; the
+# only --choi-file that exists is an analytic Choi file.
+_FUZZ_FLAGS = sorted(cli._FLAGS["sweep"]) + ["-h", "--help", "--bogus", "--cho", "-x", "-", "--"]
+_FUZZ_VALUES = ["-", "--", "=", "", " ", "0", "3", "-5", "-1", "8192", "1e3", "1.5", "nan", "NaN",
+                "inf", "-inf", "9" * 40, str(2 ** 64), "9" * 5000, "x" * 600, "a\nb", "\r\n",
+                "\u03be\u03c8", "caf\u00e9", "\x00", "ls", "wh", "id", "analytic", "circuit",
+                "linear", "direct", "zero", "ibmqx4", "tokyo-6q", "{}", "<choi file>"]
+_fuzz_token = st.one_of(
+    st.tuples(st.sampled_from(_FUZZ_FLAGS), st.sampled_from(_FUZZ_VALUES)),
+    st.builds(lambda f, v: (f"{f}={v}",), st.sampled_from(_FUZZ_FLAGS),
+              st.sampled_from(_FUZZ_VALUES)),
+    st.tuples(st.sampled_from(_FUZZ_FLAGS + _FUZZ_VALUES)))
+# verify runs the whole invariant suite (about 0.2 s a run): the tests above
+# cover its flags
+_fuzz_argv = st.tuples(st.sampled_from(["apply", "choi", "sweep", "", "-h", "--help", "bogus"]),
+                       st.lists(_fuzz_token, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_argv)
+def test_argv_fuzz_exits_0_or_2_with_one_line(tmp_path, monkeypatch, capsys, drawn):
+    command, tokens = drawn
+    choi_file = _analytic_choi_file(tmp_path)
+    example = tmp_path / f"example_{len(os.listdir(tmp_path))}"
+    example.mkdir()
+    monkeypatch.chdir(example)  # a relative --out stays under tmp_path
+    argv = [command, "--out", str(example)] + [
+        t.replace("<choi file>", choi_file) for token in tokens for t in token]
+    capsys.readouterr()
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code in (0, cli.EXIT_CONFIG), argv
+    assert "Traceback" not in captured.err
+    if code == cli.EXIT_CONFIG:
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+        assert len(captured.err) <= len("config error: ") + cli.MAX_ERROR_CHARS + 1
+    else:
+        assert captured.err == ""
 
 
 # --- both Choi experiments as one batch against the per-input loop ---------
