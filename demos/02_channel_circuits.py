@@ -6,9 +6,9 @@ Register layout: wires (0, 1) environment pair, wires (2, 3) system pair.
 import numpy as np
 
 from qutritsim import channels as ch
+from qutritsim import choi as cj
 from qutritsim import circuits as cc
 from qutritsim import decompositions as dc
-from qutritsim import encoding as enc
 
 np.set_printoptions(precision=3, suppress=True, linewidth=140)
 
@@ -38,23 +38,32 @@ for k in (1, 2, 3, 4):
           f"{np.abs(np.abs(s @ u_tilde) - np.abs(t)).max():.1e}")
 
 print("\n== induced qutrit channels ==")
+# read as the CLI reads them: the exact linear experiment, its nine outputs
+# assembled into a Choi matrix, then applied to a random input
 rng = np.random.default_rng(1)
 a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 rho = a @ a.conj().T
 rho /= np.trace(rho)
+
+
+def exact_choi(circ):
+    """Choi matrix and worst leakage of the exact (shots 0) linear experiment."""
+    states, leaks = cj.estimate(cj.linear_tables(circ), 0, 0)
+    return cj.choi_linear(states), max(leaks)
+
+
 for name, build, oracle in (("transpose-dep.", dc.wh_channel_circuit, ch.wh_apply),
                             ("spin-1", dc.ls_channel_circuit, ch.ls_apply)):
     circ = build()
-    chan = enc.induced_channel(circ)
-    out, leak = chan(rho)
+    omega, leak = exact_choi(circ)
+    out = cj.channel_from_choi(omega, rho)
     print(f"{name}: {len(circ.gates)} gates, {circ.cnot_count()} CNOTs,",
           f"dev {np.abs(out - oracle(rho)).max():.1e}, leakage {leak:.1e}")
 
 print("\nall four configurations induce the same channel:")
-outs = [enc.induced_channel(dc.wh_channel_circuit(dc.SConfig(k)))(rho)[0]
-        for k in (1, 2, 3, 4)]
-print("max pairwise deviation:",
-      max(np.abs(o - outs[0]).max() for o in outs[1:]))
+omegas = [exact_choi(dc.wh_channel_circuit(dc.SConfig(k)))[0] for k in (1, 2, 3, 4)]
+print("max pairwise Choi deviation:",
+      max(np.abs(o - omegas[0]).max() for o in omegas[1:]))
 
 print("\n== state preparation ==")
 psi0 = np.zeros(4, dtype=complex)

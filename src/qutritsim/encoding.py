@@ -9,7 +9,8 @@ Qutrit states enter as densities (embed_density) and leave by
 post-selecting one or two pairs (project_qutrit, project_two_qutrits).
 Both call _postselect, which post-selects a whole stack in one call
 (choi.estimate: every input of either Choi experiment), bit for bit as
-matrix by matrix.
+matrix by matrix.  The module runs no circuit and imports only linalg: the
+channel a circuit induces is read through choi's experiments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .circuits import Circuit, NoiseConfig, simulate_density
 from .linalg import as_matrix
 
 QUTRIT_IDX = (0, 1, 2)  # embedded positions inside a qubit pair
@@ -97,35 +97,3 @@ def project_two_qutrits(rho16: np.ndarray):
         raise la.ShapeError("project_two_qutrits needs a 16x16 matrix")
     (rho9,), (leakage,) = _postselect(rho16[None], 2)
     return rho9, leakage
-
-
-def induced_channel(c: Circuit, noise: NoiseConfig = NoiseConfig()):
-    """Qutrit channel induced by a 4-qubit circuit.
-
-    The composite map: embed the qutrit on the system pair (2, 3), tensor
-    with the environment pair (0, 1) in |00>, run the circuit, trace out the
-    environment pair, project back onto the qutrit subspace.  Returns a
-    function rho3 -> (rho3', leakage).
-
-    Everything before the projection is linear, so it is built once: the
-    nine units E_ik (x) |00><00| run as one stack through simulate_density,
-    on the circuit remapped so the system pair sits on wires (0, 1) and the
-    environment on (2, 3).  Each call is then embed_density (the input
-    check), one matvec and project_qutrit.
-    """
-    if c.n_qubits != 4:
-        raise ValueError("induced_channel expects a 4-qubit circuit")
-    pairs = [(i, k) for i in QUTRIT_IDX for k in QUTRIT_IDX]
-    units = np.zeros((9, 16, 16), dtype=complex)
-    for n, (i, k) in enumerate(pairs):
-        units[n, 4 * i, 4 * k] = 1.0  # E_ik on wires (0, 1), |00><00| on (2, 3)
-    out = simulate_density(c.remapped([2, 3, 0, 1]), units, noise)
-    linear = np.zeros((16, 16), dtype=complex)
-    # column 4 i + k takes vec(embed_density(E_ik)) to vec(Tr_env(out))
-    linear[:, [4 * i + k for i, k in pairs]] = la.partial_trace(out, [4, 4], [0]).reshape(9, 16).T
-
-    def channel(rho3: np.ndarray):
-        red = linear @ embed_density(rho3).reshape(16)
-        return project_qutrit(red.reshape(4, 4))
-
-    return channel

@@ -11,7 +11,6 @@ from qutritsim import channels as ch
 from qutritsim import choi as cj
 from qutritsim import circuits as cc
 from qutritsim import decompositions as dc
-from qutritsim import encoding as enc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
 from qutritsim import verify as vf
@@ -88,21 +87,17 @@ def test_criterion_06_choi_roundtrip():
 
 
 def test_criterion_07_tomography_pipeline_fidelity():
+    # the experiment apply --method circuit runs: one exact linear table per
+    # channel, one estimate of all nine inputs per (shots, seed)
     results = {8192: [], 65536: []}
     for build, oracle in ((dc.wh_channel_circuit, ch.wh_apply),
                           (dc.ls_channel_circuit, ch.ls_apply)):
-        circ = build()
-        for i in range(1, 10):
-            full = cc.Circuit(4)
-            full.extend(dc.prep_basis_circuit(i).remapped([2, 3], 4).gates)
-            full.extend(circ.gates)
-            target = oracle(dc.basis_density(i))
-            for shots in (8192, 65536):
-                for seed in range(20):
-                    rec = tg.collect(full, shots, 1000 * seed + i,
-                                     measure_qubits=(2, 3))
-                    rho3, _ = enc.project_qutrit(tg.reconstruct_state(rec.table))
-                    results[shots].append(tg.fidelity(rho3, target))
+        tables = cj.linear_tables(build())
+        targets = [oracle(dc.basis_density(i)) for i in range(1, 10)]
+        for shots in (8192, 65536):
+            for seed in range(20):
+                states, _ = cj.estimate(tables, shots, seed)
+                results[shots] += [tg.fidelity(s, t) for s, t in zip(states, targets)]
     mean_lo = float(np.mean(results[8192]))
     mean_hi = float(np.mean(results[65536]))
     assert mean_lo >= 0.97
@@ -127,9 +122,11 @@ def test_criterion_09_noise_degradation_property():
         want = cj.analytic_choi(ch.ChannelRep.analytic(name))
         means = []
         for p2 in grid:
-            vals = [cj.choi_fidelity(want, cj.choi_direct(
-                build(), shots=100000, seed=s, noise=cc.NoiseConfig(p2=p2)))
-                for s in range(5)]
+            # one exact direct table per point, five seeds estimated from it,
+            # each as choi_direct returns it
+            tables = cj.direct_tables(build(), cc.NoiseConfig(p2=p2))
+            estimates = [cj.estimate(tables, 100000, s)[0][0] for s in range(5)]
+            vals = [cj.choi_fidelity(want, la.project_to_density(e)) for e in estimates]
             means.append(float(np.mean(vals)))
         assert all(means[i] >= means[i + 1] for i in range(len(grid) - 1)), (name, means)
         assert means[-1] < 0.9, (name, means)

@@ -10,6 +10,7 @@ from qutritsim import coupling as cp
 from qutritsim import decompositions as dc
 from qutritsim import linalg as la
 from qutritsim import tomography as tg
+from qutritsim import verify as vf
 
 from test_channels import rand_density
 from test_cli import _count_simulations
@@ -483,3 +484,25 @@ def test_exact_choi_routes_reproduce_an_asymmetric_complex_channel(layout):
         states, leakages = cj.estimate(cj.direct_tables(_cycle_circuit(), layout=cmap), 0, 0)
         assert np.abs(states[0] - want).max() < 1e-12
         assert max(leakages) < 1e-12
+
+
+def _conjugated_estimate(tables, shots, seed, estimate=cj.estimate):
+    states, leakages = estimate(tables, shots, seed)
+    return states.conj(), leakages
+
+
+def _swapped_direct_tables(channel_circuit, noise=cc.NoiseConfig(), layout=None, placement=None):
+    # the direct circuit read as output (x) input
+    return cj._experiment_tables(cj.choi_direct_circuit(channel_circuit), [None], (2, 3, 0, 1),
+                                 noise, layout, placement)
+
+
+@pytest.mark.parametrize("attr, broken", [("estimate", _conjugated_estimate),
+                                          ("direct_tables", _swapped_direct_tables)],
+                         ids=["conjugated_estimate", "swapped_direct_readout"])
+def test_circuit_channels_check_fails_on_a_broken_shipped_route(monkeypatch, attr, broken):
+    # verify's criterion 3 runs the routes the CLI ships, so breaking one
+    # of them in a way ls, wh and id cannot see fails the check
+    monkeypatch.setattr(cj, attr, broken)
+    name, ok, detail = vf.check_circuit_channels()
+    assert name == "circuit_induced_channels" and not ok, detail

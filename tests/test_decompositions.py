@@ -108,52 +108,56 @@ def test_s_times_embedded_unitary_has_factorized_pattern():
         assert np.abs(np.abs(s @ u_tilde) - np.abs(t)).max() < 1e-9
 
 
+def _exact_channel(circuit):
+    """The channel the CLI reads from circuit, through the Choi matrix of the
+    exact (shots 0) linear experiment: (rho -> Phi(rho), that Choi matrix,
+    the worst leakage of its nine inputs)."""
+    states, leaks = cj.estimate(cj.linear_tables(circuit), 0, 0)
+    omega = cj.choi_linear(states)
+    return (lambda rho: cj.channel_from_choi(omega, rho)), omega, max(leaks)
+
+
 def test_wh_circuit_induced_channel():
-    chan = enc.induced_channel(dc.wh_channel_circuit(dc.SConfig(4)))
-    out, leak = chan(np.diag([1.0, 0.0, 0.0]).astype(complex))
-    assert np.abs(out - np.diag([0.0, 0.5, 0.5])).max() < 1e-9
+    chan, _, leak = _exact_channel(dc.wh_channel_circuit(dc.SConfig(4)))
     assert abs(leak) < 1e-10
-    out, leak = chan(np.eye(3) / 3)
+    out = chan(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    assert np.abs(out - np.diag([0.0, 0.5, 0.5])).max() < 1e-9
+    out = chan(np.eye(3) / 3)
     assert np.abs(out - np.eye(3) / 3).max() < 1e-9
     rng = np.random.default_rng(12)
     for rho in basis_states() + [rand_density(rng) for _ in range(50)]:
-        out, leak = chan(rho)
-        assert np.abs(out - ch.wh_apply(rho)).max() < 1e-9
-        assert abs(leak) < 1e-10
+        assert np.abs(chan(rho) - ch.wh_apply(rho)).max() < 1e-9
 
 
 def test_ls_circuit_induced_channel():
-    chan = enc.induced_channel(dc.ls_channel_circuit(dc.SConfig(4)))
-    out, _ = chan(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    chan, _, leak = _exact_channel(dc.ls_channel_circuit(dc.SConfig(4)))
+    assert abs(leak) < 1e-10
+    out = chan(np.diag([1.0, 0.0, 0.0]).astype(complex))
     assert np.abs(out - np.diag([0.5, 0.5, 0.0])).max() < 1e-9
-    out, _ = chan(np.diag([0.0, 1.0, 0.0]).astype(complex))
+    out = chan(np.diag([0.0, 1.0, 0.0]).astype(complex))
     assert np.abs(out - np.diag([0.5, 0.0, 0.5])).max() < 1e-9
     w = ch.covariance_unitary()
     rng = np.random.default_rng(14)
     for _ in range(50):
         rho = rand_density(rng)
-        out, leak = chan(rho)
+        out = chan(rho)
         assert np.abs(out - ch.wh_apply(w @ rho @ w.conj().T)).max() < 1e-9
         assert np.abs(out - ch.ls_apply(rho)).max() < 1e-9
-        assert abs(leak) < 1e-10
 
 
 def test_all_four_configs_induce_identical_channel():
     rng = np.random.default_rng(15)
     rhos = basis_states() + [rand_density(rng) for _ in range(10)]
-    chans = [enc.induced_channel(dc.wh_channel_circuit(dc.SConfig(k))) for k in (1, 2, 3, 4)]
+    chans = [_exact_channel(dc.wh_channel_circuit(dc.SConfig(k)))[0] for k in (1, 2, 3, 4)]
     for rho in rhos:
-        outs = [c(rho)[0] for c in chans]
+        outs = [c(rho) for c in chans]
         for o in outs[1:]:
             assert np.abs(o - outs[0]).max() < 1e-9
 
 
 def test_circuit_channels_are_cptp_on_qutrit():
-    from qutritsim import choi as chm
     for circ in (dc.wh_channel_circuit(), dc.ls_channel_circuit()):
-        chan = enc.induced_channel(circ)
-        outs = [chan(r)[0] for r in (dc.basis_density(i) for i in range(1, 10))]
-        omega = chm.choi_linear(outs)
+        _, omega, _ = _exact_channel(circ)
         assert la.is_psd(omega, 1e-8)
         tr_out = la.partial_trace(omega, [3, 3], [0])
         assert np.abs(tr_out - np.eye(3) / 3).max() < 1e-8

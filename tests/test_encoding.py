@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qutritsim import channels as ch
+from qutritsim import choi as cj
 from qutritsim import circuits as cc
 from qutritsim import decompositions as dc
 from qutritsim import encoding as enc
@@ -99,72 +100,27 @@ def test_embedded_dilation_reproduces_channel():
         assert abs(leak) < 1e-12
 
 
+# A circuit's qutrit channel is read through the experiments the CLI runs:
+# choi.linear_tables (and direct_tables) through choi.estimate, whose
+# post-selection is this module's.
+
 def test_induced_channel_identity_circuit():
+    states, leaks = cj.estimate(cj.linear_tables(cc.Circuit(4)), 0, 0)
+    omega = cj.choi_linear(states)
     rng = np.random.default_rng(6)
-    chan = enc.induced_channel(cc.Circuit(4))
     for _ in range(5):
         rho = rand_density(rng)
-        out, leak = chan(rho)
-        assert np.abs(out - rho).max() < 1e-12
-        assert leak == 0.0
-
-
-# The per-input path induced_channel replaces: the environment |00><00| on
-# wires (0, 1) and the embedded qutrit on (2, 3), one simulate_density per
-# input, then trace the environment out and post-select.
-def _ref_induced_channel(c, noise):
-    env = np.zeros((4, 4), dtype=complex)
-    env[0, 0] = 1.0
-
-    def channel(rho3):
-        out = cc.simulate_density(c, np.kron(env, enc.embed_density(rho3)), noise)
-        return enc.project_qutrit(la.partial_trace(out, [2, 2, 2, 2], [2, 3]))
-
-    return channel
-
-
-def test_induced_channel_matches_per_input_path():
-    noisy = cc.NoiseConfig(p1=0.01, p2=0.05, gamma=0.02)
-    rng = np.random.default_rng(11)
-    inputs = basis_states() + [rand_density(rng) for _ in range(5)]
-    for build in (dc.ls_channel_circuit, dc.wh_channel_circuit, lambda: cc.Circuit(4)):
-        c = build()
-        for noise in (cc.NoiseConfig(), noisy):
-            got = enc.induced_channel(c, noise)
-            want = _ref_induced_channel(c, noise)
-            for rho in inputs:
-                (out, leak), (out_ref, leak_ref) = got(rho), want(rho)
-                assert np.abs(out - out_ref).max() < 1e-12
-                assert abs(leak - leak_ref) < 1e-12
-
-
-def test_induced_channel_simulates_once(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cc.simulate_density(*args, **kwargs)
-
-    monkeypatch.setattr(enc, "simulate_density", counted)
-    chan = enc.induced_channel(dc.wh_channel_circuit(), cc.NoiseConfig(p2=0.05))
-    assert len(calls) == 1
-    for i in range(1, 10):
-        chan(dc.basis_density(i))
-    assert len(calls) == 1
-
-
-def test_induced_channel_checks_each_input():
-    chan = enc.induced_channel(cc.Circuit(4))
-    with pytest.raises(ValueError):
-        chan(np.diag([1.0, 1.0, 1.0]))
+        assert np.abs(cj.channel_from_choi(omega, rho) - rho).max() < 1e-12
+    # the empty circuit leaks nothing; the inversion of the exact tables
+    # leaves rounding (1.4e-16 measured)
+    assert max(leaks) < 1e-15
 
 
 def test_noiseless_paper_circuits_zero_leakage():
     for build in (dc.wh_channel_circuit, dc.ls_channel_circuit):
-        chan = enc.induced_channel(build())
-        for i in range(1, 10):
-            _, leak = chan(dc.basis_density(i))
-            assert abs(leak) < 1e-10
+        for tables in (cj.linear_tables(build()), cj.direct_tables(build())):
+            _, leaks = cj.estimate(tables, 0, 0)
+            assert max(leaks) < 1e-10
 
 
 def _leaky_states(rng, count, d):
