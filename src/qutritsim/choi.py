@@ -16,10 +16,10 @@ preparations with the same placement.  One estimator, estimate, samples
 either stack with no noise argument of its own: one stream per estimate,
 tables in input order, from SeedSequence(seed, spawn_key=(1,)); the whole
 stack is inverted and projected as one, then post-selected onto its qubit
-pairs in one call, leakages kept.  choi_fidelity scores in the eigenbasis
-of the theoretical side's projection (tomography._uhlmann on its
-density_spectrum); analytic_fidelity does the same against a named
-channel, whose spectrum is built once per name.
+pairs in one encoding.postselect call, leakages kept.  choi_fidelity
+scores in the eigenbasis of the theoretical side's projection
+(tomography._uhlmann on its density_spectrum); analytic_fidelity does the
+same against a named channel, whose spectrum is built once per name.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .channels import ChannelRep, choi_of, superop_from_choi
 from .circuits import Circuit, NoiseConfig, check_seed, check_shots, sample_table
 from .coupling import CouplingMap, route_circuit
 from .decompositions import basis_density, prep_basis_circuit, prep_superposition_circuit
-from .encoding import _postselect
+from .encoding import postselect
 from .linalg import as_matrix
 from .tomography import _uhlmann, measured_states, outcome_tables, reconstruct_state
 
@@ -216,11 +216,13 @@ def estimate(tables: np.ndarray, shots: int, seed):
     stack on the generator of SeedSequence(seed, spawn_key=(1,)) (shots =
     0: the exact tables), inverted and projected as one, then post-selected
     onto the k/2 qubit pairs in one call: states is the fresh (B, 3^(k/2), 3^(k/2))
-    stack, leakages the list of B Python floats.  An array that is not a
-    3-d stack, or tables of any k but 2 or 4, raise ShapeError and a bad
-    seed (check_seed) ValueError before anything is sampled; an input with
-    no qutrit weight raises DegenerateProjectionError.
+    stack, leakages the list of B Python floats.  Tables are read with
+    np.asarray; anything that is not a 3-d stack, or tables of any k but 2
+    or 4, raise ShapeError and a bad seed (check_seed) ValueError before
+    anything is sampled; an input with no qutrit weight raises
+    DegenerateProjectionError.
     """
+    tables = np.asarray(tables)
     if tables.ndim != 3:
         raise la.ShapeError(f"estimate needs a stack of outcome tables, got shape {tables.shape}")
     k = tables.shape[-1].bit_length() - 1
@@ -228,23 +230,19 @@ def estimate(tables: np.ndarray, shots: int, seed):
         raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
                             f"shape {tables.shape} ({k} qubits)")
     rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=(1,)))
-    return _postselect(reconstruct_state(sample_table(tables, shots, rng)), k // 2)
+    return postselect(reconstruct_state(sample_table(tables, shots, rng)), k // 2)
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
-                noise: NoiseConfig = NoiseConfig(),
-                layout: CouplingMap | None = None,
-                placement=None) -> np.ndarray:
+                noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
     """Direct Choi-state estimate: build the 6-qubit circuit, tomograph the
     (ancilla, system) register over 81 settings, post-select both qutrit
     factors, and return the 9x9 estimate (input (x) output ordering):
-    direct_tables, estimate, then project_to_density.  With a layout and
-    placement, the measured wires are the physical wires the placement
-    gives the ancilla and system pairs.  Shots and seed are checked before
-    anything is simulated."""
+    direct_tables, estimate, then project_to_density.  Shots and seed are
+    checked before anything is simulated."""
     check_shots(shots)
     check_seed(seed)
-    states, _ = estimate(direct_tables(channel_circuit, noise, layout, placement), shots, seed)
+    states, _ = estimate(direct_tables(channel_circuit, noise), shots, seed)
     return la.project_to_density(states[0])
 
 

@@ -65,8 +65,11 @@ class CouplingMap:
 
     @classmethod
     def from_json(cls, obj) -> "CouplingMap":
-        """Every number must be a JSON integer (an integral float included):
-        a bool, a string or a fraction raises ValueError, never truncates."""
+        """An object with exactly the keys n_qubits and edges, every number a
+        JSON integer (an integral float included); anything else (another
+        key, a bool, a string, a fraction) raises ValueError, never truncates."""
+        if not isinstance(obj, dict) or obj.keys() != {"n_qubits", "edges"}:
+            raise ValueError("a coupling map is an object with exactly the keys n_qubits, edges")
         return cls(json_int(obj["n_qubits"]), [tuple(map(json_int, e)) for e in obj["edges"]])
 
 

@@ -6,10 +6,10 @@ carries no logical meaning; any weight it picks up is "leakage" and is
 discarded with renormalization (post-selection), coherences included.
 
 Qutrit states enter as densities (embed_density) and leave by
-post-selecting one or two pairs (project_qutrit, project_two_qutrits).
-Both call _postselect, which post-selects a whole stack in one call
-(choi.estimate: every input of either Choi experiment), bit for bit as
-matrix by matrix.  The module runs no circuit and imports only linalg: the
+post-selecting one or two pairs: postselect post-selects a whole stack in
+one call (choi.estimate: every input of either Choi experiment), bit for
+bit as matrix by matrix; project_qutrit and project_two_qutrits are its
+one-matrix forms.  The module runs no circuit and imports only linalg: the
 channel a circuit induces is read through choi's experiments.
 """
 
@@ -50,7 +50,7 @@ def _traces(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(stack.diagonal(axis1=1, axis2=2)).sum(axis=-1).real
 
 
-def _postselect(stack: np.ndarray, pairs: int):
+def postselect(stack: np.ndarray, pairs: int):
     """Post-select every state of a complex stack (B, 4^pairs, 4^pairs) of
     one or two qubit pairs onto the qutrit block of each pair, as one call.
 
@@ -81,7 +81,7 @@ def project_qutrit(rho4: np.ndarray):
     rho4 = as_matrix(rho4)
     if rho4.shape != (4, 4):
         raise la.ShapeError("project_qutrit needs a 4x4 matrix")
-    (rho3,), (leakage,) = _postselect(rho4[None], 1)
+    (rho3,), (leakage,) = postselect(rho4[None], 1)
     return rho3, leakage
 
 
@@ -95,5 +95,5 @@ def project_two_qutrits(rho16: np.ndarray):
     rho16 = as_matrix(rho16)
     if rho16.shape != (16, 16):
         raise la.ShapeError("project_two_qutrits needs a 16x16 matrix")
-    (rho9,), (leakage,) = _postselect(rho16[None], 2)
+    (rho9,), (leakage,) = postselect(rho16[None], 2)
     return rho9, leakage

@@ -11,9 +11,9 @@ one per-qubit contraction, then applies readout error to the whole stack
 once; it depends only on the circuit and the noise.  circuits.sample_table
 then draws the whole stack from one generator, tables in input order (one
 multinomial per setting, no noise of its own).  ``collect`` runs both
-stages on one circuit started from |0...0>; the Choi experiments
-(choi.linear_tables, choi.direct_tables) run them over a stack of prepared
-inputs.
+stages on one circuit started from |0...0> and returns the sampled table
+itself; the Choi experiments (choi.linear_tables, choi.direct_tables) run
+them over a stack of prepared inputs.
 
 Reconstruction is Pauli-basis linear inversion, itself a per-qubit
 contraction, followed by projection onto the nearest density matrix
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,24 +67,6 @@ def prerotation_gates(setting: str) -> list:
         elif b != "Z":
             raise ValueError(f"unknown basis {b!r}")
     return gates
-
-
-@dataclass(frozen=True)
-class TomographyRecord:
-    """The sampled outcome table of one collect run.
-
-    table[r] is the outcome row of settings_for(k)[r] over the 2^k
-    bitstrings (qubit 0 the most significant bit): int counts summing to
-    shots, or at shots = 0 float probabilities.  It was drawn from the one
-    generator of SeedSequence(seed).
-    """
-    table: np.ndarray
-    shots: int
-    seed: int
-
-    @property
-    def settings(self) -> list:
-        return settings_for(self.table.shape[-1].bit_length() - 1)
 
 
 def _per_qubit(t: np.ndarray, k: int, m: np.ndarray, out: tuple) -> np.ndarray:
@@ -192,22 +173,22 @@ def outcome_tables(rho_meas: np.ndarray, noise: NoiseConfig = NoiseConfig()) -> 
 
 
 def collect(c: Circuit, shots: int, seed, noise: NoiseConfig = NoiseConfig(),
-            measure_qubits=None) -> TomographyRecord:
-    """Run the circuit once on |0...0> and sample every measurement setting
-    of the measured qubits: measured_states, outcome_tables, sample_table.
+            measure_qubits=None) -> np.ndarray:
+    """The sampled (3^k, 2^k) outcome table of one run of the circuit on
+    |0...0>: measured_states, outcome_tables, sample_table.
 
-    shots = 0 is exact mode: the outcome distributions, with gate noise,
-    noisy pre-rotations and readout error, are stored in place of sampled
-    counts, the infinite-shot limit of a sampled table.
-
-    The whole (3^k, 2^k) table is drawn from one generator seeded by seed
-    (a non-negative int, circuits._rng), settings in settings_for order, so
-    distinct seeds give independent tables.  Shots and seed are checked
-    before anything is simulated.
+    Row r is the outcome row of settings_for(k)[r] over the 2^k bitstrings
+    (qubit 0 the most significant bit): int counts summing to shots, or at
+    shots = 0 (exact mode) the float outcome distributions, with gate
+    noise, noisy pre-rotations and readout error, the infinite-shot limit
+    of a sampled table.  The whole table is drawn from one generator seeded
+    by seed (a non-negative int, circuits._rng), so distinct seeds give
+    independent tables.  Shots and seed are checked before anything is
+    simulated.
     """
     shots, seed = check_shots(shots), check_seed(seed)
     tables = outcome_tables(measured_states(c, [None], noise, measure_qubits), noise)
-    return TomographyRecord(sample_table(tables[0], shots, _rng(seed)), shots, seed)
+    return sample_table(tables[0], shots, _rng(seed))
 
 
 def _linear_inversion(tables) -> np.ndarray:

@@ -123,9 +123,11 @@ def check_circuit_channels():
 
 
 def check_choi_two_route():
+    """choi_linear against each channel's analytic Choi matrix; the cycle's
+    catches an assembly in output (x) input order and a conjugated one."""
     worst = 0.0
-    for name in ("ls", "wh", "id"):
-        rep = ch.ChannelRep.analytic(name)
+    reps = [ch.ChannelRep.analytic(name) for name in ("ls", "wh", "id")]
+    for rep in reps + [ch.ChannelRep(np.kron(_CYCLE_U, _CYCLE_U.conj()))]:
         outs = [ch.apply_channel(rep, r) for r in cj.physical_basis()]
         worst = max(worst, np.abs(cj.choi_linear(outs) - cj.analytic_choi(rep)).max())
     return "choi_two_route_agreement", worst < 1e-10, f"max dev {worst:.2e}"

@@ -285,7 +285,8 @@ def test_choi_direct_routes_on_six_qubit_map():
     m = cp.preset_map("tokyo-6q")
     circ = cp.route_circuit(cj.choi_direct_circuit(dc.wh_channel_circuit()), m)
     assert cp.validate(circ, m) == []
-    omega = cj.choi_direct(dc.wh_channel_circuit(), shots=0, seed=0, layout=m)
+    states, _ = cj.estimate(cj.direct_tables(dc.wh_channel_circuit(), layout=m), 0, 0)
+    omega = la.project_to_density(states[0])
     want = cj.analytic_choi(ch.ChannelRep.analytic("wh"))
     assert np.abs(omega - want).max() < 1e-9
 
@@ -294,8 +295,9 @@ def test_choi_direct_measures_placed_wires():
     # the ancilla and system pairs sit on placement[0..3], not wires 0..3
     tokyo6 = cp.preset_map("tokyo-6q")
     placement = dict(enumerate([5, 0, 3, 1, 4, 2]))
-    omega = cj.choi_direct(dc.wh_channel_circuit(), 0, 0, layout=tokyo6,
-                           placement=placement)
+    states, _ = cj.estimate(cj.direct_tables(dc.wh_channel_circuit(), layout=tokyo6,
+                                             placement=placement), 0, 0)
+    omega = la.project_to_density(states[0])
     analytic = cj.analytic_choi(ch.ChannelRep.analytic("wh"))
     assert cj.choi_fidelity(analytic, omega) >= 1 - 1e-9
 
@@ -331,8 +333,6 @@ def test_choi_direct_rejects_placement_without_layout():
     placement = dict(enumerate([5, 0, 3, 1, 4, 2]))
     with pytest.raises(ValueError, match="layout"):
         cj.direct_tables(dc.wh_channel_circuit(), placement=placement)
-    with pytest.raises(ValueError, match="layout"):
-        cj.choi_direct(dc.wh_channel_circuit(), 0, 0, placement=placement)
 
 
 def test_choi_direct_checks_seed_before_simulating(monkeypatch):
@@ -362,6 +362,17 @@ def test_estimate_rejects_tables_not_of_one_or_two_qubit_pairs(monkeypatch, k, i
         match = rf"\({k} qubits\)"
     with pytest.raises(la.ShapeError, match=match):
         cj.estimate(tables, 100, 0)
+
+
+def test_estimate_reads_a_list_of_tables_as_its_array():
+    # the ShapeError promise covers anything np.asarray reads, not only arrays
+    tables = cj.linear_tables(cc.Circuit(4))
+    for shots in (0, 100):
+        got, got_leaks = cj.estimate(list(tables), shots, 3)
+        want, want_leaks = cj.estimate(tables, shots, 3)
+        assert np.array_equal(got, want) and got_leaks == want_leaks
+    with pytest.raises(la.ShapeError, match=re.escape("got shape (9, 4)")):
+        cj.estimate([list(t) for t in tables[0]], 0, 0)
 
 
 def test_choi_physicality_from_pipelines():
@@ -506,3 +517,22 @@ def test_circuit_channels_check_fails_on_a_broken_shipped_route(monkeypatch, att
     monkeypatch.setattr(cj, attr, broken)
     name, ok, detail = vf.check_circuit_channels()
     assert name == "circuit_induced_channels" and not ok, detail
+
+
+def _swapped_choi_linear(outs, choi_linear=cj.choi_linear):
+    # the Choi matrix assembled as output (x) input
+    return choi_linear(outs).reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
+
+
+def _conjugated_choi_linear(outs, choi_linear=cj.choi_linear):
+    return choi_linear(outs).conj()
+
+
+@pytest.mark.parametrize("broken", [_swapped_choi_linear, _conjugated_choi_linear],
+                         ids=["output_input_order", "conjugated"])
+def test_two_route_check_fails_on_a_broken_choi_linear(monkeypatch, broken):
+    # ls, wh and id cannot see either fault; the cycle channel's complex,
+    # swap-asymmetric Choi matrix can
+    monkeypatch.setattr(cj, "choi_linear", broken)
+    name, ok, detail = vf.check_choi_two_route()
+    assert name == "choi_two_route_agreement" and not ok, detail

@@ -172,6 +172,8 @@ _IBMQX4_EDGES = "[[1, 0], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]"
     '{"n_qubits": 5, "edges": [[1.7, 0.2], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]}',
     '{"n_qubits": 5, "edges": [["1", 0], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]}',
     '{"n_qubits": 5, "edges": [[true, 0], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]]}',
+    # only the two keys: an unknown key is an error, as in noise files
+    '{"n_qubits": 5, "edges": [[1, 0]], "x": 1}',
 ])
 def test_malformed_coupling_json_is_a_config_error(tmp_path, capsys, text):
     bad = tmp_path / "coupling.json"
@@ -1013,9 +1015,9 @@ def test_argv_fuzz_exits_0_or_2_with_one_line(tmp_path, monkeypatch, capsys, dra
 # replaces, each routed onto the coupling map as a whole: for the linear
 # experiment prep_i + channel for each of the nine inputs, read out on
 # (2, 3); for the direct one the 6-qubit Choi-state circuit, read out on
-# (0, 1, 2, 3).  Each circuit's exact record is sampled in input order from
+# (0, 1, 2, 3).  Each circuit's exact collect table is sampled in input order from
 # the one stream of SeedSequence(seed, spawn_key=(1,)), then reconstructed
-# and post-selected on its own (shots = 0: the exact record, readout error
+# and post-selected on its own (shots = 0: the exact table, readout error
 # and all).  The direct circuit needs six wires, so where the linear check
 # routes onto ibmqx4 the direct one routes onto tokyo-6q.
 _DIRECT_LAYOUT = {None: None, "ibmqx4": "tokyo-6q"}
@@ -1040,11 +1042,11 @@ def _estimate_stream(seed):
 
 
 def _ref_circuit_tables(name, cmap, shots, seed, noise, method="linear"):
-    """Per circuit: the exact collect record, sampled table by table from
+    """Per circuit: the exact collect table, sampled table by table from
     the one estimate stream."""
     circuits, measure = _ref_circuits(name, method, cmap)
     rng = np.random.default_rng(_estimate_stream(seed))
-    return [cc.sample_table(tg.collect(c, 0, seed, noise, measure).table, shots, rng)
+    return [cc.sample_table(tg.collect(c, 0, seed, noise, measure), shots, rng)
             for c in circuits]
 
 

@@ -141,7 +141,7 @@ def test_stack_postselect_equals_per_matrix_loop_bit_for_bit(pairs, single):
     for count in (1, 2, 9, 17):
         stack = _leaky_states(rng, count, d) * 10.0 ** rng.integers(-3, 3, size=(count, 1, 1))
         before = stack.copy()
-        blocks, leaks = enc._postselect(stack, pairs)
+        blocks, leaks = enc.postselect(stack, pairs)
         assert blocks.shape == (count, 3 ** pairs, 3 ** pairs)
         assert not np.shares_memory(blocks, stack)
         assert np.array_equal(stack, before)
@@ -162,4 +162,4 @@ def test_stack_postselect_raises_if_any_member_has_no_qutrit_weight(pairs):
         s[bad] = 0.0
         s[bad, d - 1, d - 1] = 1.0  # all weight on |11>, resp. |11>|11>
         with pytest.raises(enc.DegenerateProjectionError):
-            enc._postselect(s, pairs)
+            enc.postselect(s, pairs)

@@ -41,17 +41,16 @@ def test_prerotations_map_eigenbasis():
 
 def test_collect_identity_circuit():
     for k in (1, 2, 3):
-        rec = tg.collect(cc.Circuit(k), shots=100, seed=5)
-        assert rec.settings == tg.settings_for(k)
-        assert len(rec.settings) == 3 ** k and rec.table.shape == (3 ** k, 2 ** k)
-        zz = rec.table[rec.settings.index("Z" * k)]
+        table = tg.collect(cc.Circuit(k), shots=100, seed=5)
+        assert isinstance(table, np.ndarray) and table.shape == (3 ** k, 2 ** k)
+        zz = table[tg.settings_for(k).index("Z" * k)]
         assert zz[0] == 100 and not zz[1:].any()
 
 
 def test_collect_bell_parity():
     c = cc.Circuit(2, [("h", (), (0,)), ("cnot", (), (0, 1))])
-    rec = tg.collect(c, shots=20000, seed=3)
-    xx = rec.table[rec.settings.index("XX")]
+    table = tg.collect(c, shots=20000, seed=3)
+    xx = table[tg.settings_for(2).index("XX")]
     even = sum(v for b, v in enumerate(xx) if bin(b).count("1") % 2 == 0)
     assert even / 20000 > 0.99
 
@@ -60,7 +59,7 @@ def test_collect_deterministic_and_order_independent():
     c = cc.Circuit(2, [("h", (), (0,))])
     a = tg.collect(c, shots=500, seed=11)
     b = tg.collect(c, shots=500, seed=11)
-    assert np.array_equal(a.table, b.table)
+    assert np.array_equal(a, b)
 
 
 def _prep_state(i):
@@ -71,12 +70,11 @@ def _prep_state(i):
 
 
 def test_reconstruct_exact_record():
-    # exact-probability records invert exactly
+    # exact-probability tables invert exactly
     rng = np.random.default_rng(2)
     for i in (1, 4, 7, 9):
         c = dc.prep_basis_circuit(i)
-        rec = tg.collect(c, shots=0, seed=0)
-        rho = tg.reconstruct_state(rec.table)
+        rho = tg.reconstruct_state(tg.collect(c, shots=0, seed=0))
         psi = _prep_state(i)
         want = np.outer(psi, psi.conj())
         assert np.abs(rho - want).max() < 1e-9, i
@@ -84,17 +82,15 @@ def test_reconstruct_exact_record():
     # measurement pre-rotations (one-qubit gates) stay exact
     c = cc.Circuit(2, [("u3", (0.7, 0.2, 1.1), (0,)), ("cnot", (), (0, 1))])
     noise = cc.NoiseConfig(p2=0.1)
-    rec = tg.collect(c, shots=0, seed=0, noise=noise)
-    rho = tg.reconstruct_state(rec.table)
+    rho = tg.reconstruct_state(tg.collect(c, shots=0, seed=0, noise=noise))
     psi0 = np.zeros((4, 4), dtype=complex); psi0[0, 0] = 1
     want = cc.simulate_density(c, psi0, noise)
     assert np.abs(rho - want).max() < 1e-9
 
 
 def test_reconstruct_projects_to_physical():
-    # hand-build a record whose linear inversion has a negative eigenvalue
-    rec = tg.collect(dc.prep_basis_circuit(4), shots=64, seed=1)
-    rho = tg.reconstruct_state(rec.table)
+    # a sampled table whose linear inversion has a negative eigenvalue
+    rho = tg.reconstruct_state(tg.collect(dc.prep_basis_circuit(4), shots=64, seed=1))
     w, _ = la.hermitian_eig(rho)
     assert w[-1] >= -1e-12
     assert abs(np.trace(rho) - 1) < 1e-12
@@ -106,23 +102,22 @@ def test_reconstruct_2q_shot_noise_fidelity():
     c = dc.prep_basis_circuit(6)
     fids = []
     for seed in range(20):
-        rec = tg.collect(c, shots=8192, seed=seed)
-        rho = tg.reconstruct_state(rec.table)
+        rho = tg.reconstruct_state(tg.collect(c, shots=8192, seed=seed))
         fids.append(tg.fidelity(rho, target))
     assert min(fids) >= 0.97
 
 
 def test_reconstruct_qutrit():
-    rec = tg.collect(dc.prep_basis_circuit(3), shots=0, seed=0)
-    rho3, leak = enc.project_qutrit(tg.reconstruct_state(rec.table))
+    table = tg.collect(dc.prep_basis_circuit(3), shots=0, seed=0)
+    rho3, leak = enc.project_qutrit(tg.reconstruct_state(table))
     assert np.abs(rho3 - np.diag([0, 0, 1.0])).max() < 1e-9
     assert abs(leak) < 1e-9
 
 
 def test_reconstruct_qutrit_readout_leakage():
     noise = cc.NoiseConfig(readout_flip=0.05)
-    rec = tg.collect(dc.prep_basis_circuit(1), shots=0, seed=0, noise=noise)
-    _, leak = enc.project_qutrit(tg.reconstruct_state(rec.table))
+    table = tg.collect(dc.prep_basis_circuit(1), shots=0, seed=0, noise=noise)
+    _, leak = enc.project_qutrit(tg.reconstruct_state(table))
     assert 0.0 < leak < 0.02  # double flip onto |11> is ~flip^2
 
 
@@ -131,15 +126,15 @@ def test_reconstruct_channel_output_high_shots():
     full = cc.Circuit(4)
     full.extend(dc.prep_basis_circuit(1).remapped([2, 3], 4).gates)
     full.extend(circ.gates)
-    rec = tg.collect(full, shots=10 ** 6, seed=42, measure_qubits=(2, 3))
-    rho3, _ = enc.project_qutrit(tg.reconstruct_state(rec.table))
+    table = tg.collect(full, shots=10 ** 6, seed=42, measure_qubits=(2, 3))
+    rho3, _ = enc.project_qutrit(tg.reconstruct_state(table))
     assert tg.fidelity(rho3, np.diag([0.5, 0.5, 0.0]).astype(complex)) >= 0.999
 
 
 def test_incomplete_record_rejected():
-    rec = tg.collect(cc.Circuit(2), shots=4, seed=0)
+    table = tg.collect(cc.Circuit(2), shots=4, seed=0)
     with pytest.raises(ValueError):
-        tg.reconstruct_state(rec.table[:-1])
+        tg.reconstruct_state(table[:-1])
 
 
 def test_fidelity_basic_values():
@@ -178,8 +173,8 @@ def test_error_shrinks_with_shots():
     def mean_err(shots):
         errs = []
         for seed in range(8):
-            rec = tg.collect(c, shots=shots, seed=seed)
-            errs.append(1 - tg.fidelity(tg.reconstruct_state(rec.table), target))
+            table = tg.collect(c, shots=shots, seed=seed)
+            errs.append(1 - tg.fidelity(tg.reconstruct_state(table), target))
         return np.mean(errs)
 
     assert mean_err(4096) > mean_err(262144)
@@ -277,8 +272,7 @@ def _ref_collect(c, shots, seed, noise=cc.NoiseConfig(), measure_qubits=None):
             probs.append(p / p.sum())
         else:
             probs.append(cc.born_probabilities(rho))
-    table = np.array(probs) if shots == 0 else _ref_sample(probs, shots, seed, flip)
-    return tg.TomographyRecord(table, shots, seed)
+    return np.array(probs) if shots == 0 else _ref_sample(probs, shots, seed, flip)
 
 
 def _ref_linear_inversion(table):
@@ -328,9 +322,8 @@ def test_collect_exact_matches_per_setting_reference(k, seed, noise):
     c, measure = _random_register(k, seed)
     got = tg.collect(c, 0, seed, noise, measure_qubits=measure)
     want = _ref_collect(c, 0, seed, noise, measure_qubits=measure)
-    assert got.settings == want.settings
-    assert got.seed == want.seed and got.shots == 0
-    for a, b in zip(got.table, want.table):
+    assert got.shape == want.shape == (3 ** k, 2 ** k)
+    for a, b in zip(got, want):
         assert np.abs(a / a.sum() - b / b.sum()).max() < 1e-12
 
 
@@ -341,8 +334,7 @@ def test_collect_noisy_counts_bit_identical_to_reference(k, seed, noise, shots):
     c, measure = _random_register(k, seed)
     got = tg.collect(c, shots, seed, noise, measure_qubits=measure)
     want = _ref_collect(c, shots, seed, noise, measure_qubits=measure)
-    assert got.table.dtype == want.table.dtype and np.array_equal(got.table, want.table)
-    assert got.seed == want.seed
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_readout_flip_split_matches_loop():
@@ -366,7 +358,7 @@ def test_readout_flip_split_matches_loop():
        shots=st.sampled_from([0, 64, 8192]))
 def test_linear_inversion_matches_reference(k, seed, noise, shots):
     c, measure = _random_register(k, seed)
-    table = tg.collect(c, shots, seed, noise, measure_qubits=measure).table
+    table = tg.collect(c, shots, seed, noise, measure_qubits=measure)
     assert np.abs(tg._linear_inversion(table) - _ref_linear_inversion(table)).max() < 1e-12
 
 
@@ -392,8 +384,7 @@ def test_reconstruct_state_stack_matches_per_record():
     for seed in range(6):
         c, measure = _random_register(2, seed)
         noise = cc.NoiseConfig(p2=0.05, readout_flip=0.01) if seed % 2 else cc.NoiseConfig()
-        rec = tg.collect(c, (0, 64, 8192)[seed % 3], seed, noise, measure_qubits=measure)
-        tables.append(rec.table)
+        tables.append(tg.collect(c, (0, 64, 8192)[seed % 3], seed, noise, measure_qubits=measure))
     got = tg.reconstruct_state(np.stack(tables))
     assert got.shape == (6, 4, 4)
     for rho, table in zip(got, tables):
@@ -403,7 +394,7 @@ def test_reconstruct_state_stack_matches_per_record():
     with pytest.raises(ValueError):
         tg.reconstruct_state(np.empty((0, 9, 4)))
     with pytest.raises(ValueError):  # tables on different numbers of qubits
-        tg.reconstruct_state([tables[0], tg.collect(cc.Circuit(3), 0, 0).table])
+        tg.reconstruct_state([tables[0], tg.collect(cc.Circuit(3), 0, 0)])
 
 
 def test_collect_checks_before_simulating():
@@ -470,7 +461,7 @@ def test_estimate_of_direct_tables_draws_input_one_stream(shots, noise):
 
 def test_seed_is_validated_and_not_masked():
     c = cc.Circuit(2, [("h", (), (0,)), ("h", (), (1,))])
-    exact = tg.collect(c, 0, 0).table[None]
+    exact = tg.collect(c, 0, 0)[None]
     for bad in (-1, -2 ** 63, True, 2.5):
         with pytest.raises(ValueError, match="seed"):
             tg.collect(c, 100, bad)
@@ -481,7 +472,7 @@ def test_seed_is_validated_and_not_masked():
     with pytest.raises(ValueError, match="seed"):  # checked before simulating
         tg.collect(cc.Circuit(cc.MAX_DENSE_QUBITS + 1), 10, -1)
     # seeds equal modulo 2^63 draw different streams
-    tables = [tg.collect(c, 1000, s).table for s in (5, 2 ** 63 + 5, 2 ** 63 - 1, 2 ** 64 - 1)]
+    tables = [tg.collect(c, 1000, s) for s in (5, 2 ** 63 + 5, 2 ** 63 - 1, 2 ** 64 - 1)]
     assert len({t.tobytes() for t in tables}) == len(tables)
 
 
@@ -495,10 +486,9 @@ def test_shots_are_bounded_by_int64():
             tg.collect(c, bad, 0)
         with pytest.raises(ValueError, match="shots"):
             cj.choi_direct(dc.ls_channel_circuit(), bad, 0)
-    rec = tg.collect(c, cc.MAX_SHOTS, 0)
-    assert (rec.table.sum(axis=1) == cc.MAX_SHOTS).all()
-    rec = tg.collect(c, np.int64(8), 3)  # numpy integers are shot counts
-    assert type(rec.shots) is int and np.array_equal(rec.table, tg.collect(c, 8, 3).table)
+    assert (tg.collect(c, cc.MAX_SHOTS, 0).sum(axis=1) == cc.MAX_SHOTS).all()
+    # numpy integers are shot counts
+    assert np.array_equal(tg.collect(c, np.int64(8), 3), tg.collect(c, 8, 3))
 
 
 def _mixed_pair():
@@ -509,16 +499,16 @@ def _mixed_pair():
 
 
 def test_records_with_distinct_seeds_share_no_rows():
-    # with one outcome distribution for every setting, records drawn from
+    # with one outcome distribution for every setting, tables drawn from
     # overlapping streams repeat rows (per-setting streams seed + i made
     # row j + 1 of seed s equal to row j of seed s + 1).  At 10^6 shots two
     # independent rows coincide with probability about 4e-10 per pair.
     c, shots, measure = _mixed_pair(), 10 ** 6, (0, 1)
-    recs = [tg.collect(c, shots, seed, measure_qubits=measure) for seed in range(40)]
-    recs += [tg.collect(c, shots, 1000 * s + i, measure_qubits=measure)  # criterion 7's seeds
-             for s in range(1, 4) for i in range(1, 10)]
-    rows = np.concatenate([rec.table for rec in recs])
-    assert rows.shape == (len(recs) * 9, 4)
+    tables = [tg.collect(c, shots, seed, measure_qubits=measure) for seed in range(40)]
+    tables += [tg.collect(c, shots, 1000 * s + i, measure_qubits=measure)  # criterion 7's seeds
+               for s in range(1, 4) for i in range(1, 10)]
+    rows = np.concatenate(tables)
+    assert rows.shape == (len(tables) * 9, 4)
     assert len(np.unique(rows, axis=0)) == len(rows)
 
 
@@ -528,11 +518,11 @@ def test_estimate_stacks_and_records_share_no_rows():
     # outcome distribution for every setting of every input, overlapping
     # streams would repeat rows, within a stack or across seeds and routes.
     c, shots, measure = _mixed_pair(), 10 ** 6, (0, 1)
-    exact = tg.collect(c, 0, 0, measure_qubits=measure).table
+    exact = tg.collect(c, 0, 0, measure_qubits=measure)
     stack = np.repeat(exact[None], 9, axis=0)
     rows = [cc.sample_table(stack, shots, np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(1,)))).reshape(-1, 4) for seed in range(40)]
-    rows += [tg.collect(c, shots, seed, measure_qubits=measure).table for seed in range(40)]
+    rows += [tg.collect(c, shots, seed, measure_qubits=measure) for seed in range(40)]
     rows = np.concatenate(rows)
     assert rows.shape == (40 * 81 + 40 * 9, 4)
     assert len(np.unique(rows, axis=0)) == len(rows)
@@ -548,14 +538,14 @@ def _chi2_upper(df, z=3.090):
 @pytest.mark.parametrize("flip", [0.0, 0.05])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_sampled_table_fits_exact_table(k, flip):
-    # Pearson chi-square of a sampled record against the exact-mode record
+    # Pearson chi-square of a sampled table against the exact-mode table
     # of the same circuit, significance level 1e-3 per case, fixed seeds;
     # per row, cells expecting fewer than 5 shots are pooled into one
     c, measure = _random_register(k, 500 + k)
     noise = cc.NoiseConfig(p2=0.02, readout_flip=flip)
     shots = 20000
-    exact = tg.collect(c, 0, 0, noise, measure_qubits=measure).table
-    got = tg.collect(c, shots, 700 + k, noise, measure_qubits=measure).table
+    exact = tg.collect(c, 0, 0, noise, measure_qubits=measure)
+    got = tg.collect(c, shots, 700 + k, noise, measure_qubits=measure)
     _assert_fits(got, exact, shots)
 
 
