@@ -10,25 +10,38 @@ Conventions, used everywhere in this package:
   u2(phi, lam) = u3(pi/2, phi, lam), u1(lam) = diag(1, e^{i lam});
   ry(theta) == u3(theta, 0, 0).
 
-Every simulation path goes through one kernel, ``_apply(t, m, axes)``: one
-BLAS product of the 2^k x 2^k matrix m with t, its k size-2 axes moved to
-the front and the rest flattened, transposed back onto the same axes.  The
-transpose, the output shape and the inverse transpose are planned once per
-(t.shape, axes) and cached (MAX_CACHED_PLANS); each gate's matrix is built
-once per (name, params) and shared read-only (gate_matrix).
+Every simulation path runs one kernel step per gate: one BLAS product
+np.dot(m, t.reshape(2^k, -1)) of the gate's 2^k x 2^k matrix m with the
+tensor t, its k touched axes in front and the rest flattened.  Every
+tensor a run makes is C-contiguous, its axes in a stored order that
+travels with it from gate to gate (stored axis i holds logical axis
+order[i]).  A gate gathers t (one transpose and copy: its axes to the
+front, the others in their stored order) only when its axes are not
+already in front, and keeps the product's layout; one transpose at the
+end of the run restores the logical order.  np.dot gets the rows a
+gather into logical order would give it, in the same order; only the
+order of its columns (the flattened rest) differs, and no column's
+arithmetic depends on where it sits, so every output is bit for bit the
+per-gate kernel's (_apply: tensordot then moveaxis).  The index work is
+cached (MAX_CACHED_PLANS): the one-qubit front transpose per stored
+position (_front), the CNOT and X slabs per stored positions (_slabs),
+and the density loop's gather per (stored order, axes) (_move).  Each
+gate's matrix is built once per (name, params) and shared read-only
+(gate_matrix).
 
-* States and unitaries: t has axes (q_0..q_{n-1}, batch).  simulate_state
-  runs a stack of states as the batch; unitary_of runs the identity as a
-  batch of 2^n columns.  CNOT and X are permutations, so here they move
-  data instead of multiplying: a copy of t with the target axis reversed
-  inside the control's 1 slab, or with the qubit's axis reversed.  Only
-  the signs of zeros can differ from the product (np.array_equal holds).
-* Densities: t has axes (row q_0..q_{n-1}, col q_0..q_{n-1}, batch).
-  A gate on qubits (a, b) is one 4^k x 4^k superoperator on axes
-  (a, b, n+a, n+b), row-major over those axes: N (u (x) conj(u)), where N
-  applies the 4x4 per-qubit noise (depolarizing, then amplitude damping) to
-  each touched qubit's (row, col) pair; without gate noise N is the
-  identity, so the superoperator is exactly u (x) conj(u).  Each
+* States and unitaries: t has logical axes (q_0..q_{n-1}, batch).
+  simulate_state runs a stack of states as the batch; unitary_of runs the
+  identity as a batch of 2^n columns.  CNOT and X are permutations, so here
+  they move data in the stored layout instead of multiplying: the target
+  axis reversed inside the control's 1 slab (in place, once the run owns
+  the array), or a copy with the qubit's axis reversed.  Only the signs of
+  zeros can differ from the product (np.array_equal holds).
+* Densities: t has logical axes (batch, row q_0..q_{n-1}, col q_0..q_{n-1}).
+  A gate on qubits (a, b) is one 4^k x 4^k superoperator on its axes (row
+  a, row b, col a, col b), row-major over those axes: N (u (x) conj(u)),
+  where N applies the 4x4 per-qubit noise (depolarizing, then amplitude
+  damping) to each touched qubit's (row, col) pair; without gate noise N is
+  the identity, so the superoperator is exactly u (x) conj(u).  Each
   superoperator is built once per process for each (noise, gate name,
   params) and shared read-only (gate_superops).  Without gate noise a
   caller runs state vectors instead (tomography.measured_states).
@@ -204,48 +217,86 @@ def _gate_matrix(name: str, params: tuple) -> np.ndarray:
     return m
 
 
-# Largest number of cached kernel plans, a memory budget: a plan and its key
-# are five tuples of at most 21 ints, under 2 KiB, so 1024 take under 2 MiB.
+# Largest number of entries in each kernel plan cache, a memory budget: an
+# entry and its key are at most four tuples of at most 21 ints, under 2 KiB,
+# so 1024 take under 2 MiB per cache.
 MAX_CACHED_PLANS = 1024
 
 
 @functools.lru_cache(maxsize=MAX_CACHED_PLANS)
-def _plan(shape: tuple, axes: tuple) -> tuple:
-    """(transpose putting axes first, product shape, inverse transpose)."""
-    rest = [a for a in range(len(shape)) if a not in axes]
-    src = (*axes, *rest)
-    inv = [0] * len(shape)
-    for i, a in enumerate(src):
-        inv[a] = i
-    return src, (2,) * len(axes) + tuple(shape[a] for a in rest), tuple(inv)
+def _front(ndim: int, p: int) -> tuple:
+    """Transpose moving stored axis p to the front, the others in order."""
+    return (p, *range(p), *range(p + 1, ndim))
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_PLANS)
+def _slabs(ndim: int, target: int, control: int | None = None) -> tuple:
+    """Index reversing stored axis target (X), or with a control the pair
+    (the control's 1 slab, that slab with target reversed) (CNOT)."""
+    flipped = [slice(None)] * ndim
+    flipped[target] = slice(None, None, -1)
+    if control is None:
+        return tuple(flipped)
+    on = [slice(None)] * ndim
+    on[control] = flipped[control] = 1
+    return tuple(on), tuple(flipped)
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_PLANS)
+def _move(order: tuple, axes: tuple) -> tuple:
+    """(transpose putting logical axes first, or None when they already are;
+    the stored order after it) for a tensor whose stored axis i holds
+    logical axis order[i]."""
+    if order[:len(axes)] == axes:
+        return None, order
+    pos = [order.index(a) for a in axes]
+    perm = (*pos, *(p for p in range(len(order)) if p not in pos))
+    return perm, tuple(order[p] for p in perm)
+
+
+def _step(t: np.ndarray, m: np.ndarray, order: tuple, axes: tuple) -> tuple:
+    """Contract the 2^k x 2^k matrix m into the k (size-2) logical axes of
+    t, stored in order: gather them to the front unless they are there, one
+    product, kept in its layout.  Returns (product, its stored order)."""
+    perm, order = _move(order, axes)
+    if perm is not None:
+        t = t.transpose(perm)
+    return np.dot(m, t.reshape(len(m), -1)).reshape(t.shape), order
+
+
+def _restore(t: np.ndarray, order: tuple) -> np.ndarray:
+    """t, stored in order, as a view in logical axis order."""
+    perm, _ = _move(order, tuple(range(t.ndim)))
+    return t if perm is None else t.transpose(perm)
 
 
 def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
-    """Contract the 2^k x 2^k matrix m into the k listed (size-2) axes of t;
-    the image of the listed axes keeps their positions.  The product has
-    the operands np.tensordot builds: bit for bit tensordot then moveaxis."""
-    src, shape, inv = _plan(t.shape, tuple(axes))
-    return np.dot(m, t.transpose(src).reshape(len(m), -1)).reshape(shape).transpose(inv)
+    """One gate of the kernel on a tensor in logical order: the image of
+    the listed axes keeps their positions.  The product has the operands
+    np.tensordot builds: bit for bit tensordot then moveaxis."""
+    return _restore(*_step(t, m, tuple(range(t.ndim)), tuple(axes)))
 
 
 def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
-    """Apply every gate of c to a (2,)*n + (batch,) tensor of state columns;
-    CNOT and X by moving slabs (module docstring), the rest by _apply."""
-    every = (slice(None),) * t.ndim
+    """Apply every gate of c to a (2,)*n + (batch,) tensor of state columns
+    (module docstring): stored axis i holds logical axis order[i]."""
+    given, order = t, tuple(range(t.ndim))
     for g in c.gates:
         q = g.qubits
         if g.name == "cnot":
-            on = every[:q[0]] + (1,) + every[q[0] + 1:]
-            flipped = list(on)
-            flipped[q[1]] = slice(None, None, -1)
-            out = t.copy()
-            out[on] = t[tuple(flipped)]
-            t = out
+            on, flipped = _slabs(t.ndim, order.index(q[1]), order.index(q[0]))
+            if t is given:                  # never write into the caller's array
+                t = t.copy()
+            t[on] = t[flipped]
         elif g.name == "x":
-            t = t[every[:q[0]] + (slice(None, None, -1),)].copy()
-        else:
-            t = _apply(t, gate_matrix(g), q)
-    return t
+            t = t[_slabs(t.ndim, order.index(q[0]))].copy()
+        else:   # not _step: _move's key, the whole order, takes too many values here
+            p = order.index(q[0])
+            if p:
+                t = t.transpose(_front(t.ndim, p))
+                order = (q[0], *order[:p], *order[p + 1:])
+            t = np.dot(gate_matrix(g), t.reshape(2, -1)).reshape(t.shape)
+    return _restore(t, order)
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
@@ -364,10 +415,11 @@ def simulate_density(c: Circuit, input_density: np.ndarray,
     if not c.gates:
         return rho.copy()
     n = c.n_qubits
-    t = np.moveaxis(rho.reshape(-1, d, d), 0, -1).reshape((2,) * (2 * n) + (-1,))
+    t, order = rho.reshape((-1,) + (2,) * (2 * n)), tuple(range(2 * n + 1))
     for g, superop in zip(c.gates, gate_superops(c.gates, noise)):
-        t = _apply(t, superop, g.qubits + tuple(n + q for q in g.qubits))
-    return np.moveaxis(t.reshape(d, d, -1), -1, 0).reshape(rho.shape)
+        t, order = _step(t, superop, order, tuple(1 + q for q in g.qubits)
+                         + tuple(1 + n + q for q in g.qubits))
+    return _restore(t, order).reshape(rho.shape)
 
 
 def born_probabilities(state_or_density: np.ndarray) -> np.ndarray:

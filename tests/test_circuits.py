@@ -412,6 +412,23 @@ def test_simulate_state_matches_per_gate_reference_exactly():
             for g in c.gates:
                 want = _ref_apply_gate_state(want, g, n)
             assert np.array_equal(cc.simulate_state(c, psi), want)
+    # A stack runs as one batch of columns, whose stored axis order moves
+    # from gate to gate; each state must still get the reference's bits.
+    # From 3 qubits on it is exact; at 1-2 qubits the reference's 1- or
+    # 2-column products may round in the last bit (as in
+    # test_unitary_of_matches_per_column_reference).
+    for n in range(1, 7):
+        c = random_circuit(rng, n, 30)
+        stacks = [_random_states(rng, (b,), 2 ** n) for b in (2, 3, 9)]
+        stacks.append(_random_states(rng, (4,), 2 ** n).T.copy().T)   # a transposed view
+        for psi in stacks:
+            got = cc.simulate_state(c, psi)
+            for i, state in enumerate(psi):
+                want = state
+                for g in c.gates:
+                    want = _ref_apply_gate_state(want, g, n)
+                diff = np.abs(got[i] - want).max()
+                assert diff <= (0.0 if n >= 3 else 1e-15), (n, len(psi), diff)
 
 
 _noise = st.builds(cc.NoiseConfig, p1=st.floats(0, 1), p2=st.floats(0, 1),
@@ -429,6 +446,32 @@ def test_simulate_density_matches_gate_by_gate_reference(n, seed, noise):
     rho /= np.trace(rho)
     got = cc.simulate_density(c, rho, noise)
     assert np.abs(got - _ref_simulate_density(c, rho, noise)).max() < 1e-12
+
+
+def _ref_density_loop(c, rho, noise):
+    # the density loop in logical axis order (row q.., col q.., batch): each
+    # superoperator's axes gathered to the front, one np.dot, transposed back
+    n, d = c.n_qubits, 2 ** c.n_qubits
+    t = np.moveaxis(rho.reshape(-1, d, d), 0, -1).reshape((2,) * (2 * n) + (-1,))
+    for g, superop in zip(c.gates, cc.gate_superops(c.gates, noise)):
+        axes = g.qubits + tuple(n + q for q in g.qubits)
+        rest = [a for a in range(t.ndim) if a not in axes]
+        src = (*axes, *rest)
+        shape = (2,) * len(axes) + tuple(t.shape[a] for a in rest)
+        t = np.dot(superop, t.transpose(src).reshape(len(superop), -1)).reshape(shape)
+        t = t.transpose(np.argsort(src))
+    return np.moveaxis(t.reshape(d, d, -1), -1, 0).reshape(rho.shape)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), noise=_noise,
+       shape=st.sampled_from([(), (1,), (3,), (2, 3)]))
+def test_simulate_density_matches_per_gate_kernel_loop_exactly(n, seed, noise, shape):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, 20)
+    rho = _random_densities(rng, shape, 2 ** n)
+    assert np.array_equal(cc.simulate_density(c, rho, noise),
+                          _ref_density_loop(c, rho, noise))
 
 
 def test_noisy_routed_density_matches_gate_by_gate_reference():

@@ -445,7 +445,8 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
 
 def _clear_caches():
     for cached in (cli._outcome_table, cc._gate_superop, cj._analytic_spectrum,
-                   dc._basis_states, cc._gate_matrix, cc._plan, cp._legal_cnot):
+                   dc._basis_states, cc._gate_matrix, cc._front, cc._slabs, cc._move,
+                   cp._legal_cnot):
         cached.cache_clear()
 
 
