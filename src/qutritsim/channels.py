@@ -57,7 +57,7 @@ for _a in (_J.jx, _J.jy, _J.jz):
 
 def _require_density(rho: np.ndarray, atol: float = 1e-8) -> np.ndarray:
     rho = as_matrix(rho)
-    if not la.is_density_matrix(rho, atol):
+    if not la._is_density(rho, atol):
         raise ValueError("input is not a density matrix within tolerance")
     return rho
 

@@ -105,8 +105,12 @@ class Gate:
         name, params = self.name.lower(), tuple(self.params)
         if name not in GATE_ARITY:
             raise ValueError(f"unknown gate {name!r}")
-        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) and math.isfinite(p)
-                   for p in params):
+        try:
+            finite = all(isinstance(p, numbers.Real) and not isinstance(p, bool)
+                         and math.isfinite(p) for p in params)
+        except OverflowError:  # math.isfinite of an int too large for a float
+            finite = False
+        if not finite:
             raise ValueError(f"{name} angles must be finite real numbers, got {params!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", tuple(map(float, params)))
@@ -343,10 +347,11 @@ class NoiseConfig:
             # a bool or a numeric string is not a probability
             if not isinstance(v, numbers.Real) or isinstance(v, bool):
                 raise ValueError(f"{name} must be a real number, got {v!r}")
-            v = float(v)
+            # compared before float(v), which overflows on a huge int; the
+            # reason comes before the value, which a message cut may hide
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-            object.__setattr__(self, name, v)
+                raise ValueError(f"{name} must be in [0, 1], got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 def _qubit_noise(p: float, gamma: float) -> np.ndarray:

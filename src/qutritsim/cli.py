@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import stat
@@ -261,7 +262,11 @@ def cmd_choi(cfg) -> str:
 
 def cmd_sweep(cfg) -> str:
     """36-row CSV over unordered distinct basis-state pairs, plus the overall
-    Choi fidelity as a summary row."""
+    Choi fidelity as a summary row.  Each row is
+    tomography.channel_fidelity_sweep of its pair, bit for bit: the nine
+    endpoint outputs of the Choi matrix and the reference are built once,
+    and the pairs are scored by the same scorer, as many per stack as fit
+    in MAX_SWEEP_GRID grid points."""
     name = cfg["channel"]
     if not cfg.get("choi_file"):
         raise ConfigError("sweep needs --choi-file (output of the choi command)")
@@ -269,13 +274,17 @@ def cmd_sweep(cfg) -> str:
                             lambda obj: (obj, cj.choi_from_json(obj)))
     if obj.get("channel", name) != name:
         raise ConfigError(f"choi file is for channel {obj['channel']!r}, not {name!r}")
-    reference = _ANALYTIC[name]
     grid = cfg["grid"]
+    got, want = tg._endpoint_outputs(omega, _ANALYTIC[name],
+                                     [dc.basis_density(i) for i in range(1, 10)])
+    pairs = np.array(list(itertools.combinations(range(9), 2)))
+    per_stack = tg.MAX_SWEEP_GRID // grid
     rows = [["pair_a", "pair_b", "min", "max", "mean"]]
-    for a in range(1, 10):
-        for b in range(a + 1, 10):
-            lo, hi, mean = tg.channel_fidelity_sweep(omega, reference, a, b, grid)
-            rows.append([a, b, f"{lo:.10f}", f"{hi:.10f}", f"{mean:.10f}"])
+    for start in range(0, len(pairs), per_stack):
+        stack = pairs[start:start + per_stack]
+        stats = tg._score_segments(got[stack], want[stack], grid)
+        rows += [[a + 1, b + 1, *(f"{x:.10f}" for x in row)]
+                 for (a, b), *row in zip(stack.tolist(), *stats)]
     overall = cj.analytic_fidelity(name, omega)
     rows.append(["choi", "choi", f"{overall:.10f}", f"{overall:.10f}", f"{overall:.10f}"])
     buf = io.StringIO(newline="")

@@ -114,16 +114,21 @@ def hermitian_eig(m: np.ndarray):
     return w[..., ::-1], v[..., ::-1]
 
 
-def is_psd(m: np.ndarray, atol: float = ATOL) -> bool:
-    """True iff Hermitian within atol and min eigenvalue >= -atol (for a
-    stack, every matrix): the eigenvalues of the Hermitian part only."""
-    m = as_stack(m)
-    if m.shape[-2] != m.shape[-1]:
-        return False
+def _psd_within(m: np.ndarray, atol: float) -> bool:
+    """The PSD check of is_psd and is_density_matrix, on a square stack that
+    as_stack has already coerced: Hermitian within atol and min eigenvalue
+    >= -atol, the eigenvalues of the Hermitian part only."""
     h = dagger(m)
     if np.abs(m - h).max() > atol:
         return False
     return bool((np.linalg.eigvalsh((m + h) / 2)[..., 0] >= -atol).all())  # ascending
+
+
+def is_psd(m: np.ndarray, atol: float = ATOL) -> bool:
+    """True iff Hermitian within atol and min eigenvalue >= -atol (for a
+    stack, every matrix): the eigenvalues of the Hermitian part only."""
+    m = as_stack(m)
+    return m.shape[-2] == m.shape[-1] and _psd_within(m, atol)
 
 
 def sqrtm_psd(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
@@ -146,10 +151,13 @@ def sqrtm_psd(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
 
 def is_density_matrix(m: np.ndarray, atol: float = 1e-8) -> bool:
     """Trace-1 PSD Hermitian check, loose by default for tomographic output."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return abs(np.trace(m) - 1) <= atol and is_psd(m, atol)
+    return _is_density(as_matrix(m), atol)
+
+
+def _is_density(m: np.ndarray, atol: float) -> bool:
+    """is_density_matrix of a matrix that as_matrix has already coerced, for
+    a caller that keeps the coerced array (channels._require_density)."""
+    return m.shape[0] == m.shape[1] and abs(np.trace(m) - 1) <= atol and _psd_within(m, atol)
 
 
 def density_spectrum(m: np.ndarray):

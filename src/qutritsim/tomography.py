@@ -21,15 +21,26 @@ contraction, followed by projection onto the nearest density matrix
 projected as one.
 
 ``fidelity`` is Uhlmann's, (Tr sqrt(sqrt(s1) s2 sqrt(s1)))^2, read in the
-eigenbasis of s1 by one formula, _uhlmann: with s1 = v diag(p) v+, the
-matrix sqrt(s1) s2 sqrt(s1) is similar to diag(sqrt(p)) v+ s2 v
-diag(sqrt(p)).  ``channel_fidelity_sweep`` and choi.choi_fidelity take
-(p, v) from the density_spectrum their projection already has, so they
-need one eigendecomposition of each projected matrix, not two.
+eigenbasis of s1: with s1 = v diag(p) v+, the matrix sqrt(s1) s2 sqrt(s1)
+is similar to diag(sqrt(p)) v+ s2 v diag(sqrt(p)), whose eigenvalues one
+tail, _uhlmann_tail, turns into the fidelity (the eigenvalue dust rule and
+the clamp to [0, 1]).  choi.choi_fidelity takes (p, v) from the
+density_spectrum its projection already has, so it needs one
+eigendecomposition of each projected matrix, not two.
+
+``channel_fidelity_sweep`` scores the segment between two basis inputs
+with one scorer, _score_segments, which cli.cmd_sweep runs too: both
+channels are linear, so the whole lambda grid is one stack built from the
+two endpoint outputs (_endpoint_outputs) and projected by one batched
+density_spectrum; the reference grid is never built.  cmd_sweep builds a
+Choi file's nine endpoint outputs once and scores up to MAX_SWEEP_GRID
+points of its 36 pairs per stack.  Each lambda grid is built once per
+grid size, read-only (_lambda_grid, at most MAX_CACHED_GRIDS of them).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -218,17 +229,23 @@ def reconstruct_state(tables) -> np.ndarray:
     return la.project_to_density(_linear_inversion(tables))
 
 
-def _uhlmann(p: np.ndarray, v: np.ndarray, s2: np.ndarray):
-    """Uhlmann fidelity of s1 = v diag(p) v+ (p >= 0) and s2, of a pair or
-    of each pair of a stack: (sum sqrt(w))^2 clamped to [0, 1], w the
-    eigenvalues of diag(sqrt(p)) v+ s2 v diag(sqrt(p)), which is similar to
-    sqrt(s1) s2 sqrt(s1)."""
-    root = np.sqrt(p)
-    m = root[..., :, None] * (la.dagger(v) @ s2 @ v) * root[..., None, :]
+def _uhlmann_tail(m: np.ndarray):
+    """(sum sqrt(w))^2 clamped to [0, 1], w the eigenvalues of m, of a matrix
+    or of each matrix of a stack: the Uhlmann fidelity once m is a matrix
+    similar to sqrt(s1) s2 sqrt(s1)."""
     w = np.maximum(np.linalg.eigvalsh(m), 0.0)  # ascending; np.clip(., 0.0, None)
     # zero out eigenvalue dust: sqrt turns O(eps) noise into O(sqrt(eps))
     w[w < w[..., -1:] * 1e-13] = 0.0
-    val = np.clip(np.sqrt(w).sum(-1) ** 2, 0.0, 1.0)
+    # the square is >= 0, so this is np.clip(., 0.0, 1.0)
+    return np.minimum(np.sqrt(w).sum(-1) ** 2, 1.0)
+
+
+def _uhlmann(p: np.ndarray, v: np.ndarray, s2: np.ndarray):
+    """Uhlmann fidelity of s1 = v diag(p) v+ (p >= 0) and s2, of a pair or
+    of each pair of a stack: _uhlmann_tail of diag(sqrt(p)) v+ s2 v
+    diag(sqrt(p)), which is similar to sqrt(s1) s2 sqrt(s1)."""
+    root = np.sqrt(p)
+    val = _uhlmann_tail(root[..., :, None] * (la.dagger(v) @ s2 @ v) * root[..., None, :])
     return float(val) if val.ndim == 0 else val
 
 
@@ -250,10 +267,84 @@ def fidelity(s1: np.ndarray, s2: np.ndarray):
     return _uhlmann(np.clip(p, 0.0, None), v, s2)
 
 
-# Largest lambda grid of channel_fidelity_sweep, a memory budget: the sweep
-# holds about 1 KiB of 3x3 stacks per grid point, so 2^16 points take about
-# 64 MiB.
+# Largest number of lambda grid points scored as one stack, a memory budget:
+# the scorer holds at most four 3x3 complex stacks, under 0.6 KiB per point,
+# so 2^16 points take under 40 MiB.  It bounds channel_fidelity_sweep's
+# grid, and cli.cmd_sweep scores as many pairs per stack as fit in it.
 MAX_SWEEP_GRID = 2 ** 16
+
+# Largest number of cached lambda grids, a memory budget: an entry is two
+# (grid, 1, 1) float64 arrays, at most 1 MiB at MAX_SWEEP_GRID, so 8 take at
+# most 8 MiB.
+MAX_CACHED_GRIDS = 8
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_GRIDS)
+def _lambda_grid(grid: int) -> tuple:
+    """(lam, 1 - lam), read-only (grid, 1, 1) arrays, lam = np.linspace(0, 1, grid)."""
+    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
+    rest = 1 - lam
+    lam.flags.writeable = rest.flags.writeable = False
+    return lam, rest
+
+
+def _endpoint_outputs(omega: np.ndarray, reference, inputs) -> tuple:
+    """(got, want), two (n, 3, 3) stacks: channel_from_choi(omega, rho) and
+    reference(rho) for each of the n inputs, with one reshuffle of omega.
+
+    A non-9x9 omega raises ShapeError before reference is called.  reference
+    is called on each input in order: a non-finite output raises ValueError
+    as it is read, and one that is not 3x3 ShapeError once all are read.
+    """
+    superop = superop_from_choi(omega)
+    if superop.shape != (9, 9):
+        raise la.ShapeError(f"channel_fidelity_sweep expects a 9x9 Choi matrix, got shape "
+                            f"{superop.shape}")
+    # np.array, not np.stack, which costs four times as much for two 3x3s
+    got = np.array([(superop @ rho.reshape(9)).reshape(3, 3) for rho in inputs])
+    # atleast_2d: a scalar or vector output's ShapeError names it as one row
+    want = [la.as_stack(np.atleast_2d(reference(rho))) for rho in inputs]
+    for w in want:
+        if w.shape != (3, 3):
+            raise la.ShapeError(f"reference output has shape {w.shape}, not (3, 3)")
+    return got, np.array(want)
+
+
+def _score_segments(got: np.ndarray, want: np.ndarray, grid: int) -> tuple:
+    """(min, max, mean), each an array (P,), of the fidelity of the projected
+    estimate and the reference along P segments lam * rho_a + (1 - lam) *
+    rho_b, lam on the cached grid of grid points.
+
+    got and want are (P, 2, 3, 3): the estimate's and the reference's
+    outputs at the two endpoints (a, then b) of each segment.  Both channels
+    are linear, so the estimate grid is lam * got_a + (1 - lam) * got_b,
+    projected by one density_spectrum: s1 = v diag(p) v+, p >= 0, so no PSD
+    check is needed.  With u = v diag(sqrt(p)), u+ s2 u is similar to
+    sqrt(s1) s2 sqrt(s1), and the reference grid s2 is never built:
+    s2 u = lam (want_a u) + (1 - lam) (want_b u), each endpoint product one
+    matrix product with every u of the stack side by side (one product for
+    both would need an array twice the grid's size, which the allocator
+    keeps fragmented: sweep --grid 65536 then peaked at 87 MB, not 77 MB).
+    """
+    lam, rest = _lambda_grid(grid)
+    n = len(got)
+    p, u = la.density_spectrum(lam * got[:, :1] + rest * got[:, 1:])
+    u *= np.sqrt(p)[..., None, :]  # in density_spectrum's own v, which no one else holds
+    u = u.transpose(0, 2, 1, 3).reshape(n, 3, 3 * grid)  # u[:, k]: row k of every u
+    x, scratch = (np.matmul(w, u).reshape(n, 3, grid, 3).transpose(0, 2, 1, 3)
+                  for w in want.swapaxes(0, 1))
+    x *= lam
+    scratch *= rest
+    x += scratch
+    # m = u+ x summed over the row index k by broadcasting, into the spent
+    # scratch: a stacked matmul makes one BLAS call per 3x3 matrix
+    uh = np.conjugate(u, out=u).reshape(n, 3, grid, 3)
+    m = uh[:, 0, :, :, None] * x[..., 0, None, :]
+    for k in (1, 2):
+        m += np.multiply(uh[:, k, :, :, None], x[..., k, None, :], out=scratch)
+    del u, uh, x, scratch  # eigvalsh needs only m
+    vals = _uhlmann_tail(m)
+    return vals.min(-1), vals.max(-1), vals.sum(-1) / grid
 
 
 def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
@@ -263,36 +354,21 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
 
     ``reference`` is the exact channel, a callable rho -> rho that must be
     linear: it is evaluated (and validates its input) at the two endpoints
-    only.  Both channels are linear, so every output along the segment is
-    the same affine combination of the two endpoint outputs, and the whole
-    grid is scored as one stack.  Returns (min, max, mean) of
+    only.  Returns (min, max, mean) over the grid of
     fidelity(project_to_density(channel_from_choi(omega, rho)), reference(rho)),
-    with superop_from_choi(omega) built once for both endpoints.
+    scored by _score_segments, the one scorer cli.cmd_sweep also runs (there
+    on a Choi file's 36 pairs, with its nine endpoint outputs built once).
+    The lam grid is built once per grid size (_lambda_grid, at most
+    MAX_CACHED_GRIDS of them, read-only).
 
-    The fidelity is read in the eigenbasis the projection already has:
-    _uhlmann of (p, v) = density_spectrum(got), and p >= 0 by construction,
-    so no PSD check is needed.  As in fidelity, a non-finite reference
-    output raises ValueError and one not of the Choi output's shape
-    ShapeError; both endpoint outputs are checked before the grid is built.
+    grid is an integer in [2, MAX_SWEEP_GRID], checked first.  As in
+    fidelity, a non-finite reference output raises ValueError and one not
+    of the Choi output's shape ShapeError, both before the grid is built.
     """
     from .decompositions import basis_density
 
     if not 2 <= la.wire_index(grid, "grid") <= MAX_SWEEP_GRID:
         raise ValueError(f"grid must be in [2, {MAX_SWEEP_GRID}]")
-    rho_a, rho_b = basis_density(a), basis_density(b)
-    # channel_from_choi of both endpoints, with one reshuffle of omega
-    superop = superop_from_choi(omega)
-    if superop.shape != (9, 9):
-        raise la.ShapeError(f"channel_fidelity_sweep expects a 9x9 Choi matrix, got shape "
-                            f"{superop.shape}")
-    got_a, got_b = ((superop @ rho.reshape(9)).reshape(3, 3) for rho in (rho_a, rho_b))
-    # atleast_2d: a scalar or vector output's ShapeError names it as one row
-    want_a, want_b = (la.as_stack(np.atleast_2d(reference(rho))) for rho in (rho_a, rho_b))
-    for want in (want_a, want_b):
-        if want.shape != got_a.shape:
-            raise la.ShapeError(f"reference output has shape {want.shape}, "
-                                f"not {got_a.shape}")
-    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
-    p, v = la.density_spectrum(lam * got_a + (1 - lam) * got_b)
-    vals = _uhlmann(p, v, lam * want_a + (1 - lam) * want_b)
-    return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
+    got, want = _endpoint_outputs(omega, reference, (basis_density(a), basis_density(b)))
+    lo, hi, mean = _score_segments(got[None], want[None], grid)
+    return float(lo[0]), float(hi[0]), float(mean[0])

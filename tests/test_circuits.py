@@ -23,8 +23,10 @@ def test_gate_validation():
         cc.Gate("frobnicate", (), (0,))
     with pytest.raises(ValueError):
         cc.Circuit(2, [("x", (), (5,))])     # out of register
-    for bad in ("1.5", True, np.True_, math.nan, math.inf, -np.inf, 1j, None):
-        # "1.5" and True were read as 1.5 and 1.0; a NaN angle made a NaN unitary
+    for bad in ("1.5", True, np.True_, math.nan, math.inf, -np.inf, 1j, None,
+                10 ** 400, -10 ** 400):
+        # "1.5" and True were read as 1.5 and 1.0; a NaN angle made a NaN unitary;
+        # an int too large for a float raised OverflowError
         with pytest.raises(ValueError, match="u1 angles must be finite real numbers"):
             cc.Gate("u1", (bad,), (0,))
         with pytest.raises(ValueError, match="u3 angles must be finite real numbers"):
@@ -137,6 +139,9 @@ def test_noise_config_validation():
         cc.NoiseConfig(p1=1.5)
     with pytest.raises(ValueError):
         cc.NoiseConfig(gamma=-0.1)
+    for huge in (10 ** 400, -10 ** 400):  # float() of them raised OverflowError
+        with pytest.raises(ValueError, match=r"readout_flip must be in \[0, 1\]"):
+            cc.NoiseConfig(readout_flip=huge)
 
 
 def test_noise_config_takes_only_real_numbers():

@@ -443,10 +443,54 @@ def test_noise_file_value_not_a_real_number_is_config_error(tmp_path, capsys, no
     assert not (tmp_path / "choi_ls_direct.json").exists()
 
 
+def _sweep_choi_files(tmp_path):
+    """An analytic, a sampled linear and a noisy direct Choi file, all wh."""
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p2": 0.05, "readout_flip": 0.01}))
+    runs = {"analytic": [], "linear": ["--shots", "8192", "--seed", "3"],
+            "direct": ["--shots", "100000", "--seed", "3", "--noise", str(noise)]}
+    for method, args in runs.items():
+        assert run(["choi", "--channel", "wh", "--choi-method", method, *args,
+                    "--out", str(tmp_path)]) == 0
+    return [tmp_path / f"choi_wh_{method}.json" for method in runs]
+
+
+def test_sweep_rows_equal_the_library_per_pair(tmp_path, monkeypatch):
+    # at grid 2000 the 36 pairs hold 72000 points, over MAX_SWEEP_GRID: two stacks
+    stacks = []
+    score = tg._score_segments
+    monkeypatch.setattr(tg, "_score_segments", lambda *args: stacks.append(args) or score(*args))
+    for path in _sweep_choi_files(tmp_path):
+        omega = cj.choi_from_json(json.loads(path.read_text()))
+        for grid in (2, 3, 101, 2000):
+            stacks.clear()
+            assert run(["sweep", "--channel", "wh", "--choi-file", str(path),
+                        "--grid", str(grid), "--out", str(tmp_path)]) == 0
+            assert len(stacks) == -(-36 // (tg.MAX_SWEEP_GRID // grid))
+            assert all(len(args[0]) * grid <= tg.MAX_SWEEP_GRID for args in stacks)
+            with open(tmp_path / "sweep_wh.csv", newline="") as f:
+                rows = list(csv.reader(f))
+            want = [[str(a), str(b)] + [f"{x:.10f}" for x in tg.channel_fidelity_sweep(
+                omega, ch.wh_apply, a, b, grid)]
+                for a, b in itertools.combinations(range(1, 10), 2)]
+            assert rows[1:37] == want, (path.name, grid)
+
+
+def test_noise_file_huge_integer_is_config_error(tmp_path, capsys):
+    # float() of a 401-digit int raised OverflowError: a traceback and exit 1
+    path = tmp_path / "noise.json"
+    path.write_text('{"p1": 1' + "0" * 400 + "}")
+    code = run(["choi", "--noise", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG and err.count("\n") == 1
+    assert err.startswith("config error: bad noise spec") and "p1 must be in [0, 1]" in err
+    assert not (tmp_path / "choi_ls_analytic.json").exists()
+
+
 def _clear_caches():
     for cached in (cli._outcome_table, cc._gate_superop, cj._analytic_spectrum,
                    dc._basis_states, cc._gate_matrix, cc._front, cc._slabs, cc._move,
-                   cp._legal_cnot):
+                   cp._legal_cnot, tg._lambda_grid):
         cached.cache_clear()
 
 
@@ -1006,6 +1050,63 @@ def test_argv_fuzz_exits_0_or_2_with_one_line(tmp_path, monkeypatch, capsys, dra
     assert "Traceback" not in captured.err
     if code == cli.EXIT_CONFIG:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+        assert len(captured.err) <= len("config error: ") + cli.MAX_ERROR_CHARS + 1
+    else:
+        assert captured.err == ""
+
+
+# The noise-file fuzz writes --noise files from a grammar: objects over the
+# four keys and an unknown one, whose values are JSON texts in and out of
+# [0, 1], signed zeros, subnormals, 1e999 (an inf), the NaN and Infinity
+# literals, 400-digit ints, bools, strings, null, lists and nested objects;
+# other JSON values; and an empty, a non-UTF-8 and an over-budget file and a
+# directory.  choi --choi-method analytic simulates nothing, but
+# _merge_config reads the noise file for every command.
+_noise_scalar = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(-0.5, 1.5).map(repr),
+    st.sampled_from(["0", "1", "2", "-1", "-0", "-0.0", "1.0", "5e-324", "-5e-324",
+                     "2.2250738585072014e-308", "1e999", "-1e999", "NaN", "Infinity",
+                     "-Infinity", "1" + "0" * 400, "-" + "9" * 400, "0." + "0" * 400 + "1",
+                     "true", "false", "null", '"0.1"', '""']))
+_noise_nested = st.deferred(lambda: st.one_of(
+    st.lists(_noise_value, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    _noise_object))
+# scalars twice as often as lists and objects
+_noise_value = st.one_of(_noise_scalar, _noise_scalar, _noise_nested)
+# each of the four keys or not, and now and then an unknown key
+_noise_object = st.builds(
+    lambda known, extra: "{" + ", ".join(f'"{k}": {v}' for k, v in (known | extra).items()) + "}",
+    st.fixed_dictionaries({}, optional={k: _noise_value for k in ("p1", "p2", "gamma",
+                                                                  "readout_flip")}),
+    st.sampled_from([{}, {}, {}, {"bogus": "0.1"}]))
+_noise_file = st.one_of(
+    _noise_object.map(str.encode),
+    _noise_object.map(str.encode),
+    _noise_value.map(str.encode),
+    st.sampled_from([b"", b'{"p1": "\xff"}', b"\xfe\xff{}",
+                     b'{"p1": 0.1' + b" " * cli.MAX_INPUT_BYTES + b"}", None]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_noise_file)
+def test_noise_file_fuzz_exits_0_or_2_with_one_line(tmp_path, capsys, data):
+    example = tmp_path / f"example_{len(os.listdir(tmp_path))}"
+    example.mkdir()
+    path = example / "noise"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    capsys.readouterr()
+    code = run(["choi", "--choi-method", "analytic", "--noise", str(path),
+                "--out", str(example)])
+    captured = capsys.readouterr()
+    assert code in (0, cli.EXIT_CONFIG), data
+    assert "Traceback" not in captured.err
+    if code == cli.EXIT_CONFIG:
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), data
         assert len(captured.err) <= len("config error: ") + cli.MAX_ERROR_CHARS + 1
     else:
         assert captured.err == ""

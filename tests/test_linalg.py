@@ -443,3 +443,81 @@ def test_is_psd_equals_full_eigh_reference(case):
     assert got == all(la.is_psd(m, atol) for m in stack)
     for m in stack:
         assert la.is_psd(m, atol) == _ref_is_psd(m, atol)
+
+
+# --- is_psd and is_density_matrix against their unmerged forms ------------
+# _unmerged_is_psd and _unmerged_is_density_matrix are the two checks as
+# they were before they shared one PSD core: is_density_matrix coerced its
+# input, then is_psd coerced it again.  Every input must give the same
+# boolean or raise the same exception type.
+
+
+def _unmerged_is_psd(m, atol=la.ATOL):
+    m = la.as_stack(m)
+    if m.shape[-2] != m.shape[-1]:
+        return False
+    h = la.dagger(m)
+    if np.abs(m - h).max() > atol:
+        return False
+    return bool((np.linalg.eigvalsh((m + h) / 2)[..., 0] >= -atol).all())
+
+
+def _unmerged_is_density_matrix(m, atol=1e-8):
+    m = la.as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        return False
+    return abs(np.trace(m) - 1) <= atol and _unmerged_is_psd(m, atol)
+
+
+def _outcome(check, m, atol):
+    try:
+        return bool(check(m, atol))
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@st.composite
+def validator_inputs(draw):
+    """(m, atol): a stack or a single matrix, 1x1 to 9x9, PSD or not,
+    Hermitian or not; a trace at 1 +- atol, a lowest eigenvalue just above
+    or below -atol, an anti-Hermitian part of size atol, a NaN or an inf
+    entry, or a non-square shape."""
+    atol = draw(st.sampled_from([la.ATOL, 1e-8, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 9))
+    batch = draw(st.sampled_from([(), (), (1,), (3,)]))
+    kind = draw(st.sampled_from(["density", "trace", "lowest", "anti", "general", "nan", "inf",
+                                 "non-square"]))
+    if kind == "non-square":
+        shape = draw(st.sampled_from([(d, d + 1), (d + 1, d), (d,)]))
+        return rng.normal(size=batch + shape) + 0j, atol
+    if kind == "general":
+        return rng.normal(size=batch + (d, d)) + 1j * rng.normal(size=batch + (d, d)), atol
+    out = []
+    for _ in range(int(np.prod(batch, dtype=int))):
+        w = rng.uniform(0.0, 1.0, d)
+        w /= w.sum()
+        if kind == "trace":
+            w *= 1 + draw(st.sampled_from([-1.0, 1.0])) * atol
+        elif kind == "lowest":
+            w[rng.integers(d)] = -atol * (1 + draw(st.sampled_from([-1e-3, 1e-3])))
+        u = _random_unitary(rng, d)
+        m = (u * w) @ u.conj().T
+        if kind == "anti":
+            k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            k = (k - k.conj().T) / 2
+            m = m + draw(st.sampled_from([0.4, 1.0, 2.5])) * atol * k / np.abs(k).max()
+        elif kind in ("nan", "inf"):
+            m[rng.integers(d), rng.integers(d)] = np.nan if kind == "nan" else -np.inf
+        out.append(m)
+    stack = np.array(out).reshape(batch + (d, d))
+    return stack, atol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=validator_inputs())
+def test_merged_validators_match_unmerged_ones(case):
+    m, atol = case
+    assert _outcome(la.is_psd, m, atol) == _outcome(_unmerged_is_psd, m, atol)
+    assert (_outcome(la.is_density_matrix, m, atol)
+            == _outcome(_unmerged_is_density_matrix, m, atol))

@@ -205,6 +205,18 @@ def test_channel_fidelity_sweep_self():
         assert abs(mean12 - mean21) < 1e-12, name
 
 
+def test_lambda_grid_is_read_only_and_its_cache_bounded():
+    lam, rest = tg._lambda_grid(5)
+    assert np.array_equal(lam.ravel(), np.linspace(0.0, 1.0, 5)) and np.array_equal(rest, 1 - lam)
+    for cached in (lam, rest):
+        with pytest.raises(ValueError):
+            cached[0] = 0.5
+    for grid in range(2, tg.MAX_CACHED_GRIDS + 5):
+        tg._lambda_grid(grid)
+    info = tg._lambda_grid.cache_info()
+    assert info.maxsize == tg.MAX_CACHED_GRIDS and info.currsize <= tg.MAX_CACHED_GRIDS
+
+
 @pytest.mark.parametrize("out, error, match", [
     (lambda rho: np.eye(2) / 2, la.ShapeError, None),
     (lambda rho: np.full(3, 1 / 3), la.ShapeError, None),
@@ -683,12 +695,10 @@ def test_fidelity_stack_errors_match_2d(batch):
 def _two_call_sweep(omega, reference, a, b, grid):
     """channel_fidelity_sweep with one channel_from_choi per endpoint."""
     rho_a, rho_b = dc.basis_density(a), dc.basis_density(b)
-    got_a, got_b = cj.channel_from_choi(omega, rho_a), cj.channel_from_choi(omega, rho_b)
-    want_a, want_b = (la.as_stack(np.atleast_2d(reference(rho))) for rho in (rho_a, rho_b))
-    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
-    p, v = la.density_spectrum(lam * got_a + (1 - lam) * got_b)
-    vals = tg._uhlmann(p, v, lam * want_a + (1 - lam) * want_b)
-    return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
+    got = np.stack([cj.channel_from_choi(omega, rho_a), cj.channel_from_choi(omega, rho_b)])
+    want = np.stack([la.as_stack(np.atleast_2d(reference(rho))) for rho in (rho_a, rho_b)])
+    lo, hi, mean = tg._score_segments(got[None], want[None], grid)
+    return float(lo[0]), float(hi[0]), float(mean[0])
 
 
 def test_channel_fidelity_sweep_equals_per_endpoint_channel_from_choi():
