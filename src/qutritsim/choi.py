@@ -266,6 +266,8 @@ def choi_from_json(obj) -> np.ndarray:
     omega = la.matrix_from_json(obj)
     if omega.shape != (9, 9):
         raise la.ShapeError(f"Choi matrix has shape {omega.shape}, not (9, 9)")
-    if not la.is_density_matrix(omega, 1e-8):
+    # a state's entries lie in the unit disk: beyond 2 the trace and the
+    # eigensolve of the check could overflow
+    if np.abs(omega.view(float)).max() > 2 or not la.is_density_matrix(omega, 1e-8):
         raise ValueError("Choi matrix is not a state (trace one, Hermitian, PSD within 1e-8)")
     return omega

@@ -36,6 +36,22 @@ gate's matrix is built once per (name, params) and shared read-only
   axis reversed inside the control's 1 slab (in place, once the run owns
   the array), or a copy with the qubit's axis reversed.  Only the signs of
   zeros can differ from the product (np.array_equal holds).
+  A one-qubit gate whose matrix has no imaginary part (h, z, u3(theta, 0,
+  0): every one-qubit gate of the channel circuits) multiplies real data
+  with its float64 matrix (_real_matrix).  unitary_of's identity is
+  float64, and its run stays float64 while every gate is real (the slab
+  moves work for either dtype); the first complex gate promotes it once
+  with astype(complex), and unitary_of returns complex128 either way.  On
+  a complex tensor the float64 matrix multiplies the float view of the
+  contiguous (2, -1) reshape, whose columns interleave real and imaginary
+  parts.  No bit changes: with a zero imaginary part, the complex product
+  adds only exact zero terms to the real matrix's products with the real
+  and the imaginary columns, and BLAS sums those products in the same
+  order in the real and the complex matrix product (the kernel tests
+  check this bit for bit on 2 to 4096 columns).  A single column is the
+  exception: np.dot sends it through a matrix-vector routine, whose
+  complex rounding differs from the real product's in the last bit, so
+  there the complex product runs.
 * Densities: t has logical axes (batch, row q_0..q_{n-1}, col q_0..q_{n-1}).
   A gate on qubits (a, b) is one 4^k x 4^k superoperator on its axes (row
   a, row b, col a, col b), row-major over those axes: N (u (x) conj(u)),
@@ -189,9 +205,9 @@ def placed_wires(wires, n: int) -> list:
     return phys
 
 
-# Largest number of cached gate matrices, a memory budget: an entry is at
-# most a CNOT's 4 x 4 complex128 and its key, under 1 KiB, so 1024 take
-# under 1 MiB.
+# Largest number of cached gate matrices, a memory budget for each of
+# _gate_matrix and _real_matrix: an entry is at most a CNOT's 4 x 4
+# complex128 and its key, under 1 KiB, so 1024 take under 1 MiB per cache.
 MAX_CACHED_GATE_MATRICES = 1024
 
 
@@ -219,6 +235,18 @@ def _gate_matrix(name: str, params: tuple) -> np.ndarray:
     )
     m.flags.writeable = False
     return m
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_GATE_MATRICES)
+def _real_matrix(name: str, params: tuple) -> np.ndarray | None:
+    """The gate's matrix as float64, read-only, when it has no imaginary
+    part (h, z, u3(theta, 0, 0) and the permutations); else None."""
+    m = _gate_matrix(name, params)
+    if m.imag.any():
+        return None
+    r = m.real.copy()
+    r.flags.writeable = False
+    return r
 
 
 # Largest number of entries in each kernel plan cache, a memory budget: an
@@ -299,7 +327,14 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
             if p:
                 t = t.transpose(_front(t.ndim, p))
                 order = (q[0], *order[:p], *order[p + 1:])
-            t = np.dot(gate_matrix(g), t.reshape(2, -1)).reshape(t.shape)
+            x, r = t.reshape(2, -1), _real_matrix(g.name, g.params)
+            if r is None or x.shape[1] == 1:    # a complex gate promotes a real run
+                y = np.dot(_gate_matrix(g.name, g.params), x.astype(complex, copy=False))
+            elif x.dtype != complex:
+                y = np.dot(r, x)
+            else:
+                y = np.dot(r, np.ascontiguousarray(x).view(float)).view(complex)
+            t = y.reshape(t.shape)
     return _restore(t, order)
 
 
@@ -309,7 +344,8 @@ def unitary_of(c: Circuit) -> np.ndarray:
     ResourceError before anything is allocated."""
     check_dense_register(c.n_qubits)
     d = 2 ** c.n_qubits
-    return _run(c, np.eye(d, dtype=complex).reshape((2,) * c.n_qubits + (d,))).reshape(d, d)
+    u = _run(c, np.eye(d).reshape((2,) * c.n_qubits + (d,)))
+    return u.astype(complex, order="C", copy=False).reshape(d, d)
 
 
 def simulate_state(c: Circuit, input_state: np.ndarray) -> np.ndarray:

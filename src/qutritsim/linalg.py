@@ -239,7 +239,8 @@ def wire_index(v, what: str = "a wire") -> int:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """The matrix of matrix_to_json.  rows and cols must be JSON integers and
-    every entry a JSON number: a bool or a string raises ValueError."""
+    every entry a finite JSON number: a bool, a string, or an int too large
+    for a float raises ValueError."""
     rows, cols = json_int(obj["rows"]), json_int(obj["cols"])
     if rows < 1 or cols < 1:
         raise ShapeError("rows and cols must be positive")
@@ -249,7 +250,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             raise ShapeError("ragged or mis-sized matrix data")
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for r in part for x in r):
             raise ValueError("matrix entries must be JSON numbers")
-    a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    if not np.all(np.isfinite(a)):
+    try:
+        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+    except OverflowError as exc:  # an int too large for a float
+        raise ValueError("matrix entries must be finite") from exc
+    # checked before 1j * im, which warns on an infinite entry
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix entries must be finite")
-    return a
+    return re + 1j * im

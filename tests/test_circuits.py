@@ -651,6 +651,87 @@ def test_run_permutation_gates_match_dense_kernel(n, batch, seed):
             assert np.array_equal(got, want)
 
 
+# --- real gates in real arithmetic -------------------------------------------
+# _run multiplies a gate with no imaginary part (h, z, u3(theta, 0, 0)) as a
+# float64 matrix: into a real tensor directly, into a complex one through
+# its float view, and a single column by the complex product.  Each must be
+# bit for bit np.dot of the complex matrix with the complex tensor, the
+# product of a run that is complex throughout.
+_real_gate = st.one_of(st.sampled_from([("h", ()), ("z", ())]),
+                       st.floats(-4.0, 4.0).map(lambda th: ("u3", (th, 0.0, 0.0))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gate=_real_gate, n=st.integers(1, 6), batch=st.integers(1, 128), real=st.booleans(),
+       transposed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_real_gate_matches_complex_product(gate, n, batch, real, transposed, seed):
+    # columns 2^(n-1) * batch run from 1 (n = 1, batch = 1) to 4096
+    rng = np.random.default_rng(seed)
+    name, params = gate
+    q = int(rng.integers(n))
+    g = cc.Gate(name, params, (q,))
+    assert not cc.gate_matrix(g).imag.any()
+    shape = (2,) * n + (batch,)
+    t = rng.normal(size=shape) if real else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if transposed:  # the same values in a permuted memory layout
+        perm = rng.permutation(n + 1)
+        t = np.ascontiguousarray(t.transpose(perm)).transpose(np.argsort(perm))
+    x = np.moveaxis(t.astype(complex), q, 0)
+    want = np.moveaxis(np.dot(cc.gate_matrix(g), x.reshape(2, -1)).reshape(x.shape), 0, q)
+    got = cc._run(cc.Circuit(n, [g]), t)
+    columns = t.size // 2
+    assert got.dtype == (float if real and columns > 1 else complex)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert not np.shares_memory(got, t)
+
+
+def _real_or_mixed_circuit(rng, n, depth, complex_at):
+    """depth gates with no imaginary part (h, z, x, cnot, u3(theta, 0, 0)),
+    and when complex_at is "first", "middle" or "last" one u1, u3 or y there."""
+    c = cc.Circuit(n)
+    for _ in range(depth):
+        name = rng.choice(["h", "z", "x", "u3"] + ["cnot"] * (n >= 2))
+        if name == "cnot":
+            c.add("cnot", (), tuple(int(w) for w in rng.choice(n, size=2, replace=False)))
+        else:
+            th = float(rng.uniform(-np.pi, np.pi))
+            c.add(name, (th, 0.0, 0.0) if name == "u3" else (), (int(rng.integers(n)),))
+    if complex_at is not None:
+        name = rng.choice(["u1", "u3", "y"])
+        g = cc.Gate(name, tuple(rng.uniform(-np.pi, np.pi, cc.GATE_ARITY[name][0])),
+                    (int(rng.integers(n)),))
+        c.gates.insert({"first": 0, "middle": depth // 2, "last": depth}[complex_at], g)
+    return c
+
+
+def _complex_run(c, t):
+    """The kernel run complex throughout: the per-gate _apply of each gate's
+    complex matrix, permutations included."""
+    t = t.astype(complex)
+    for g in c.gates:
+        t = cc._apply(t, cc.gate_matrix(g), g.qubits)
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), depth=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1),
+       complex_at=st.sampled_from([None, None, "first", "middle", "last"]))
+def test_real_and_mixed_circuits_match_complex_run_exactly(n, depth, seed, complex_at):
+    rng = np.random.default_rng(seed)
+    c = _real_or_mixed_circuit(rng, n, depth, complex_at)
+    d = 2 ** n
+    u = cc.unitary_of(c)
+    assert u.dtype == np.complex128 and u.flags.c_contiguous and u.flags.writeable
+    assert np.array_equal(u, _complex_run(c, np.eye(d).reshape((2,) * n + (d,))).reshape(d, d))
+    for shape in ((), (3,)):
+        psi = _random_states(rng, shape, d)
+        got = cc.simulate_state(c, psi)
+        assert got.dtype == np.complex128 and not np.shares_memory(got, psi)
+        cols = psi.reshape(-1, d).T.reshape((2,) * n + (-1,))
+        want = _complex_run(c, cols).reshape(d, -1).T.reshape(psi.shape)
+        assert np.array_equal(got, want)
+
+
 def _ref_superop(g, noise):
     cnot_qubit = cc._qubit_noise(noise.p2, noise.gamma)
     cnot_noise = np.kron(cnot_qubit, cnot_qubit).reshape((2,) * 8)

@@ -487,10 +487,23 @@ def test_noise_file_huge_integer_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "choi_ls_analytic.json").exists()
 
 
+def test_choi_file_huge_integer_is_config_error(tmp_path, capsys):
+    # float() of a 401-digit int raised OverflowError: a traceback and exit 1
+    obj = json.loads(open(_analytic_choi_file(tmp_path)).read())
+    obj["re"][0][0] = 10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code = run(["sweep", "--grid", "3", "--choi-file", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG and err.count("\n") == 1
+    assert err.startswith("config error: bad choi file") and "entries must be finite" in err
+    assert not (tmp_path / "sweep_ls.csv").exists()
+
+
 def _clear_caches():
     for cached in (cli._outcome_table, cc._gate_superop, cj._analytic_spectrum,
-                   dc._basis_states, cc._gate_matrix, cc._front, cc._slabs, cc._move,
-                   cp._legal_cnot, tg._lambda_grid):
+                   dc._basis_states, cc._gate_matrix, cc._real_matrix, cc._front, cc._slabs,
+                   cc._move, cp._legal_cnot, tg._lambda_grid):
         cached.cache_clear()
 
 
@@ -1102,6 +1115,85 @@ def test_noise_file_fuzz_exits_0_or_2_with_one_line(tmp_path, capsys, data):
     capsys.readouterr()
     code = run(["choi", "--choi-method", "analytic", "--noise", str(path),
                 "--out", str(example)])
+    captured = capsys.readouterr()
+    assert code in (0, cli.EXIT_CONFIG), data
+    assert "Traceback" not in captured.err
+    if code == cli.EXIT_CONFIG:
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), data
+        assert len(captured.err) <= len("config error: ") + cli.MAX_ERROR_CHARS + 1
+    else:
+        assert captured.err == ""
+
+
+# The Choi-file fuzz writes --choi-file files from a grammar: the analytic
+# ls file with one mutation (one to three entries replaced by huge ints,
+# 1e308-sized numbers, 1e999, the NaN and Infinity literals, bools,
+# strings, null or containers; a row cut short or dropped; wrong rows or
+# cols; an unknown ordering; a non-PSD, non-Hermitian or trace-2 matrix; a
+# channel mismatch; a key dropped), other JSON values, and an empty, a
+# non-UTF-8 and an over-budget file and a directory.
+_CHOI_ENTRIES = ["1" + "0" * 400, "-" + "9" * 400, "1" + "0" * 308, "1e308", "-1e308", "1e999",
+                 "-1e999", "NaN", "Infinity", "-Infinity", "true", "false", "null", '"0.1"',
+                 '""', "[]", "{}", "5e-324", "-0.0", "2", "0.5"]
+_CHOI_SIZES = ["0", "-1", "8", "10", "9.0", "9.5", '"9"', "true", "null", "1e999", "1" + "0" * 400]
+_LS_CHOI = cj.named_choi("ls")
+_CHOI_MATRICES = [2 * _LS_CHOI, np.diag([1.5, -0.5] + [0.0] * 7),
+                  _LS_CHOI + 1e-3 * np.eye(9, k=1), _LS_CHOI]
+
+
+@st.composite
+def _choi_file(draw):
+    kind = draw(st.sampled_from(["entry", "entry", "ragged", "size", "ordering", "matrix",
+                                 "channel", "key", "file"]))
+    if kind == "file":
+        return draw(st.sampled_from([
+            b"", b"\xfe\xff{}", b'{"re": "\xff"}', b"[]", b"9", b'"ls"', b"null", b"NaN",
+            json.dumps(cj.choi_to_json(_LS_CHOI)).encode() + b" " * cli.MAX_INPUT_BYTES, None]))
+    obj = dict(cj.choi_to_json(_LS_CHOI), channel="ls")
+    raw = []    # JSON texts put in place of the strings "@0@", "@1@", ...
+    if kind == "entry":
+        for _ in range(draw(st.integers(1, 3))):
+            part, i, j = draw(st.sampled_from(["re", "im"])), draw(st.integers(0, 8)), \
+                draw(st.integers(0, 8))
+            obj[part][i][j] = f"@{len(raw)}@"
+            raw.append(draw(st.sampled_from(_CHOI_ENTRIES)))
+    elif kind == "ragged":
+        rows = obj[draw(st.sampled_from(["re", "im"]))]
+        i = draw(st.integers(0, 8))
+        if draw(st.booleans()):
+            del rows[i]
+        else:
+            rows[i].pop()
+    elif kind == "size":
+        obj[draw(st.sampled_from(["rows", "cols"]))] = "@0@"
+        raw.append(draw(st.sampled_from(_CHOI_SIZES)))
+    elif kind == "ordering":
+        obj["ordering"] = draw(st.sampled_from(["output_input", "", "INPUT_OUTPUT", None, 1]))
+    elif kind == "matrix":
+        obj.update(la.matrix_to_json(draw(st.sampled_from(_CHOI_MATRICES))))
+    elif kind == "channel":
+        obj["channel"] = draw(st.sampled_from(["wh", "id", "", None, 5]))
+    else:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    text = json.dumps(obj)
+    for k, value in enumerate(raw):
+        text = text.replace(f'"@{k}@"', value)
+    return text.encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_choi_file())
+def test_choi_file_fuzz_exits_0_or_2_with_one_line(tmp_path, capsys, data):
+    example = tmp_path / f"example_{len(os.listdir(tmp_path))}"
+    example.mkdir()
+    path = example / "choi"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    capsys.readouterr()
+    code = run(["sweep", "--grid", "3", "--choi-file", str(path), "--out", str(example)])
     captured = capsys.readouterr()
     assert code in (0, cli.EXIT_CONFIG), data
     assert "Traceback" not in captured.err
