@@ -37,21 +37,21 @@ gate's matrix is built once per (name, params) and shared read-only
   the array), or a copy with the qubit's axis reversed.  Only the signs of
   zeros can differ from the product (np.array_equal holds).
   A one-qubit gate whose matrix has no imaginary part (h, z, u3(theta, 0,
-  0): every one-qubit gate of the channel circuits) multiplies real data
-  with its float64 matrix (_real_matrix).  unitary_of's identity is
-  float64, and its run stays float64 while every gate is real (the slab
-  moves work for either dtype); the first complex gate promotes it once
-  with astype(complex), and unitary_of returns complex128 either way.  On
-  a complex tensor the float64 matrix multiplies the float view of the
-  contiguous (2, -1) reshape, whose columns interleave real and imaginary
-  parts.  No bit changes: with a zero imaginary part, the complex product
-  adds only exact zero terms to the real matrix's products with the real
-  and the imaginary columns, and BLAS sums those products in the same
-  order in the real and the complex matrix product (the kernel tests
-  check this bit for bit on 2 to 4096 columns).  A single column is the
-  exception: np.dot sends it through a matrix-vector routine, whose
-  complex rounding differs from the real product's in the last bit, so
-  there the complex product runs.
+  0): every one-qubit gate of the channel circuits) multiplies a real
+  tensor with its float64 matrix (_real_matrix).  unitary_of's identity
+  is float64, and its run stays float64 while every gate is real (the
+  slab moves work for either dtype); the first complex gate promotes it
+  once with astype(complex), and unitary_of returns complex128 either
+  way.  A complex tensor (every simulate_state run) always takes the
+  complex product.  unitary_of's run has at least two columns; a single
+  column would go through BLAS's matrix-vector routine, whose real and
+  complex roundings differ.  Outputs are bit for bit the complex kernel's as
+  measured, not by any BLAS guarantee: with a zero imaginary part the
+  complex product adds only exact zero terms, and OpenBLAS 0.3.31's
+  SkylakeX dgemm and zgemm kernels (2-vCPU Xeon, one thread) sum the
+  remaining products in the same order.  The exact kernel tests pin this
+  on 2 to 4096 columns; a failure of theirs on another BLAS or CPU means
+  different kernel rounding, not wrong arithmetic.
 * Densities: t has logical axes (batch, row q_0..q_{n-1}, col q_0..q_{n-1}).
   A gate on qubits (a, b) is one 4^k x 4^k superoperator on its axes (row
   a, row b, col a, col b), row-major over those axes: N (u (x) conj(u)),
@@ -328,12 +328,10 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
                 t = t.transpose(_front(t.ndim, p))
                 order = (q[0], *order[:p], *order[p + 1:])
             x, r = t.reshape(2, -1), _real_matrix(g.name, g.params)
-            if r is None or x.shape[1] == 1:    # a complex gate promotes a real run
+            if r is None or x.dtype == complex:  # a complex gate promotes a real run
                 y = np.dot(_gate_matrix(g.name, g.params), x.astype(complex, copy=False))
-            elif x.dtype != complex:
-                y = np.dot(r, x)
             else:
-                y = np.dot(r, np.ascontiguousarray(x).view(float)).view(complex)
+                y = np.dot(r, x)
             t = y.reshape(t.shape)
     return _restore(t, order)
 
