@@ -116,6 +116,12 @@ def choi_linear(channel_on_basis) -> np.ndarray:
     outs = la.as_stack(outs)
     if np.abs(outs.trace(axis1=1, axis2=2) - 1).max() > 1e-6:
         raise ValueError("outputs must have unit trace within 1e-6")
+    return _assemble(outs)
+
+
+def _assemble(outs: np.ndarray) -> np.ndarray:
+    """choi_linear of a finite complex (9, 3, 3) stack of unit-trace
+    outputs, unchecked: estimate's post-selected linear stack is one."""
     # row 3 i + j = sum_k a_ij^k Phi(R_k), the (i, j) block of 3 Omega: the
     # one np.dot that np.tensordot(COEFFICIENTS, outs, axes=1) builds
     blocks = np.dot(COEFFICIENTS, outs.reshape(9, 9))
@@ -138,7 +144,7 @@ def choi_fidelity(th: np.ndarray, exp: np.ndarray) -> float:
     th, exp = as_matrix(th), as_matrix(exp)
     if th.shape != (9, 9) or exp.shape != (9, 9):
         raise la.ShapeError("choi_fidelity expects 9x9 matrices")
-    return _uhlmann(*la.density_spectrum(th), la.project_to_density(exp))
+    return _uhlmann(*la._spectrum(th), la._rebuild(*la._spectrum(exp)))
 
 
 def analytic_fidelity(name: str, omega: np.ndarray) -> float:
@@ -147,7 +153,7 @@ def analytic_fidelity(name: str, omega: np.ndarray) -> float:
     omega = as_matrix(omega)
     if omega.shape != (9, 9):
         raise la.ShapeError("analytic_fidelity expects a 9x9 matrix")
-    return _uhlmann(*_analytic_spectrum(name), la.project_to_density(omega))
+    return _uhlmann(*_analytic_spectrum(name), la._rebuild(*la._spectrum(omega)))
 
 
 def choi_direct_circuit(channel_circuit: Circuit) -> Circuit:
@@ -219,7 +225,9 @@ def estimate(tables: np.ndarray, shots: int, seed):
     stack, leakages the list of B Python floats.  Tables are read with
     np.asarray; anything that is not a 3-d stack, or tables of any k but 2
     or 4, raise ShapeError and a bad seed (check_seed) ValueError before
-    anything is sampled; an input with no qutrit weight raises
+    anything is sampled; a float table with a non-finite or negative entry,
+    or a row of no weight, raises ValueError before any arithmetic
+    (reconstruct_state); an input with no qutrit weight raises
     DegenerateProjectionError.
     """
     tables = np.asarray(tables)
@@ -230,7 +238,9 @@ def estimate(tables: np.ndarray, shots: int, seed):
         raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
                             f"shape {tables.shape} ({k} qubits)")
     rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=(1,)))
-    return postselect(reconstruct_state(sample_table(tables, shots, rng)), k // 2)
+    # exact mode only reads the tables: no copy of them (sample_table's)
+    sampled = sample_table(tables, shots, rng) if check_shots(shots) else tables
+    return postselect(reconstruct_state(sampled), k // 2)
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
@@ -243,14 +253,14 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
     check_shots(shots)
     check_seed(seed)
     states, _ = estimate(direct_tables(channel_circuit, noise), shots, seed)
-    return la.project_to_density(states[0])
+    return la._rebuild(*la._spectrum(states[0]))
 
 
 # --- Choi JSON ---------------------------------------------------------------
 
 
 def choi_to_json(omega: np.ndarray) -> dict:
-    obj = la.matrix_to_json(as_matrix(omega))
+    obj = la._matrix_json(as_matrix(omega))
     obj["ordering"] = "input_output"
     obj["normalization"] = "trace_one"
     return obj

@@ -177,9 +177,10 @@ def _write_output(cfg, filename, data: bytes) -> str:
     file's name, no permission, a NUL byte, a full device) is a config
     error.  Returns the path.
 
-    An existing file is rewritten in place and then cut to the new length,
-    not truncated to zero first: on ext4 closing a file truncated to zero
-    and rewritten starts writeback, which costs more than the whole write.
+    An existing file is rewritten in place and then, if it was longer, cut
+    to the new length, not truncated to zero first: on ext4 closing a file
+    truncated to zero and rewritten starts writeback, which costs more than
+    the whole write.
     A new file gets mode 0o666 less the umask, as open(path, "w") gives;
     a device or a pipe at the path (/dev/null, a FIFO) is written, not cut.
     A write that fails part way can leave a torn file, as truncating could."""
@@ -197,7 +198,9 @@ def _write_output(cfg, filename, data: bytes) -> str:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # a device or pipe has no length
+            st = os.fstat(fd)
+            # a device or pipe has no length; a file no longer than data needs no cut
+            if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
@@ -241,16 +244,17 @@ def cmd_choi(cfg) -> str:
     """Write the Choi matrix, its fidelity against the analytic one, its
     eigenvalues and the leakages of its estimate (none for analytic).  One
     density_spectrum gives an estimate's projection (project_to_density,
-    bit for bit) and its eigenvalues."""
+    bit for bit) and its eigenvalues.  Every array here is built by the
+    package, so the unchecked cores run (linalg's boundary rule)."""
     name = cfg["channel"]
     method = cfg["choi_method"]
     if method == "analytic":
         omega, leakages = cj.named_choi(name), []
-        p, _ = la.density_spectrum(omega)
+        p, _ = la._spectrum(omega)
     else:
         states, leakages = _estimate(cfg, method)
-        p, v = la.density_spectrum(cj.choi_linear(states) if method == "linear" else states[0])
-        omega = (v * p) @ la.dagger(v)
+        p, v = la._spectrum(cj._assemble(states) if method == "linear" else states[0])
+        omega = la._rebuild(p, v)
     obj = cj.choi_to_json(omega)
     obj["channel"] = name
     obj["method"] = method

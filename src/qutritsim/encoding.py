@@ -22,9 +22,8 @@ from .linalg import as_matrix
 
 QUTRIT_IDX = (0, 1, 2)  # embedded positions inside a qubit pair
 POSTSELECT_ATOL = 1e-12  # least qutrit-block weight post-selection accepts
-# kept rows and columns of one pair (4x4) and of two pairs (16x16)
-_BLOCK_IDX = {1: np.array(QUTRIT_IDX),
-              2: np.array([4 * a + b for a in QUTRIT_IDX for b in QUTRIT_IDX])}
+# kept rows and columns of two pairs (16x16); one pair keeps the slice :3
+_TWO_PAIR_IDX = np.array([4 * a + b for a in QUTRIT_IDX for b in QUTRIT_IDX])
 
 
 class DegenerateProjectionError(ValueError):
@@ -59,10 +58,17 @@ def postselect(stack: np.ndarray, pairs: int):
     floats, clipped to [0, 1].  For one pair the leakage is the |11>
     population rho4[3, 3], exact for trace-one input; for two pairs it is
     the trace minus the weight.  A member with weight below POSTSELECT_ATOL
-    raises DegenerateProjectionError.
+    raises DegenerateProjectionError; pairs other than 1 or 2 raise
+    ValueError, and a stack of any other shape ShapeError.
     """
-    idx = _BLOCK_IDX[pairs]
-    block = stack[:, idx[:, None], idx]
+    if pairs not in (1, 2):
+        raise ValueError(f"pairs must be 1 or 2, got {pairs!r}")
+    stack = np.asarray(stack)
+    d = 4 ** pairs
+    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+        raise la.ShapeError(f"postselect of {pairs} pair(s) needs a stack (B, {d}, {d}), "
+                            f"got shape {stack.shape}")
+    block = stack[:, :3, :3] if pairs == 1 else stack[:, _TWO_PAIR_IDX[:, None], _TWO_PAIR_IDX]
     weight = _traces(block)
     if (weight < POSTSELECT_ATOL).any():
         raise DegenerateProjectionError("no weight left in the qutrit subspace" if pairs == 1

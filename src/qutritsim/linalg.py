@@ -7,10 +7,17 @@ and exact to double precision.  ``partial_trace``, ``dagger``,
 ``density_spectrum`` and ``project_to_density`` also take a stack
 ``(..., d, d)`` and work on each matrix of it; a 2-D input is the stack
 with no leading axes.
+
+Boundary rule: a public function checks its input once (as_stack or
+as_matrix, then its shape).  The private cores behind hermitian_eig,
+density_spectrum and project_to_density (_eigh, _spectrum, _rebuild) check
+nothing: they assume a finite complex square stack, and the package calls
+them only on arrays it built from checked input.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -107,9 +114,20 @@ def hermitian_eig(m: np.ndarray):
     Returns (w, v) with m = v @ diag(w) @ v+ and v unitary; for a stack,
     w is (..., d) and v is (..., d, d).
     """
+    return _eigh(_square_stack(m))
+
+
+def _square_stack(m) -> np.ndarray:
+    """as_stack of m, which must be square: the one check of hermitian_eig,
+    density_spectrum and project_to_density."""
     m = as_stack(m)
     if m.shape[-2] != m.shape[-1]:
         raise ShapeError("hermitian_eig needs a square matrix")
+    return m
+
+
+def _eigh(m: np.ndarray):
+    """hermitian_eig of a finite complex square stack, unchecked."""
     w, v = np.linalg.eigh((m + dagger(m)) / 2)  # ascending
     return w[..., ::-1], v[..., ::-1]
 
@@ -141,7 +159,7 @@ def sqrtm_psd(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
     m = as_stack(m)
     if not is_hermitian(m, max(atol, ATOL) * m.shape[-1]):
         raise ShapeError("sqrtm_psd needs a Hermitian matrix")
-    w, v = hermitian_eig(m)
+    w, v = _eigh(m)
     lowest = w[..., -1].min()
     if lowest < -atol:
         raise NotPSDError(f"eigenvalue {lowest:.3e} below -{atol:.1e}")
@@ -166,14 +184,33 @@ def density_spectrum(m: np.ndarray):
     eigenvalues projected onto the probability simplex (Euclidean
     projection): p >= 0, descending, summing to one to rounding.
     """
-    w, v = hermitian_eig(m)
+    return _spectrum(_square_stack(m))
+
+
+@functools.lru_cache(maxsize=16)  # the package uses sizes 3, 4, 9 and 16
+def _ranks(d: int) -> np.ndarray:
+    """np.arange(1, d + 1), read-only, built once per size."""
+    k = np.arange(1, d + 1)
+    k.flags.writeable = False
+    return k
+
+
+def _spectrum(m: np.ndarray):
+    """density_spectrum of a finite complex square stack, unchecked."""
+    w, v = _eigh(m)
     d = w.shape[-1]
-    t = (w.cumsum(-1) - 1.0) / np.arange(1, d + 1)  # the threshold of each k
+    t = (w.cumsum(-1) - 1.0) / _ranks(d)  # the threshold of each k
     # theta is t at the last index where w > t, which index 0 always is
     last = d - 1 - (w - t > 0)[..., ::-1].argmax(-1)
     theta = t.reshape(-1)[last.reshape(-1) + np.arange(0, t.size, d)]
     # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its dispatch
     return np.maximum(w - theta.reshape(last.shape + (1,)), 0.0), v
+
+
+def _rebuild(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v diag(p) v+ of a spectrum (p, v), or of each of a stack: the matrix
+    project_to_density returns for the spectrum _spectrum gives."""
+    return (v * p[..., None, :]) @ dagger(v)
 
 
 def project_to_density(m: np.ndarray) -> np.ndarray:
@@ -183,8 +220,7 @@ def project_to_density(m: np.ndarray) -> np.ndarray:
 
     Idempotent on valid density matrices.
     """
-    p, v = density_spectrum(m)
-    return (v * p[..., None, :]) @ dagger(v)
+    return _rebuild(*_spectrum(_square_stack(m)))
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
@@ -207,7 +243,11 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = as_matrix(m)
+    return _matrix_json(as_matrix(m))
+
+
+def _matrix_json(m: np.ndarray) -> dict:
+    """matrix_to_json of a matrix that as_matrix has already coerced."""
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],

@@ -211,12 +211,26 @@ def _linear_inversion(tables) -> np.ndarray:
     measures it factorizes per qubit: outcome o of basis s contributes
     R[s, o] = (I/3 + (-1)^o sigma_s) / 2 on that qubit.  The whole stack is
     one per-qubit contraction over the normalized tables.
+
+    An integer table holds counts, whose rows sum to their shots.  A float
+    table with a non-finite or negative entry, or any table with a row of
+    no positive weight, raises ValueError before any arithmetic.
     """
-    t = np.asarray(tables, dtype=float)
+    t = np.asarray(tables)
     n = t.shape[-1].bit_length() - 1 if t.ndim in (2, 3) else 0
     if n < 1 or t.shape[-2:] != (3 ** n, 2 ** n) or not len(t):
         raise ValueError("one (3^n, 2^n) outcome table or a stack of them required")
-    t = t / t.sum(axis=-1, keepdims=True)
+    if t.dtype.kind in "iu":
+        total = t.sum(axis=-1, keepdims=True)
+    else:
+        t = np.asarray(t, dtype=float)
+        if not ((t >= 0).all() and np.isfinite(t).all()):
+            raise ValueError("outcome table entries must be finite and non-negative")
+        with np.errstate(over="ignore"):  # a row of entries near the float maximum
+            total = t.sum(axis=-1, keepdims=True)
+    if not ((total > 0) & (total < np.inf)).all():
+        raise ValueError("every outcome table row needs a positive, finite weight")
+    t = t / total
     rho = _per_qubit(t.reshape((-1,) + (3,) * n + (2,) * n), n, _ESTIMATOR, (2, 2))
     rho = rho.reshape(-1, 2 ** n, 2 ** n)
     return rho[0] if t.ndim == 2 else rho
@@ -225,8 +239,9 @@ def _linear_inversion(tables) -> np.ndarray:
 def reconstruct_state(tables) -> np.ndarray:
     """Linear inversion then nearest-density projection; always a valid
     state.  A stack of tables gives the stack (B, 2^n, 2^n), inverted and
-    projected as one."""
-    return la.project_to_density(_linear_inversion(tables))
+    projected as one.  The tables are checked once, by _linear_inversion,
+    whose finite output the unchecked projection core reads."""
+    return la._rebuild(*la._spectrum(_linear_inversion(tables)))
 
 
 def _uhlmann_tail(m: np.ndarray):
@@ -292,16 +307,18 @@ def _endpoint_outputs(omega: np.ndarray, reference, inputs) -> tuple:
     """(got, want), two (n, 3, 3) stacks: channel_from_choi(omega, rho) and
     reference(rho) for each of the n inputs, with one reshuffle of omega.
 
-    A non-9x9 omega raises ShapeError before reference is called.  reference
-    is called on each input in order: a non-finite output raises ValueError
-    as it is read, and one that is not 3x3 ShapeError once all are read.
+    A non-9x9 omega raises ShapeError, and an omega so large that an output
+    overflows ValueError, before reference is called.  reference is called
+    on each input in order: a non-finite output raises ValueError as it is
+    read, and one that is not 3x3 ShapeError once all are read.  So both
+    stacks are finite, as _score_segments assumes.
     """
     superop = superop_from_choi(omega)
     if superop.shape != (9, 9):
         raise la.ShapeError(f"channel_fidelity_sweep expects a 9x9 Choi matrix, got shape "
                             f"{superop.shape}")
     # np.array, not np.stack, which costs four times as much for two 3x3s
-    got = np.array([(superop @ rho.reshape(9)).reshape(3, 3) for rho in inputs])
+    got = la.as_stack(np.array([(superop @ rho.reshape(9)).reshape(3, 3) for rho in inputs]))
     # atleast_2d: a scalar or vector output's ShapeError names it as one row
     want = [la.as_stack(np.atleast_2d(reference(rho))) for rho in inputs]
     for w in want:
@@ -316,9 +333,10 @@ def _score_segments(got: np.ndarray, want: np.ndarray, grid: int) -> tuple:
     rho_b, lam on the cached grid of grid points.
 
     got and want are (P, 2, 3, 3): the estimate's and the reference's
-    outputs at the two endpoints (a, then b) of each segment.  Both channels
-    are linear, so the estimate grid is lam * got_a + (1 - lam) * got_b,
-    projected by one density_spectrum: s1 = v diag(p) v+, p >= 0, so no PSD
+    outputs at the two endpoints (a, then b) of each segment, finite
+    (_endpoint_outputs).  Both channels are linear, so the estimate grid is
+    lam * got_a + (1 - lam) * got_b, projected by one unchecked
+    density_spectrum (linalg._spectrum): s1 = v diag(p) v+, p >= 0, so no PSD
     check is needed.  With u = v diag(sqrt(p)), u+ s2 u is similar to
     sqrt(s1) s2 sqrt(s1), and the reference grid s2 is never built:
     s2 u = lam (want_a u) + (1 - lam) (want_b u), each endpoint product one
@@ -328,7 +346,7 @@ def _score_segments(got: np.ndarray, want: np.ndarray, grid: int) -> tuple:
     """
     lam, rest = _lambda_grid(grid)
     n = len(got)
-    p, u = la.density_spectrum(lam * got[:, :1] + rest * got[:, 1:])
+    p, u = la._spectrum(lam * got[:, :1] + rest * got[:, 1:])
     u *= np.sqrt(p)[..., None, :]  # in density_spectrum's own v, which no one else holds
     u = u.transpose(0, 2, 1, 3).reshape(n, 3, 3 * grid)  # u[:, k]: row k of every u
     x, scratch = (np.matmul(w, u).reshape(n, 3, grid, 3).transpose(0, 2, 1, 3)

@@ -1204,6 +1204,88 @@ def test_choi_file_fuzz_exits_0_or_2_with_one_line(tmp_path, capsys, data):
         assert captured.err == ""
 
 
+# The coupling-file fuzz writes --coupling files from a grammar: n_qubits
+# as small, large, huge and negative ints, integral and fractional floats,
+# bools, strings, null, containers, 1e999 and NaN; edges as the complete
+# graph, a line, random pairs (self-loops and out-of-range wires among
+# them, a pair now and then repeated), pairs with one bad entry (ragged,
+# nested, a float, a bool, a string, null) or a value that is no list of
+# pairs; a key dropped or an extra key; other JSON values; and an empty, a
+# non-UTF-8 and an over-budget file and a directory.  choi --choi-method
+# linear --shots 0 routes onto the map and builds the exact table.  No
+# size is 9 or 10: a map the reader accepts has at most 8 qubits, or at
+# least 11, which fails on the dense budget before anything is simulated
+# (a 10-qubit linear experiment peaks near 219 MB).  A map with a CNOT
+# whose wires have no common neighbour, or with fewer than 4 qubits, exits 3.
+# valid sizes in range twice as often as the rest
+_COUPLING_SIZES = ["4", "5", "6", "8"] * 4 + [
+    "1", "3", "11", "20", "4.0", "5.0", "4.5", "0", "-1", "true", "false", '"5"', "null", "[5]",
+    '{"n": 5}', "1e999", "NaN", "1" + "0" * 400, "-" + "9" * 400]
+_COUPLING_BAD_PAIRS = ["[1]", "[]", "[1, 2, 3]", "[1, [2]]", "[[1, 2]]", "[1.5, 2]", "[true, 2]",
+                       '["1", 2]', "[null, 2]", '{"0": 1}', '"01"', "1", "[1e999, 2]",
+                       "[1, " + "9" * 400 + "]"]
+_COUPLING_BAD_EDGES = ["5", "{}", '"01"', "null", "true", '{"0": 1}', "[[[0, 1]]]"]
+
+
+@st.composite
+def _coupling_file(draw):
+    if draw(st.integers(0, 5)) == 5:
+        return draw(st.sampled_from([
+            b"", b"\xfe\xff{}", b'{"n_qubits": "\xff", "edges": []}', b"[]", b"5",
+            b'"ibmqx4"', b"null", b'{"n_qubits": 5, "edges": []}' + b" " * cli.MAX_INPUT_BYTES,
+            None]))
+    size = draw(st.sampled_from(_COUPLING_SIZES))
+    digits = re.fullmatch(r"(\d+)(\.\d+)?", size)
+    n = min(int(digits.group(1)), 20) if digits else 5  # the wires the edges are drawn on
+    kind = draw(st.sampled_from(["complete", "complete", "line", "random", "random", "bad",
+                                 "value"]))
+    if kind == "complete":
+        pairs = [f"[{a}, {b}]" for a in range(n) for b in range(n) if a != b]
+    elif kind == "line":  # both directions: CNOT (0, 3) has no common neighbour
+        pairs = [f"[{a}, {a + 1}]" for a in range(n - 1)] + \
+            [f"[{a + 1}, {a}]" for a in range(n - 1)]
+    else:
+        wire = st.integers(-1, n)
+        pairs = [f"[{a}, {b}]" for a, b in draw(st.lists(st.tuples(wire, wire), max_size=12))]
+    if kind == "bad":
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(_COUPLING_BAD_PAIRS)))
+    if pairs and draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs)))
+    edges = (draw(st.sampled_from(_COUPLING_BAD_EDGES)) if kind == "value"
+             else "[" + ", ".join(pairs) + "]")
+    keys = {"n_qubits": size, "edges": edges}
+    change = draw(st.sampled_from([""] * 9 + ["n_qubits", "edges", "extra"]))
+    if change == "extra":
+        keys["placement"] = "[0, 1, 2, 3]"
+    elif change:
+        del keys[change]
+    return ("{" + ", ".join(f'"{k}": {v}' for k, v in keys.items()) + "}").encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_coupling_file())
+def test_coupling_file_fuzz_exits_0_2_or_3_with_one_line(tmp_path, capsys, data):
+    example = tmp_path / f"example_{len(os.listdir(tmp_path))}"
+    example.mkdir()
+    path = example / "coupling"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    capsys.readouterr()
+    code = run(["choi", "--choi-method", "linear", "--shots", "0", "--coupling", str(path),
+                "--out", str(example)])
+    captured = capsys.readouterr()
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_ROUTING), data
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), data
+        assert len(captured.err) <= len("routing error: ") + cli.MAX_ERROR_CHARS + 1
+
+
 # --- both Choi experiments as one batch against the per-input loop ---------
 # _ref_circuits are the circuits that choi.estimate of the cached table
 # replaces, each routed onto the coupling map as a whole: for the linear
@@ -1348,6 +1430,42 @@ def test_reported_fidelity_equals_recomputation_from_file(tmp_path, method, layo
         with open(out / f"sweep_{name}.csv", newline="") as f:
             summary = list(csv.reader(f))[-1]
         assert summary == ["choi", "choi"] + [f"{want:.10f}"] * 3
+
+
+# --- the Choi file against the chain of public functions -------------------
+# cmd_choi runs unchecked cores (linalg._spectrum and _rebuild,
+# choi._assemble) on the arrays its estimate built.  A test-local chain of
+# the checked public functions, estimate -> choi_linear or states[0] ->
+# density_spectrum -> rebuild -> analytic_fidelity, must write the same
+# file, bit for bit, so the cores cannot drift from the checked path.
+_CHAIN_CIRCUITS = {"ls": dc.ls_channel_circuit, "wh": dc.wh_channel_circuit,
+                   "id": lambda: cc.Circuit(4)}
+_CHAIN_NOISE = {"p1": 0.004, "p2": 0.04, "gamma": 0.004, "readout_flip": 0.02}
+
+
+@pytest.mark.parametrize("method, layout", [("linear", None), ("linear", "ibmqx4"),
+                                            ("linear", "tokyo-6q"), ("direct", None),
+                                            ("direct", "tokyo-6q")])
+def test_choi_file_equals_the_public_function_chain(tmp_path, method, layout):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps(_CHAIN_NOISE))
+    cmap = layout and cp.preset_map(layout)
+    tables = {"linear": cj.linear_tables, "direct": cj.direct_tables}[method]
+    for k, (name, shots, noisy) in enumerate(itertools.product(
+            ("ls", "wh", "id"), (0, 8192), (False, True))):
+        out = tmp_path / str(k)
+        assert run(["choi", "--choi-method", method, "--channel", name, "--shots", str(shots),
+                    "--seed", "11", "--noise", str(noise) if noisy else "zero",
+                    "--out", str(out)] + (["--coupling", layout] if layout else [])) == 0
+        nz = cc.NoiseConfig(**_CHAIN_NOISE) if noisy else cc.NoiseConfig()
+        states, leakages = cj.estimate(tables(_CHAIN_CIRCUITS[name](), nz, cmap), shots, 11)
+        p, v = la.density_spectrum(cj.choi_linear(states) if method == "linear" else states[0])
+        omega = (v * p) @ la.dagger(v)
+        want = dict(cj.choi_to_json(omega), channel=name, method=method,
+                    fidelity_vs_analytic=cj.analytic_fidelity(name, omega),
+                    eigenvalues=p.tolist(), leakages=leakages)
+        got = (out / f"choi_{name}_{method}.json").read_text()
+        assert got == json.dumps(want, sort_keys=True, allow_nan=False), (name, shots, noisy)
 
 
 # --- rewriting an existing output ------------------------------------------

@@ -163,3 +163,22 @@ def test_stack_postselect_raises_if_any_member_has_no_qutrit_weight(pairs):
         s[bad, d - 1, d - 1] = 1.0  # all weight on |11>, resp. |11>|11>
         with pytest.raises(enc.DegenerateProjectionError):
             enc.postselect(s, pairs)
+
+
+@pytest.mark.parametrize("shape, pairs, error, match", [
+    ((2, 16, 16), 1, la.ShapeError, r"stack \(B, 4, 4\), got shape \(2, 16, 16\)"),
+    ((2, 4, 4), 2, la.ShapeError, r"stack \(B, 16, 16\), got shape \(2, 4, 4\)"),
+    ((4, 4), 1, la.ShapeError, r"stack \(B, 4, 4\), got shape \(4, 4\)"),
+    ((16, 16), 2, la.ShapeError, r"stack \(B, 16, 16\), got shape \(16, 16\)"),
+    ((1, 2, 4, 4), 1, la.ShapeError, r"stack \(B, 4, 4\)"),
+    ((2, 4, 3), 1, la.ShapeError, r"stack \(B, 4, 4\)"),
+    ((2, 4, 4), 0, ValueError, "pairs must be 1 or 2, got 0"),
+    ((2, 64, 64), 3, ValueError, "pairs must be 1 or 2, got 3"),
+])
+def test_postselect_rejects_other_shapes_and_pair_counts(shape, pairs, error, match):
+    # before the check, a (B, 16, 16) stack with pairs=1 returned each
+    # matrix's top-left 3x3 block with rho[3, 3] as its leakage
+    stack = np.zeros(shape, dtype=complex)
+    stack[..., 0, 0] = 1.0
+    with pytest.raises(error, match=match):
+        enc.postselect(stack, pairs)

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qutritsim import channels as ch
+from qutritsim import choi as cj
 from qutritsim import linalg as la
+from qutritsim import tomography as tg
 
 I2 = np.eye(2)
 I3 = np.eye(3)
@@ -521,3 +524,79 @@ def test_merged_validators_match_unmerged_ones(case):
     assert _outcome(la.is_psd, m, atol) == _outcome(_unmerged_is_psd, m, atol)
     assert (_outcome(la.is_density_matrix, m, atol)
             == _outcome(_unmerged_is_density_matrix, m, atol))
+
+
+# --- each public function checks its input once ------------------------------
+# The cores behind hermitian_eig, density_spectrum and project_to_density
+# check nothing, so every public function that used to reach a second check
+# through them must still refuse bad input itself, with the same exception
+# type and message.  Each entry: the function of one matrix, the matrix
+# size, the message for a non-square matrix (None: it is accepted) and the
+# one for a vector.
+_SQUARE_STACK = "hermitian_eig needs a square matrix"
+_ONE_MATRIX = "expected a 2-D matrix, got shape ({},)"
+_BOUNDARY = {
+    "hermitian_eig": (la.hermitian_eig, 3, _SQUARE_STACK,
+                      "expected a matrix or a stack of matrices, got shape (3,)"),
+    "density_spectrum": (la.density_spectrum, 3, _SQUARE_STACK,
+                         "expected a matrix or a stack of matrices, got shape (3,)"),
+    "project_to_density": (la.project_to_density, 3, _SQUARE_STACK,
+                           "expected a matrix or a stack of matrices, got shape (3,)"),
+    "sqrtm_psd": (la.sqrtm_psd, 3, "sqrtm_psd needs a Hermitian matrix",
+                  "expected a matrix or a stack of matrices, got shape (3,)"),
+    "matrix_to_json": (la.matrix_to_json, 3, None, _ONE_MATRIX.format(3)),
+    "choi_to_json": (cj.choi_to_json, 9, None, _ONE_MATRIX.format(9)),
+    "choi_fidelity_first": (lambda m: cj.choi_fidelity(m, cj.named_choi("ls")), 9,
+                            "choi_fidelity expects 9x9 matrices", _ONE_MATRIX.format(9)),
+    "choi_fidelity_second": (lambda m: cj.choi_fidelity(cj.named_choi("ls"), m), 9,
+                             "choi_fidelity expects 9x9 matrices", _ONE_MATRIX.format(9)),
+    "analytic_fidelity": (lambda m: cj.analytic_fidelity("ls", m), 9,
+                          "analytic_fidelity expects a 9x9 matrix", _ONE_MATRIX.format(9)),
+    "channel_fidelity_sweep": (lambda m: tg.channel_fidelity_sweep(m, ch.ls_apply, 1, 2, 3), 9,
+                               "Choi matrix must be d^2 x d^2", _ONE_MATRIX.format(9)),
+}
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "non_square", "vector"])
+@pytest.mark.parametrize("name", sorted(_BOUNDARY))
+def test_public_functions_check_their_input_once_with_the_same_errors(name, kind):
+    f, d, non_square, vector = _BOUNDARY[name]
+    m = np.eye(d, dtype=complex) / d
+    error, message = ValueError, "matrix entries must be finite"
+    if kind == "nan":
+        m[0, 1] = np.nan
+    elif kind == "inf":
+        m[1, 1] = complex(0, np.inf)
+    elif kind == "non_square":
+        m, error, message = m[:, :-1], la.ShapeError, non_square
+    else:
+        m, error, message = m[0], la.ShapeError, vector
+    if message is None:
+        f(m)
+        return
+    with pytest.raises(ValueError) as exc:
+        f(m)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_choi_outputs_that_overflow_are_refused_before_scoring():
+    # finite entries whose Choi outputs overflow: the sweep's unchecked
+    # spectrum core would hand infinities to eigh (LinAlgError)
+    omega = np.eye(9, dtype=complex) * 1.7e308
+    omega[0, 1] = omega[1, 0] = 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        tg.channel_fidelity_sweep(omega, ch.ls_apply, 1, 2, 3)
+
+
+def test_cores_equal_their_checked_functions_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for shape in ((3, 3), (9, 4, 4), (2, 3, 9, 9)):
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        w, v = la.hermitian_eig(m)
+        w2, v2 = la._eigh(m)
+        p, u = la.density_spectrum(m)
+        p2, u2 = la._spectrum(m)
+        assert all(np.array_equal(a, b) for a, b in ((w, w2), (v, v2), (p, p2), (u, u2)))
+        assert np.array_equal(la.project_to_density(m), la._rebuild(p2, u2))
+    assert not la._ranks(9).flags.writeable

@@ -738,3 +738,44 @@ def test_per_qubit_equals_tensordot_loop_bit_for_bit(k):
             got, want = tg._per_qubit(t, k, m, out), _ref_per_qubit(t, k, m, out)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+def _uniform_tables(b=9, k=2):
+    return np.full((b, 3 ** k, 2 ** k), 1.0 / 2 ** k)
+
+
+@pytest.mark.parametrize("entry, match", [
+    (np.nan, "finite and non-negative"), (np.inf, "finite and non-negative"),
+    (-np.inf, "finite and non-negative"), (-0.1, "finite and non-negative"),
+    ("zero row", "positive, finite weight"), ("huge row", "positive, finite weight"),
+])
+@pytest.mark.parametrize("reader", ["reconstruct_state", "estimate"])
+def test_malformed_exact_tables_raise_one_value_error(entry, match, reader):
+    # checked before any arithmetic: no RuntimeWarning (the suite runs with
+    # -W error::RuntimeWarning), and a negative entry is refused at shots 0
+    # as the multinomial refuses it at shots > 0
+    tables = _uniform_tables()
+    if entry == "zero row":
+        tables[4, 2] = 0.0
+    elif entry == "huge row":
+        tables[4, 2] = 1e308
+    else:
+        tables[4, 2, 1] = entry
+    read = tg.reconstruct_state if reader == "reconstruct_state" else \
+        (lambda t: cj.estimate(t, 0, 5))
+    with pytest.raises(ValueError, match=match):
+        read(tables)
+    counts = np.full(tables.shape, 2048)
+    counts[4, 2] = 0  # a count table's rows need no scan, but a row of no counts is refused
+    with pytest.raises(ValueError, match="positive, finite weight"):
+        read(counts)
+
+
+def test_count_tables_reconstruct_as_their_float_copy_bit_for_bit():
+    # an integer table is normalized without a float copy first
+    rng = np.random.default_rng(23)
+    for k, b in ((1, 1), (2, 9), (4, 1)):
+        counts = rng.multinomial(8192, np.full(2 ** k, 2.0 ** -k), size=(b, 3 ** k))
+        got = tg.reconstruct_state(counts)
+        assert np.array_equal(got, tg.reconstruct_state(counts.astype(float)))
+        assert np.array_equal(tg.reconstruct_state(counts[0]), got[0])
