@@ -225,8 +225,8 @@ def estimate(tables: np.ndarray, shots: int, seed):
     stack, leakages the list of B Python floats.  Tables are read with
     np.asarray; anything that is not a 3-d stack, or tables of any k but 2
     or 4, raise ShapeError and a bad seed (check_seed) ValueError before
-    anything is sampled; a float table with a non-finite or negative entry,
-    or a row of no weight, raises ValueError before any arithmetic
+    anything is sampled; a table with a non-finite or negative entry, or a
+    row of no weight, raises ValueError before any arithmetic
     (reconstruct_state); an input with no qutrit weight raises
     DegenerateProjectionError.
     """
@@ -238,9 +238,7 @@ def estimate(tables: np.ndarray, shots: int, seed):
         raise la.ShapeError(f"estimate needs a stack of 2- or 4-qubit outcome tables, got "
                             f"shape {tables.shape} ({k} qubits)")
     rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=(1,)))
-    # exact mode only reads the tables: no copy of them (sample_table's)
-    sampled = sample_table(tables, shots, rng) if check_shots(shots) else tables
-    return postselect(reconstruct_state(sampled), k // 2)
+    return postselect(reconstruct_state(sample_table(tables, shots, rng)), k // 2)
 
 
 def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
@@ -260,7 +258,7 @@ def choi_direct(channel_circuit: Circuit, shots: int, seed: int,
 
 
 def choi_to_json(omega: np.ndarray) -> dict:
-    obj = la._matrix_json(as_matrix(omega))
+    obj = la.matrix_to_json(omega)
     obj["ordering"] = "input_output"
     obj["normalization"] = "trace_one"
     return obj

@@ -17,7 +17,6 @@ them only on arrays it built from checked input.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -187,19 +186,11 @@ def density_spectrum(m: np.ndarray):
     return _spectrum(_square_stack(m))
 
 
-@functools.lru_cache(maxsize=16)  # the package uses sizes 3, 4, 9 and 16
-def _ranks(d: int) -> np.ndarray:
-    """np.arange(1, d + 1), read-only, built once per size."""
-    k = np.arange(1, d + 1)
-    k.flags.writeable = False
-    return k
-
-
 def _spectrum(m: np.ndarray):
     """density_spectrum of a finite complex square stack, unchecked."""
     w, v = _eigh(m)
     d = w.shape[-1]
-    t = (w.cumsum(-1) - 1.0) / _ranks(d)  # the threshold of each k
+    t = (w.cumsum(-1) - 1.0) / np.arange(1, d + 1)  # the threshold of each k
     # theta is t at the last index where w > t, which index 0 always is
     last = d - 1 - (w - t > 0)[..., ::-1].argmax(-1)
     theta = t.reshape(-1)[last.reshape(-1) + np.arange(0, t.size, d)]
@@ -243,11 +234,7 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    return _matrix_json(as_matrix(m))
-
-
-def _matrix_json(m: np.ndarray) -> dict:
-    """matrix_to_json of a matrix that as_matrix has already coerced."""
+    m = as_matrix(m)
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],

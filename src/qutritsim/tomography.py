@@ -212,22 +212,20 @@ def _linear_inversion(tables) -> np.ndarray:
     R[s, o] = (I/3 + (-1)^o sigma_s) / 2 on that qubit.  The whole stack is
     one per-qubit contraction over the normalized tables.
 
-    An integer table holds counts, whose rows sum to their shots.  A float
-    table with a non-finite or negative entry, or any table with a row of
-    no positive weight, raises ValueError before any arithmetic.
+    An integer table is read as it is, any other as floats.  A table with a
+    non-finite or negative entry, or a row of no positive weight, raises
+    ValueError before any arithmetic.
     """
     t = np.asarray(tables)
     n = t.shape[-1].bit_length() - 1 if t.ndim in (2, 3) else 0
     if n < 1 or t.shape[-2:] != (3 ** n, 2 ** n) or not len(t):
         raise ValueError("one (3^n, 2^n) outcome table or a stack of them required")
-    if t.dtype.kind in "iu":
-        total = t.sum(axis=-1, keepdims=True)
-    else:
+    if t.dtype.kind not in "iu":
         t = np.asarray(t, dtype=float)
-        if not ((t >= 0).all() and np.isfinite(t).all()):
-            raise ValueError("outcome table entries must be finite and non-negative")
-        with np.errstate(over="ignore"):  # a row of entries near the float maximum
-            total = t.sum(axis=-1, keepdims=True)
+    if not ((t >= 0).all() and np.isfinite(t).all()):
+        raise ValueError("outcome table entries must be finite and non-negative")
+    with np.errstate(over="ignore"):  # a row of entries near the float maximum
+        total = t.sum(axis=-1, keepdims=True)
     if not ((total > 0) & (total < np.inf)).all():
         raise ValueError("every outcome table row needs a positive, finite weight")
     t = t / total

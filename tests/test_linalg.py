@@ -599,4 +599,3 @@ def test_cores_equal_their_checked_functions_bit_for_bit():
         p2, u2 = la._spectrum(m)
         assert all(np.array_equal(a, b) for a, b in ((w, w2), (v, v2), (p, p2), (u, u2)))
         assert np.array_equal(la.project_to_density(m), la._rebuild(p2, u2))
-    assert not la._ranks(9).flags.writeable

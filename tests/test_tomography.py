@@ -766,13 +766,17 @@ def test_malformed_exact_tables_raise_one_value_error(entry, match, reader):
     with pytest.raises(ValueError, match=match):
         read(tables)
     counts = np.full(tables.shape, 2048)
-    counts[4, 2] = 0  # a count table's rows need no scan, but a row of no counts is refused
+    counts[4, 2] = 0  # an integer table is checked as a float one is
     with pytest.raises(ValueError, match="positive, finite weight"):
+        read(counts)
+    counts[4, 2] = 2048
+    counts[4, 2, 1] = -1
+    with pytest.raises(ValueError, match="finite and non-negative"):
         read(counts)
 
 
 def test_count_tables_reconstruct_as_their_float_copy_bit_for_bit():
-    # an integer table is normalized without a float copy first
+    # an integer table is normalized as read, without a float copy first
     rng = np.random.default_rng(23)
     for k, b in ((1, 1), (2, 9), (4, 1)):
         counts = rng.multinomial(8192, np.full(2 ** k, 2.0 ** -k), size=(b, 3 ** k))
