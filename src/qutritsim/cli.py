@@ -22,6 +22,13 @@ routing error.  An input file over 64 KiB, not UTF-8, not JSON, or nested
 past the decoder's depth is a configuration error too: one reader,
 _read_json, reads all four.  Every error is one stderr line of at most
 MAX_ERROR_CHARS characters.
+
+A process pays a cold start before its first item: importing, and without
+.pyc files compiling, the modules below (about 10 us per source line),
+then building its first configuration's cached table.  qbench's setup_s
+measures exactly that: import and compile of src/, the workload's set-up
+and the first (cold-table) item.  verify is imported by cmd_verify alone,
+on demand, so apply, choi and sweep never compile it.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from . import decompositions as dc
 from . import encoding as enc
 from . import linalg as la
 from . import tomography as tg
-from . import verify as vf
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -297,6 +303,7 @@ def cmd_sweep(cfg) -> str:
 
 
 def cmd_verify(cfg) -> int:
+    from . import verify as vf  # on demand: see the module docstring
     results = vf.run_all(cfg["coupling"])
     for name, ok, detail in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

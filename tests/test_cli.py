@@ -720,6 +720,23 @@ def test_python_m_qutritsim_runs_the_cli(tmp_path):
     assert np.array_equal(cj.choi_from_json(obj), cj.named_choi("ls"))
 
 
+def test_cli_import_leaves_verify_unloaded():
+    # every process compiles what it imports; only cmd_verify needs verify
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qutritsim.cli, sys; print(*sys.modules, sep='\\n')"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()
+    assert "qutritsim.cli" in loaded and "qutritsim.verify" not in loaded
+
+
+def test_python_m_qutritsim_verify_passes():
+    proc = _run_process(["verify"], module="qutritsim")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "13/13 invariants passed"
+
+
 @pytest.mark.parametrize("key, stdin", [
     ("noise", json.dumps({"p1": 0.01})),
     ("coupling", json.dumps(cp.preset_map("ibmqx4").to_json())),
@@ -1284,6 +1301,82 @@ def test_coupling_file_fuzz_exits_0_2_or_3_with_one_line(tmp_path, capsys, data)
     else:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), data
         assert len(captured.err) <= len("routing error: ") + cli.MAX_ERROR_CHARS + 1
+
+
+# The config-file fuzz writes --config files from a grammar: objects over
+# every key of cli._DEFAULTS and unknown ones, each value valid five times as
+# often as not; an invalid value is one just out of the key's range or a
+# boundary value (ints, integral and fractional floats, the NaN and Infinity
+# literals, 401-digit ints, bools, null, strings, lists and nested objects);
+# other JSON values; and an empty, a non-UTF-8 and an over-budget file and a
+# directory.  choi and apply run on each file.  Valid shots are at most 8192
+# and no map has more than 6 qubits (a 10-qubit linear experiment peaks near
+# 219 MB), so every experiment stays cheap; choi --choi-method direct on
+# ibmqx4 exits 3.
+_CONFIG_BOUNDARY = ["0", "1", "-1", "2.0", "2.5", "1e3", "NaN", "Infinity", "-Infinity",
+                    "1" + "0" * 400, "-" + "9" * 400, "true", "false", "null", '""', '"x"',
+                    '"ls"', "[]", '["ls"]', "{}", '{"ls": 1}', '[[1, 2.5], {"a": null}]']
+# (valid values, invalid ones) of each key
+_CONFIG_VALUES = {
+    "channel": (['"ls"', '"wh"', '"id"'], ['"LS"']),
+    "method": (['"analytic"', '"circuit"'], ['"Circuit"']),
+    "choi_method": (['"analytic"', '"linear"', '"direct"'], ['"linear "']),
+    "shots": (["0", "1", "100", "8192", "8192.0", "1e3", "-0.0"], [str(2 ** 63)]),
+    "seed": (["0", "3", "3.0", str(2 ** 64), "1" + "0" * 400], []),
+    "noise": (['"zero"', "null", '"<noise file>"'], ['"<noise file>.missing"', '"<tmp>"']),
+    "coupling": (["null", '"ibmqx4"', '"tokyo-6q"'], ['"<noise file>"', '"ibmqx5"']),
+    "out": (['"."', '"sub/dir"'], ['"<noise file>"']),
+    "grid": (["2", "101", "65536"], ["65537"]),
+    "choi_file": (["null", '"<noise file>"', '"missing"'], []),
+}
+
+
+@st.composite
+def _config_object(draw):
+    items = []
+    for key, (valid, invalid) in _CONFIG_VALUES.items():
+        if draw(st.integers(0, 1)):  # each key present or not
+            # not 0: Hypothesis draws the ends of a range more often
+            pool = invalid + _CONFIG_BOUNDARY if draw(st.integers(0, 5)) == 3 else valid
+            items.append((key, draw(st.sampled_from(pool))))
+    if draw(st.integers(0, 11)) == 5:
+        items.append(draw(st.sampled_from([("config", '"x"'), ("bogus", "1"), ("Shots", "8192")])))
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in items) + "}"
+
+
+_config_file = st.one_of(
+    *[_config_object().map(str.encode)] * 5,
+    st.sampled_from([b"", b"\xfe\xff{}", b'{"channel": "\xff"}', b"[]", b"9", b'"ls"', b"null",
+                     b"NaN", b'[{"shots": 0}]', b'{"shots": 0' + b" " * cli.MAX_INPUT_BYTES + b"}",
+                     None]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_config_file)
+def test_config_file_fuzz_exits_0_2_or_3_with_one_line(tmp_path, monkeypatch, capsys, data):
+    noise = tmp_path / "noise.json"
+    noise.write_text('{"p2": 0.05, "readout_flip": 0.01}')
+    example = tmp_path / f"example_{len(os.listdir(tmp_path))}"
+    example.mkdir()
+    monkeypatch.chdir(example)  # a relative out stays under tmp_path
+    path = example / "config"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data.replace(b"<noise file>", str(noise).encode())
+                          .replace(b"<tmp>", str(tmp_path).encode()))
+    for command in ("choi", "apply"):
+        capsys.readouterr()
+        code = run([command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, cli.EXIT_CONFIG, cli.EXIT_ROUTING), (command, data)
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert captured.err == ""
+        else:
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), (command, data)
+            assert len(captured.err) <= len("routing error: ") + cli.MAX_ERROR_CHARS + 1
 
 
 # --- both Choi experiments as one batch against the per-input loop ---------
