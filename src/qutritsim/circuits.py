@@ -12,35 +12,31 @@ Conventions, used everywhere in this package:
 
 Every simulation path runs one kernel step per gate: one BLAS product
 np.dot(m, t.reshape(2^k, -1)) of the gate's 2^k x 2^k matrix m with the
-tensor t, its k touched axes in front and the rest flattened.  Every
-tensor a run makes is C-contiguous, its axes in a stored order that
-travels with it from gate to gate (stored axis i holds logical axis
-order[i]).  A gate gathers t (one transpose and copy: its axes to the
-front, the others in their stored order) only when its axes are not
-already in front, and keeps the product's layout; one transpose at the
-end of the run restores the logical order.  np.dot gets the rows a
-gather into logical order would give it, in the same order; only the
-order of its columns (the flattened rest) differs, and no column's
-arithmetic depends on where it sits, so every output is bit for bit the
-per-gate kernel's (_apply: tensordot then moveaxis).  The index work is
-cached (MAX_CACHED_PLANS): the one-qubit front transpose per stored
-position (_front), the CNOT and X slabs per stored positions (_slabs),
-and the density loop's gather per (stored order, axes) (_move).  Each
-gate's matrix is built once per (name, params) and shared read-only
-(gate_matrix).
+tensor t, its k touched axes in front and the rest flattened.  A tensor
+keeps its axes in a stored order that travels with it from gate to gate
+(stored axis i holds logical axis order[i]), and one transpose at the end
+of the run restores the logical order.  np.dot gets the rows a gather
+into logical order would give it, in the same order; only the order of
+its columns (the flattened rest) differs, and no column's arithmetic
+depends on where it sits, so every output is bit for bit the per-gate
+kernel's (_apply: tensordot then moveaxis).  Each gate's matrix is built
+once per (name, params) and shared read-only (gate_matrix).
 
 * States and unitaries: t has logical axes (q_0..q_{n-1}, batch).
   simulate_state runs a stack of states as the batch; unitary_of runs the
-  identity as a batch of 2^n columns.  CNOT and X are permutations, so here
-  they move data in the stored layout instead of multiplying: the target
-  axis reversed inside the control's 1 slab (in place, once the run owns
-  the array), or a copy with the qubit's axis reversed.  Only the signs of
-  zeros can differ from the product (np.array_equal holds).
+  identity as a batch of 2^n columns.  A one-qubit gate swaps its axis
+  with stored axis 0 (swapaxes, a view) unless it is there.  X then
+  copies t with that axis reversed; any other one-qubit gate multiplies.
+  A CNOT is a permutation too: it reverses the target axis inside the
+  control's 1 slab, in place once the run owns the array, with the slab
+  indices cached per stored positions (_slabs, at most MAX_CACHED_PLANS).
+  Only the signs of zeros can differ from the product (np.array_equal
+  holds).
   A one-qubit gate whose matrix has no imaginary part (h, z, u3(theta, 0,
   0): every one-qubit gate of the channel circuits) multiplies a real
   tensor with its float64 matrix (_real_matrix).  unitary_of's identity
   is float64, and its run stays float64 while every gate is real (the
-  slab moves work for either dtype); the first complex gate promotes it
+  permutations work for either dtype); the first complex gate promotes it
   once with astype(complex), and unitary_of returns complex128 either
   way.  A complex tensor (every simulate_state run) always takes the
   complex product.  unitary_of's run has at least two columns; a single
@@ -59,8 +55,12 @@ gate's matrix is built once per (name, params) and shared read-only
   damping) to each touched qubit's (row, col) pair; without gate noise N is
   the identity, so the superoperator is exactly u (x) conj(u).  Each
   superoperator is built once per process for each (noise, gate name,
-  params) and shared read-only (gate_superops).  Without gate noise a
-  caller runs state vectors instead (tomography.measured_states).
+  params) and shared read-only (gate_superops).  A gate gathers t (one
+  transpose and copy: its axes to the front, the others in their stored
+  order) only when its axes are not already in front, and keeps the
+  product's layout; the gather per (stored order, axes) is cached (_move,
+  at most MAX_CACHED_PLANS).  Without gate noise a caller runs state
+  vectors instead (tomography.measured_states).
 * Readout: the 2x2 bit-flip matrix on each outcome axis (apply_readout),
   applied once to the exact outcome distributions; sampling adds none.
 """
@@ -256,21 +256,13 @@ MAX_CACHED_PLANS = 1024
 
 
 @functools.lru_cache(maxsize=MAX_CACHED_PLANS)
-def _front(ndim: int, p: int) -> tuple:
-    """Transpose moving stored axis p to the front, the others in order."""
-    return (p, *range(p), *range(p + 1, ndim))
-
-
-@functools.lru_cache(maxsize=MAX_CACHED_PLANS)
-def _slabs(ndim: int, target: int, control: int | None = None) -> tuple:
-    """Index reversing stored axis target (X), or with a control the pair
-    (the control's 1 slab, that slab with target reversed) (CNOT)."""
-    flipped = [slice(None)] * ndim
-    flipped[target] = slice(None, None, -1)
-    if control is None:
-        return tuple(flipped)
+def _slabs(ndim: int, target: int, control: int) -> tuple:
+    """(the control's 1 slab, that slab with target reversed): a CNOT on
+    stored axes (control, target)."""
     on = [slice(None)] * ndim
-    on[control] = flipped[control] = 1
+    on[control] = 1
+    flipped = list(on)
+    flipped[target] = slice(None, None, -1)
     return tuple(on), tuple(flipped)
 
 
@@ -320,13 +312,15 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
             if t is given:                  # never write into the caller's array
                 t = t.copy()
             t[on] = t[flipped]
-        elif g.name == "x":
-            t = t[_slabs(t.ndim, order.index(q[0]))].copy()
-        else:   # not _step: _move's key, the whole order, takes too many values here
-            p = order.index(q[0])
-            if p:
-                t = t.transpose(_front(t.ndim, p))
-                order = (q[0], *order[:p], *order[p + 1:])
+            continue
+        # not _step: _move's key, the whole order, takes too many values here
+        p = order.index(q[0])
+        if p:
+            t = t.swapaxes(0, p)
+            order = (q[0], *order[1:p], order[0], *order[p + 1:])
+        if g.name == "x":
+            t = t[::-1].copy()
+        else:
             x, r = t.reshape(2, -1), _real_matrix(g.name, g.params)
             if r is None or x.dtype == complex:  # a complex gate promotes a real run
                 y = np.dot(_gate_matrix(g.name, g.params), x.astype(complex, copy=False))

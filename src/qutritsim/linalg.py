@@ -168,12 +168,7 @@ def sqrtm_psd(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
 
 def is_density_matrix(m: np.ndarray, atol: float = 1e-8) -> bool:
     """Trace-1 PSD Hermitian check, loose by default for tomographic output."""
-    return _is_density(as_matrix(m), atol)
-
-
-def _is_density(m: np.ndarray, atol: float) -> bool:
-    """is_density_matrix of a matrix that as_matrix has already coerced, for
-    a caller that keeps the coerced array (channels._require_density)."""
+    m = as_matrix(m)
     return m.shape[0] == m.shape[1] and abs(np.trace(m) - 1) <= atol and _psd_within(m, atol)
 
 

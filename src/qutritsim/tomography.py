@@ -34,13 +34,11 @@ channels are linear, so the whole lambda grid is one stack built from the
 two endpoint outputs (_endpoint_outputs) and projected by one batched
 density_spectrum; the reference grid is never built.  cmd_sweep builds a
 Choi file's nine endpoint outputs once and scores up to MAX_SWEEP_GRID
-points of its 36 pairs per stack.  Each lambda grid is built once per
-grid size, read-only (_lambda_grid, at most MAX_CACHED_GRIDS of them).
+points of its 36 pairs per stack.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -286,20 +284,6 @@ def fidelity(s1: np.ndarray, s2: np.ndarray):
 # grid, and cli.cmd_sweep scores as many pairs per stack as fit in it.
 MAX_SWEEP_GRID = 2 ** 16
 
-# Largest number of cached lambda grids, a memory budget: an entry is two
-# (grid, 1, 1) float64 arrays, at most 1 MiB at MAX_SWEEP_GRID, so 8 take at
-# most 8 MiB.
-MAX_CACHED_GRIDS = 8
-
-
-@functools.lru_cache(maxsize=MAX_CACHED_GRIDS)
-def _lambda_grid(grid: int) -> tuple:
-    """(lam, 1 - lam), read-only (grid, 1, 1) arrays, lam = np.linspace(0, 1, grid)."""
-    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
-    rest = 1 - lam
-    lam.flags.writeable = rest.flags.writeable = False
-    return lam, rest
-
 
 def _endpoint_outputs(omega: np.ndarray, reference, inputs) -> tuple:
     """(got, want), two (n, 3, 3) stacks: channel_from_choi(omega, rho) and
@@ -328,7 +312,7 @@ def _endpoint_outputs(omega: np.ndarray, reference, inputs) -> tuple:
 def _score_segments(got: np.ndarray, want: np.ndarray, grid: int) -> tuple:
     """(min, max, mean), each an array (P,), of the fidelity of the projected
     estimate and the reference along P segments lam * rho_a + (1 - lam) *
-    rho_b, lam on the cached grid of grid points.
+    rho_b, lam on a uniform grid of grid points over [0, 1].
 
     got and want are (P, 2, 3, 3): the estimate's and the reference's
     outputs at the two endpoints (a, then b) of each segment, finite
@@ -342,7 +326,8 @@ def _score_segments(got: np.ndarray, want: np.ndarray, grid: int) -> tuple:
     both would need an array twice the grid's size, which the allocator
     keeps fragmented: sweep --grid 65536 then peaked at 87 MB, not 77 MB).
     """
-    lam, rest = _lambda_grid(grid)
+    lam = np.linspace(0.0, 1.0, grid)[:, None, None]
+    rest = 1 - lam
     n = len(got)
     p, u = la._spectrum(lam * got[:, :1] + rest * got[:, 1:])
     u *= np.sqrt(p)[..., None, :]  # in density_spectrum's own v, which no one else holds
@@ -374,8 +359,6 @@ def channel_fidelity_sweep(omega: np.ndarray, reference, a: int, b: int,
     fidelity(project_to_density(channel_from_choi(omega, rho)), reference(rho)),
     scored by _score_segments, the one scorer cli.cmd_sweep also runs (there
     on a Choi file's 36 pairs, with its nine endpoint outputs built once).
-    The lam grid is built once per grid size (_lambda_grid, at most
-    MAX_CACHED_GRIDS of them, read-only).
 
     grid is an integer in [2, MAX_SWEEP_GRID], checked first.  As in
     fidelity, a non-finite reference output raises ValueError and one not

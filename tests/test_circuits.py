@@ -630,7 +630,7 @@ def test_apply_matches_tensordot_moveaxis_kernel(n, k, batch, density, seed):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 6), batch=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
 def test_run_permutation_gates_match_dense_kernel(n, batch, seed):
-    # _run moves slabs for CNOT and X; _apply with the dense matrix must agree
+    # _run permutes data for CNOT and X; _apply with the dense matrix must agree
     # bit for bit, on fresh arrays and on the transposed views _apply returns
     rng = np.random.default_rng(seed)
     shape = (2,) * n + (batch,)

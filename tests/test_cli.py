@@ -1,7 +1,9 @@
 import csv
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qutritsim
 from qutritsim import channels as ch
 from qutritsim import choi as cj
 from qutritsim import circuits as cc
@@ -500,11 +503,31 @@ def test_choi_file_huge_integer_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "sweep_ls.csv").exists()
 
 
+def _package_caches() -> dict:
+    """Every functools cache a qutritsim module defines, by qualified name:
+    a module-level callable with cache_clear whose __module__ is that module."""
+    modules = [importlib.import_module(f"qutritsim.{m.name}")
+               for m in pkgutil.iter_modules(qutritsim.__path__) if m.name != "__main__"]
+    return {f"{mod.__name__}.{name}": obj for mod in modules for name, obj in vars(mod).items()
+            if callable(obj) and hasattr(obj, "cache_clear")
+            and getattr(obj, "__module__", None) == mod.__name__}
+
+
 def _clear_caches():
-    for cached in (cli._outcome_table, cc._gate_superop, cj._analytic_spectrum,
-                   dc._basis_states, cc._gate_matrix, cc._real_matrix, cc._front, cc._slabs,
-                   cc._move, cp._legal_cnot, tg._lambda_grid):
+    for cached in _package_caches().values():
         cached.cache_clear()
+
+
+def test_every_cache_has_a_memory_bound():
+    caches = _package_caches()
+    assert caches and "qutritsim.cli._outcome_table" in caches
+    # functools.cache on a function of finitely many keys: nine basis states,
+    # three named channels
+    unbounded = {"qutritsim.decompositions._basis_states", "qutritsim.choi._analytic_spectrum"}
+    assert unbounded <= set(caches)
+    for name, cached in caches.items():
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert (maxsize is None) == (name in unbounded), name
 
 
 def test_cold_and_warm_caches_write_identical_files(tmp_path):

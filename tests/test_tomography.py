@@ -205,18 +205,6 @@ def test_channel_fidelity_sweep_self():
         assert abs(mean12 - mean21) < 1e-12, name
 
 
-def test_lambda_grid_is_read_only_and_its_cache_bounded():
-    lam, rest = tg._lambda_grid(5)
-    assert np.array_equal(lam.ravel(), np.linspace(0.0, 1.0, 5)) and np.array_equal(rest, 1 - lam)
-    for cached in (lam, rest):
-        with pytest.raises(ValueError):
-            cached[0] = 0.5
-    for grid in range(2, tg.MAX_CACHED_GRIDS + 5):
-        tg._lambda_grid(grid)
-    info = tg._lambda_grid.cache_info()
-    assert info.maxsize == tg.MAX_CACHED_GRIDS and info.currsize <= tg.MAX_CACHED_GRIDS
-
-
 @pytest.mark.parametrize("out, error, match", [
     (lambda rho: np.eye(2) / 2, la.ShapeError, None),
     (lambda rho: np.full(3, 1 / 3), la.ShapeError, None),
